@@ -9,7 +9,6 @@ extracts the guard constraints that make the net replay the log.
 from .constraints import (
     ConstraintExpr,
     FeatureRef,
-    eval_constraint,
     eval_feature,
     parse_constraint,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "discover",
     "discover_run",
     "enabled_bindings",
-    "eval_constraint",
     "eval_feature",
     "features_for",
     "fire",

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import DsyncError, SimulationError
+from .errors import DsyncError
 from .eventlog import load_log, save_log
 from .extract import ExtractionParams, discover_run
 from .modelfile import load_model
@@ -196,9 +196,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_IO
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except DsyncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

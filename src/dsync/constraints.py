@@ -223,10 +223,6 @@ def eval_feature(f: FeatureRef, m: "Marking", now: float) -> Union[float, bool]:
     raise ConstraintEvalError(f"unknown feature kind {f.kind!r}")
 
 
-def eval_constraint(c: ConstraintExpr, m: "Marking", now: float) -> bool:
-    return c.holds(m, now)
-
-
 # -- parsing -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(

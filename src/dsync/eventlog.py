@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Mapping, Optional, Union
@@ -62,9 +63,13 @@ def sort_events(events: list[Event]) -> list[Event]:
 
 def _parse_time(raw: str, row_num: int, column: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise LogError(f"row {row_num}: {column} value {raw!r} is not finite")
+        return value
     try:
         stamp = datetime.fromisoformat(raw)
     except ValueError:

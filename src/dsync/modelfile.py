@@ -28,6 +28,14 @@ from .net import (
 FORMAT = "dsync-net/1"
 
 
+def _typed(value: Any, types: tuple, what: str) -> Any:
+    """``value`` when it is one of ``types`` (a bool is no number here)."""
+    if (isinstance(value, bool) and bool not in types) or not isinstance(value, types):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise ModelError(f"{what} should be {names}, found {value!r}")
+    return value
+
+
 def _delay_from_json(obj: Any, context: str) -> DelaySpec:
     if obj is None:
         return DelaySpec.constant(0.0)
@@ -84,7 +92,7 @@ def net_from_json(doc: dict) -> Net:
         raise ModelError(f"unsupported model format {doc.get('format')!r}, expected {FORMAT!r}")
     places = [
         Place(
-            p["id"],
+            _typed(p["id"], (str,), "place id"),
             p.get("kind", "plain"),
             tuple((name, typ) for name, typ in p.get("attributes", [])),
         )
@@ -104,13 +112,13 @@ def net_from_json(doc: dict) -> Net:
                     name: _attrgen_from_json(gen, t["id"])
                     for name, gen in sorted(spec.get("attributes", {}).items())
                 },
-                max_count=spec.get("max_count"),
+                max_count=_typed(spec.get("max_count"), (int, type(None)), "max_count"),
                 case_prefix=spec.get("case_prefix", "c"),
             )
         transitions.append(
             Transition(
-                t["id"],
-                is_task=t.get("is_task", True),
+                _typed(t["id"], (str,), "transition id"),
+                is_task=_typed(t.get("is_task", True), (bool,), "is_task"),
                 delay=_delay_from_json(t.get("delay"), t["id"]),
                 guard=guard,
                 arrival_spec=arrival,
@@ -170,10 +178,17 @@ def net_to_json(net: Net) -> dict:
 
 
 def load_model(path: str) -> Net:
-    """Load and validate a model file; raises ModelError on any violation."""
+    """Load and validate a model file; raises ModelError on any violation.
+
+    Invalid JSON and missing or ill-typed keys are violations too.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    net = net_from_json(doc)
+        try:
+            net = net_from_json(json.load(fh))
+        except KeyError as exc:
+            raise ModelError(f"model {path!r} is missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError too
+            raise ModelError(f"model {path!r} is malformed: {exc}") from None
     problems = validate_net(net)
     if problems:
         raise ModelError(f"model {path!r} is invalid: " + "; ".join(problems))

@@ -143,6 +143,11 @@ class Place:
     def attr_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.attributes)
 
+    def project(self, attrs: Mapping[str, AttrValue]) -> dict[str, AttrValue]:
+        """The entries of ``attrs`` that this place declares."""
+        names = self.attr_names()
+        return {k: v for k, v in attrs.items() if k in names}
+
 
 @dataclass(frozen=True)
 class Transition:
@@ -258,31 +263,44 @@ class Net:
     def resource_inputs(self, t_id: str) -> tuple[str, ...]:
         return tuple(p for p in preset(self, t_id) if self.places[p].kind == "resource")
 
+    def case_token(self, t_id: str, binding: Binding) -> Optional[Token]:
+        """The token ``binding`` takes from the first case input of ``t_id``."""
+        for p in self.case_inputs(t_id):
+            if p in binding:
+                return binding[p]
+        return None
+
     def flow_depth(self, t_id: str) -> int:
         """Longest chain of case places feeding ``t_id`` (0 for sources).
 
         Used to order simultaneous firings: downstream transitions consume
         before upstream ones refill, which is also the order the FIFO policy
-        produces (their tokens have been waiting longer).
+        produces (their tokens have been waiting longer). A case-flow cycle is
+        cut where it closes, so its members count the chain from the queried
+        transition; the answer does not depend on which was asked first.
         """
 
-        def depth(node: str, seen: frozenset) -> int:
-            if node in self._depth_cache:
-                return self._depth_cache[node]
+        def depth(node: str, seen: frozenset, memo: dict[str, int]) -> tuple[int, bool]:
+            # (depth, cut short by a cycle); only uncut depths are memoised,
+            # because a cut depth depends on where the walk entered the cycle
+            if node in memo:
+                return memo[node], False
             if node in seen:
-                return 0  # defensive: case-flow cycles get depth 0
-            feeders = []
+                return 0, True
+            value, cut = 0, False
             for p in self._preset.get(node, ()):
                 if p in self.places and self.places[p].kind == "case":
-                    feeders.extend(self._preset.get(p, ()))
-            value = 1 + max(
-                (depth(t2, seen | {node}) for t2 in feeders), default=-1
-            )
-            self._depth_cache[node] = value
-            return value
+                    for t2 in self._preset.get(p, ()):
+                        d, c = depth(t2, seen | {node}, memo)
+                        value, cut = max(value, d + 1), cut or c
+            if not cut:
+                memo[node] = value
+            return value, cut
 
-        self.transition(t_id)
-        return depth(t_id, frozenset())
+        if t_id not in self._depth_cache:
+            self.transition(t_id)
+            self._depth_cache[t_id] = depth(t_id, frozenset(), {})[0]
+        return self._depth_cache[t_id]
 
     def with_guards(self, guards: Mapping[str, Optional["ConstraintExpr"]]) -> "Net":
         """Copy of the net with the given transitions' guards replaced."""
@@ -334,8 +352,9 @@ def enabled_bindings(
     The result order is deterministic: the cartesian product runs over the
     preset places sorted by id, each place's tokens sorted by availability
     then case id. With ``check_guards`` set, only bindings that satisfy the
-    transition's guard survive. A transition with an empty preset has exactly
-    one (empty) binding.
+    transition's guard survive; this is the one place where guards are
+    evaluated. A transition with an empty preset has exactly one (empty)
+    binding.
     """
     t = net.transition(t_id)
     in_places = preset(net, t_id)
@@ -345,28 +364,23 @@ def enabled_bindings(
         if not toks:
             return []
         pools.append(toks)
+    guard = t.guard if check_guards else None
+    if guard is not None and not guard.holds(m, now):
+        return []
     bindings: list[Binding] = [
         dict(zip(in_places, combo)) for combo in itertools.product(*pools)
     ]
-    if check_guards and t.guard is not None:
-        if not t.guard.holds(m, now):
-            return []
-        bindings = [y for y in bindings if t.guard.binding_ok(m, now, y)]
+    if guard is not None:
+        bindings = [y for y in bindings if guard.binding_ok(m, now, y)]
     return bindings
 
 
-def has_enabled_binding(
-    net: Net, m: Marking, t_id: str, now: float, check_guards: bool = False
-) -> bool:
-    """Cheap existence test; avoids building the full binding product."""
-    t = net.transition(t_id)
-    in_places = preset(net, t_id)
-    for p in in_places:
-        if not any(tok.available_at <= now for tok in m.tokens(p)):
-            return False
-    if check_guards and t.guard is not None:
-        return bool(enabled_bindings(net, m, t_id, now, check_guards=True))
-    return True
+def has_enabled_binding(net: Net, m: Marking, t_id: str, now: float) -> bool:
+    """Cheap existence test, guards ignored; avoids building the binding product."""
+    net.transition(t_id)
+    return all(
+        any(tok.available_at <= now for tok in m.tokens(p)) for p in preset(net, t_id)
+    )
 
 
 def fire(
@@ -403,11 +417,9 @@ def fire(
     if produced_case is not None:
         case_id, case_attrs = produced_case
     else:
-        for p in net.case_inputs(t_id):
-            if p in binding:
-                case_id = binding[p].case_id
-                case_attrs = binding[p].attrs
-                break
+        case_tok = net.case_token(t_id, binding)
+        if case_tok is not None:
+            case_id, case_attrs = case_tok.case_id, case_tok.attrs
 
     for p in postset(net, t_id):
         place = net.place(p)
@@ -417,8 +429,7 @@ def fire(
                     f"transition {t_id!r} outputs to case place {p!r} but no case token "
                     "was consumed or supplied"
                 )
-            attrs = {k: v for k, v in case_attrs.items() if k in place.attr_names()}
-            new_m = new_m.with_added(p, Token(case_id, attrs, out_time))
+            new_m = new_m.with_added(p, Token(case_id, place.project(case_attrs), out_time))
         elif place.kind == "resource":
             if p not in binding:
                 raise ModelError(
@@ -473,6 +484,9 @@ def validate_net(net: Net) -> list[str]:
                 out.append(f"non-task source {t.id!r} cannot carry a guard")
             for prob in t.arrival_spec.interarrival.problems():
                 out.append(f"transition {t.id!r} interarrival: {prob}")
+            for p in postset(net, t.id):
+                if p in net.places and net.places[p].kind == "resource":
+                    out.append(f"source {t.id!r} cannot feed resource place {p!r}")
         elif not preset(net, t.id):
             out.append(
                 f"transition {t.id!r} has an empty preset and no arrival_spec"

@@ -8,12 +8,17 @@ after that timestamp's moves, because a transition that fired is observed
 in the state it fired from, while a transition that was passed over is
 observed in the state that remained after everything else happened.
 
-Guard checks are off by default: the discovery input is the unguarded
-process model, and moves apply in log order. With ``check_guards`` on (the
-replayability check) each move must also satisfy its transition's guard at
-the moment it applies; since several moves can share a start time, the
-replayer searches for an order of the simultaneous moves under which every
-guard holds, mirroring whatever micro-order produced the log.
+The moves of one start time are applied by a single greedy loop, in both
+modes: downstream moves first (larger ``Net.flow_depth``, ties in log
+order), in rounds until a round applies nothing, so a move whose input a
+same-instant producer supplies still matches. Guard checks are off by
+default: the discovery input is the unguarded process model. With
+``check_guards`` on (the replayability check) each move must also satisfy
+its transition's guard at the moment it applies. Downstream-first can close
+a guard that the simulator's order left open, so when the greedy loop leaves
+a guard-checked group of at most ``MAX_SEARCH_GROUP`` moves unmatched, a
+depth-first search for an order under which every move matches takes over
+as the fallback.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from .errors import ReplayError
 from .eventlog import Event, Log
 from .net import Binding, Marking, Net, Token, enabled_bindings, fire, preset
 
-# timestamp groups larger than this skip the order search (greedy only)
+# guard-checked timestamp groups larger than this get no order-search fallback
 MAX_SEARCH_GROUP = 8
 
 
@@ -34,8 +39,10 @@ class StateSample:
 
     ``before``/``after`` bracket the timestamp's log moves. ``at_fire`` maps
     each transition that started here to the marking just before its own
-    (first) move: the state it actually fired from, with same-instant moves
-    ordered downstream-first like the simulator's FIFO policy resolves them.
+    (first) move: the state it actually fired from, in the order the greedy
+    loop applied the same-instant moves (downstream-first, like the
+    simulator's FIFO policy resolves them), or in the order the search found
+    when the guard-checked fallback ran.
     """
 
     time: float
@@ -118,12 +125,7 @@ def _best_move(
     net: Net, marking: Marking, e: Event, tau: float, check_guards: bool
 ) -> Optional[Binding]:
     """Best case-matching (and, when checking, guard-satisfying) binding."""
-    t = net.transitions[e.label]
-    bindings = enabled_bindings(net, marking, e.label, tau, check_guards=False)
-    if check_guards and t.guard is not None:
-        if not t.guard.holds(marking, tau):
-            return None
-        bindings = [y for y in bindings if t.guard.binding_ok(marking, tau, y)]
+    bindings = enabled_bindings(net, marking, e.label, tau, check_guards=check_guards)
     best: Optional[tuple[tuple, int, Binding]] = None
     for i, y in enumerate(bindings):
         score = sim_score(net, e.label, y, e)
@@ -146,10 +148,44 @@ def _apply(net: Net, marking: Marking, e: Event, binding: Binding, tau: float) -
     )
 
 
+# an applied log move: the event, its binding and the marking it applied to
+Move = tuple[Event, Binding, Marking]
+
+
+def _greedy(
+    net: Net, marking: Marking, events: list[Event], tau: float, check_guards: bool
+) -> tuple[Marking, list[Move], list[Event]]:
+    """Apply same-instant moves in rounds until a round applies none.
+
+    Each round tries the still-pending events in the given order and applies
+    every one that has a binding. Returns the final marking, the applied moves
+    in order, and the events left unmatched.
+    """
+    moves: list[Move] = []
+    pending = events
+    while pending:
+        left = []
+        for e in pending:
+            binding = _best_move(net, marking, e, tau, check_guards)
+            if binding is None:
+                left.append(e)
+                continue
+            moves.append((e, binding, marking))
+            marking = _apply(net, marking, e, binding, tau)
+        if len(left) == len(pending):
+            break
+        pending = left
+    return marking, moves, pending
+
+
 def _search_order(
     net: Net, marking: Marking, events: list[Event], tau: float
-) -> Optional[tuple[Marking, list[Event]]]:
-    """An order of same-instant moves under which every guard holds."""
+) -> Optional[tuple[Marking, list[Move]]]:
+    """An order of same-instant moves under which every guard holds.
+
+    Depth-first over the events in the given order; returns the final
+    marking and the applied moves, or None when no order matches them all.
+    """
     if not events:
         return marking, []
     for i, e in enumerate(events):
@@ -159,13 +195,8 @@ def _search_order(
         rest = events[:i] + events[i + 1 :]
         sub = _search_order(net, _apply(net, marking, e, binding, tau), rest, tau)
         if sub is not None:
-            return sub[0], [e] + sub[1]
+            return sub[0], [(e, binding, marking)] + sub[1]
     return None
-
-
-def _first_case_input(net: Net, t_id: str) -> Optional[str]:
-    places = net.case_inputs(t_id)
-    return places[0] if places else None
 
 
 def replay(
@@ -203,10 +234,18 @@ def replay(
 
         before = marking
         group = groups[tau]
-        repaired_here = False
+        # downstream moves first (the order the FIFO policy fires them); the
+        # sort is stable, so ties keep log order
+        ordered = sorted(group, key=lambda e: -net.flow_depth(e.label))
+        marking, moves, pending = _greedy(net, before, ordered, tau, check_guards)
+        if pending and check_guards and len(group) <= MAX_SEARCH_GROUP:
+            found = _search_order(net, before, ordered, tau)
+            if found is not None:
+                (marking, moves), pending = found, []
 
-        def applied_ok(e: Event, binding: Binding) -> None:
-            nonlocal gap_sum, gap_n
+        at_fire: dict[str, Marking] = {}
+        for e, binding, fired_from in moves:
+            at_fire.setdefault(e.label, fired_from)
             report.matched += 1
             for p in net.case_inputs(e.label):
                 tok = binding.get(p)
@@ -215,70 +254,18 @@ def replay(
                     gap_n += 1
                     break
 
-        def record_unmatched(e: Event) -> None:
-            nonlocal marking, repaired_here
-            t = net.transitions[e.label]
+        for e in pending:
             reason = "no binding"
-            if check_guards and t.guard is not None and _best_move(
+            if check_guards and net.transitions[e.label].guard is not None and _best_move(
                 net, marking, e, tau, check_guards=False
             ):
                 reason = "guard not satisfied"
             report.unmatched.append((e, reason))
-            repaired_here = True
-            place_id = _first_case_input(net, e.label)
-            if place_id is not None:
-                place = net.place(place_id)
-                attrs = {k: v for k, v in e.attrs.items() if k in place.attr_names()}
-                marking = marking.with_added(place_id, Token(e.case_id, attrs, tau))
-
-        at_fire: dict[str, Marking] = {}
-        if not check_guards:
-            # downstream moves first (the order the FIFO policy fires them);
-            # ties fall back to log order
-            ordered = sorted(
-                range(len(group)),
-                key=lambda i: (-net.flow_depth(group[i].label), i),
-            )
-            deferred: list[int] = []
-            for i in ordered:
-                e = group[i]
-                binding = _best_move(net, marking, e, tau, check_guards=False)
-                if binding is None:
-                    deferred.append(i)
-                    continue
-                at_fire.setdefault(e.label, marking)
-                marking = _apply(net, marking, e, binding, tau)
-                applied_ok(e, binding)
-            for i in deferred:  # retry once: a same-instant producer may have run
-                e = group[i]
-                binding = _best_move(net, marking, e, tau, check_guards=False)
-                if binding is None:
-                    record_unmatched(e)
-                    continue
-                at_fire.setdefault(e.label, marking)
-                marking = _apply(net, marking, e, binding, tau)
-                applied_ok(e, binding)
-        else:
-            ordered = group
-            if 1 < len(group) <= MAX_SEARCH_GROUP:
-                found = _search_order(net, marking, group, tau)
-                if found is not None:
-                    ordered = found[1]
-            pending = list(ordered)
-            progress = True
-            while pending and progress:
-                progress = False
-                for e in list(pending):
-                    binding = _best_move(net, marking, e, tau, check_guards=True)
-                    if binding is None:
-                        continue
-                    at_fire.setdefault(e.label, marking)
-                    marking = _apply(net, marking, e, binding, tau)
-                    pending.remove(e)
-                    applied_ok(e, binding)
-                    progress = True
-            for e in pending:
-                record_unmatched(e)
+            case_inputs = net.case_inputs(e.label)
+            if case_inputs:
+                place = net.place(case_inputs[0])
+                token = Token(e.case_id, place.project(e.attrs), tau)
+                marking = marking.with_added(place.id, token)
 
         samples.append(
             StateSample(
@@ -287,7 +274,7 @@ def replay(
                 after=marking,
                 fired=frozenset(e.label for e in group),
                 at_fire=at_fire,
-                repaired=repaired_here,
+                repaired=bool(pending),
             )
         )
 
@@ -336,7 +323,6 @@ def _arrival_plan(log: Log, net: Net) -> list[tuple[float, str, Token]]:
         for i, (avail, case_id, e) in enumerate(cases):
             claimed.add(case_id)
             inject_at = cases[i - 1][0] if i > 0 else float("-inf")
-            attrs = {k: v for k, v in e.attrs.items() if k in place.attr_names()}
-            plan.append((inject_at, out, Token(case_id, attrs, avail)))
+            plan.append((inject_at, out, Token(case_id, place.project(e.attrs), avail)))
     plan.sort(key=lambda item: (item[0], item[1], item[2].case_id or ""))
     return plan

@@ -7,13 +7,18 @@ order (the binding whose newest consumed token is oldest goes first, ties by
 case id then transition id), which keeps the selection policy value-blind so
 that any case reordering observable in the log is caused by guards alone.
 
-Source transitions (empty preset, ``arrival_spec``) come in two flavours:
+Guards are evaluated only through ``enabled_bindings(..., check_guards=True)``,
+for source transitions too: their empty preset has one empty binding, which
+survives exactly when the guard holds. Source transitions (empty preset,
+``arrival_spec``) come in two flavours:
 
 * task sources fire on their own schedule and appear in the log; a guard can
   delay a scheduled firing until it holds again.
 * non-task sources are invisible arrival machinery: the next case token is
   injected one interarrival ahead of its availability, so guards can already
-  see the upcoming case while it is still pending.
+  see the upcoming case while it is still pending. An injection is a zero-delay
+  ``fire`` of the source at the token's availability time, with the new
+  case supplied as the produced case.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import SimulationError
 from .eventlog import Event, Log, sort_events
-from .net import Marking, Net, Token, Transition, enabled_bindings, fire, validate_net
+from .net import Net, Transition, enabled_bindings, fire, validate_net
 
 
 @dataclass(frozen=True)
@@ -31,15 +36,12 @@ class SimConfig:
     seed: int
     max_cases: int = 0  # per-source injection cap; 0 means horizon-bounded
     horizon: float = 0.0  # 0 means unbounded
-    policy: str = "fifo"
 
     def check(self) -> None:
         if self.max_cases < 0:
             raise SimulationError("max_cases must not be negative")
         if self.max_cases == 0 and self.horizon <= 0:
             raise SimulationError("config needs max_cases >= 1 or a positive horizon")
-        if self.policy != "fifo":
-            raise SimulationError(f"unknown binding policy {self.policy!r}")
 
 
 def _stream(seed: int, *parts: str) -> random.Random:
@@ -75,19 +77,6 @@ class _Source:
             for name, gen in sorted(self.spec.attributes.items())
         }
         return case_id, attrs
-
-
-def _inject(net: Net, m: Marking, t_id: str, case_id: str, attrs: dict, at: float) -> Marking:
-    for p in sorted(net._postset[t_id]):
-        place = net.place(p)
-        if place.kind == "case":
-            kept = {k: v for k, v in attrs.items() if k in place.attr_names()}
-            m = m.with_added(p, Token(case_id, kept, at))
-        elif place.kind == "plain":
-            m = m.with_added(p, Token(None, {}, at))
-        else:
-            raise SimulationError(f"source {t_id!r} cannot feed resource place {p!r}")
-    return m
 
 
 def simulate(net: Net, cfg: SimConfig) -> Log:
@@ -133,14 +122,11 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                     avail = inject_at  # first case is available immediately
                 else:
                     avail = inject_at + src.spec.interarrival.sample(src.rng_gaps)
-                case_id, attrs = src.new_case()
-                marking = _inject(net, marking, tid, case_id, attrs, avail)
+                marking = fire(
+                    net, marking, tid, {}, avail,
+                    delay_override=0.0, produced_case=src.new_case(),
+                )
                 src.next_time = avail
-
-    def guard_ok(t: Transition, binding: dict) -> bool:
-        if t.guard is None:
-            return True
-        return t.guard.holds(marking, clock) and t.guard.binding_ok(marking, clock, binding)
 
     pump_free_sources()
     while True:
@@ -150,18 +136,15 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
             for tid in ordinary:
                 for y in enabled_bindings(net, marking, tid, clock, check_guards=True):
                     newest = max((tok.available_at for tok in y.values()), default=clock)
-                    case_key = ""
-                    for p in net.case_inputs(tid):
-                        if p in y and y[p].case_id:
-                            case_key = y[p].case_id
-                            break
+                    case_tok = net.case_token(tid, y)
+                    case_key = case_tok.case_id if case_tok else ""
                     candidates.append(
                         ((newest, -net.flow_depth(tid), case_key, tid), tid, y)
                     )
             for tid, src in sorted(task_sources.items()):
                 if src.exhausted() or src.next_time > clock:
                     continue
-                if guard_ok(src.t, {}):
+                if enabled_bindings(net, marking, tid, clock, check_guards=True):
                     candidates.append(
                         ((src.next_time, -net.flow_depth(tid), "", tid), tid, {})
                     )
@@ -180,20 +163,17 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                 )
                 events.append(Event(case_id, tid, clock, clock + delay, None, attrs))
             else:
-                case_id, attrs, resource = None, {}, None
-                for p in net.case_inputs(tid):
-                    if p in y:
-                        case_id, attrs = y[p].case_id, dict(y[p].attrs)
-                        break
+                case_tok = net.case_token(tid, y)
+                resource = None
                 for p in net.resource_inputs(tid):
                     if p in y:
                         resource = y[p].case_id
                         break
                 marking = fire(net, marking, tid, y, clock, delay_override=delay)
                 if t.is_task:
-                    events.append(
-                        Event(case_id or "", tid, clock, clock + delay, resource, attrs)
-                    )
+                    case_id = case_tok.case_id if case_tok else ""
+                    attrs = dict(case_tok.attrs) if case_tok else {}
+                    events.append(Event(case_id, tid, clock, clock + delay, resource, attrs))
 
         # nothing fires now; advance the clock to the next possible change
         future: list[float] = []

@@ -37,6 +37,24 @@ def test_simulate_invalid_config_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"format": "dsync-net/1", "places": [{"kind": "case"}]}', "missing key 'id'"),
+        ("{bad", "malformed"),
+        ('{"format": "dsync-net/1", "places": [{"id": 7}]}', "place id should be str"),
+    ],
+    ids=["missing-key", "invalid-json", "ill-typed-key"],
+)
+def test_simulate_bad_model_exits_3(tmp_path, capsys, text, message):
+    model = tmp_path / "bad.json"
+    model.write_text(text)
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
 def test_discover_writes_report(sim_log, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     ptdir = tmp_path / "ptlogs"

@@ -7,7 +7,6 @@ import pytest
 from dsync.constraints import (
     NO_PENDING_SENTINEL,
     FeatureRef,
-    eval_constraint,
     eval_feature,
     parse_constraint,
 )
@@ -115,20 +114,20 @@ def test_conjunction_decomposes():
     expr = parse_constraint(PRIORITY_GUARD)
     first, second = expr.atoms
     m = marking(arrival=[("4", 801, 15.0)], q1=[("3", 855, 15.0)])
-    assert eval_constraint(expr, m, 15.0) == (first.holds(m, 15.0) and second.holds(m, 15.0))
+    assert expr.holds(m, 15.0) == (first.holds(m, 15.0) and second.holds(m, 15.0))
 
 
 def test_observation_states_of_running_example():
     guard = parse_constraint(PRIORITY_GUARD)
     # time 5: queue max 118 still pending, incoming 855 far above the factor
     at5 = marking(arrival=[("3", 855, 10.0)], q1=[("1", 100, 5.0), ("2", 118, 10.0)])
-    assert eval_constraint(guard, at5, 5.0) is False
+    assert guard.holds(at5, 5.0) is False
     # time 22: queue max 801 available, incoming 222 within the factor
     at22 = marking(
         arrival=[("6", 222, 25.0)],
         q1=[("1", 100, 5.0), ("2", 118, 10.0), ("4", 801, 20.0), ("5", 146, 25.0)],
     )
-    assert eval_constraint(guard, at22, 22.0) is True
+    assert guard.holds(at22, 22.0) is True
 
 
 def test_empty_conjunction_is_true():

@@ -61,6 +61,12 @@ def test_non_numeric_time_rejected():
         parse_log("case,activity,start,complete\n1,a,zero,5\n")
 
 
+@pytest.mark.parametrize("row", ["1,a,inf,5", "1,a,0,nan", "1,a,-inf,inf"])
+def test_non_finite_time_rejected(row):
+    with pytest.raises(LogError, match="not finite"):
+        parse_log("case,activity,start,complete\n" + row + "\n")
+
+
 def test_round_trip_identity():
     log = parse_log(TABLE1)
     assert parse_log(write_log(log)) == log

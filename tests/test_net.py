@@ -154,6 +154,16 @@ def test_validate_arrival_spec_with_preset():
     assert any("nonempty preset" in p for p in problems)
 
 
+def test_validate_source_feeding_resource_place():
+    spec = ArrivalSpec(interarrival=DelaySpec.constant(1))
+    net = Net(
+        places=[Place("r", "resource"), Place("b", "case")],
+        transitions=[Transition("arrive", arrival_spec=spec)],
+        flows=[("arrive", "r"), ("arrive", "b")],
+    )
+    assert "source 'arrive' cannot feed resource place 'r'" in validate_net(net)
+
+
 def test_validate_resource_place_attributes():
     net = Net(
         places=[Place("r", "resource", (("x", "number"),)), Place("b", "case")],
@@ -199,6 +209,22 @@ def test_delay_sampling_is_deterministic_per_stream():
 def test_flow_depth_orders_downstream_deeper():
     net = fig1_net()
     assert net.flow_depth("handling") > net.flow_depth("pre-processing")
+
+
+def case_cycle_net() -> Net:
+    """src -> t1 -> p -> t2 -> q -> t1: case flow with a cycle."""
+    return Net(
+        places=[Place("src", "case"), Place("p", "case"), Place("q", "case")],
+        transitions=[Transition("t1"), Transition("t2")],
+        flows=[("src", "t1"), ("t1", "p"), ("p", "t2"), ("t2", "q"), ("q", "t1")],
+    )
+
+
+def test_flow_depth_on_case_cycle_ignores_query_order():
+    forward, backward = case_cycle_net(), case_cycle_net()
+    asked_t1_first = {t: forward.flow_depth(t) for t in ("t1", "t2")}
+    asked_t2_first = {t: backward.flow_depth(t) for t in ("t2", "t1")}
+    assert asked_t1_first == asked_t2_first == {"t1": 2, "t2": 2}
 
 
 def test_preset_of_bundled_multi_pattern_model(supplychain_net):

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
+from dsync.constraints import parse_constraint
 from dsync.errors import ReplayError
 from dsync.eventlog import Event, Log, parse_log
-from dsync.net import Token
+from dsync.net import ArrivalSpec, DelaySpec, Net, Place, Token, Transition
 from dsync.replay import replay, sim_score
+from dsync.simulate import SimConfig, simulate
+
+
+def arrivals(prefix: str, gap: float) -> ArrivalSpec:
+    return ArrivalSpec(interarrival=DelaySpec.constant(gap), case_prefix=prefix)
 
 
 def test_sample_times_are_distinct_starts(priority_net, table1_log):
@@ -124,8 +132,6 @@ def test_sim_score_attribute_distance_breaks_ties(priority_net):
 
 
 def test_guard_checked_replay_flags_wrong_guard(blocking_net, blocking_log):
-    from dsync.constraints import parse_constraint
-
     wrong = blocking_net.with_guards(
         {"pre-processing": parse_constraint("nrtokens(q1) <= 0")}
     )
@@ -137,3 +143,76 @@ def test_guard_checked_replay_flags_wrong_guard(blocking_net, blocking_log):
 def test_guard_checked_replay_accepts_true_guard(blocking_net, blocking_log):
     _, report = replay(blocking_log, blocking_net, check_guards=True)
     assert not report.unmatched
+
+
+def zero_delay_chain_net() -> Net:
+    """arrive -> p0 -> a -> p1 -> b -> p2 -> c -> p3, every task instantaneous."""
+    return Net(
+        places=[Place(f"p{i}", "case") for i in range(4)],
+        transitions=[Transition("arrive", is_task=False, arrival_spec=arrivals("c", 1))]
+        + [Transition(t, delay=DelaySpec.constant(0)) for t in "abc"],
+        flows=[
+            ("arrive", "p0"), ("p0", "a"), ("a", "p1"),
+            ("p1", "b"), ("b", "p2"), ("p2", "c"), ("c", "p3"),
+        ],
+    )
+
+
+def test_zero_delay_chain_replays_every_move():
+    # a case's a, b and c share one start time; downstream-first tries c
+    # before b has produced its input, so the rounds must continue until
+    # nothing more applies
+    net = zero_delay_chain_net()
+    log = simulate(net, SimConfig(seed=1, max_cases=3))
+    assert len({(e.case_id, e.start) for e in log.events}) == 3
+    samples, report = replay(log, net)
+    assert (report.matched, report.total) == (9, 9)
+    assert not any(s.repaired for s in samples)
+
+
+def guard_closed_by_downstream_net() -> Net:
+    """Unguarded tp (depth 2) refills o, which closes tg's guard (depth 1)."""
+    return Net(
+        places=[Place(p, "case") for p in ("a0", "p1", "o", "b0", "g")],
+        transitions=[
+            Transition("arrive_a", is_task=False, arrival_spec=arrivals("a", 1)),
+            Transition("arrive_b", is_task=False, arrival_spec=arrivals("b", 9.5)),
+            Transition("u", delay=DelaySpec.constant(9)),
+            Transition("tp", delay=DelaySpec.constant(1)),
+            Transition("tg", guard=parse_constraint("timeuntilnext(o) > 2")),
+        ],
+        flows=[
+            ("arrive_a", "a0"), ("a0", "u"), ("u", "p1"), ("p1", "tp"), ("tp", "o"),
+            ("arrive_b", "b0"), ("b0", "tg"), ("tg", "g"),
+        ],
+    )
+
+
+def _tp_tg_log():
+    net = guard_closed_by_downstream_net()
+    log = simulate(net, SimConfig(seed=1, max_cases=2))
+    # b2 waits from 9.5 until a1's o token is due at 10; it then fires before
+    # a2's tp at 10 because its token is older
+    assert {(e.case_id, e.label, e.start) for e in log.events if e.start == 10} == {
+        ("b2", "tg", 10.0),
+        ("a2", "tp", 10.0),
+    }
+    return net, log
+
+
+def test_guard_checked_replay_of_simulated_log_is_complete():
+    net, log = _tp_tg_log()
+    _, report = replay(log, net, check_guards=True)
+    assert (report.matched, report.total) == (6, 6)
+
+
+def test_downstream_first_alone_misses_the_simulated_order(monkeypatch):
+    # without the search fallback, tp applies first at 10 and closes tg's guard
+    net, log = _tp_tg_log()
+    # the package's ``replay`` attribute is the function, so fetch the module
+    monkeypatch.setattr(importlib.import_module("dsync.replay"), "MAX_SEARCH_GROUP", 0)
+    _, report = replay(log, net, check_guards=True)
+    assert (report.matched, report.total) == (5, 6)
+    assert [(e.label, reason) for e, reason in report.unmatched] == [
+        ("tg", "guard not satisfied")
+    ]
