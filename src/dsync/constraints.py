@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Union
 from .errors import ConstraintEvalError, ConstraintSyntaxError
 
 if TYPE_CHECKING:
-    from .net import Binding, Marking
+    from .net import Binding, Marking, Token
 
 # Pending tokens further away than this are reported as "no token coming";
 # finite so decision trees can still split on the value.
@@ -137,27 +137,34 @@ class ConstraintExpr:
     def holds(self, m: "Marking", now: float) -> bool:
         return all(atom.holds(m, now) for atom in self.atoms)
 
-    def binding_ok(self, m: "Marking", now: float, binding: "Binding") -> bool:
-        """Binding-level strengthening used by the simulator.
+    def pin(self, m: "Marking", place: str, tokens: list["Token"]) -> list["Token"]:
+        """The ``tokens`` of ``place`` that a binding may consume, in order.
 
-        ``attrenabled(p, a, agg) == true`` atoms over a place the binding
-        consumes from additionally pin the chosen token: it must attain the
-        aggregate value. That is what routes the extremum case (and not an
-        arbitrary enabled one) through the guarded transition.
+        ``attrenabled(p, a, agg) == true`` atoms over ``place`` pin the token a
+        binding takes from it: the token must attain the aggregate value over
+        the whole marking. That is what routes the extremum case (and not an
+        arbitrary enabled one) through the guarded transition. Each pinning
+        atom's extremum is computed once per call.
         """
         for atom in self.atoms:
             f = atom.feature
-            if f.kind != "attrenabled" or atom.op != "==" or atom.const is not True:
+            if f.kind != "attrenabled" or f.place != place:
                 continue
-            if f.place not in binding:
+            if atom.op != "==" or atom.const is not True:
                 continue
-            extremum = _attr_extremum(m, f.place, f.attr, f.agg)
+            extremum = _attr_extremum(m, place, f.attr, f.agg)
             if extremum is None:
-                return False
-            chosen = binding[f.place].attrs.get(f.attr)
-            if chosen != extremum:
-                return False
-        return True
+                return []
+            tokens = [tok for tok in tokens if tok.attrs.get(f.attr) == extremum]
+        return tokens
+
+    def binding_ok(self, m: "Marking", now: float, binding: "Binding") -> bool:
+        """Whether ``pin`` lets ``binding`` take each of its tokens.
+
+        ``net.enabled_bindings`` applies ``pin`` to whole pools before the
+        binding product instead of calling this per binding.
+        """
+        return all(self.pin(m, p, [tok]) for p, tok in binding.items())
 
     def conjoin(self, other: "ConstraintExpr") -> "ConstraintExpr":
         return ConstraintExpr(self.atoms + other.atoms)

@@ -236,6 +236,14 @@ class Net:
         for node in list(self.places) + list(self.transitions):
             self._preset[node] = tuple(sorted(src for src, tgt in self.flows if tgt == node))
             self._postset[node] = tuple(sorted(tgt for src, tgt in self.flows if src == node))
+        # preset places of each transition by kind; read per binding and per move
+        self._inputs: dict[tuple[str, str], tuple[str, ...]] = {
+            (t, kind): tuple(
+                p for p in self._preset[t] if p in self.places and self.places[p].kind == kind
+            )
+            for t in self.transitions
+            for kind in ("case", "resource")
+        }
 
     # -- structure ---------------------------------------------------------
 
@@ -258,10 +266,18 @@ class Net:
         return tuple(sorted(t.id for t in self.transitions.values() if t.is_task))
 
     def case_inputs(self, t_id: str) -> tuple[str, ...]:
-        return tuple(p for p in preset(self, t_id) if self.places[p].kind == "case")
+        """Case places in the preset of transition ``t_id``, sorted."""
+        return self._inputs_of(t_id, "case")
 
     def resource_inputs(self, t_id: str) -> tuple[str, ...]:
-        return tuple(p for p in preset(self, t_id) if self.places[p].kind == "resource")
+        """Resource places in the preset of transition ``t_id``, sorted."""
+        return self._inputs_of(t_id, "resource")
+
+    def _inputs_of(self, t_id: str, kind: str) -> tuple[str, ...]:
+        try:
+            return self._inputs[t_id, kind]
+        except KeyError:
+            raise ModelError(f"unknown transition {t_id!r}") from None
 
     def case_token(self, t_id: str, binding: Binding) -> Optional[Token]:
         """The token ``binding`` takes from the first case input of ``t_id``."""
@@ -346,15 +362,31 @@ def enabled_bindings(
     t_id: str,
     now: float,
     check_guards: bool = False,
+    case_id: Optional[str] = None,
 ) -> list[Binding]:
-    """All bindings of time-enabled tokens for transition ``t_id`` at ``now``.
+    """The bindings of time-enabled tokens for transition ``t_id`` at ``now``.
 
-    The result order is deterministic: the cartesian product runs over the
-    preset places sorted by id, each place's tokens sorted by availability
-    then case id. With ``check_guards`` set, only bindings that satisfy the
-    transition's guard survive; this is the one place where guards are
-    evaluated. A transition with an empty preset has exactly one (empty)
-    binding.
+    The result is the cartesian product over the preset places sorted by id,
+    each place's pool sorted by availability then case id, after each pool
+    has been shrunk by filters that keep the surviving tokens in order:
+
+    * with ``check_guards`` set, the transition's guard must hold on the
+      marking (this is the one place where guards are evaluated), and its
+      pinning atoms keep only the tokens ``ConstraintExpr.pin`` allows;
+    * with ``case_id`` set and exactly one case input, that input's pool
+      keeps only the token of that case (several case inputs stay unfiltered,
+      because a log move may match the case on any of them);
+    * a plain place keeps only its earliest token, because plain tokens are
+      interchangeable apart from their availability.
+
+    The filters drop only bindings that the guard rejects or that no caller
+    would choose: the simulator's FIFO key (``simulate.fifo_key``, smaller
+    when the newest consumed token is older) is never worse for the earliest
+    plain token, ``replay.sim_score`` ignores plain tokens and rejects a token
+    of another case, and the kept bindings keep their relative order. So the
+    first binding attaining the best key is the one the full product of
+    enabled tokens would give. A transition with an empty preset has exactly
+    one (empty) binding.
     """
     t = net.transition(t_id)
     in_places = preset(net, t_id)
@@ -367,12 +399,19 @@ def enabled_bindings(
     guard = t.guard if check_guards else None
     if guard is not None and not guard.holds(m, now):
         return []
-    bindings: list[Binding] = [
-        dict(zip(in_places, combo)) for combo in itertools.product(*pools)
-    ]
-    if guard is not None:
-        bindings = [y for y in bindings if guard.binding_ok(m, now, y)]
-    return bindings
+    case_place = net.case_inputs(t_id) if case_id is not None else ()
+    for i, p in enumerate(in_places):
+        toks = pools[i]
+        if guard is not None:
+            toks = guard.pin(m, p, toks)
+        if case_place == (p,):
+            toks = [tok for tok in toks if tok.case_id == case_id]
+        if net.places[p].kind == "plain":
+            toks = toks[:1]
+        if not toks:
+            return []
+        pools[i] = toks
+    return [dict(zip(in_places, combo)) for combo in itertools.product(*pools)]
 
 
 def has_enabled_binding(net: Net, m: Marking, t_id: str, now: float) -> bool:

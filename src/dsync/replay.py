@@ -18,7 +18,7 @@ its transition's guard at the moment it applies. Downstream-first can close
 a guard that the simulator's order left open, so when the greedy loop leaves
 a guard-checked group of at most ``MAX_SEARCH_GROUP`` moves unmatched, a
 depth-first search for an order under which every move matches takes over
-as the fallback.
+as the fallback, for at most ``MAX_SEARCH_MOVES`` candidate moves.
 """
 from __future__ import annotations
 
@@ -31,6 +31,10 @@ from .net import Binding, Marking, Net, Token, enabled_bindings, fire, preset
 
 # guard-checked timestamp groups larger than this get no order-search fallback
 MAX_SEARCH_GROUP = 8
+# calls of ``_best_move`` after which the fallback search gives up: enough to
+# try every order of a group of up to 6 moves, while a group of 8 with no
+# order would otherwise take over 100,000
+MAX_SEARCH_MOVES = 2_000
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,9 @@ def _best_move(
     net: Net, marking: Marking, e: Event, tau: float, check_guards: bool
 ) -> Optional[Binding]:
     """Best case-matching (and, when checking, guard-satisfying) binding."""
-    bindings = enabled_bindings(net, marking, e.label, tau, check_guards=check_guards)
+    bindings = enabled_bindings(
+        net, marking, e.label, tau, check_guards=check_guards, case_id=e.case_id
+    )
     best: Optional[tuple[tuple, int, Binding]] = None
     for i, y in enumerate(bindings):
         score = sim_score(net, e.label, y, e)
@@ -184,19 +190,28 @@ def _search_order(
     """An order of same-instant moves under which every guard holds.
 
     Depth-first over the events in the given order; returns the final
-    marking and the applied moves, or None when no order matches them all.
+    marking and the applied moves, or None when no order matches them all or
+    none was found within ``MAX_SEARCH_MOVES`` calls of ``_best_move``.
     """
-    if not events:
-        return marking, []
-    for i, e in enumerate(events):
-        binding = _best_move(net, marking, e, tau, check_guards=True)
-        if binding is None:
-            continue
-        rest = events[:i] + events[i + 1 :]
-        sub = _search_order(net, _apply(net, marking, e, binding, tau), rest, tau)
-        if sub is not None:
-            return sub[0], [(e, binding, marking)] + sub[1]
-    return None
+    budget = MAX_SEARCH_MOVES
+
+    def search(marking: Marking, events: list[Event]) -> Optional[tuple[Marking, list[Move]]]:
+        nonlocal budget
+        if not events:
+            return marking, []
+        for i, e in enumerate(events):
+            if budget == 0:
+                return None
+            budget -= 1
+            binding = _best_move(net, marking, e, tau, check_guards=True)
+            if binding is None:
+                continue
+            sub = search(_apply(net, marking, e, binding, tau), events[:i] + events[i + 1 :])
+            if sub is not None:
+                return sub[0], [(e, binding, marking)] + sub[1]
+        return None
+
+    return search(marking, events)
 
 
 def replay(

@@ -28,7 +28,11 @@ from dataclasses import dataclass
 
 from .errors import SimulationError
 from .eventlog import Event, Log, sort_events
-from .net import Net, Transition, enabled_bindings, fire, validate_net
+from .net import Binding, Net, Transition, enabled_bindings, fire, validate_net
+
+# firings (and arrivals per source) allowed at one clock value; more means a
+# zero-delay cycle or interarrival that would keep the clock from advancing
+MAX_FIRINGS_PER_INSTANT = 10_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,24 @@ class _Source:
         return case_id, attrs
 
 
+def _stuck_clock(t_id: str, clock: float) -> SimulationError:
+    return SimulationError(
+        f"transition {t_id!r} would fire more than {MAX_FIRINGS_PER_INSTANT} times at "
+        f"time {clock:g}; a zero-delay cycle or interarrival keeps the clock from advancing"
+    )
+
+
+def fifo_key(net: Net, t_id: str, binding: Binding, clock: float) -> tuple:
+    """Firing priority of a binding at ``clock``; the smallest fires first.
+
+    The binding whose newest consumed token is oldest goes first, then the
+    downstream transition, then the smaller case id, then the transition id.
+    """
+    newest = max((tok.available_at for tok in binding.values()), default=clock)
+    case_tok = net.case_token(t_id, binding)
+    return (newest, -net.flow_depth(t_id), case_tok.case_id if case_tok else "", t_id)
+
+
 def simulate(net: Net, cfg: SimConfig) -> Log:
     """Run the net until its sources are exhausted and the work has drained.
 
@@ -116,7 +138,11 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
         """Inject pending arrivals: token k+1 appears when token k becomes available."""
         nonlocal marking
         for tid, src in free_sources:
-            while not src.exhausted() and src.next_time <= clock:
+            for injected in range(MAX_FIRINGS_PER_INSTANT + 1):
+                if src.exhausted() or src.next_time > clock:
+                    break
+                if injected == MAX_FIRINGS_PER_INSTANT:
+                    raise _stuck_clock(tid, clock)
                 inject_at = src.next_time
                 if src.count == 0:
                     avail = inject_at  # first case is available immediately
@@ -131,16 +157,11 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     pump_free_sources()
     while True:
         # fire everything possible at the current clock, one binding at a time
-        while True:
+        for fired in range(MAX_FIRINGS_PER_INSTANT + 1):
             candidates: list[tuple[tuple, str, dict]] = []
             for tid in ordinary:
                 for y in enabled_bindings(net, marking, tid, clock, check_guards=True):
-                    newest = max((tok.available_at for tok in y.values()), default=clock)
-                    case_tok = net.case_token(tid, y)
-                    case_key = case_tok.case_id if case_tok else ""
-                    candidates.append(
-                        ((newest, -net.flow_depth(tid), case_key, tid), tid, y)
-                    )
+                    candidates.append((fifo_key(net, tid, y, clock), tid, y))
             for tid, src in sorted(task_sources.items()):
                 if src.exhausted() or src.next_time > clock:
                     continue
@@ -151,6 +172,8 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
             if not candidates:
                 break
             _, tid, y = min(candidates, key=lambda c: c[0])
+            if fired == MAX_FIRINGS_PER_INSTANT:
+                raise _stuck_clock(tid, clock)
             t = net.transitions[tid]
             delay = t.delay.sample(delay_rngs[tid])
             if tid in task_sources:

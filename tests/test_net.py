@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import importlib
+import itertools
+import random
+
 import pytest
 
+from tests.conftest import model_path
+from dsync.constraints import parse_constraint
 from dsync.errors import ModelError
+from dsync.eventlog import Event, parse_log, write_log
+from dsync.extract import annotate_net, discover_run
+from dsync.modelfile import load_model
 from dsync.net import (
     ArrivalSpec,
     DelaySpec,
@@ -16,6 +25,8 @@ from dsync.net import (
     preset,
     validate_net,
 )
+from dsync.replay import _best_move, replay, sim_score
+from dsync.simulate import SimConfig, fifo_key, simulate
 
 
 def fig1_net() -> Net:
@@ -232,3 +243,132 @@ def test_preset_of_bundled_multi_pattern_model(supplychain_net):
     expected = tuple(sorted(src for src, tgt in flows if tgt == "production_game"))
     assert preset(supplychain_net, "production_game") == expected
     assert expected == ("chips", "stock_gc")
+
+
+# -- binding filters against the full product ---------------------------------
+
+
+def _random_marking(net: Net, rng) -> Marking:
+    """0-40 tokens per place, availabilities and attribute values with ties."""
+    by_place = {}
+    for place in net.places.values():
+        toks = []
+        for _ in range(rng.randint(0, 40)):
+            avail = float(rng.choice((0, 1, 1, 2, 3, 5)))
+            if place.kind == "plain":
+                toks.append(Token(None, {}, avail))
+            elif place.kind == "resource":
+                toks.append(Token(rng.choice(("w1", "w2", "w3")), {}, avail))
+            else:
+                attrs = {n: float(rng.choice((0, 1, 100, 700, 700))) for n in place.attr_names()}
+                toks.append(Token(f"c{rng.randint(1, 25)}", attrs, avail))
+        by_place[place.id] = tuple(toks)
+    return Marking(by_place)
+
+
+def _full_product(net: Net, m: Marking, t_id: str, now: float, check_guards: bool):
+    """Every enabled binding, guards checked binding by binding."""
+    places = preset(net, t_id)
+    pools = [
+        sorted(
+            (tok for tok in m.tokens(p) if tok.available_at <= now),
+            key=lambda tok: (tok.available_at, tok.case_id or ""),
+        )
+        for p in places
+    ]
+    guard = net.transition(t_id).guard if check_guards else None
+    if guard is not None and not guard.holds(m, now):
+        return []
+    bindings = [dict(zip(places, combo)) for combo in itertools.product(*pools)]
+    return [y for y in bindings if guard is None or guard.binding_ok(m, now, y)]
+
+
+def _fifo_choice(net: Net, bindings, t_id: str, now: float):
+    """The binding the simulator fires first among ``bindings`` of ``t_id``."""
+    return min(bindings, key=lambda y: fifo_key(net, t_id, y, now)) if bindings else None
+
+
+def _first_max_score(net: Net, bindings, e: Event):
+    best = None
+    for y in bindings:
+        score = sim_score(net, e.label, y, e)
+        if score[0] == 1 and (best is None or score > best[0]):
+            best = (score, y)
+    return best[1] if best else None
+
+
+def merge_net() -> Net:
+    """A pinned case input, a second case input and a plain input on one transition."""
+    return Net(
+        places=[
+            Place("a", "case", (("value", "number"),)),
+            Place("b", "case", (("value", "number"),)),
+            Place("s", "plain"),
+            Place("o", "case", (("value", "number"),)),
+        ],
+        transitions=[
+            Transition("merge", guard=parse_constraint("attrenabled(a, value, min) == true"))
+        ],
+        flows=[("a", "merge"), ("b", "merge"), ("s", "merge"), ("merge", "o")],
+    )
+
+
+@pytest.mark.parametrize(
+    "model", ["priority", "blocking", "holdbatch", "choice", "supplychain", "merge"]
+)
+def test_filtered_bindings_pick_what_the_full_product_picks(model):
+    # the five bundled models, and a net whose transition has two case inputs
+    net = merge_net() if model == "merge" else load_model(model_path(model))
+    rng = random.Random(f"bindings-{model}")
+    checked = 0
+    for _ in range(4):
+        m = _random_marking(net, rng)
+        case_ids = sorted({tok.case_id for p in net.places for tok in m.tokens(p)} - {None})
+        for t_id in sorted(net.transitions):
+            for now in (0.0, 1.0, 2.5, 5.0):
+                for check_guards in (False, True):
+                    full = _full_product(net, m, t_id, now, check_guards)
+                    filtered = enabled_bindings(net, m, t_id, now, check_guards=check_guards)
+                    assert _fifo_choice(net, filtered, t_id, now) == _fifo_choice(
+                        net, full, t_id, now
+                    )
+                    event = Event(
+                        rng.choice(case_ids + ["absent"]),
+                        t_id,
+                        now,
+                        now + 1.0,
+                        rng.choice((None, "w1", "w2")),
+                        {"value": float(rng.choice((1, 100, 700)))},
+                    )
+                    chosen = _best_move(net, m, event, now, check_guards)
+                    assert chosen == _first_max_score(net, full, event)
+                    checked += chosen is not None
+    assert checked > 0
+
+
+def test_bindings_per_fired_move_stay_small(monkeypatch, priority_net):
+    # bindings enumerated per fired move (simulator injections and firings,
+    # discovery and check log moves) on a priority round trip; enumerating
+    # the full product of enabled tokens gave 4.6 here and 8.5 at 800 cases
+    counts = {"bindings": 0, "moves": 0}
+
+    def counting(module, name, key, size):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts[key] += size(result)
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("dsync.simulate", "dsync.replay"):
+        module = importlib.import_module(name)
+        counting(module, "enabled_bindings", "bindings", len)
+        counting(module, "fire", "moves", lambda _: 1)
+
+    log = simulate(priority_net, SimConfig(seed=1, max_cases=300))
+    run = discover_run(parse_log(write_log(log)), priority_net.without_guards())
+    replay(log, annotate_net(priority_net.without_guards(), run.constraints), check_guards=True)
+    assert counts["moves"] >= 3 * len(log.events)
+    assert counts["bindings"] <= 2 * counts["moves"]

@@ -7,7 +7,7 @@ import pytest
 from dsync.constraints import parse_constraint
 from dsync.errors import ReplayError
 from dsync.eventlog import Event, Log, parse_log
-from dsync.net import ArrivalSpec, DelaySpec, Net, Place, Token, Transition
+from dsync.net import ArrivalSpec, DelaySpec, Marking, Net, Place, Token, Transition
 from dsync.replay import replay, sim_score
 from dsync.simulate import SimConfig, simulate
 
@@ -216,3 +216,32 @@ def test_downstream_first_alone_misses_the_simulated_order(monkeypatch):
     assert [(e.label, reason) for e, reason in report.unmatched] == [
         ("tg", "guard not satisfied")
     ]
+
+
+def test_order_search_stops_at_its_budget(monkeypatch):
+    # eight same-instant t moves but room for only seven: no order matches
+    # them all, and an exhaustive search would try over 100,000 moves
+    net = Net(
+        places=[Place("in", "case"), Place("out", "case")],
+        transitions=[Transition("t", guard=parse_constraint("nrtokens(out) < 7"))],
+        flows=[("in", "t"), ("t", "out")],
+        initial_marking=Marking(
+            {"in": tuple(Token(f"c{i}", {}, 0.0) for i in range(1, 9))}
+        ),
+    )
+    log = Log([Event(f"c{i}", "t", 0.0, 1.0) for i in range(1, 9)])
+    module = importlib.import_module("dsync.replay")
+    calls = 0
+    best_move = module._best_move
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return best_move(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_best_move", counted)
+    _, report = replay(log, net, check_guards=True)
+    assert (report.matched, len(report.unmatched)) == (7, 1)
+    # beyond the search: greedy rounds of 8 and 1 moves, and the unmatched
+    # move's reason
+    assert calls <= module.MAX_SEARCH_MOVES + 8 + 1 + 1

@@ -129,3 +129,40 @@ def test_ground_truth_lists_guards(blocking_net, supplychain_net):
     assert gt[0][1].canonical() == "nrtokens(q1) < 5"
     assert len(ground_truth(supplychain_net)) == 4
     assert ground_truth(blocking_net.without_guards()) == []
+
+
+def test_zero_delay_cycle_raises():
+    # t puts its case straight back into p with no delay, so the clock could
+    # never leave 0; the per-instant firing bound turns the hang into an error
+    net = Net(
+        places=[Place("p", "case")],
+        transitions=[
+            Transition(
+                "src",
+                is_task=False,
+                arrival_spec=ArrivalSpec(interarrival=DelaySpec.constant(1)),
+            ),
+            Transition("t", delay=DelaySpec.constant(0)),
+        ],
+        flows=[("src", "p"), ("p", "t"), ("t", "p")],
+    )
+    with pytest.raises(SimulationError, match="'t'.*zero-delay cycle"):
+        simulate(net, SimConfig(seed=1, horizon=10))
+
+
+def test_zero_interarrival_source_raises():
+    # an uncapped source whose cases all arrive at the same instant
+    net = Net(
+        places=[Place("p", "case"), Place("q", "case")],
+        transitions=[
+            Transition(
+                "src",
+                is_task=False,
+                arrival_spec=ArrivalSpec(interarrival=DelaySpec.constant(0)),
+            ),
+            Transition("t", delay=DelaySpec.constant(1)),
+        ],
+        flows=[("src", "p"), ("p", "t"), ("t", "q")],
+    )
+    with pytest.raises(SimulationError, match="'src'.*zero-delay"):
+        simulate(net, SimConfig(seed=1, horizon=10))
