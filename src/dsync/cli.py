@@ -53,7 +53,11 @@ def _merged(args: argparse.Namespace, key: str, cast, default):
         return flag
     config = getattr(args, "_config", {})
     if key in config:
-        return cast(config[key])
+        try:
+            return cast(config[key])
+        except ValueError:
+            message = f"config value {key} = {config[key]!r} is not {cast.__name__}"
+            raise DsyncError(message) from None
     return default
 
 

@@ -7,13 +7,21 @@ counts of "enabled" tokens and times-until-availability observable state.
 
 Nets, markings and tokens are immutable; ``fire`` returns a new marking and
 never touches its input, so values can be shared across threads freely.
+
+A marking stores each place's tokens sorted by availability, then case id,
+ties in insertion order; adding and removing a token locate it by bisection,
+and the time-enabled tokens are the store's prefix up to the current time.
+Tokens that nothing can read are not stored: a plain place with an empty
+postset that no guard references (``Net.unread``) receives no tokens.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import ModelError
@@ -158,32 +166,44 @@ class Transition:
     arrival_spec: Optional[ArrivalSpec] = None
 
 
+def _store_key(tok: Token) -> tuple:
+    return (tok.available_at, tok.case_id or "")
+
+
 class Marking:
-    """Immutable per-place token multisets."""
+    """Immutable per-place token multisets, each sorted by ``_store_key``."""
 
     __slots__ = ("_by_place",)
 
     def __init__(self, by_place: Optional[Mapping[str, tuple[Token, ...]]] = None):
-        self._by_place: dict[str, tuple[Token, ...]] = dict(by_place or {})
+        self._by_place: dict[str, tuple[Token, ...]] = {
+            p: tuple(sorted(toks, key=_store_key)) for p, toks in (by_place or {}).items()
+        }
 
     def tokens(self, place_id: str) -> tuple[Token, ...]:
+        """By availability, then case id, ties in insertion order (none in ``Net.unread``)."""
         return self._by_place.get(place_id, ())
 
     def places(self) -> tuple[str, ...]:
         return tuple(sorted(self._by_place))
 
+    def _with(self, place_id: str, toks: tuple[Token, ...]) -> "Marking":
+        new = Marking.__new__(Marking)
+        new._by_place = {**self._by_place, place_id: toks}
+        return new
+
     def with_added(self, place_id: str, token: Token) -> "Marking":
-        new = dict(self._by_place)
-        new[place_id] = self.tokens(place_id) + (token,)
-        return Marking(new)
+        toks = self.tokens(place_id)
+        i = bisect_right(toks, _store_key(token), key=_store_key)
+        return self._with(place_id, toks[:i] + (token,) + toks[i:])
 
     def with_removed(self, place_id: str, token: Token) -> "Marking":
-        current = self.tokens(place_id)
-        for i, tok in enumerate(current):
-            if tok == token:
-                new = dict(self._by_place)
-                new[place_id] = current[:i] + current[i + 1 :]
-                return Marking(new)
+        toks, key = self.tokens(place_id), _store_key(token)
+        for i in range(bisect_left(toks, key, key=_store_key), len(toks)):
+            if toks[i] == token:
+                return self._with(place_id, toks[:i] + toks[i + 1 :])
+            if _store_key(toks[i]) != key:
+                break
         raise ModelError(f"token {token} not present in place {place_id!r}")
 
     def total_tokens(self) -> int:
@@ -244,6 +264,12 @@ class Net:
             for t in self.transitions
             for kind in ("case", "resource")
         }
+        # plain sinks that no guard reads; ``fire`` stores no tokens there
+        read = {p for t in transitions if t.guard is not None for p, _ in t.guard.references()}
+        self.unread = frozenset(
+            p for p, place in self.places.items()
+            if place.kind == "plain" and not self._postset[p] and p not in read
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -350,10 +376,59 @@ def postset(net: Net, node_id: str) -> tuple[str, ...]:
     return net._postset[node_id]
 
 
-def _enabled_tokens(m: Marking, place_id: str, now: float) -> list[Token]:
-    toks = [t for t in m.tokens(place_id) if t.available_at <= now]
-    toks.sort(key=lambda t: (t.available_at, t.case_id or ""))
-    return toks
+def _enabled_tokens(m: Marking, place_id: str, now: float) -> tuple[Token, ...]:
+    toks = m.tokens(place_id)
+    return toks[: bisect_right(toks, now, key=attrgetter("available_at"))]
+
+
+def binding_pools(
+    net: Net,
+    m: Marking,
+    t_id: str,
+    now: float,
+    check_guards: bool = False,
+    case_id: Optional[str] = None,
+) -> Optional[list[tuple[Token, ...]]]:
+    """Per preset place (sorted by id), the tokens a binding of ``t_id`` may take.
+
+    Each pool holds the place's time-enabled tokens in store order, shrunk by
+    filters that keep the surviving tokens in order:
+
+    * with ``check_guards`` set, the transition's guard must hold on the
+      marking (this is the one place where guards are evaluated), and its
+      pinning atoms keep only the tokens ``ConstraintExpr.pin`` allows;
+    * with ``case_id`` set and exactly one case input, that input's pool
+      keeps only the token of that case (several case inputs stay unfiltered,
+      because a log move may match the case on any of them);
+    * a plain place keeps only its earliest token, because plain tokens are
+      interchangeable apart from their availability.
+
+    None when some pool is empty, i.e. there is no binding.
+    """
+    t = net.transition(t_id)
+    in_places = preset(net, t_id)
+    pools = []
+    for p in in_places:
+        toks = _enabled_tokens(m, p, now)
+        if not toks:
+            return None
+        pools.append(toks)
+    guard = t.guard if check_guards else None
+    if guard is not None and not guard.holds(m, now):
+        return None
+    case_place = net.case_inputs(t_id) if case_id is not None else ()
+    for i, p in enumerate(in_places):
+        toks = pools[i]
+        if guard is not None:
+            toks = guard.pin(m, p, toks)
+        if case_place == (p,):
+            toks = [tok for tok in toks if tok.case_id == case_id]
+        if net.places[p].kind == "plain":
+            toks = toks[:1]
+        if not toks:
+            return None
+        pools[i] = toks
+    return pools
 
 
 def enabled_bindings(
@@ -366,59 +441,26 @@ def enabled_bindings(
 ) -> list[Binding]:
     """The bindings of time-enabled tokens for transition ``t_id`` at ``now``.
 
-    The result is the cartesian product over the preset places sorted by id,
-    each place's pool sorted by availability then case id, after each pool
-    has been shrunk by filters that keep the surviving tokens in order:
-
-    * with ``check_guards`` set, the transition's guard must hold on the
-      marking (this is the one place where guards are evaluated), and its
-      pinning atoms keep only the tokens ``ConstraintExpr.pin`` allows;
-    * with ``case_id`` set and exactly one case input, that input's pool
-      keeps only the token of that case (several case inputs stay unfiltered,
-      because a log move may match the case on any of them);
-    * a plain place keeps only its earliest token, because plain tokens are
-      interchangeable apart from their availability.
-
-    The filters drop only bindings that the guard rejects or that no caller
-    would choose: the simulator's FIFO key (``simulate.fifo_key``, smaller
-    when the newest consumed token is older) is never worse for the earliest
-    plain token, ``replay.sim_score`` ignores plain tokens and rejects a token
-    of another case, and the kept bindings keep their relative order. So the
-    first binding attaining the best key is the one the full product of
-    enabled tokens would give. A transition with an empty preset has exactly
-    one (empty) binding.
+    The result is the cartesian product of ``binding_pools``, whose filters
+    drop only bindings the guard rejects or no caller would choose: the FIFO
+    key (``simulate.fifo_key``) is never worse for the earliest plain token,
+    ``replay.sim_score`` ignores plain tokens and rejects a token of another
+    case, and the kept bindings keep their relative order, so the first
+    binding attaining the best key is the one the full product would give. A
+    transition with an empty preset has exactly one (empty) binding.
     """
-    t = net.transition(t_id)
-    in_places = preset(net, t_id)
-    pools = []
-    for p in in_places:
-        toks = _enabled_tokens(m, p, now)
-        if not toks:
-            return []
-        pools.append(toks)
-    guard = t.guard if check_guards else None
-    if guard is not None and not guard.holds(m, now):
+    pools = binding_pools(net, m, t_id, now, check_guards, case_id)
+    if pools is None:
         return []
-    case_place = net.case_inputs(t_id) if case_id is not None else ()
-    for i, p in enumerate(in_places):
-        toks = pools[i]
-        if guard is not None:
-            toks = guard.pin(m, p, toks)
-        if case_place == (p,):
-            toks = [tok for tok in toks if tok.case_id == case_id]
-        if net.places[p].kind == "plain":
-            toks = toks[:1]
-        if not toks:
-            return []
-        pools[i] = toks
+    in_places = preset(net, t_id)
     return [dict(zip(in_places, combo)) for combo in itertools.product(*pools)]
 
 
 def has_enabled_binding(net: Net, m: Marking, t_id: str, now: float) -> bool:
-    """Cheap existence test, guards ignored; avoids building the binding product."""
+    """Cheap existence test, guards ignored: every preset place's earliest token is enabled."""
     net.transition(t_id)
     return all(
-        any(tok.available_at <= now for tok in m.tokens(p)) for p in preset(net, t_id)
+        m.tokens(p) and m.tokens(p)[0].available_at <= now for p in preset(net, t_id)
     )
 
 
@@ -439,7 +481,8 @@ def fire(
     output places carry forward the bound case token's identity and data
     unless ``produced_case`` supplies them explicitly (used for source
     transitions and for log moves, where the event data is authoritative).
-    Resource output places receive back the token bound from the same place.
+    Resource output places receive back the token bound from the same place,
+    and the places in ``net.unread`` receive nothing.
     """
     t = net.transition(t_id)
     new_m = m
@@ -462,6 +505,8 @@ def fire(
 
     for p in postset(net, t_id):
         place = net.place(p)
+        if p in net.unread:
+            continue
         if place.kind == "case":
             if case_id is None:
                 raise ModelError(

@@ -6,6 +6,11 @@ guard-satisfying, time-enabled binding; simultaneous candidates fire in FIFO
 order (the binding whose newest consumed token is oldest goes first, ties by
 case id then transition id), which keeps the selection policy value-blind so
 that any case reordering observable in the log is caused by guards alone.
+Each transition offers one candidate, its FIFO-first binding, picked from
+its token pools directly (``fifo_first``). The moments the clock can stop at
+are the availability times of produced tokens, kept on a heap, including
+tokens the marking does not store (``Net.unread``), and the sources' next
+times.
 
 Guards are evaluated only through ``enabled_bindings(..., check_guards=True)``,
 for source transitions too: their empty preset has one empty binding, which
@@ -23,12 +28,16 @@ survives exactly when the guard holds. Source transitions (empty preset,
 from __future__ import annotations
 
 import hashlib
+import heapq
+import math
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import SimulationError
 from .eventlog import Event, Log, sort_events
-from .net import Binding, Net, Transition, enabled_bindings, fire, validate_net
+from .net import Binding, Marking, Net, Transition, binding_pools, enabled_bindings, fire
+from .net import postset, preset, validate_net
 
 # firings (and arrivals per source) allowed at one clock value; more means a
 # zero-delay cycle or interarrival that would keep the clock from advancing
@@ -42,6 +51,8 @@ class SimConfig:
     horizon: float = 0.0  # 0 means unbounded
 
     def check(self) -> None:
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise SimulationError(f"horizon must be finite and >= 0, got {self.horizon}")
         if self.max_cases < 0:
             raise SimulationError("max_cases must not be negative")
         if self.max_cases == 0 and self.horizon <= 0:
@@ -101,6 +112,29 @@ def fifo_key(net: Net, t_id: str, binding: Binding, clock: float) -> tuple:
     return (newest, -net.flow_depth(t_id), case_tok.case_id if case_tok else "", t_id)
 
 
+def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Binding]:
+    """The guard-satisfying binding of ``t_id`` with the smallest ``fifo_key``.
+
+    Picked from ``binding_pools`` without enumerating their product: every
+    pool but the first case input's gives its earliest token, and the first
+    case input gives its first token minimising ``(max(avail, rest), case
+    id)``, where ``rest`` is the latest of the other pools' earliest tokens.
+    Among bindings with equal keys that is the first in product order, the
+    one ``min`` over ``enabled_bindings`` would return.
+    """
+    pools = binding_pools(net, m, t_id, clock, check_guards=True)
+    if pools is None:
+        return None
+    in_places = preset(net, t_id)
+    chosen = [pool[0] for pool in pools]
+    case_inputs = net.case_inputs(t_id)
+    if case_inputs:
+        c = in_places.index(case_inputs[0])
+        rest = max((tok.available_at for tok in chosen[:c] + chosen[c + 1 :]), default=-math.inf)
+        chosen[c] = min(pools[c], key=lambda tok: (max(tok.available_at, rest), tok.case_id))
+    return dict(zip(in_places, chosen))
+
+
 def simulate(net: Net, cfg: SimConfig) -> Log:
     """Run the net until its sources are exhausted and the work has drained.
 
@@ -133,10 +167,19 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     ordinary = sorted(
         tid for tid, t in net.transitions.items() if t.arrival_spec is None
     )
+    # availability of every token produced or initially present, stored or
+    # not (``Net.unread``); the earliest one past the clock is the next stop
+    future = [tok.available_at for p in marking.places() for tok in marking.tokens(p)]
+    heapq.heapify(future)
+
+    def fire_at(tid: str, y: Binding, now: float, delay: float, case=None) -> None:
+        nonlocal marking
+        marking = fire(net, marking, tid, y, now, delay_override=delay, produced_case=case)
+        if postset(net, tid):
+            heapq.heappush(future, now + delay)
 
     def pump_free_sources() -> None:
         """Inject pending arrivals: token k+1 appears when token k becomes available."""
-        nonlocal marking
         for tid, src in free_sources:
             for injected in range(MAX_FIRINGS_PER_INSTANT + 1):
                 if src.exhausted() or src.next_time > clock:
@@ -148,10 +191,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                     avail = inject_at  # first case is available immediately
                 else:
                     avail = inject_at + src.spec.interarrival.sample(src.rng_gaps)
-                marking = fire(
-                    net, marking, tid, {}, avail,
-                    delay_override=0.0, produced_case=src.new_case(),
-                )
+                fire_at(tid, {}, avail, 0.0, src.new_case())
                 src.next_time = avail
 
     pump_free_sources()
@@ -160,7 +200,8 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
         for fired in range(MAX_FIRINGS_PER_INSTANT + 1):
             candidates: list[tuple[tuple, str, dict]] = []
             for tid in ordinary:
-                for y in enabled_bindings(net, marking, tid, clock, check_guards=True):
+                y = fifo_first(net, marking, tid, clock)
+                if y is not None:
                     candidates.append((fifo_key(net, tid, y, clock), tid, y))
             for tid, src in sorted(task_sources.items()):
                 if src.exhausted() or src.next_time > clock:
@@ -180,39 +221,28 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                 src = task_sources[tid]
                 case_id, attrs = src.new_case()
                 src.next_time = clock + src.spec.interarrival.sample(src.rng_gaps)
-                marking = fire(
-                    net, marking, tid, {}, clock,
-                    delay_override=delay, produced_case=(case_id, attrs),
-                )
+                fire_at(tid, {}, clock, delay, (case_id, attrs))
                 events.append(Event(case_id, tid, clock, clock + delay, None, attrs))
             else:
                 case_tok = net.case_token(tid, y)
-                resource = None
-                for p in net.resource_inputs(tid):
-                    if p in y:
-                        resource = y[p].case_id
-                        break
-                marking = fire(net, marking, tid, y, clock, delay_override=delay)
+                res = net.resource_inputs(tid)
+                resource = y[res[0]].case_id if res else None
+                fire_at(tid, y, clock, delay)
                 if t.is_task:
                     case_id = case_tok.case_id if case_tok else ""
                     attrs = dict(case_tok.attrs) if case_tok else {}
                     events.append(Event(case_id, tid, clock, clock + delay, resource, attrs))
 
         # nothing fires now; advance the clock to the next possible change
-        future: list[float] = []
-        for p in marking.places():
-            future.extend(
-                tok.available_at for tok in marking.tokens(p) if tok.available_at > clock
-            )
-        for tid, src in task_sources.items():
+        while future and future[0] <= clock:
+            heapq.heappop(future)
+        upcoming = future[:1]
+        for src in [*task_sources.values(), *(src for _, src in free_sources)]:
             if not src.exhausted() and src.next_time > clock:
-                future.append(src.next_time)
-        for tid, src in free_sources:
-            if not src.exhausted() and src.next_time > clock:
-                future.append(src.next_time)
-        if not future:
+                upcoming.append(src.next_time)
+        if not upcoming:
             break
-        nxt = min(future)
+        nxt = min(upcoming)
         if cfg.horizon > 0 and nxt > cfg.horizon:
             break
         clock = nxt

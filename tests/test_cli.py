@@ -37,6 +37,16 @@ def test_simulate_invalid_config_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf", "-1"])
+def test_simulate_bad_horizon_exits_3(tmp_path, capsys, horizon):
+    # max_cases is set, so a horizon that slips through ends the run anyway
+    out = str(tmp_path / "x.csv")
+    code = main(["simulate", "--model", model_path("holdbatch"), "--seed", "1",
+                 "--max-cases", "5", "--horizon", horizon, "--out", out])
+    assert code == 3
+    assert "horizon must be finite and >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -144,3 +154,31 @@ def test_reports_are_reproducible(sim_log, tmp_path):
         assert main(["discover", "--model", model_path("blocking"),
                      "--log", str(sim_log), "--out", str(out)]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize(
+    "key, value, command",
+    [
+        ("seed", "x", "simulate"),
+        ("max_cases", "many", "simulate"),
+        ("horizon", "soon", "simulate"),
+        ("tau_s", "1.5", "discover"),
+        ("tau_g", "abc", "discover"),
+    ],
+)
+def test_config_value_that_does_not_parse_exits_3(
+    sim_log, tmp_path, capsys, key, value, command
+):
+    cfg = tmp_path / "dsync.conf"
+    cfg.write_text(f"{key} = {value}\n")
+    if command == "simulate":
+        args = ["simulate", "--model", model_path("blocking"), "--out", str(tmp_path / "x.csv")]
+        flags = {"seed": "1", "max_cases": "5", "horizon": "10"}
+        del flags[key]  # the config file supplies this one
+        for name, flag_value in flags.items():
+            args += ["--" + name.replace("_", "-"), flag_value]
+    else:
+        args = ["discover", "--model", model_path("blocking"), "--log", str(sim_log)]
+    code = main(["--config", str(cfg)] + args)
+    assert code == 3
+    assert f"config value {key} = {value!r}" in capsys.readouterr().err

@@ -28,6 +28,10 @@ def marking(arrival=(), q1=()):
     return m
 
 
+def by_case(m, place):
+    return {tok.case_id: tok for tok in m.tokens(place)}
+
+
 def test_parse_priority_guard():
     expr = parse_constraint(PRIORITY_GUARD)
     assert len(expr.atoms) == 2
@@ -139,10 +143,10 @@ def test_empty_conjunction_is_true():
 def test_binding_selectivity_pins_the_extremum_token():
     expr = parse_constraint("attrenabled(q1, value, max) == true")
     m = marking(q1=[("lo", 100, 0.0), ("hi", 900, 0.0)])
-    lo, hi = m.tokens("q1")
+    lo, hi = (by_case(m, "q1")[c] for c in ("lo", "hi"))
     assert expr.binding_ok(m, 5.0, {"q1": hi})
     assert not expr.binding_ok(m, 5.0, {"q1": lo})
     # ties: any extremum-attaining token qualifies
     tie = marking(q1=[("a", 700, 0.0), ("b", 700, 0.0)])
-    a, b = tie.tokens("q1")
+    a, b = (by_case(tie, "q1")[c] for c in ("a", "b"))
     assert expr.binding_ok(tie, 5.0, {"q1": a}) and expr.binding_ok(tie, 5.0, {"q1": b})

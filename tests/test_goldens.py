@@ -1,0 +1,52 @@
+"""Byte-identical logs and reports for the models the benchmark does not run.
+
+The hashes pin the simulator's schedule (which binding fires, and when the
+clock stops) and everything discovery derives from it. In ``choice`` the
+production transitions output only into unstored plain sinks, so the clock
+must still stop at their completion times for the log to stay the same.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from tests.conftest import model_path
+from dsync.eventlog import parse_log, write_log
+from dsync.extract import discover_run
+from dsync.modelfile import load_model
+from dsync.report import build_report, report_to_json
+from dsync.simulate import SimConfig, simulate
+
+# (model, seed) -> (sha256 of the log text, sha256 of the report JSON), 300 cases
+GOLDENS = {
+    ("holdbatch", 1): (
+        "9b55502064c4d481e81f1189b3c393492785264a44807770b3a3828f85baf763",
+        "c8c3893bc4a891d9b00b039e714b584db77072810f22f481c085c7a71e3b0426",
+    ),
+    ("holdbatch", 2): (
+        "58467046f05b3799b85a96316b5c4c3506237c1acbcce582093511aaff072f04",
+        "0916311bed2ffaa8627ee6a7e3596a58cb38e3ff25fd2b56aa61025aa5e60a6d",
+    ),
+    ("choice", 1): (
+        "112c2b5ad380e30da16ddd6595539dc0437d5a47e3b6835dbeaf8482dc699e24",
+        "78bd248e2769badf52d2fe81bd9731f4fef5d61c74acb62f0d35d9e1a18e61af",
+    ),
+    ("choice", 2): (
+        "c74762f77fc1dd63ca39988482d655b81b8cb55adde98e16826d72e431499b2c",
+        "e29162432eb88af163596be3b88b2a9060c971c5114ca90ee53b1a4c4a6dad86",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("model, seed", sorted(GOLDENS))
+def test_log_and_report_hashes(model, seed):
+    net = load_model(model_path(model))
+    log_text = write_log(simulate(net, SimConfig(seed=seed, max_cases=300)))
+    parsed = parse_log(log_text)
+    report_text = report_to_json(build_report(discover_run(parsed, net), net, parsed))
+    assert (_sha256(log_text), _sha256(report_text)) == GOLDENS[model, seed]

@@ -20,13 +20,15 @@ from dsync.net import (
     Place,
     Token,
     Transition,
+    _enabled_tokens,
     enabled_bindings,
     fire,
+    has_enabled_binding,
     preset,
     validate_net,
 )
 from dsync.replay import _best_move, replay, sim_score
-from dsync.simulate import SimConfig, fifo_key, simulate
+from dsync.simulate import SimConfig, fifo_first, fifo_key, simulate
 
 
 def fig1_net() -> Net:
@@ -245,6 +247,47 @@ def test_preset_of_bundled_multi_pattern_model(supplychain_net):
     assert expected == ("chips", "stock_gc")
 
 
+# -- sorted per-place stores ---------------------------------------------------
+
+
+def _store_order(toks):
+    return sorted(toks, key=lambda tok: (tok.available_at, tok.case_id or ""))
+
+
+def test_stores_stay_sorted_with_ties_in_insertion_order():
+    # random adds and removes with tied times and ids, against per-place lists
+    # kept in insertion order; every marking along the way must stay intact
+    net = Net(
+        places=[Place("a", "case"), Place("b", "plain"), Place("r", "resource")],
+        transitions=[Transition("t")],
+        flows=[("a", "t"), ("b", "t"), ("r", "t")],
+    )
+    rng = random.Random("stores")
+    m, ref, history = Marking(), {p: [] for p in net.places}, []
+    for step in range(3000):
+        p = rng.choice(sorted(net.places))
+        if ref[p] and rng.random() < 0.4:
+            tok = rng.choice(ref[p])
+            m = m.with_removed(p, tok)
+            ref[p].remove(tok)  # the first equal token, as ``with_removed`` does
+        else:
+            case_id = None if p == "b" else rng.choice(("c1", "c2", "c10"))
+            attrs = {"n": step} if rng.random() < 0.8 else {}
+            tok = Token(case_id, attrs, float(rng.choice((0, 1, 1, 2, 3.5))))
+            m = m.with_added(p, tok)
+            ref[p].append(tok)
+        history.append((m, {q: tuple(_store_order(toks)) for q, toks in ref.items()}))
+        now = rng.choice((-1.0, 0.0, 1.0, 2.5, 9.0))
+        for q, toks in ref.items():
+            enabled = [tok for tok in _store_order(toks) if tok.available_at <= now]
+            assert list(_enabled_tokens(m, q, now)) == enabled
+        assert has_enabled_binding(net, m, "t", now) == all(
+            any(tok.available_at <= now for tok in toks) for toks in ref.values()
+        )
+    for marking, expected in history:
+        assert {p: marking.tokens(p) for p in net.places} == expected
+
+
 # -- binding filters against the full product ---------------------------------
 
 
@@ -332,6 +375,9 @@ def test_filtered_bindings_pick_what_the_full_product_picks(model):
                     assert _fifo_choice(net, filtered, t_id, now) == _fifo_choice(
                         net, full, t_id, now
                     )
+                    if check_guards:
+                        # the simulator's direct pick, without the product
+                        assert fifo_first(net, m, t_id, now) == _fifo_choice(net, full, t_id, now)
                     event = Event(
                         rng.choice(case_ids + ["absent"]),
                         t_id,

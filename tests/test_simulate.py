@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import collections
+import importlib
+
 import pytest
 
+from dsync.constraints import parse_constraint
 from dsync.errors import SimulationError
 from dsync.eventlog import write_log
 from dsync.net import ArrivalSpec, DelaySpec, Marking, Net, Place, Token, Transition
@@ -39,6 +43,15 @@ def test_config_validation():
     with pytest.raises(SimulationError):
         SimConfig(seed=1, max_cases=0).check()
     SimConfig(seed=1, max_cases=0, horizon=5.0).check()
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("max_cases", [0, 5])
+def test_non_finite_or_negative_horizon_rejected(horizon, max_cases):
+    with pytest.raises(SimulationError, match="horizon"):
+        SimConfig(seed=1, max_cases=max_cases, horizon=horizon).check()
+    with pytest.raises(SimulationError, match="horizon"):
+        simulate(source_net(1.0), SimConfig(seed=1, max_cases=max_cases, horizon=horizon))
 
 
 def test_horizon_caps_run():
@@ -166,3 +179,54 @@ def test_zero_interarrival_source_raises():
     )
     with pytest.raises(SimulationError, match="'src'.*zero-delay"):
         simulate(net, SimConfig(seed=1, horizon=10))
+
+
+def test_fifo_key_runs_once_per_transition_per_round(monkeypatch, blocking_net):
+    # each scheduling round offers one candidate per ordinary transition, so
+    # at one clock value fifo_key runs at most (firings there + 1) times per
+    # transition; scoring every enabled binding of the arrival backlog
+    # broke this bound
+    sim = importlib.import_module("dsync.simulate")
+
+    keys, fires = collections.Counter(), collections.Counter()
+
+    def counting(counter, fn, now_at):
+        def wrapper(*args, **kwargs):
+            counter[args[now_at]] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sim, "fifo_key", counting(keys, sim.fifo_key, 3))
+    monkeypatch.setattr(sim, "fire", counting(fires, sim.fire, 4))
+    log = simulate(blocking_net, SimConfig(seed=1, max_cases=500))
+    ordinary = {tid for tid, t in blocking_net.transitions.items() if t.arrival_spec is None}
+    ordinary_events = sum(1 for e in log.events if e.label in ordinary)
+    assert ordinary_events == 1000 and sum(keys.values()) >= ordinary_events
+    assert all(n <= len(ordinary) * (fires[clock] + 1) for clock, n in keys.items())
+
+
+def test_clock_stops_at_unstored_sink_outputs():
+    # t1's only output is a plain sink nothing reads, so its token is not
+    # stored; the clock must still stop at its completion (3), where t2's
+    # guard holds (p's token is 7 away), and not jump to p's availability (10)
+    net = Net(
+        places=[
+            Place("a", "case"), Place("b", "case"), Place("out", "case"),
+            Place("sink", "plain"), Place("p", "plain"),
+        ],
+        transitions=[
+            Transition("t1", delay=DelaySpec.constant(3)),
+            Transition("t2", delay=DelaySpec.constant(1),
+                       guard=parse_constraint("timeuntilnext(p) < 8")),
+        ],
+        flows=[("a", "t1"), ("t1", "sink"), ("b", "t2"), ("t2", "out")],
+        initial_marking=Marking({
+            "a": (Token("c1", {}, 0.0),),
+            "b": (Token("c2", {}, 0.0),),
+            "p": (Token(None, {}, 10.0),),
+        }),
+    )
+    assert net.unread == {"sink"}
+    log = simulate(net, SimConfig(seed=1, horizon=100))
+    assert [(e.label, e.start) for e in log.events] == [("t1", 0.0), ("t2", 3.0)]
