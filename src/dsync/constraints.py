@@ -20,6 +20,7 @@ take a place; ``ratio`` composes two attrval features.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Union
@@ -152,10 +153,10 @@ class ConstraintExpr:
                 continue
             if atom.op != "==" or atom.const is not True:
                 continue
-            extremum = _attr_extremum(m, place, f.attr, f.agg)
-            if extremum is None:
+            found = m.extremum(place, f.attr, f.agg)
+            if found is None:
                 return []
-            tokens = [tok for tok in tokens if tok.attrs.get(f.attr) == extremum]
+            tokens = [tok for tok in tokens if tok.attrs.get(f.attr) == found[0]]
         return tokens
 
     def binding_ok(self, m: "Marking", now: float, binding: "Binding") -> bool:
@@ -183,50 +184,31 @@ class ConstraintExpr:
 # -- feature evaluation ------------------------------------------------------
 
 
-def _tokens_with_attr(m: "Marking", place: str, attr: Optional[str]):
-    for tok in m.tokens(place):
-        if attr is None or attr in tok.attrs:
-            yield tok
-
-
-def _attr_extremum(m: "Marking", place: str, attr: str, agg: str):
-    values = [tok.attrs[attr] for tok in _tokens_with_attr(m, place, attr)]
-    if not values:
-        return None
-    return max(values) if agg == "max" else min(values)
-
-
 def eval_feature(f: FeatureRef, m: "Marking", now: float) -> Union[float, bool]:
     """Evaluate one feature on a marking at a moment in time.
 
-    Attribute aggregates range over both enabled and pending tokens;
-    ``attrenabled`` reports whether a token attaining the aggregate is
-    already available. An attribute aggregate over an empty place is 0 (and
-    its enabled flag false) so guards stay evaluable before warm-up.
+    Attribute aggregates range over both enabled and pending tokens, one pass
+    per place and aggregate per marking (``Marking.extremum``); ``attrenabled``
+    reports whether a token attaining the aggregate is already available. An
+    attribute aggregate over an empty place is 0 (and its enabled flag false)
+    so guards stay evaluable before warm-up. Counts of enabled tokens and the
+    time until the next pending one are read off the store's order.
     """
     if f.kind == "attrval":
-        extremum = _attr_extremum(m, f.place, f.attr, f.agg)
-        return 0.0 if extremum is None else float(extremum)
+        found = m.extremum(f.place, f.attr, f.agg)
+        return 0.0 if found is None else float(found[0])
     if f.kind == "attrenabled":
-        extremum = _attr_extremum(m, f.place, f.attr, f.agg)
-        if extremum is None:
-            return False
-        return any(
-            tok.available_at <= now
-            for tok in _tokens_with_attr(m, f.place, f.attr)
-            if tok.attrs[f.attr] == extremum
-        )
+        found = m.extremum(f.place, f.attr, f.agg)
+        return found is not None and found[1] <= now
     if f.kind == "nrtokens":
         return float(len(m.tokens(f.place)))
     if f.kind == "nrtokensenabled":
-        return float(sum(1 for tok in m.tokens(f.place) if tok.available_at <= now))
+        return float(m.n_enabled(f.place, now))
     if f.kind == "timeuntilnext":
-        pending = [tok.available_at - now for tok in m.tokens(f.place) if tok.available_at > now]
-        return min(pending) if pending else NO_PENDING_SENTINEL
+        toks, i = m.tokens(f.place), m.n_enabled(f.place, now)
+        return toks[i].available_at - now if i < len(toks) else NO_PENDING_SENTINEL
     if f.kind == "ratio":
-        num = eval_feature(f.num, m, now)
-        den = eval_feature(f.den, m, now)
-        return num / max(den, RATIO_EPSILON)
+        return eval_feature(f.num, m, now) / max(eval_feature(f.den, m, now), RATIO_EPSILON)
     raise ConstraintEvalError(f"unknown feature kind {f.kind!r}")
 
 
@@ -297,8 +279,10 @@ class _Parser:
         kind, value, _ = tok
         const: Union[float, bool]
         if kind == "num":
-            self.next()
             const = float(value)
+            if not math.isfinite(const):
+                raise self.error(f"constant {value} is out of range")
+            self.next()
         elif kind == "ident" and value.lower() in ("true", "false"):
             self.next()
             const = value.lower() == "true"

@@ -130,7 +130,9 @@ def parse_log(text: str) -> Log:
             raw = cell(col)
             if raw == "":
                 continue
-            attrs[col] = _coerce(raw, col_types[col])
+            attrs[col] = value = _coerce(raw, col_types[col])
+            if isinstance(value, float) and not math.isfinite(value):
+                raise LogError(f"row {row_num}: {col} value {raw!r} is not finite")
         events.append(Event(case_id, label, start, complete, resource, attrs))
 
     schema = tuple((col, col_types[col]) for col in attr_cols)

@@ -9,6 +9,7 @@ generators support constant, uniform, uniform_int and weighted choice.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .constraints import parse_constraint
@@ -36,18 +37,29 @@ def _typed(value: Any, types: tuple, what: str) -> Any:
     return value
 
 
+def _finite(value: Any, what: str) -> Any:
+    """``value`` unless it is a NaN or infinite number (JSON ``1e400`` is one)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ModelError(f"{what} must be finite, found {value!r}")
+    return value
+
+
+def _number(obj: dict, key: str, context: str) -> float:
+    return _finite(float(obj[key]), f"{context} {key}")
+
+
 def _delay_from_json(obj: Any, context: str) -> DelaySpec:
     if obj is None:
         return DelaySpec.constant(0.0)
     if isinstance(obj, (int, float)):
-        return DelaySpec.constant(float(obj))
+        return DelaySpec.constant(_finite(float(obj), context))
     kind = obj.get("kind")
     if kind == "constant":
-        return DelaySpec.constant(float(obj["value"]))
+        return DelaySpec.constant(_number(obj, "value", context))
     if kind == "uniform":
-        return DelaySpec.uniform(float(obj["lo"]), float(obj["hi"]))
+        return DelaySpec.uniform(_number(obj, "lo", context), _number(obj, "hi", context))
     if kind == "exponential":
-        return DelaySpec.exponential(float(obj["mean"]))
+        return DelaySpec.exponential(_number(obj, "mean", context))
     raise ModelError(f"{context}: unknown delay kind {kind!r}")
 
 
@@ -62,16 +74,14 @@ def _delay_to_json(spec: DelaySpec) -> Any:
 def _attrgen_from_json(obj: Any, context: str) -> AttrGen:
     kind = obj.get("kind")
     if kind == "constant":
-        return AttrGen("constant", value=obj["value"])
-    if kind == "uniform":
-        return AttrGen("uniform", lo=float(obj["lo"]), hi=float(obj["hi"]))
-    if kind == "uniform_int":
-        return AttrGen("uniform_int", lo=float(obj["lo"]), hi=float(obj["hi"]))
+        return AttrGen("constant", value=_finite(obj["value"], f"{context} value"))
+    if kind in ("uniform", "uniform_int"):
+        return AttrGen(kind, lo=_number(obj, "lo", context), hi=_number(obj, "hi", context))
     if kind == "choice":
         return AttrGen(
             "choice",
-            values=tuple(obj["values"]),
-            weights=tuple(obj.get("weights", ())),
+            values=tuple(_finite(v, f"{context} values") for v in obj["values"]),
+            weights=tuple(_finite(w, f"{context} weights") for w in obj.get("weights", ())),
         )
     raise ModelError(f"{context}: unknown attribute generator kind {kind!r}")
 
@@ -107,9 +117,9 @@ def net_from_json(doc: dict) -> Net:
         if t.get("arrival_spec"):
             spec = t["arrival_spec"]
             arrival = ArrivalSpec(
-                interarrival=_delay_from_json(spec.get("interarrival"), t["id"]),
+                interarrival=_delay_from_json(spec.get("interarrival"), f"{t['id']} interarrival"),
                 attributes={
-                    name: _attrgen_from_json(gen, t["id"])
+                    name: _attrgen_from_json(gen, f"{t['id']} attribute {name}")
                     for name, gen in sorted(spec.get("attributes", {}).items())
                 },
                 max_count=_typed(spec.get("max_count"), (int, type(None)), "max_count"),
@@ -119,7 +129,7 @@ def net_from_json(doc: dict) -> Net:
             Transition(
                 _typed(t["id"], (str,), "transition id"),
                 is_task=_typed(t.get("is_task", True), (bool,), "is_task"),
-                delay=_delay_from_json(t.get("delay"), t["id"]),
+                delay=_delay_from_json(t.get("delay"), f"{t['id']} delay"),
                 guard=guard,
                 arrival_spec=arrival,
             )
@@ -127,13 +137,14 @@ def net_from_json(doc: dict) -> Net:
     flows = [(src, tgt) for src, tgt in doc.get("flows", [])]
     marking = Marking()
     for place_id, tokens in sorted(doc.get("initial_marking", {}).items()):
+        what = f"initial token in {place_id}:"
         for tok in tokens:
             marking = marking.with_added(
                 place_id,
                 Token(
                     tok.get("case_id"),
-                    dict(tok.get("attrs", {})),
-                    float(tok.get("available_at", 0.0)),
+                    {k: _finite(v, f"{what} {k}") for k, v in tok.get("attrs", {}).items()},
+                    _finite(float(tok.get("available_at", 0.0)), f"{what} available_at"),
                 ),
             )
     return Net(places, transitions, flows, marking, doc.get("name", ""))
@@ -187,7 +198,7 @@ def load_model(path: str) -> Net:
             net = net_from_json(json.load(fh))
         except KeyError as exc:
             raise ModelError(f"model {path!r} is missing key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:  # JSONDecodeError too
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError too
             raise ModelError(f"model {path!r} is malformed: {exc}") from None
     problems = validate_net(net)
     if problems:

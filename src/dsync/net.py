@@ -5,12 +5,13 @@ tokens may carry. Tokens are timestamped: a token can only be bound by a
 transition once its availability time has been reached, which is what makes
 counts of "enabled" tokens and times-until-availability observable state.
 
-Nets, markings and tokens are immutable; ``fire`` returns a new marking and
-never touches its input, so values can be shared across threads freely.
+Nets, markings and tokens are immutable values; ``fire`` returns a new
+marking and never touches its input.
 
 A marking stores each place's tokens sorted by availability, then case id,
 ties in insertion order; adding and removing a token locate it by bisection,
 and the time-enabled tokens are the store's prefix up to the current time.
+``Marking.extremum`` memoises attribute extrema, a pure function of the stores.
 Tokens that nothing can read are not stored: a plain place with an empty
 postset that no guard references (``Net.unread``) receives no tokens.
 """
@@ -170,15 +171,33 @@ def _store_key(tok: Token) -> tuple:
     return (tok.available_at, tok.case_id or "")
 
 
-class Marking:
-    """Immutable per-place token multisets, each sorted by ``_store_key``."""
+def _extremum(toks: tuple[Token, ...], attr: str, agg: str) -> Optional[tuple[AttrValue, float]]:
+    """One pass over a store for ``Marking.extremum``."""
+    try:
+        values = [tok.attrs[attr] for tok in toks]
+    except KeyError:  # some tokens lack the attribute
+        toks = [tok for tok in toks if attr in tok.attrs]
+        values = [tok.attrs[attr] for tok in toks]
+    if not values:
+        return None
+    best = max(values) if agg == "max" else min(values)
+    return best, toks[values.index(best)].available_at
 
-    __slots__ = ("_by_place",)
+
+class Marking:
+    """Immutable per-place token multisets, each sorted by ``_store_key``.
+
+    ``_memo`` caches ``extremum``, a pure function of the stores, from the first
+    query on; a derived marking starts without one, so markings stay values.
+    """
+
+    __slots__ = ("_by_place", "_memo")
 
     def __init__(self, by_place: Optional[Mapping[str, tuple[Token, ...]]] = None):
         self._by_place: dict[str, tuple[Token, ...]] = {
             p: tuple(sorted(toks, key=_store_key)) for p, toks in (by_place or {}).items()
         }
+        self._memo: Optional[dict] = None
 
     def tokens(self, place_id: str) -> tuple[Token, ...]:
         """By availability, then case id, ties in insertion order (none in ``Net.unread``)."""
@@ -187,9 +206,24 @@ class Marking:
     def places(self) -> tuple[str, ...]:
         return tuple(sorted(self._by_place))
 
+    def n_enabled(self, place_id: str, now: float) -> int:
+        """How many tokens of the place are available at ``now``: a store prefix."""
+        return bisect_right(self.tokens(place_id), now, key=attrgetter("available_at"))
+
+    def extremum(self, place_id: str, attr: str, agg: str) -> Optional[tuple[AttrValue, float]]:
+        """(max or min of ``attr`` over the place, earliest availability attaining it), or None."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        key = (place_id, attr, agg)
+        if key not in memo:
+            memo[key] = _extremum(self.tokens(place_id), attr, agg)
+        return memo[key]
+
     def _with(self, place_id: str, toks: tuple[Token, ...]) -> "Marking":
         new = Marking.__new__(Marking)
         new._by_place = {**self._by_place, place_id: toks}
+        new._memo = None
         return new
 
     def with_added(self, place_id: str, token: Token) -> "Marking":
@@ -288,9 +322,6 @@ class Net:
     def has_node(self, node_id: str) -> bool:
         return node_id in self.places or node_id in self.transitions
 
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(t.id for t in self.transitions.values() if t.is_task))
-
     def case_inputs(self, t_id: str) -> tuple[str, ...]:
         """Case places in the preset of transition ``t_id``, sorted."""
         return self._inputs_of(t_id, "case")
@@ -377,8 +408,7 @@ def postset(net: Net, node_id: str) -> tuple[str, ...]:
 
 
 def _enabled_tokens(m: Marking, place_id: str, now: float) -> tuple[Token, ...]:
-    toks = m.tokens(place_id)
-    return toks[: bisect_right(toks, now, key=attrgetter("available_at"))]
+    return m.tokens(place_id)[: m.n_enabled(place_id, now)]
 
 
 def binding_pools(
@@ -459,9 +489,7 @@ def enabled_bindings(
 def has_enabled_binding(net: Net, m: Marking, t_id: str, now: float) -> bool:
     """Cheap existence test, guards ignored: every preset place's earliest token is enabled."""
     net.transition(t_id)
-    return all(
-        m.tokens(p) and m.tokens(p)[0].available_at <= now for p in preset(net, t_id)
-    )
+    return all(toks and toks[0].available_at <= now for toks in map(m.tokens, preset(net, t_id)))
 
 
 def fire(

@@ -182,3 +182,59 @@ def test_config_value_that_does_not_parse_exits_3(
     code = main(["--config", str(cfg)] + args)
     assert code == 3
     assert f"config value {key} = {value!r}" in capsys.readouterr().err
+
+
+def _priority_doc_with(path: tuple, value) -> dict:
+    """The priority model with one field replaced; ``path`` ends at a key or index."""
+    doc = json.loads((MODELS / "priority.json").read_text())
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return doc
+
+
+_SOURCE = ("transitions", 0, "arrival_spec")
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (_SOURCE + ("attributes", "value", "lo"), "nan", "job_arrival attribute value lo"),
+        (_SOURCE + ("attributes", "value", "hi"), 1e400, "job_arrival attribute value hi"),
+        (_SOURCE + ("attributes", "value"), {"kind": "constant", "value": float("nan")},
+         "job_arrival attribute value value"),
+        (_SOURCE + ("attributes", "value"), {"kind": "choice", "values": [1.0, float("inf")]},
+         "job_arrival attribute value values"),
+        (_SOURCE + ("interarrival", "hi"), "inf", "job_arrival interarrival hi"),
+        (("transitions", 1, "delay", "value"), "nan", "pre-processing delay value"),
+        (("transitions", 2, "delay"), float("nan"), "handling delay"),
+        (("initial_marking", "r0", 0, "available_at"), "-inf", "initial token in r0: available_at"),
+        (("initial_marking", "r0", 0, "attrs"), {"load": float("nan")},
+         "initial token in r0: load"),
+    ],
+    ids=["generator-lo", "generator-hi", "generator-value", "generator-values",
+         "interarrival", "delay", "delay-number", "token-time", "token-attr"],
+)
+def test_non_finite_model_number_exits_3(tmp_path, capsys, path, value, message):
+    # json writes NaN and Infinity literals, which Python's json reads back
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_priority_doc_with(path, value)))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert message in err and "must be finite" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_log_attribute_exits_3(tmp_path, capsys, cell):
+    log = tmp_path / "log.csv"
+    log.write_text(
+        "case,activity,start,complete,value\n"
+        "1,pre-processing,0,5,120\n"
+        f"2,pre-processing,5,10,{cell}\n"
+    )
+    code = main(["discover", "--model", model_path("priority"), "--log", str(log)])
+    assert code == 3
+    assert f"row 3: value value {cell!r} is not finite" in capsys.readouterr().err

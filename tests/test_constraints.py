@@ -5,7 +5,9 @@ import random
 import pytest
 
 from dsync.constraints import (
+    AGGS,
     NO_PENDING_SENTINEL,
+    RATIO_EPSILON,
     FeatureRef,
     eval_feature,
     parse_constraint,
@@ -150,3 +152,147 @@ def test_binding_selectivity_pins_the_extremum_token():
     tie = marking(q1=[("a", 700, 0.0), ("b", 700, 0.0)])
     a, b = (by_case(tie, "q1")[c] for c in ("a", "b"))
     assert expr.binding_ok(tie, 5.0, {"q1": a}) and expr.binding_ok(tie, 5.0, {"q1": b})
+
+
+# -- memoised attribute extrema against brute force ---------------------------
+
+
+def _brute_extremum(m, place, attr, agg):
+    values = [tok.attrs[attr] for tok in m.tokens(place) if attr in tok.attrs]
+    return (max if agg == "max" else min)(values) if values else None
+
+
+def _brute_feature(f, m, now):
+    """Each feature straight from its definition: no memo, no store order."""
+    toks = m.tokens(f.place)
+    if f.kind == "ratio":
+        den = _brute_feature(f.den, m, now)
+        return _brute_feature(f.num, m, now) / max(den, RATIO_EPSILON)
+    if f.kind == "nrtokens":
+        return float(len(toks))
+    if f.kind == "nrtokensenabled":
+        return float(sum(1 for tok in toks if tok.available_at <= now))
+    if f.kind == "timeuntilnext":
+        pending = [tok.available_at - now for tok in toks if tok.available_at > now]
+        return min(pending) if pending else NO_PENDING_SENTINEL
+    best = _brute_extremum(m, f.place, f.attr, f.agg)
+    if f.kind == "attrval":
+        return 0.0 if best is None else float(best)
+    return any(
+        tok.available_at <= now
+        for tok in toks
+        if f.attr in tok.attrs and tok.attrs[f.attr] == best
+    )
+
+
+MEMO_PLACES = ("a", "b", "empty")
+
+
+def _memo_features():
+    feats = []
+    for p in MEMO_PLACES:
+        feats += [FeatureRef.nrtokens(p), FeatureRef.nrtokensenabled(p)]
+        feats.append(FeatureRef.timeuntilnext(p))
+        for attr in ("v", "w"):
+            for agg in AGGS:
+                feats += [FeatureRef.attrval(p, attr, agg), FeatureRef.attrenabled(p, attr, agg)]
+    ratios = ((("a", "v", "max"), ("b", "v", "min")), (("b", "w", "min"), ("empty", "v", "max")))
+    for num, den in ratios:
+        feats.append(FeatureRef.ratio(FeatureRef.attrval(*num), FeatureRef.attrval(*den)))
+    return feats
+
+
+def _memo_token(rng):
+    """Tied values and availabilities; some tokens lack ``v`` or ``w``."""
+    attrs = {}
+    for attr, p_missing in (("v", 0.2), ("w", 0.6)):
+        if rng.random() >= p_missing:
+            attrs[attr] = rng.choice((1.0, 5.0, 5.0, 9.0, -3.0))
+    return Token(f"c{rng.randint(1, 30)}", attrs, float(rng.choice((0, 1, 1, 2, 3.5))))
+
+
+def test_memoised_extrema_match_brute_force():
+    # seeded chains of derived markings; every marking is queried in random
+    # order, twice, and again after later markings were derived from it
+    rng = random.Random("memo")
+    feats = _memo_features()
+    checked = 0
+    for _ in range(25):
+        m = Marking({
+            p: tuple(_memo_token(rng) for _ in range(rng.randint(0, 40)))
+            for p in MEMO_PLACES[:2]
+        })
+        history = [m]
+        for _ in range(12):
+            times = (-1.0, 0.0, 1.0, 2.0, 3.0, 9.0)
+            queries = [("feature", f, rng.choice(times)) for f in feats]
+            for p in MEMO_PLACES:
+                for agg in AGGS:
+                    queries.append(("pin", (p, rng.choice(("v", "w")), agg), rng.choice(times)))
+            for mk in (m, rng.choice(history)):
+                for kind, what, now in rng.sample(queries * 2, 2 * len(queries)):
+                    if kind == "feature":
+                        assert eval_feature(what, mk, now) == _brute_feature(what, mk, now)
+                    else:
+                        place, attr, agg = what
+                        expr = parse_constraint(f"attrenabled({place}, {attr}, {agg}) == true")
+                        pool = [tok for tok in mk.tokens(place) if tok.available_at <= now]
+                        best = _brute_extremum(mk, place, attr, agg)
+                        expected = [] if best is None else [
+                            tok for tok in pool if tok.attrs.get(attr) == best
+                        ]
+                        assert expr.pin(mk, place, pool) == expected
+                    checked += 1
+            p = rng.choice(MEMO_PLACES[:2])
+            if m.tokens(p) and rng.random() < 0.5:
+                m = m.with_removed(p, rng.choice(m.tokens(p)))
+            else:
+                m = m.with_added(p, _memo_token(rng))
+            history.append(m)
+    assert checked > 40_000
+
+
+# -- parser fuzzing ------------------------------------------------------------
+
+_VALID = (
+    PRIORITY_GUARD,
+    "nrtokens(q1) < 5",
+    "nrtokensenabled(buffer) >= 2 and timeuntilnext(buffer) > 0.5",
+    "attrval(q1, value, min) == -3.25e2",
+    "ratio(attrval(a, v, min), attrval(b, v, max)) <= 1e-3",
+)
+_FUZZ_CHARS = "(),<>=!.-+eE019 \tandtruefalsexyz_é٣"
+
+
+def _mutate(rng, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        op = rng.randrange(5)
+        if op == 0:
+            text = text[:i] + text[i + 1 :]
+        elif op == 1:
+            text = text[:i] + rng.choice(_FUZZ_CHARS) + text[i:]
+        elif op == 2:
+            text = text[:i] + rng.choice(_FUZZ_CHARS) + text[i + 1 :]
+        elif op == 3:
+            j = rng.randint(0, len(text))
+            text = text[:i] + text[min(i, j) : max(i, j)] + text[i:]
+        else:
+            text = text[:i] + rng.choice(("9" * 400, " and ", "ratio(", ")", "1e999")) + text[i:]
+    return text
+
+
+def test_mutated_constraints_reparse_or_raise_syntax_errors():
+    rng = random.Random("parser")
+    parsed = rejected = 0
+    for _ in range(5000):
+        text = _mutate(rng, rng.choice(_VALID))
+        try:
+            expr = parse_constraint(text)
+        except ConstraintSyntaxError:
+            rejected += 1
+            continue
+        canonical = expr.canonical()
+        assert parse_constraint(canonical).canonical() == canonical, text
+        parsed += 1
+    assert parsed > 200 and rejected > 2000

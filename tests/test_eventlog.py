@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from dsync.errors import LogError
-from dsync.eventlog import Event, Log, parse_log, traces, write_log
+from dsync.eventlog import Event, Log, parse_log, sort_events, traces, write_log
 
 TABLE1 = """case,activity,start,complete,value
 1,pre-processing,0,5,100
@@ -119,3 +121,63 @@ def test_iso_timestamps_become_minutes():
     log = parse_log(text)
     e = log.events[0]
     assert e.complete - e.start == pytest.approx(30.0)
+
+
+# -- round trips of generated logs ---------------------------------------------
+
+_TEXT_CHARS = "abcxyz019 ,;'\"-_."
+
+
+def _text_value(rng) -> str:
+    # starts and ends with a letter, so it never parses as a number or a
+    # boolean and has no surrounding whitespace to strip
+    middle = "".join(rng.choice(_TEXT_CHARS) for _ in range(rng.randint(0, 6)))
+    return rng.choice("abxyz") + middle + rng.choice("cxz") if middle else rng.choice("abxyz")
+
+
+def _number(rng) -> float:
+    return rng.choice((
+        float(rng.randint(-5, 5)),
+        rng.uniform(-1e3, 1e3),
+        rng.uniform(0, 1) * 10 ** rng.randint(-8, 20),
+        0.1,
+        1e15,
+    ))
+
+
+def _random_log(rng) -> Log:
+    schema = [
+        (f"col{i}", rng.choice(("number", "boolean", "text")))
+        for i in range(rng.randint(0, 4))
+    ]
+    has_resource = rng.random() < 0.5
+    events = []
+    for _ in range(rng.randint(1, 30)):
+        start = _number(rng)
+        complete = start + rng.choice((0.0, 1.0, abs(_number(rng))))
+        attrs = {}
+        for col, typ in schema:
+            if rng.random() < 0.3:
+                continue  # empty cell
+            if typ == "number":
+                attrs[col] = _number(rng)
+            elif typ == "boolean":
+                attrs[col] = rng.random() < 0.5
+            else:
+                attrs[col] = _text_value(rng)
+        resource = rng.choice((None, "w1", "w 2", "r,3")) if has_resource else None
+        events.append(Event(_text_value(rng), rng.choice(("a", "b c", "d,e")), start, complete,
+                            resource, attrs))
+    # a column whose cells are all empty reads back as text
+    filled = {col for e in events for col in e.attrs}
+    schema = [(col, typ if col in filled else "text") for col, typ in schema]
+    return Log(sort_events(events), tuple(schema), has_resource)
+
+
+def test_generated_logs_round_trip():
+    rng = random.Random("logs")
+    for _ in range(300):
+        log = _random_log(rng)
+        text = write_log(log)
+        assert parse_log(text) == log
+        assert write_log(parse_log(text)) == text

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from tests.conftest import model_path
+import dsync.net as net_mod
 from dsync.constraints import parse_constraint
 from dsync.errors import ModelError
 from dsync.eventlog import Event, parse_log, write_log
@@ -418,3 +419,28 @@ def test_bindings_per_fired_move_stay_small(monkeypatch, priority_net):
     replay(log, annotate_net(priority_net.without_guards(), run.constraints), check_guards=True)
     assert counts["moves"] >= 3 * len(log.events)
     assert counts["bindings"] <= 2 * counts["moves"]
+
+
+def test_attribute_passes_stay_within_memo_misses(monkeypatch, priority_net):
+    # full-store attribute passes on a priority round trip: one per distinct
+    # (place, attr, agg) per marking, where every query (guards, pinning, the
+    # 14 priority features per row) used to scan the store on its own
+    counts = {"passes": 0, "queries": 0, "misses": 0}
+    one_pass, query = net_mod._extremum, Marking.extremum
+
+    def counted_pass(*args):
+        counts["passes"] += 1
+        return one_pass(*args)
+
+    def counted_query(m, place_id, attr, agg):
+        counts["queries"] += 1
+        counts["misses"] += m._memo is None or (place_id, attr, agg) not in m._memo
+        return query(m, place_id, attr, agg)
+
+    monkeypatch.setattr(net_mod, "_extremum", counted_pass)
+    monkeypatch.setattr(Marking, "extremum", counted_query)
+    text = write_log(simulate(priority_net, SimConfig(seed=1, max_cases=300)))
+    run = discover_run(parse_log(text), priority_net)
+    replay(parse_log(text), annotate_net(priority_net, run.constraints), check_guards=True)
+    assert counts["passes"] == counts["misses"] > 0
+    assert 2 * counts["passes"] < counts["queries"]
