@@ -21,6 +21,7 @@ take a place; ``ratio`` composes two attrval features.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Union
@@ -41,7 +42,7 @@ RATIO_EPSILON = 0.01
 KINDS_WITH_ATTR = ("attrval", "attrenabled")
 KINDS_PLACE_ONLY = ("nrtokens", "nrtokensenabled", "timeuntilnext")
 AGGS = ("max", "min")
-OPS = ("<=", "<", ">=", ">", "==")
+OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt, "==": operator.eq}
 
 
 @dataclass(frozen=True)
@@ -115,18 +116,10 @@ class Atom:
         return f"{self.feature.canonical()} {self.op} {rhs}"
 
     def holds(self, m: "Marking", now: float) -> bool:
-        value = eval_feature(self.feature, m, now)
-        if self.op == "==":
-            return value == self.const
-        if self.op == "<=":
-            return value <= self.const
-        if self.op == "<":
-            return value < self.const
-        if self.op == ">=":
-            return value >= self.const
-        if self.op == ">":
-            return value > self.const
-        raise ConstraintEvalError(f"unknown operator {self.op!r}")
+        compare = OPS.get(self.op)
+        if compare is None:
+            raise ConstraintEvalError(f"unknown operator {self.op!r}")
+        return compare(eval_feature(self.feature, m, now), self.const)
 
 
 @dataclass(frozen=True)

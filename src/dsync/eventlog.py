@@ -40,18 +40,6 @@ class Log:
     schema: tuple[tuple[str, str], ...] = ()  # (attr name, "number"|"boolean"|"text")
     has_resource: bool = False
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Log):
-            return NotImplemented
-        return (
-            self.events == other.events
-            and self.schema == other.schema
-            and self.has_resource == other.has_resource
-        )
-
 
 def _order_key(e: Event) -> tuple:
     return (e.complete, e.start, e.case_id)

@@ -59,12 +59,7 @@ class SplitAtom:
     node_id: int
 
     def canonical(self) -> str:
-        rhs = (
-            ("true" if self.threshold else "false")
-            if isinstance(self.threshold, bool)
-            else f"{self.threshold:g}"
-        )
-        return f"{self.feature.canonical()} {self.op} {rhs}"
+        return Atom(self.feature, self.op, self.threshold).canonical()
 
 
 @dataclass(frozen=True)
@@ -101,6 +96,8 @@ _VIOLATION_TEMPLATE = {
     PatternKind.HOLD_BATCH: (("nrtokensenabled", "<="), ("timeuntilnext", "<=")),
     PatternKind.CHOICE: (("timeuntilnext", "<="),),
 }
+# the permission comparison negating each violation comparison
+_PERMISSION = {">": "<=", "<=": ">", "==": "=="}
 
 
 def trace_and_filter(
@@ -128,10 +125,8 @@ def trace_and_filter(
             op, value = "==", (not taken)
         else:
             op, value = ("<=", threshold) if taken else (">", threshold)
-        for t_kind, t_op in template:
-            if feature.kind == t_kind and op == t_op:
-                atoms.append(SplitAtom(feature, op, value, delta, node.node_id))
-                break
+        if (feature.kind, op) in template:
+            atoms.append(SplitAtom(feature, op, value, delta, node.node_id))
     return atoms
 
 
@@ -159,45 +154,22 @@ def assemble_constraint(
 ) -> Optional[PatternConstraint]:
     """Negate retained violation atoms into the fire-permission constraint.
 
-    Returns None unless the pattern's required atoms were all discovered:
-    priority needs the ratio and the enabled part, hold-batch needs both the
-    count and the time part.
+    Takes the best atom (``_best``) for each entry of the pattern's violation
+    template and returns None unless every entry has one: priority needs the
+    ratio and the enabled part, hold-batch both the count and the time part.
+    Each permission atom negates the template entry's comparison, at the
+    atom's threshold; an enabled part always becomes ``== true``, because the
+    permission side requires the extremum token to be available.
     """
-    expr_atoms: list[Atom] = []
-    used: list[SplitAtom] = []
-    if c.kind == PatternKind.PRIORITY:
-        ratio = _best(atoms, "ratio")
-        enabled = _best(atoms, "attrenabled")
-        if ratio is None or enabled is None:
-            return None
-        expr_atoms.append(Atom(ratio.feature, "<=", float(ratio.threshold)))
-        # the enabled atom always normalizes to == true: the permission side
-        # requires the extremum token to be available
-        expr_atoms.append(Atom(enabled.feature, "==", True))
-        used = [ratio, enabled]
-    elif c.kind == PatternKind.BLOCKING:
-        count = _best(atoms, "nrtokens")
-        if count is None:
-            return None
-        expr_atoms.append(Atom(count.feature, "<=", float(count.threshold)))
-        used = [count]
-    elif c.kind == PatternKind.HOLD_BATCH:
-        count = _best(atoms, "nrtokensenabled")
-        until = _best(atoms, "timeuntilnext")
-        if count is None or until is None:
-            return None
-        expr_atoms.append(Atom(count.feature, ">", float(count.threshold)))
-        expr_atoms.append(Atom(until.feature, ">", float(until.threshold)))
-        used = [count, until]
-    elif c.kind == PatternKind.CHOICE:
-        until = _best(atoms, "timeuntilnext")
-        if until is None:
-            return None
-        expr_atoms.append(Atom(until.feature, ">", float(until.threshold)))
-        used = [until]
-    else:
-        raise DsyncError(f"unknown pattern kind {c.kind!r}")
-    return PatternConstraint(c, ConstraintExpr(tuple(expr_atoms)), support, tuple(used))
+    template = _VIOLATION_TEMPLATE[c.kind]
+    used = [_best(atoms, kind) for kind, _ in template]
+    if None in used:
+        return None
+    expr = ConstraintExpr(tuple(
+        Atom(a.feature, _PERMISSION[op], True if op == "==" else float(a.threshold))
+        for a, (_, op) in zip(used, template)
+    ))
+    return PatternConstraint(c, expr, support, tuple(used))
 
 
 @dataclass

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -90,6 +91,13 @@ class DelaySpec:
         raise ModelError(f"unknown delay kind {self.kind!r}")
 
     def problems(self) -> list[str]:
+        params = {
+            "constant": (self.value,), "uniform": (self.lo, self.hi), "exponential": (self.mean,)
+        }.get(self.kind)
+        if params is None:
+            return [f"unknown delay kind {self.kind!r}"]
+        if not all(map(math.isfinite, params)):
+            return [f"{self.kind} delay parameters must be finite"]
         if self.kind == "constant":
             return [] if self.value >= 0 else ["constant delay is negative"]
         if self.kind == "uniform":
@@ -99,9 +107,7 @@ class DelaySpec:
             if self.hi < self.lo:
                 out.append("uniform delay bounds are inverted")
             return out
-        if self.kind == "exponential":
-            return [] if self.mean > 0 else ["exponential delay mean must be positive"]
-        return [f"unknown delay kind {self.kind!r}"]
+        return [] if self.mean > 0 else ["exponential delay mean must be positive"]
 
 
 @dataclass(frozen=True)
@@ -280,6 +286,11 @@ class Net:
         name: str = "",
     ):
         self.name = name
+        for kind, nodes in (("place", places), ("transition", transitions)):
+            ids = [node.id for node in nodes]
+            if len(set(ids)) < len(ids):
+                dup = min(i for i in ids if ids.count(i) > 1)
+                raise ModelError(f"duplicate {kind} id {dup!r}")
         self.places: dict[str, Place] = {p.id: p for p in places}
         self.transitions: dict[str, Transition] = {t.id: t for t in transitions}
         self.flows: tuple[tuple[str, str], ...] = tuple(flows)
@@ -336,11 +347,15 @@ class Net:
         except KeyError:
             raise ModelError(f"unknown transition {t_id!r}") from None
 
-    def case_token(self, t_id: str, binding: Binding) -> Optional[Token]:
-        """The token ``binding`` takes from the first case input of ``t_id``."""
+    def case_token(
+        self, t_id: str, binding: Binding, case_id: Optional[str] = None
+    ) -> Optional[Token]:
+        """The token ``binding`` takes from the first case input of ``t_id``,
+        or with ``case_id`` the first one it takes of that case."""
         for p in self.case_inputs(t_id):
-            if p in binding:
-                return binding[p]
+            tok = binding.get(p)
+            if tok is not None and (case_id is None or tok.case_id == case_id):
+                return tok
         return None
 
     def flow_depth(self, t_id: str) -> int:
@@ -498,26 +513,25 @@ def fire(
     t_id: str,
     binding: Binding,
     now: float,
-    rng: Optional[random.Random] = None,
-    delay_override: Optional[float] = None,
+    delay: float,
     produced_case: Optional[tuple[str, Mapping[str, AttrValue]]] = None,
 ) -> Marking:
     """Fire ``t_id`` under ``binding`` at time ``now`` and return the new marking.
 
     Consumed tokens are removed; each outgoing place receives one token that
-    becomes available at ``now`` plus the sampled (or overridden) delay. Case
-    output places carry forward the bound case token's identity and data
-    unless ``produced_case`` supplies them explicitly (used for source
-    transitions and for log moves, where the event data is authoritative).
-    Resource output places receive back the token bound from the same place,
-    and the places in ``net.unread`` receive nothing.
+    becomes available at ``now + delay`` (the caller samples or reads the
+    delay). Case output places carry forward the bound case token's identity
+    and data unless ``produced_case`` supplies them explicitly (used for
+    source transitions, in simulation and in replay, and for log moves, where
+    the event data is authoritative). Resource output places receive back the
+    token bound from the same place, and the places in ``net.unread`` receive
+    nothing.
     """
-    t = net.transition(t_id)
+    net.transition(t_id)
     new_m = m
     for p, tok in sorted(binding.items()):
         new_m = new_m.with_removed(p, tok)
 
-    delay = t.delay.sample(rng) if delay_override is None else delay_override
     if delay < 0:
         raise ModelError(f"transition {t_id!r} produced a negative delay {delay}")
     out_time = now + delay
@@ -557,16 +571,11 @@ def fire(
 
 def validate_net(net: Net) -> list[str]:
     """All invariant violations of the net (empty list when valid)."""
-    out: list[str] = []
-    seen: set[str] = set()
-    for pid in net.places:
-        if pid in seen:
-            out.append(f"duplicate node id {pid!r}")
-        seen.add(pid)
-    for tid in net.transitions:
-        if tid in seen:
-            out.append(f"id {tid!r} used by both a place and a transition" if tid in net.places else f"duplicate node id {tid!r}")
-        seen.add(tid)
+    out = [
+        f"id {tid!r} used by both a place and a transition"
+        for tid in net.transitions
+        if tid in net.places
+    ]
 
     for p in net.places.values():
         if p.kind not in PLACE_KINDS:

@@ -209,7 +209,7 @@ def build_pt_log(
         if s.repaired or s.time > last_start:
             continue
         fired = c.t_g in s.fired
-        marking = s.at_fire.get(c.t_g, s.before) if fired else s.after
+        marking = s.at_fire[c.t_g] if fired else s.after
         if not has_enabled_binding(net, marking, c.t_g, s.time):
             continue
         values = tuple(eval_feature(f, marking, s.time) for f in feats)

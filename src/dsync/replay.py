@@ -2,11 +2,14 @@
 
 Every event is executed as a log move at its start time: the binding with
 the highest similarity to the event is consumed and the produced tokens
-become available at the event's completion time. One state sample is
-emitted per distinct start time; it captures the marking both before and
-after that timestamp's moves, because a transition that fired is observed
-in the state it fired from, while a transition that was passed over is
-observed in the state that remained after everything else happened.
+become available at the event's completion time. Cases enter as the
+simulator lets them in: each arrival is a zero-delay ``fire`` of its
+non-task source with the case's first-event data, one interarrival ahead
+(``_arrival_plan``). One state sample is emitted per distinct start time; it
+captures the marking both before and after that timestamp's moves, because a
+transition that fired is observed in the state it fired from, while a
+transition that was passed over is observed in the state that remained after
+everything else happened.
 
 The moves of one start time are applied by a single greedy loop, in both
 modes: downstream moves first (larger ``Net.flow_depth``, ties in log
@@ -27,7 +30,7 @@ from typing import Mapping, Optional
 
 from .errors import ReplayError
 from .eventlog import Event, Log
-from .net import Binding, Marking, Net, Token, enabled_bindings, fire, preset
+from .net import Binding, Marking, Net, Token, enabled_bindings, fire, postset, preset
 
 # guard-checked timestamp groups larger than this get no order-search fallback
 MAX_SEARCH_GROUP = 8
@@ -84,14 +87,8 @@ def sim_score(net: Net, t_id: str, binding: Binding, e: Event) -> tuple:
     token's availability to the start, and closeness of the attributes.
     Transitions without case inputs match any binding.
     """
-    case_places = net.case_inputs(t_id)
-    case_token: Optional[Token] = None
-    for p in case_places:
-        tok = binding.get(p)
-        if tok is not None and tok.case_id == e.case_id:
-            case_token = tok
-            break
-    if case_places and case_token is None:
+    case_token = net.case_token(t_id, binding, e.case_id)
+    if case_token is None and net.case_inputs(t_id):
         return NEVER
 
     resource_match = 0
@@ -143,15 +140,7 @@ def _best_move(
 
 
 def _apply(net: Net, marking: Marking, e: Event, binding: Binding, tau: float) -> Marking:
-    return fire(
-        net,
-        marking,
-        e.label,
-        binding,
-        tau,
-        delay_override=e.complete - e.start,
-        produced_case=(e.case_id, dict(e.attrs)),
-    )
+    return fire(net, marking, e.label, binding, tau, e.complete - e.start, (e.case_id, e.attrs))
 
 
 # an applied log move: the event, its binding and the marking it applied to
@@ -243,8 +232,8 @@ def replay(
 
     for tau in sorted(groups):
         while inject_idx < len(injections) and injections[inject_idx][0] <= tau:
-            _, place_id, token = injections[inject_idx]
-            marking = marking.with_added(place_id, token)
+            _, source, case_id, attrs, avail = injections[inject_idx]
+            marking = fire(net, marking, source, {}, avail, 0.0, (case_id, attrs))
             inject_idx += 1
 
         before = marking
@@ -262,12 +251,10 @@ def replay(
         for e, binding, fired_from in moves:
             at_fire.setdefault(e.label, fired_from)
             report.matched += 1
-            for p in net.case_inputs(e.label):
-                tok = binding.get(p)
-                if tok is not None and tok.case_id == e.case_id:
-                    gap_sum += abs(tok.available_at - e.start)
-                    gap_n += 1
-                    break
+            tok = net.case_token(e.label, binding, e.case_id)
+            if tok is not None:
+                gap_sum += abs(tok.available_at - e.start)
+                gap_n += 1
 
         for e in pending:
             reason = "no binding"
@@ -301,43 +288,34 @@ def replay(
     return samples, report
 
 
-def _arrival_plan(log: Log, net: Net) -> list[tuple[float, str, Token]]:
-    """Reconstruct non-task source injections from first-event times.
+def _arrival_plan(log: Log, net: Net) -> list[tuple[float, str, str, Mapping, float]]:
+    """Non-task source firings reconstructed from first-event times.
 
-    Mirrors the simulator's one-ahead behaviour: case k+1 enters the source's
-    output place the moment case k becomes available, so upcoming cases are
-    visible as pending tokens one interarrival early.
+    Each entry is ``(inject_at, source, case_id, attrs, avail)``: once the
+    replay clock reaches ``inject_at``, the source fires at ``avail`` with the
+    case's first-event data. A source claims every unclaimed case whose first
+    event consumes from any of its case outputs. Mirrors the simulator's
+    one-ahead behaviour: case k+1 enters the moment case k becomes available,
+    so upcoming cases are visible as pending tokens one interarrival early.
     """
-    sources = [
-        t for t in net.transitions.values() if t.arrival_spec is not None and not t.is_task
-    ]
-    if not sources:
-        return []
-
     first_events: dict[str, Event] = {}
     for e in log.events:
         current = first_events.get(e.case_id)
         if current is None or (e.start, e.complete) < (current.start, current.complete):
             first_events[e.case_id] = e
 
-    plan: list[tuple[float, str, Token]] = []
+    plan: list[tuple[float, str, str, Mapping, float]] = []
     claimed: set[str] = set()
-    for src in sorted(sources, key=lambda t: t.id):
-        out_places = [p for p in net._postset[src.id] if net.places[p].kind == "case"]
-        if not out_places:
-            continue
-        out = out_places[0]
-        cases = []
-        for case_id, e in first_events.items():
-            if case_id in claimed:
-                continue
-            if out in preset(net, e.label):
-                cases.append((e.start, case_id, e))
-        cases.sort(key=lambda item: (item[0], item[1]))
-        place = net.places[out]
+    for src in sorted(t.id for t in net.transitions.values() if t.arrival_spec and not t.is_task):
+        outs = {p for p in postset(net, src) if net.places[p].kind == "case"}
+        cases = sorted(
+            (e.start, case_id, e)
+            for case_id, e in first_events.items()
+            if case_id not in claimed and outs.intersection(preset(net, e.label))
+        )
         for i, (avail, case_id, e) in enumerate(cases):
             claimed.add(case_id)
             inject_at = cases[i - 1][0] if i > 0 else float("-inf")
-            plan.append((inject_at, out, Token(case_id, place.project(e.attrs), avail)))
-    plan.sort(key=lambda item: (item[0], item[1], item[2].case_id or ""))
+            plan.append((inject_at, src, case_id, e.attrs, avail))
+    plan.sort(key=lambda item: item[:3])
     return plan

@@ -174,7 +174,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
 
     def fire_at(tid: str, y: Binding, now: float, delay: float, case=None) -> None:
         nonlocal marking
-        marking = fire(net, marking, tid, y, now, delay_override=delay, produced_case=case)
+        marking = fire(net, marking, tid, y, now, delay, case)
         if postset(net, tid):
             heapq.heappush(future, now + delay)
 

@@ -9,8 +9,9 @@ lowest threshold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import itertools
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .errors import DsyncError
 
@@ -96,27 +97,6 @@ class TreeNode:
             out["right"] = self.right.to_dict(feature_names)
         return out
 
-    def dump(self, feature_names: Optional[list[str]] = None, indent: int = 0) -> str:
-        pad = "  " * indent
-        if self.is_leaf:
-            return (
-                f"{pad}leaf class={self.prediction} samples={self.samples} "
-                f"gini={self.gini:.4f} counts={self.class_counts}\n"
-            )
-        idx, threshold = self.split
-        name = feature_names[idx] if feature_names else f"x[{idx}]"
-        head = (
-            f"{pad}{name} <= {threshold:g} samples={self.samples} "
-            f"gini={self.gini:.4f}\n"
-        )
-        return (
-            head
-            + f"{pad}then:\n"
-            + self.right.dump(feature_names, indent + 1)
-            + f"{pad}else:\n"
-            + self.left.dump(feature_names, indent + 1)
-        )
-
 
 def _best_split(
     xs: list[list[float]], ys: list[bool], params: TreeParams
@@ -154,16 +134,6 @@ def _best_split(
     return best
 
 
-@dataclass
-class _Counter:
-    next_id: int = 0
-
-    def take(self) -> int:
-        value = self.next_id
-        self.next_id += 1
-        return value
-
-
 def fit(xs: list[list[float]], ys: list[bool], params: TreeParams = TreeParams()) -> TreeNode:
     """Grow a tree on (rows, labels). Note: splits condition on x <= threshold."""
     params.check()
@@ -171,18 +141,18 @@ def fit(xs: list[list[float]], ys: list[bool], params: TreeParams = TreeParams()
         raise DsyncError("cannot fit a tree on an empty dataset")
     if len(xs) != len(ys):
         raise DsyncError("feature and label counts differ")
-    return _grow(xs, ys, params, depth=0, counter=_Counter())
+    return _grow(xs, ys, params, depth=0, counter=itertools.count())
 
 
 def _grow(
-    xs: list[list[float]], ys: list[bool], params: TreeParams, depth: int, counter: _Counter
+    xs: list[list[float]], ys: list[bool], params: TreeParams, depth: int, counter: Iterator[int]
 ) -> TreeNode:
     n_true = sum(ys)
     node = TreeNode(
         gini=gini(len(ys) - n_true, n_true),
         samples=len(ys),
         class_counts=(len(ys) - n_true, n_true),
-        node_id=counter.take(),
+        node_id=next(counter),
     )
     if depth >= params.max_depth or node.gini == 0.0:
         return node

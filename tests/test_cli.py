@@ -238,3 +238,14 @@ def test_non_finite_log_attribute_exits_3(tmp_path, capsys, cell):
     code = main(["discover", "--model", model_path("priority"), "--log", str(log)])
     assert code == 3
     assert f"row 3: value value {cell!r} is not finite" in capsys.readouterr().err
+
+
+def test_simulate_duplicate_place_id_exits_3(tmp_path, capsys):
+    doc = json.loads((MODELS / "priority.json").read_text())
+    doc["places"].append(dict(doc["places"][0]))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert f"duplicate place id {doc['places'][0]['id']!r}" in capsys.readouterr().err

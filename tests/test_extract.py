@@ -163,6 +163,18 @@ def test_assemble_holdbatch_needs_both_atoms():
     assert assemble_constraint([count_atom], cand) is None
 
 
+def test_assemble_negates_the_template_comparison_not_the_atoms():
+    blocking = PatternCandidate(PatternKind.BLOCKING, "pre-processing", (("downstream", "q1"),))
+    count_leq = SplitAtom(FeatureRef.nrtokens("q1"), "<=", 4.5, -0.4, 0)
+    assert assemble_constraint([count_leq], blocking).expr.canonical() == "nrtokens(q1) <= 4.5"
+    hold = PatternCandidate(PatternKind.HOLD_BATCH, "transportation", (("input", "q1"),))
+    count_gt = SplitAtom(FeatureRef.nrtokensenabled("q1"), ">", 3.5, -0.2, 0)
+    time_gt = SplitAtom(FeatureRef.timeuntilnext("q1"), ">", 2.0, -0.2, 1)
+    pc = assemble_constraint([count_gt, time_gt], hold)
+    assert pc.expr.canonical() == "nrtokensenabled(q1) > 3.5 and timeuntilnext(q1) > 2"
+    assert pc.provenance == (count_gt, time_gt)
+
+
 def test_assemble_choice_single_atom():
     cand = PatternCandidate(
         PatternKind.CHOICE, "production_a", (("other_input", "stock_b"), ("shared", "shared"))

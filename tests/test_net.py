@@ -108,7 +108,7 @@ def test_fire_moves_job_and_returns_worker():
     net, m = fig1_net(), fig1_marking()
     y = enabled_bindings(net, m, "handling", now=15.0)[0]
     assert y["q1"].case_id == "1"
-    out = fire(net, m, "handling", y, now=15.0)
+    out = fire(net, m, "handling", y, now=15.0, delay=7.0)
     assert [t.case_id for t in out.tokens("q1")] == ["2"]
     worker = out.tokens("r1")[0]
     assert worker.case_id == "w1" and worker.available_at == 22.0
@@ -125,14 +125,14 @@ def test_fire_zero_delay_token_available_now():
         flows=[("a", "t"), ("t", "b")],
     )
     m = Marking().with_added("a", Token("c1", {}, 1.0))
-    out = fire(net, m, "t", {"a": m.tokens("a")[0]}, now=4.0)
+    out = fire(net, m, "t", {"a": m.tokens("a")[0]}, now=4.0, delay=0.0)
     assert out.tokens("b")[0].available_at == 4.0
 
 
 def test_fire_preserves_token_count_on_matched_roles():
     net, m = fig1_net(), fig1_marking()
     y = enabled_bindings(net, m, "handling", now=15.0)[0]
-    out = fire(net, m, "handling", y, now=15.0)
+    out = fire(net, m, "handling", y, now=15.0, delay=7.0)
     assert out.total_tokens() == m.total_tokens()
 
 
@@ -140,7 +140,7 @@ def test_fire_missing_token_rejected():
     net, m = fig1_net(), fig1_marking()
     ghost = Token("9", {"value": 1.0}, 0.0)
     with pytest.raises(ModelError):
-        fire(net, m, "handling", {"q1": ghost, "r1": m.tokens("r1")[0]}, now=20.0)
+        fire(net, m, "handling", {"q1": ghost, "r1": m.tokens("r1")[0]}, now=20.0, delay=7.0)
 
 
 def test_validate_clean_net():
@@ -196,6 +196,44 @@ def test_validate_bad_delay_and_unknown_flow():
     problems = validate_net(net)
     assert any("inverted" in p for p in problems)
     assert any("unknown node" in p for p in problems)
+
+
+def test_duplicate_node_ids_are_rejected():
+    # a dict keyed by id would keep only the last place or transition
+    with pytest.raises(ModelError, match="duplicate place id 'a'"):
+        Net([Place("a", "case"), Place("a", "plain")], [Transition("t")], [("a", "t")])
+    with pytest.raises(ModelError, match="duplicate transition id 't'"):
+        Net([Place("a", "case")], [Transition("t"), Transition("t", is_task=False)], [])
+
+
+def test_validate_place_and_transition_sharing_an_id():
+    net = Net(
+        places=[Place("a", "case"), Place("x", "case")],
+        transitions=[Transition("x")],
+        flows=[("a", "x")],
+    )
+    assert "id 'x' used by both a place and a transition" in validate_net(net)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        DelaySpec.constant,
+        lambda v: DelaySpec.uniform(v, 1.0),
+        lambda v: DelaySpec.uniform(0.0, v),
+        DelaySpec.exponential,
+    ],
+    ids=["constant", "uniform-lo", "uniform-hi", "exponential"],
+)
+def test_validate_non_finite_delay(make, value):
+    spec = make(value)
+    net = Net(
+        places=[Place("a", "case")],
+        transitions=[Transition("t", delay=spec)],
+        flows=[("a", "t")],
+    )
+    assert validate_net(net) == [f"transition 't': {spec.kind} delay parameters must be finite"]
 
 
 def test_validate_initial_marking_conformance():

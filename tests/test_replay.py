@@ -170,6 +170,34 @@ def test_zero_delay_chain_replays_every_move():
     assert not any(s.repaired for s in samples)
 
 
+def arrival_with_three_outputs_net() -> Net:
+    """arrive -> pa -> a, and arrive -> pb, gate -> b: one arrival, three outputs."""
+    return Net(
+        places=[Place("pa", "case"), Place("pb", "case"), Place("gate", "plain")],
+        transitions=[
+            Transition("arrive", is_task=False, arrival_spec=arrivals("c", 2)),
+            Transition("a", delay=DelaySpec.constant(1)),
+            Transition("b", delay=DelaySpec.constant(3)),
+        ],
+        flows=[
+            ("arrive", "pa"), ("arrive", "pb"), ("arrive", "gate"),
+            ("pa", "a"), ("pb", "b"), ("gate", "b"),
+        ],
+    )
+
+
+@pytest.mark.parametrize("check_guards", [False, True])
+def test_arrival_feeds_every_output_of_its_source(check_guards):
+    # an arrival is a firing of the source, so pb and gate receive tokens too,
+    # not only the source's first case output
+    net = arrival_with_three_outputs_net()
+    log = simulate(net, SimConfig(seed=1, max_cases=5))
+    assert sorted(e.label for e in log.events) == ["a"] * 5 + ["b"] * 5
+    samples, report = replay(log, net, check_guards=check_guards)
+    assert (report.matched, report.total) == (10, 10)
+    assert not any(s.repaired for s in samples)
+
+
 def guard_closed_by_downstream_net() -> Net:
     """Unguarded tp (depth 2) refills o, which closes tg's guard (depth 1)."""
     return Net(
