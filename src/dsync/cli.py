@@ -131,8 +131,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    text = render_markdown(report)
+        try:
+            text = render_markdown(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+            raise DsyncError(f"report {args.report!r} is malformed or incomplete: {exc!r}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -192,13 +194,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         args._config = read_config(args.config)
-    except FileNotFoundError as exc:
-        print(f"error: config file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_IO
-    try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc.strerror or exc}: {exc.filename}", file=sys.stderr)
         return EXIT_IO
     except DsyncError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -193,7 +193,10 @@ def write_log(log: Log) -> str:
 
 def load_log(path: str) -> Log:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_log(fh.read())
+        try:
+            return parse_log(fh.read())
+        except UnicodeDecodeError as exc:
+            raise LogError(f"log {path!r} is not UTF-8 text: {exc}") from None
 
 
 def save_log(log: Log, path: str) -> None:

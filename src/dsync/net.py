@@ -6,7 +6,9 @@ transition once its availability time has been reached, which is what makes
 counts of "enabled" tokens and times-until-availability observable state.
 
 Nets, markings and tokens are immutable values; ``fire`` returns a new
-marking and never touches its input.
+marking and never touches its input, from one copy of the place dict. The
+token game reads the stores directly, along per-transition plans (``_Plan``)
+that ``Net`` compiles once.
 
 A marking stores each place's tokens sorted by availability, then case id,
 ties in insertion order; adding and removing a token locate it by bisection,
@@ -24,7 +26,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 from .errors import ModelError
 
@@ -177,6 +179,24 @@ def _store_key(tok: Token) -> tuple:
     return (tok.available_at, tok.case_id or "")
 
 
+_avail = attrgetter("available_at")
+
+
+def _inserted(toks: tuple[Token, ...], token: Token) -> tuple[Token, ...]:
+    i = bisect_right(toks, _store_key(token), key=_store_key)
+    return toks[:i] + (token,) + toks[i:]
+
+
+def _removed(toks: tuple[Token, ...], token: Token, place_id: str) -> tuple[Token, ...]:
+    key = _store_key(token)
+    for i in range(bisect_left(toks, key, key=_store_key), len(toks)):
+        if toks[i] == token:
+            return toks[:i] + toks[i + 1 :]
+        if _store_key(toks[i]) != key:
+            break
+    raise ModelError(f"token {token} not present in place {place_id!r}")
+
+
 def _extremum(toks: tuple[Token, ...], attr: str, agg: str) -> Optional[tuple[AttrValue, float]]:
     """One pass over a store for ``Marking.extremum``."""
     try:
@@ -214,7 +234,7 @@ class Marking:
 
     def n_enabled(self, place_id: str, now: float) -> int:
         """How many tokens of the place are available at ``now``: a store prefix."""
-        return bisect_right(self.tokens(place_id), now, key=attrgetter("available_at"))
+        return bisect_right(self.tokens(place_id), now, key=_avail)
 
     def extremum(self, place_id: str, attr: str, agg: str) -> Optional[tuple[AttrValue, float]]:
         """(max or min of ``attr`` over the place, earliest availability attaining it), or None."""
@@ -226,25 +246,20 @@ class Marking:
             memo[key] = _extremum(self.tokens(place_id), attr, agg)
         return memo[key]
 
-    def _with(self, place_id: str, toks: tuple[Token, ...]) -> "Marking":
+    @staticmethod
+    def _of(by_place: dict[str, tuple[Token, ...]]) -> "Marking":  # sorted stores, no memo
         new = Marking.__new__(Marking)
-        new._by_place = {**self._by_place, place_id: toks}
+        new._by_place = by_place
         new._memo = None
         return new
 
     def with_added(self, place_id: str, token: Token) -> "Marking":
-        toks = self.tokens(place_id)
-        i = bisect_right(toks, _store_key(token), key=_store_key)
-        return self._with(place_id, toks[:i] + (token,) + toks[i:])
+        toks = _inserted(self.tokens(place_id), token)
+        return Marking._of({**self._by_place, place_id: toks})
 
     def with_removed(self, place_id: str, token: Token) -> "Marking":
-        toks, key = self.tokens(place_id), _store_key(token)
-        for i in range(bisect_left(toks, key, key=_store_key), len(toks)):
-            if toks[i] == token:
-                return self._with(place_id, toks[:i] + toks[i + 1 :])
-            if _store_key(toks[i]) != key:
-                break
-        raise ModelError(f"token {token} not present in place {place_id!r}")
+        toks = _removed(self.tokens(place_id), token, place_id)
+        return Marking._of({**self._by_place, place_id: toks})
 
     def total_tokens(self) -> int:
         return sum(len(toks) for toks in self._by_place.values())
@@ -274,6 +289,16 @@ class Marking:
 Binding = dict  # place id -> Token chosen from that place
 
 
+class _Plan(NamedTuple):
+    """A transition's preset places (is each plain?), and its output places but
+    ``Net.unread`` with their kinds (None when unknown) and attribute names."""
+
+    inputs: tuple[tuple[str, bool], ...]
+    outputs: tuple[tuple[str, Optional[str], Optional[frozenset]], ...]
+    case_inputs: tuple[str, ...]
+    resource_inputs: tuple[str, ...]
+
+
 class Net:
     """A validated-on-demand net: places, transitions, flows, initial marking."""
 
@@ -301,32 +326,36 @@ class Net:
         for node in list(self.places) + list(self.transitions):
             self._preset[node] = tuple(sorted(src for src, tgt in self.flows if tgt == node))
             self._postset[node] = tuple(sorted(tgt for src, tgt in self.flows if src == node))
-        # preset places of each transition by kind; read per binding and per move
-        self._inputs: dict[tuple[str, str], tuple[str, ...]] = {
-            (t, kind): tuple(
-                p for p in self._preset[t] if p in self.places and self.places[p].kind == kind
-            )
-            for t in self.transitions
-            for kind in ("case", "resource")
-        }
         # plain sinks that no guard reads; ``fire`` stores no tokens there
         read = {p for t in transitions if t.guard is not None for p, _ in t.guard.references()}
         self.unread = frozenset(
             p for p, place in self.places.items()
             if place.kind == "plain" and not self._postset[p] and p not in read
         )
+        kinds = {p: place.kind for p, place in self.places.items()}
+        names = {p: frozenset(place.attr_names()) for p, place in self.places.items()}
+        self._plans = {
+            t: _Plan(
+                tuple((p, kinds.get(p) == "plain") for p in self._preset[t]),
+                tuple((p, kinds.get(p), names.get(p))
+                      for p in self._postset[t] if p not in self.unread),
+                tuple(p for p in self._preset[t] if kinds.get(p) == "case"),
+                tuple(p for p in self._preset[t] if kinds.get(p) == "resource"),
+            )
+            for t in self.transitions
+        }
 
     # -- structure ---------------------------------------------------------
-
-    def place(self, place_id: str) -> Place:
-        try:
-            return self.places[place_id]
-        except KeyError:
-            raise ModelError(f"unknown place {place_id!r}") from None
 
     def transition(self, t_id: str) -> Transition:
         try:
             return self.transitions[t_id]
+        except KeyError:
+            raise ModelError(f"unknown transition {t_id!r}") from None
+
+    def _plan(self, t_id: str) -> "_Plan":
+        try:
+            return self._plans[t_id]
         except KeyError:
             raise ModelError(f"unknown transition {t_id!r}") from None
 
@@ -335,17 +364,11 @@ class Net:
 
     def case_inputs(self, t_id: str) -> tuple[str, ...]:
         """Case places in the preset of transition ``t_id``, sorted."""
-        return self._inputs_of(t_id, "case")
+        return self._plan(t_id).case_inputs
 
     def resource_inputs(self, t_id: str) -> tuple[str, ...]:
         """Resource places in the preset of transition ``t_id``, sorted."""
-        return self._inputs_of(t_id, "resource")
-
-    def _inputs_of(self, t_id: str, kind: str) -> tuple[str, ...]:
-        try:
-            return self._inputs[t_id, kind]
-        except KeyError:
-            raise ModelError(f"unknown transition {t_id!r}") from None
+        return self._plan(t_id).resource_inputs
 
     def case_token(
         self, t_id: str, binding: Binding, case_id: Optional[str] = None
@@ -423,7 +446,8 @@ def postset(net: Net, node_id: str) -> tuple[str, ...]:
 
 
 def _enabled_tokens(m: Marking, place_id: str, now: float) -> tuple[Token, ...]:
-    return m.tokens(place_id)[: m.n_enabled(place_id, now)]
+    toks = m._by_place.get(place_id, ())
+    return toks[: bisect_right(toks, now, key=_avail)]
 
 
 def binding_pools(
@@ -450,25 +474,24 @@ def binding_pools(
 
     None when some pool is empty, i.e. there is no binding.
     """
-    t = net.transition(t_id)
-    in_places = preset(net, t_id)
+    inputs = net._plan(t_id).inputs
     pools = []
-    for p in in_places:
+    for p, _ in inputs:
         toks = _enabled_tokens(m, p, now)
         if not toks:
             return None
         pools.append(toks)
-    guard = t.guard if check_guards else None
+    guard = net.transitions[t_id].guard if check_guards else None
     if guard is not None and not guard.holds(m, now):
         return None
     case_place = net.case_inputs(t_id) if case_id is not None else ()
-    for i, p in enumerate(in_places):
+    for i, (p, plain) in enumerate(inputs):
         toks = pools[i]
         if guard is not None:
             toks = guard.pin(m, p, toks)
         if case_place == (p,):
             toks = [tok for tok in toks if tok.case_id == case_id]
-        if net.places[p].kind == "plain":
+        if plain:
             toks = toks[:1]
         if not toks:
             return None
@@ -503,8 +526,10 @@ def enabled_bindings(
 
 def has_enabled_binding(net: Net, m: Marking, t_id: str, now: float) -> bool:
     """Cheap existence test, guards ignored: every preset place's earliest token is enabled."""
-    net.transition(t_id)
-    return all(toks and toks[0].available_at <= now for toks in map(m.tokens, preset(net, t_id)))
+    stores = m._by_place
+    return all(
+        stores.get(p) and stores[p][0].available_at <= now for p, _ in net._plan(t_id).inputs
+    )
 
 
 def fire(
@@ -527,10 +552,10 @@ def fire(
     token bound from the same place, and the places in ``net.unread`` receive
     nothing.
     """
-    net.transition(t_id)
-    new_m = m
+    outputs = net._plan(t_id).outputs
+    stores = dict(m._by_place)
     for p, tok in sorted(binding.items()):
-        new_m = new_m.with_removed(p, tok)
+        stores[p] = _removed(stores.get(p, ()), tok, p)
 
     if delay < 0:
         raise ModelError(f"transition {t_id!r} produced a negative delay {delay}")
@@ -545,28 +570,27 @@ def fire(
         if case_tok is not None:
             case_id, case_attrs = case_tok.case_id, case_tok.attrs
 
-    for p in postset(net, t_id):
-        place = net.place(p)
-        if p in net.unread:
-            continue
-        if place.kind == "case":
+    for p, kind, names in outputs:
+        if kind == "case":
             if case_id is None:
                 raise ModelError(
                     f"transition {t_id!r} outputs to case place {p!r} but no case token "
                     "was consumed or supplied"
                 )
-            new_m = new_m.with_added(p, Token(case_id, place.project(case_attrs), out_time))
-        elif place.kind == "resource":
+            tok = Token(case_id, {k: v for k, v in case_attrs.items() if k in names}, out_time)
+        elif kind == "resource":
             if p not in binding:
                 raise ModelError(
                     f"transition {t_id!r} outputs to resource place {p!r} without "
                     "consuming from it"
                 )
-            res = binding[p]
-            new_m = new_m.with_added(p, Token(res.case_id, res.attrs, out_time))
+            tok = Token(binding[p].case_id, binding[p].attrs, out_time)
+        elif kind == "plain":
+            tok = Token(None, {}, out_time)
         else:
-            new_m = new_m.with_added(p, Token(None, {}, out_time))
-    return new_m
+            raise ModelError(f"unknown place {p!r}")
+        stores[p] = _inserted(stores.get(p, ()), tok)
+    return Marking._of(stores)
 
 
 def validate_net(net: Net) -> list[str]:

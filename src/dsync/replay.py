@@ -22,6 +22,10 @@ a guard that the simulator's order left open, so when the greedy loop leaves
 a guard-checked group of at most ``MAX_SEARCH_GROUP`` moves unmatched, a
 depth-first search for an order under which every move matches takes over
 as the fallback, for at most ``MAX_SEARCH_MOVES`` candidate moves.
+
+An unmatched move repairs the marking as if it had happened for its case:
+the case's token leaves the case inputs, and each case output gets a token
+with the event's data at its completion; other places stay as they are.
 """
 from __future__ import annotations
 
@@ -209,10 +213,10 @@ def replay(
     """Execute all log moves; returns the sample sequence and a match report.
 
     Events with no enabled (or, when checking, guard-satisfying) binding are
-    recorded as unmatched and skipped; the marking is repaired by injecting
-    the event's case token into the transition's case input place so later
-    moves of the same case still line up. Samples at repaired timestamps are
-    flagged and excluded from pattern mining.
+    recorded as unmatched and skipped; the marking is repaired as if the move
+    had happened for its case, so later moves of the same case still line up.
+    Samples at repaired timestamps are flagged and excluded from pattern
+    mining.
     """
     for label in sorted({e.label for e in log.events}):
         if label not in net.transitions or not net.transitions[label].is_task:
@@ -263,11 +267,14 @@ def replay(
             ):
                 reason = "guard not satisfied"
             report.unmatched.append((e, reason))
-            case_inputs = net.case_inputs(e.label)
-            if case_inputs:
-                place = net.place(case_inputs[0])
-                token = Token(e.case_id, place.project(e.attrs), tau)
-                marking = marking.with_added(place.id, token)
+            for p in net.case_inputs(e.label):
+                own = [tok for tok in marking.tokens(p) if tok.case_id == e.case_id]
+                if own:
+                    marking = marking.with_removed(p, own[0])
+            for p in postset(net, e.label):
+                if net.places[p].kind == "case":
+                    token = Token(e.case_id, net.places[p].project(e.attrs), e.complete)
+                    marking = marking.with_added(p, token)
 
         samples.append(
             StateSample(

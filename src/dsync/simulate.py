@@ -7,10 +7,12 @@ order (the binding whose newest consumed token is oldest goes first, ties by
 case id then transition id), which keeps the selection policy value-blind so
 that any case reordering observable in the log is caused by guards alone.
 Each transition offers one candidate, its FIFO-first binding, picked from
-its token pools directly (``fifo_first``). The moments the clock can stop at
-are the availability times of produced tokens, kept on a heap, including
-tokens the marking does not store (``Net.unread``), and the sources' next
-times.
+its token pools directly (``fifo_first``) and kept until a firing consumes
+from or produces into a place the transition reads (its preset and guard
+places), a token there becomes available, or, for a ``timeuntilnext`` guard,
+the clock advances. The clock stops at the times of a heap of ``(time,
+places)`` entries: produced tokens, stored or not (``Net.unread``), with the
+places they went to, and the sources' next times, with none.
 
 Guards are evaluated only through ``enabled_bindings(..., check_guards=True)``,
 for source transitions too: their empty preset has one empty binding, which
@@ -152,35 +154,41 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     events: list[Event] = []
     delay_rngs = {tid: _stream(cfg.seed, "delay", tid) for tid in net.transitions}
 
+    # sources by id; for each place, the ordinary transitions that read it
+    # (preset or guard); the ordinary transitions whose guards read the clock
     task_sources: dict[str, _Source] = {}
-    free_sources: list[tuple[str, _Source]] = []
-    for t in net.transitions.values():
-        if t.arrival_spec is None:
+    free_sources: dict[str, _Source] = {}
+    readers: dict[str, set[str]] = {}
+    timed: set[str] = set()
+    for tid, t in sorted(net.transitions.items()):
+        if t.arrival_spec is not None:
+            (task_sources if t.is_task else free_sources)[tid] = _Source(t, cfg.seed, cfg.max_cases)
             continue
-        src = _Source(t, cfg.seed, cfg.max_cases)
-        if t.is_task:
-            task_sources[t.id] = src
-        else:
-            free_sources.append((t.id, src))
-    free_sources.sort()
-
-    ordinary = sorted(
-        tid for tid, t in net.transitions.items() if t.arrival_spec is None
-    )
-    # availability of every token produced or initially present, stored or
-    # not (``Net.unread``); the earliest one past the clock is the next stop
-    future = [tok.available_at for p in marking.places() for tok in marking.tokens(p)]
+        atoms = t.guard.atoms if t.guard else ()
+        if any(atom.feature.kind == "timeuntilnext" for atom in atoms):
+            timed.add(tid)
+        for p in {*preset(net, tid), *(p for atom in atoms for p, _ in atom.feature.references())}:
+            readers.setdefault(p, set()).add(tid)
+    # each ordinary transition's FIFO-first candidate, kept until it is dirty;
+    # every one reads its nonempty preset, so every one starts dirty
+    cands: dict[str, Optional[tuple[tuple, str, Binding]]] = {}
+    dirty = set().union(*readers.values())
+    # (time, places) where tokens become available, or a source's next time
+    future = [(tok.available_at, (p,)) for p in marking.places() for tok in marking.tokens(p)]
     heapq.heapify(future)
 
     def fire_at(tid: str, y: Binding, now: float, delay: float, case=None) -> None:
         nonlocal marking
         marking = fire(net, marking, tid, y, now, delay, case)
-        if postset(net, tid):
-            heapq.heappush(future, now + delay)
+        outs = postset(net, tid)
+        for p in (*y, *outs):
+            dirty.update(readers.get(p, ()))
+        if outs:
+            heapq.heappush(future, (now + delay, outs))
 
     def pump_free_sources() -> None:
         """Inject pending arrivals: token k+1 appears when token k becomes available."""
-        for tid, src in free_sources:
+        for tid, src in free_sources.items():
             for injected in range(MAX_FIRINGS_PER_INSTANT + 1):
                 if src.exhausted() or src.next_time > clock:
                     break
@@ -193,17 +201,19 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                     avail = inject_at + src.spec.interarrival.sample(src.rng_gaps)
                 fire_at(tid, {}, avail, 0.0, src.new_case())
                 src.next_time = avail
+                if not src.exhausted():
+                    heapq.heappush(future, (avail, ()))
 
     pump_free_sources()
     while True:
         # fire everything possible at the current clock, one binding at a time
         for fired in range(MAX_FIRINGS_PER_INSTANT + 1):
-            candidates: list[tuple[tuple, str, dict]] = []
-            for tid in ordinary:
+            for tid in dirty:
                 y = fifo_first(net, marking, tid, clock)
-                if y is not None:
-                    candidates.append((fifo_key(net, tid, y, clock), tid, y))
-            for tid, src in sorted(task_sources.items()):
+                cands[tid] = None if y is None else (fifo_key(net, tid, y, clock), tid, y)
+            dirty.clear()
+            candidates = [c for c in cands.values() if c is not None]
+            for tid, src in task_sources.items():
                 if src.exhausted() or src.next_time > clock:
                     continue
                 if enabled_bindings(net, marking, tid, clock, check_guards=True):
@@ -222,6 +232,8 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                 case_id, attrs = src.new_case()
                 src.next_time = clock + src.spec.interarrival.sample(src.rng_gaps)
                 fire_at(tid, {}, clock, delay, (case_id, attrs))
+                if not src.exhausted():
+                    heapq.heappush(future, (src.next_time, ()))
                 events.append(Event(case_id, tid, clock, clock + delay, None, attrs))
             else:
                 case_tok = net.case_token(tid, y)
@@ -234,18 +246,15 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                     events.append(Event(case_id, tid, clock, clock + delay, resource, attrs))
 
         # nothing fires now; advance the clock to the next possible change
-        while future and future[0] <= clock:
+        while future and future[0][0] <= clock:
             heapq.heappop(future)
-        upcoming = future[:1]
-        for src in [*task_sources.values(), *(src for _, src in free_sources)]:
-            if not src.exhausted() and src.next_time > clock:
-                upcoming.append(src.next_time)
-        if not upcoming:
+        if not future or (cfg.horizon > 0 and future[0][0] > cfg.horizon):
             break
-        nxt = min(upcoming)
-        if cfg.horizon > 0 and nxt > cfg.horizon:
-            break
-        clock = nxt
+        clock = future[0][0]
+        while future and future[0][0] <= clock:
+            for p in heapq.heappop(future)[1]:
+                dirty.update(readers.get(p, ()))
+        dirty.update(timed)
         pump_free_sources()
 
     if not events:

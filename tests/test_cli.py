@@ -249,3 +249,39 @@ def test_simulate_duplicate_place_id_exits_3(tmp_path, capsys):
                  "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert f"duplicate place id {doc['places'][0]['id']!r}" in capsys.readouterr().err
+
+
+def test_simulate_out_directory_exits_2(tmp_path, capsys):
+    code = main(["simulate", "--model", model_path("blocking"),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_check_model_directory_exits_2(sim_log, tmp_path):
+    assert main(["check", "--model", str(tmp_path), "--log", str(sim_log)]) == 2
+
+
+def test_config_directory_exits_2(sim_log, tmp_path):
+    code = main(["--config", str(tmp_path), "check",
+                 "--model", model_path("blocking"), "--log", str(sim_log)])
+    assert code == 2
+
+
+def test_check_log_not_utf8_exits_3(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_bytes(b"case,activity,start,complete\n1,pre-processing,0,1\xff\n")
+    code = main(["check", "--model", model_path("blocking"), "--log", str(log)])
+    assert code == 3
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ["not json", '{"constraints": []}', "[1, 2]"],
+    ids=["not-json", "incomplete", "not-an-object"],
+)
+def test_report_malformed_exits_3(tmp_path, capsys, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", "--report", str(path)]) == 3
+    assert "is malformed or incomplete" in capsys.readouterr().err

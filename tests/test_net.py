@@ -25,6 +25,7 @@ from dsync.net import (
     enabled_bindings,
     fire,
     has_enabled_binding,
+    postset,
     preset,
     validate_net,
 )
@@ -482,3 +483,85 @@ def test_attribute_passes_stay_within_memo_misses(monkeypatch, priority_net):
     replay(parse_log(text), annotate_net(priority_net, run.constraints), check_guards=True)
     assert counts["passes"] == counts["misses"] > 0
     assert 2 * counts["passes"] < counts["queries"]
+
+
+# -- fire against removing and adding token by token ---------------------------
+
+
+def fire_net() -> Net:
+    """A transition with two case inputs, a plain and a resource input, whose
+    outputs are a narrower case place, the resource, an unread plain sink and
+    a plain place another transition's guard reads."""
+    return Net(
+        places=[
+            Place("a", "case", (("value", "number"), ("n", "number"))),
+            Place("b", "case", (("value", "number"),)),
+            Place("s", "plain"),
+            Place("r", "resource"),
+            Place("o", "case", (("value", "number"),)),
+            Place("sink", "plain"),
+            Place("kept", "plain"),
+        ],
+        transitions=[
+            Transition("t"),
+            Transition("u", guard=parse_constraint("nrtokens(kept) >= 0")),
+        ],
+        flows=[
+            ("a", "t"), ("b", "t"), ("s", "t"), ("r", "t"),
+            ("t", "o"), ("t", "r"), ("t", "sink"), ("t", "kept"), ("o", "u"),
+        ],
+    )
+
+
+def _fire_by_token(net: Net, m: Marking, t_id: str, binding, now, delay, produced_case=None):
+    """``fire`` as a sequence of ``with_removed`` and ``with_added`` calls."""
+    for p, tok in sorted(binding.items()):
+        m = m.with_removed(p, tok)
+    case_id, attrs = produced_case or (binding["a"].case_id, binding["a"].attrs)
+    for p in postset(net, t_id):
+        place = net.places[p]
+        if p in net.unread:
+            continue
+        if place.kind == "case":
+            tok = Token(case_id, place.project(attrs), now + delay)
+        elif place.kind == "resource":
+            tok = Token(binding[p].case_id, binding[p].attrs, now + delay)
+        else:
+            tok = Token(None, {}, now + delay)
+        m = m.with_added(p, tok)
+    return m
+
+
+def test_fire_matches_removing_and_adding_token_by_token():
+    net = fire_net()
+    assert net.unread == {"sink"}
+    rng = random.Random("fire")
+    fired = 0
+    for _ in range(300):
+        m = _random_marking(net, rng)
+        if any(not m.tokens(p) for p in preset(net, "t")):
+            continue
+        m.extremum("a", "value", "max")  # the input carries a memo
+        before = {p: m.tokens(p) for p in net.places}
+        binding = {p: rng.choice(m.tokens(p)) for p in preset(net, "t")}
+        now, delay = float(rng.choice((0, 1, 2))), float(rng.choice((0, 0.5, 1)))
+        produced = rng.choice((None, ("c7", {"value": 5.0, "n": 1.0, "extra": True})))
+        out = fire(net, m, "t", binding, now, delay, produced)
+        expected = _fire_by_token(net, m, "t", binding, now, delay, produced)
+        assert {p: out.tokens(p) for p in net.places} == {
+            p: expected.tokens(p) for p in net.places
+        }
+        assert out.tokens("sink") == before["sink"]  # unread: receives nothing
+        assert {p: m.tokens(p) for p in net.places} == before
+        assert out._memo is None
+        fired += 1
+    assert fired > 50
+
+
+def test_fire_missing_token_raises_before_negative_delay():
+    net, m = fire_net(), Marking({"s": (Token(None, {}, 0.0),)})
+    ghost = {"a": Token("c1", {}, 0.0), "s": m.tokens("s")[0]}
+    with pytest.raises(ModelError, match="not present in place 'a'"):
+        fire(net, m, "t", ghost, now=0.0, delay=-1.0)
+    with pytest.raises(ModelError, match="negative delay"):
+        fire(net, m, "t", {"s": m.tokens("s")[0]}, now=0.0, delay=-1.0)

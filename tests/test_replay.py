@@ -63,17 +63,49 @@ def test_orphan_event_is_repaired_and_flagged(priority_net):
         "case,activity,start,complete,value\n"
         "1,pre-processing,0,5,100\n"
         "99,handling,6,13,500\n"
+        "1,handling,14,20,100\n"
+        "2,pre-processing,30,35,200\n"
     )
     log = parse_log(text)
     samples, report = replay(log, priority_net)
-    assert report.matched == 1
+    assert report.matched == 3
     assert len(report.unmatched) == 1
     event, reason = report.unmatched[0]
     assert event.case_id == "99" and reason == "no binding"
     flagged = [s for s in samples if s.time == 6][0]
     assert flagged.repaired
-    # the repair injected the case token into the transition's case input
-    assert any(t.case_id == "99" for t in flagged.after.tokens("q1"))
+    # the repair stands for a handling move of case 99, which consumes from
+    # q1 and produces no case token, so q1 never holds case 99
+    later = [s for s in samples if s.time >= 6]
+    assert [s.time for s in later] == [6, 14, 30]
+    for s in later:
+        for m in (s.before, s.after):
+            assert all(t.case_id != "99" for t in m.tokens("q1"))
+
+
+def test_repaired_orphan_lets_its_later_move_match(blocking_net):
+    # case 7 never arrived, so its pre-processing is unmatched; the repair
+    # puts its token into q1 at the move's completion, as the move would
+    # have, so its handling matches
+    text = (
+        "case,activity,start,complete,resource\n"
+        "1,arriving,0,1,\n"
+        "1,pre-processing,1,2,\n"
+        "7,pre-processing,3,4,\n"
+        "1,handling,4,5,w1\n"
+        "7,handling,6,7,w1\n"
+    )
+    samples, report = replay(parse_log(text), blocking_net)
+    assert [(e.case_id, e.label, reason) for e, reason in report.unmatched] == [
+        ("7", "pre-processing", "no binding")
+    ]
+    assert report.matched == 4
+    after = {s.time: s.after for s in samples}
+    assert [(t.case_id, t.available_at) for t in after[3].tokens("q1")] == [
+        ("1", 2.0), ("7", 4.0)
+    ]
+    assert not after[3].tokens("arrival")
+    assert not after[6].tokens("q1")
 
 
 def test_simulated_logs_replay_clean(blocking_net, blocking_log, holdbatch_net, holdbatch_log):

@@ -8,8 +8,10 @@ import pytest
 from dsync.constraints import parse_constraint
 from dsync.errors import SimulationError
 from dsync.eventlog import write_log
-from dsync.net import ArrivalSpec, DelaySpec, Marking, Net, Place, Token, Transition
+from dsync.modelfile import load_model
+from dsync.net import AttrGen, ArrivalSpec, DelaySpec, Marking, Net, Place, Token, Transition
 from dsync.simulate import SimConfig, ground_truth, simulate
+from tests.conftest import model_path
 
 
 def source_net(interarrival: float = 1.0) -> Net:
@@ -230,3 +232,103 @@ def test_clock_stops_at_unstored_sink_outputs():
     assert net.unread == {"sink"}
     log = simulate(net, SimConfig(seed=1, horizon=100))
     assert [(e.label, e.start) for e in log.events] == [("t1", 0.0), ("t2", 3.0)]
+
+
+def _ordinary(net: Net) -> list[str]:
+    return sorted(tid for tid, t in net.transitions.items() if t.arrival_spec is None)
+
+
+def _checked_firings(monkeypatch, net: Net, cfg: SimConfig) -> int:
+    """Simulate, asserting at every ordinary firing that the fired binding is
+    the smallest ``fifo_key`` over a fresh ``fifo_first`` of every ordinary
+    transition; returns the number of firings checked."""
+    sim = importlib.import_module("dsync.simulate")
+    ordinary, fire, checked = _ordinary(net), sim.fire, [0]
+
+    def checking(net_, m, tid, y, now, delay, case=None):
+        if tid in ordinary:
+            fresh = [(sim.fifo_first(net_, m, t2, now), t2) for t2 in ordinary]
+            best = min(
+                (sim.fifo_key(net_, t2, y2, now), t2, y2) for y2, t2 in fresh if y2 is not None
+            )
+            assert (tid, y) == best[1:]
+            checked[0] += 1
+        return fire(net_, m, tid, y, now, delay, case)
+
+    monkeypatch.setattr(sim, "fire", checking)
+    simulate(net, cfg)
+    return checked[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("model", ["priority", "blocking", "holdbatch", "choice", "supplychain"])
+def test_cached_candidates_fire_what_a_full_evaluation_fires(monkeypatch, model, seed):
+    net = load_model(model_path(model))
+    assert _checked_firings(monkeypatch, net, SimConfig(seed=seed, max_cases=60)) >= 30
+
+
+def reader_net(guard: str) -> Net:
+    """t1's guard reads p, which only t2 consumes from; t0 fills p with tokens
+    that become available at t0's completion, while no other change to p
+    happens, and one worker makes them queue."""
+    def source(prefix, **attrs):
+        spec = ArrivalSpec(DelaySpec.exponential(1.5), attrs, case_prefix=prefix)
+        return Transition(f"src_{prefix}", is_task=False, arrival_spec=spec)
+
+    return Net(
+        places=[
+            Place("a", "case"), Place("q", "case", (("value", "number"),)),
+            Place("p", "case", (("value", "number"),)), Place("r", "resource"),
+            Place("done", "plain"),
+        ],
+        transitions=[
+            source("a"), source("p", value=AttrGen("uniform", lo=0, hi=100)),
+            Transition("t0", delay=DelaySpec.uniform(0.5, 2)),
+            Transition("t1", delay=DelaySpec.constant(0.3), guard=parse_constraint(guard)),
+            Transition("t2", delay=DelaySpec.uniform(1, 3)),
+        ],
+        flows=[
+            ("src_a", "a"), ("a", "t1"), ("t1", "done"),
+            ("src_p", "q"), ("q", "t0"), ("t0", "p"),
+            ("p", "t2"), ("r", "t2"), ("t2", "r"), ("t2", "done"),
+        ],
+        initial_marking=Marking({"r": (Token("w1", {}, 0.0),)}),
+    )
+
+
+@pytest.mark.parametrize(
+    "guard", ["nrtokensenabled(p) >= 2", "attrenabled(p, value, max) == true"]
+)
+def test_cached_candidates_follow_a_guard_on_a_non_preset_place(monkeypatch, guard):
+    net = reader_net(guard)
+    for seed in (1, 2, 3):
+        assert _checked_firings(monkeypatch, net, SimConfig(seed=seed, max_cases=80)) >= 80
+
+
+def test_fifo_first_reruns_only_for_dirty_transitions(monkeypatch, supplychain_net):
+    # a round is one pick at a clock value, plus the last, empty round there;
+    # re-evaluating every ordinary transition each round makes the ratio 1.0
+    sim = importlib.import_module("dsync.simulate")
+    free = {tid for tid, t in supplychain_net.transitions.items()
+            if t.arrival_spec is not None and not t.is_task}
+    calls, picks, clocks = [0], [0], set()
+    fifo_first, fire = sim.fifo_first, sim.fire
+
+    def counting_first(net, m, tid, clock):
+        calls[0] += 1
+        clocks.add(clock)
+        return fifo_first(net, m, tid, clock)
+
+    def counting_fire(net, m, tid, y, now, delay, case=None):
+        if tid not in free:  # an injection is not a pick
+            picks[0] += 1
+            clocks.add(now)
+        return fire(net, m, tid, y, now, delay, case)
+
+    monkeypatch.setattr(sim, "fifo_first", counting_first)
+    monkeypatch.setattr(sim, "fire", counting_fire)
+    simulate(supplychain_net, SimConfig(seed=2, max_cases=200))
+    # clock values where nothing was evaluated or fired are not seen, so this
+    # undercounts the rounds and overstates the ratio
+    rounds = picks[0] + len(clocks)
+    assert calls[0] < 0.6 * len(_ordinary(supplychain_net)) * rounds
