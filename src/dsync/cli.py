@@ -4,7 +4,9 @@ Subcommands: ``simulate`` (generate a log from a model), ``discover`` (mine
 synchronization constraints from model + log), ``check`` (replayability of a
 log over a, typically annotated, model) and ``report`` (render a discovery
 report as markdown). Exit codes: 0 success, 1 check failure, 2 I/O error,
-3 validation error.
+3 validation error. A setting in ``SETTINGS`` comes from its flag, else from
+the ``--config`` file (which may hold no other key), else from its dataclass
+default; ``seed`` defaults to 1.
 """
 from __future__ import annotations
 
@@ -30,58 +32,55 @@ EXIT_IO = 2
 EXIT_VALIDATION = 3
 
 
+# each setting a flag or the config file can give, with its type
+SETTINGS = {
+    "seed": int, "max_cases": int, "horizon": float,  # SimConfig
+    "tau_s": int, "tau_g": float,  # ExtractionParams
+    "max_depth": int, "min_samples_leaf": int,  # TreeParams
+}
+
+
 def read_config(path: Optional[str]) -> dict[str, str]:
-    """Key=value config file; '#' starts a comment. Flags override values."""
+    """Key=value config file over the ``SETTINGS`` keys; '#' starts a comment."""
     if not path:
         return {}
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DsyncError(f"config line {raw.strip()!r} is not key = value")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip().strip('"')
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DsyncError(f"config {path!r} is not UTF-8 text: {exc}") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DsyncError(f"config line {raw.strip()!r} is not key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in SETTINGS:
+            raise DsyncError(f"config key {key!r} is unknown; keys are {', '.join(SETTINGS)}")
+        values[key] = value.strip('"')
     return values
 
 
-def _merged(args: argparse.Namespace, key: str, cast, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    config = getattr(args, "_config", {})
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError:
-            message = f"config value {key} = {config[key]!r} is not {cast.__name__}"
-            raise DsyncError(message) from None
-    return default
-
-
-def _tree_params(args: argparse.Namespace) -> TreeParams:
-    return TreeParams(
-        max_depth=_merged(args, "max_depth", int, 5),
-        min_samples_leaf=_merged(args, "min_samples_leaf", int, 5),
-    )
-
-
-def _extraction_params(args: argparse.Namespace) -> ExtractionParams:
-    return ExtractionParams(
-        tau_s=_merged(args, "tau_s", int, 10),
-        tau_g=_merged(args, "tau_g", float, 0.1),
-    )
+def _given(args: argparse.Namespace, *keys: str) -> dict:
+    """The settings among ``keys`` that a flag or, failing that, the config file sets."""
+    given = {}
+    for key in keys:
+        if getattr(args, key, None) is not None:
+            given[key] = getattr(args, key)
+        elif key in args._config:
+            cast, text = SETTINGS[key], args._config[key]
+            try:
+                given[key] = cast(text)
+            except ValueError:
+                raise DsyncError(f"config value {key} = {text!r} is not {cast.__name__}") from None
+    return given
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     net = load_model(args.model)
-    cfg = SimConfig(
-        seed=_merged(args, "seed", int, 1),
-        max_cases=_merged(args, "max_cases", int, 0),
-        horizon=_merged(args, "horizon", float, 0.0),
-    )
+    cfg = SimConfig(**{"seed": 1, **_given(args, "seed", "max_cases", "horizon")})
     log_data = simulate(net, cfg)
     save_log(log_data, args.out)
     print(f"wrote {len(log_data.events)} events to {args.out}")
@@ -91,7 +90,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_discover(args: argparse.Namespace) -> int:
     net = load_model(args.model)
     log_data = load_log(args.log)
-    run = discover_run(log_data, net, _tree_params(args), _extraction_params(args))
+    tree_params = TreeParams(**_given(args, "max_depth", "min_samples_leaf"))
+    extraction_params = ExtractionParams(**_given(args, "tau_s", "tau_g"))
+    run = discover_run(log_data, net, tree_params, extraction_params)
     if args.dump_ptlogs:
         os.makedirs(args.dump_ptlogs, exist_ok=True)
         for res in run.results:
@@ -155,9 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate an event log from a model")
     p_sim.add_argument("--model", required=True)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--max-cases", dest="max_cases", type=int)
-    p_sim.add_argument("--horizon", type=float)
+    for key in ("seed", "max_cases", "horizon"):
+        p_sim.add_argument("--" + key.replace("_", "-"), type=SETTINGS[key])
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -167,10 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--out", help="write the JSON report here")
     p_disc.add_argument("--dump-ptlogs", dest="dump_ptlogs",
                         help="directory for per-candidate pattern-transition CSVs")
-    p_disc.add_argument("--tau-s", dest="tau_s", type=int)
-    p_disc.add_argument("--tau-g", dest="tau_g", type=float)
-    p_disc.add_argument("--max-depth", dest="max_depth", type=int)
-    p_disc.add_argument("--min-samples-leaf", dest="min_samples_leaf", type=int)
+    for key in ("tau_s", "tau_g", "max_depth", "min_samples_leaf"):
+        p_disc.add_argument("--" + key.replace("_", "-"), type=SETTINGS[key])
     p_disc.set_defaults(func=cmd_discover)
 
     p_check = sub.add_parser("check", help="replayability of a log over a model")

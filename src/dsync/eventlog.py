@@ -164,7 +164,8 @@ def fmt_num(x: float) -> str:
     return repr(f)
 
 
-def _fmt_attr(value: AttrValue) -> str:
+def fmt_cell(value: AttrValue) -> str:
+    """A CSV cell: booleans as true/false, numbers through ``fmt_num``, text as is."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
@@ -186,7 +187,7 @@ def write_log(log: Log) -> str:
         if log.has_resource:
             row.append(e.resource or "")
         for col, _ in log.schema:
-            row.append(_fmt_attr(e.attrs[col]) if col in e.attrs else "")
+            row.append(fmt_cell(e.attrs[col]) if col in e.attrs else "")
         writer.writerow(row)
     return buf.getvalue()
 

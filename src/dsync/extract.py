@@ -191,6 +191,31 @@ class DiscoveryRun:
     extraction_params: ExtractionParams = field(default_factory=ExtractionParams)
 
 
+def _mine(res: CandidateResult, tree_params: TreeParams, p: ExtractionParams) -> Optional[str]:
+    """Fit a tree to ``res.ptlog`` and extract the candidate's constraint into
+    ``res``; returns why the candidate yields none, or None when it yields one."""
+    ptlog = res.ptlog
+    n_false, n_true = ptlog.label_counts()
+    if len(ptlog.rows) < p.tau_s:
+        return f"only {len(ptlog.rows)} rows (tau_s={p.tau_s})"
+    if n_false == 0 or n_true == 0:
+        return f"single-class log ({n_false} false / {n_true} true)"
+    res.tree = fit(ptlog.matrix(), ptlog.labels(), tree_params)
+    leaves = select_false_leaves(res.tree, p)
+    if not leaves:
+        return "no qualifying false leaf"
+    c = res.candidate
+    atoms = merge_atoms(
+        [trace_and_filter(res.tree, leaf, c.kind, ptlog.features) for leaf in leaves]
+    )
+    support = sum(leaf.class_counts[0] for leaf in leaves)
+    res.constraint = assemble_constraint(atoms, c, support)
+    if res.constraint is None:
+        return "violation template not covered"
+    log.info("mined %s", res.constraint.describe())
+    return None
+
+
 def discover_run(
     log_data: Log,
     net: Net,
@@ -203,37 +228,11 @@ def discover_run(
     samples, report = replay(log_data, net)
     results: list[CandidateResult] = []
     for c in detect_constructs(net):
-        res = CandidateResult(c)
+        res = CandidateResult(c, build_pt_log(net, c, samples))
+        res.skip_reason = _mine(res, tree_params, extraction_params)
+        if res.skip_reason:
+            log.info("skip %s: %s", c.describe(), res.skip_reason)
         results.append(res)
-        ptlog = build_pt_log(net, c, samples)
-        res.ptlog = ptlog
-        n_false, n_true = ptlog.label_counts()
-        if len(ptlog.rows) < extraction_params.tau_s:
-            res.skip_reason = f"only {len(ptlog.rows)} rows (tau_s={extraction_params.tau_s})"
-            log.info("skip %s: %s", c.describe(), res.skip_reason)
-            continue
-        if n_false == 0 or n_true == 0:
-            res.skip_reason = f"single-class log ({n_false} false / {n_true} true)"
-            log.info("skip %s: %s", c.describe(), res.skip_reason)
-            continue
-        tree = fit(ptlog.matrix(), ptlog.labels(), tree_params)
-        res.tree = tree
-        leaves = select_false_leaves(tree, extraction_params)
-        if not leaves:
-            res.skip_reason = "no qualifying false leaf"
-            log.info("skip %s: %s", c.describe(), res.skip_reason)
-            continue
-        atoms = merge_atoms(
-            [trace_and_filter(tree, leaf, c.kind, ptlog.features) for leaf in leaves]
-        )
-        support = sum(leaf.class_counts[0] for leaf in leaves)
-        constraint = assemble_constraint(atoms, c, support)
-        if constraint is None:
-            res.skip_reason = "violation template not covered"
-            log.info("skip %s: %s", c.describe(), res.skip_reason)
-            continue
-        res.constraint = constraint
-        log.info("mined %s", constraint.describe())
 
     constraints = _dedup([r.constraint for r in results if r.constraint is not None])
     return DiscoveryRun(

@@ -15,6 +15,7 @@ from typing import Any
 from .constraints import parse_constraint
 from .errors import ModelError
 from .net import (
+    DELAY_PARAMS,
     ArrivalSpec,
     AttrGen,
     DelaySpec,
@@ -54,21 +55,13 @@ def _delay_from_json(obj: Any, context: str) -> DelaySpec:
     if isinstance(obj, (int, float)):
         return DelaySpec.constant(_finite(float(obj), context))
     kind = obj.get("kind")
-    if kind == "constant":
-        return DelaySpec.constant(_number(obj, "value", context))
-    if kind == "uniform":
-        return DelaySpec.uniform(_number(obj, "lo", context), _number(obj, "hi", context))
-    if kind == "exponential":
-        return DelaySpec.exponential(_number(obj, "mean", context))
-    raise ModelError(f"{context}: unknown delay kind {kind!r}")
+    if kind not in DELAY_PARAMS:
+        raise ModelError(f"{context}: unknown delay kind {kind!r}")
+    return DelaySpec(kind, **{key: _number(obj, key, context) for key in DELAY_PARAMS[kind]})
 
 
 def _delay_to_json(spec: DelaySpec) -> Any:
-    if spec.kind == "constant":
-        return {"kind": "constant", "value": spec.value}
-    if spec.kind == "uniform":
-        return {"kind": "uniform", "lo": spec.lo, "hi": spec.hi}
-    return {"kind": "exponential", "mean": spec.mean}
+    return {"kind": spec.kind, **{key: getattr(spec, key) for key in DELAY_PARAMS[spec.kind]}}
 
 
 def _attrgen_from_json(obj: Any, context: str) -> AttrGen:
@@ -95,6 +88,14 @@ def _attrgen_to_json(gen: AttrGen) -> Any:
     if gen.weights:
         out["weights"] = list(gen.weights)
     return out
+
+
+def _token_from_json(tok: dict, what: str) -> Token:
+    return Token(
+        tok.get("case_id"),
+        {k: _finite(v, f"{what} {k}") for k, v in tok.get("attrs", {}).items()},
+        _finite(float(tok.get("available_at", 0.0)), f"{what} available_at"),
+    )
 
 
 def net_from_json(doc: dict) -> Net:
@@ -135,18 +136,10 @@ def net_from_json(doc: dict) -> Net:
             )
         )
     flows = [(src, tgt) for src, tgt in doc.get("flows", [])]
-    marking = Marking()
-    for place_id, tokens in sorted(doc.get("initial_marking", {}).items()):
-        what = f"initial token in {place_id}:"
-        for tok in tokens:
-            marking = marking.with_added(
-                place_id,
-                Token(
-                    tok.get("case_id"),
-                    {k: _finite(v, f"{what} {k}") for k, v in tok.get("attrs", {}).items()},
-                    _finite(float(tok.get("available_at", 0.0)), f"{what} available_at"),
-                ),
-            )
+    marking = Marking({
+        place_id: [_token_from_json(tok, f"initial token in {place_id}:") for tok in tokens]
+        for place_id, tokens in sorted(doc.get("initial_marking", {}).items())
+    })
     return Net(places, transitions, flows, marking, doc.get("name", ""))
 
 

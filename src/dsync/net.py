@@ -59,6 +59,10 @@ class Token:
         )
 
 
+# each delay kind's parameters, as DelaySpec fields and as model-file keys
+DELAY_PARAMS = {"constant": ("value",), "uniform": ("lo", "hi"), "exponential": ("mean",)}
+
+
 @dataclass(frozen=True)
 class DelaySpec:
     """Duration distribution: constant, uniform(lo, hi) or exponential(mean)."""
@@ -93,12 +97,9 @@ class DelaySpec:
         raise ModelError(f"unknown delay kind {self.kind!r}")
 
     def problems(self) -> list[str]:
-        params = {
-            "constant": (self.value,), "uniform": (self.lo, self.hi), "exponential": (self.mean,)
-        }.get(self.kind)
-        if params is None:
+        if self.kind not in DELAY_PARAMS:
             return [f"unknown delay kind {self.kind!r}"]
-        if not all(map(math.isfinite, params)):
+        if not all(math.isfinite(getattr(self, name)) for name in DELAY_PARAMS[self.kind]):
             return [f"{self.kind} delay parameters must be finite"]
         if self.kind == "constant":
             return [] if self.value >= 0 else ["constant delay is negative"]

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .constraints import FeatureRef, eval_feature
 from .errors import ModelError
-from .eventlog import fmt_num
+from .eventlog import fmt_cell, fmt_num
 from .net import Net, has_enabled_binding, postset, preset
 from .replay import StateSample
 
@@ -66,10 +66,9 @@ def detect_constructs(net: Net) -> list[PatternCandidate]:
 
         # priority: p_i feeds t_g, p_j feeds a producer t' of p_i
         for p_i in _case_places(net, ins):
-            producers = [
-                t2 for t2 in net.transitions if t2 != t_g and p_i in postset(net, t2)
-            ]
-            for t2 in producers:
+            for t2 in preset(net, p_i):
+                if t2 == t_g:
+                    continue
                 for p_j in _case_places(net, preset(net, t2)):
                     if p_j == p_i:
                         continue
@@ -98,8 +97,8 @@ def detect_constructs(net: Net) -> list[PatternCandidate]:
 
         # choice: t_g shares input p_j with t', whose other input p_i avoids t_g
         for p_j in _non_resource(net, ins):
-            for t2 in net.transitions:
-                if t2 == t_g or p_j not in preset(net, t2):
+            for t2 in postset(net, p_j):
+                if t2 == t_g:
                     continue
                 for p_i in _non_resource(net, preset(net, t2)):
                     if p_i == p_j or p_i in ins:
@@ -173,13 +172,7 @@ class PatternTransitionLog:
         names = ["time"] + [f.canonical() for f in self.features] + ["label"]
         buf.write(",".join(f'"{n}"' for n in names) + "\n")
         for row in self.rows:
-            cells = [fmt_num(row.time)]
-            for value in row.values:
-                if isinstance(value, bool):
-                    cells.append("true" if value else "false")
-                else:
-                    cells.append(fmt_num(value))
-            cells.append("true" if row.label else "false")
+            cells = [fmt_num(row.time), *map(fmt_cell, row.values), fmt_cell(row.label)]
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
 

@@ -129,18 +129,14 @@ def sim_score(net: Net, t_id: str, binding: Binding, e: Event) -> tuple:
 def _best_move(
     net: Net, marking: Marking, e: Event, tau: float, check_guards: bool
 ) -> Optional[Binding]:
-    """Best case-matching (and, when checking, guard-satisfying) binding."""
+    """Best case-matching (and, when checking, guard-satisfying) binding; of
+    equally scored ones, the first that ``enabled_bindings`` lists."""
     bindings = enabled_bindings(
         net, marking, e.label, tau, check_guards=check_guards, case_id=e.case_id
     )
-    best: Optional[tuple[tuple, int, Binding]] = None
-    for i, y in enumerate(bindings):
-        score = sim_score(net, e.label, y, e)
-        if score[0] != 1:
-            continue
-        if best is None or (score, -i) > (best[0], -best[1]):
-            best = (score, i, y)
-    return best[2] if best else None
+    scored = ((sim_score(net, e.label, y, e), y) for y in bindings)
+    best = max((s for s in scored if s[0][0] == 1), key=lambda s: s[0], default=None)
+    return best[1] if best else None
 
 
 def _apply(net: Net, marking: Marking, e: Event, binding: Binding, tau: float) -> Marking:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Optional
 
 from .eventlog import Log
@@ -19,17 +20,7 @@ def build_report(run: DiscoveryRun, net: Net, log_data: Log) -> dict:
     and the replayability check of the net annotated with the discoveries.
     """
     report: dict = {
-        "config": {
-            "tree": {
-                "max_depth": run.tree_params.max_depth,
-                "min_samples_leaf": run.tree_params.min_samples_leaf,
-                "min_impurity_decrease": run.tree_params.min_impurity_decrease,
-            },
-            "extraction": {
-                "tau_s": run.extraction_params.tau_s,
-                "tau_g": run.extraction_params.tau_g,
-            },
-        },
+        "config": {"tree": asdict(run.tree_params), "extraction": asdict(run.extraction_params)},
         "model": net.name,
         "samples": run.samples,
         "replay": {

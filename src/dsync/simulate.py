@@ -6,13 +6,16 @@ guard-satisfying, time-enabled binding; simultaneous candidates fire in FIFO
 order (the binding whose newest consumed token is oldest goes first, ties by
 case id then transition id), which keeps the selection policy value-blind so
 that any case reordering observable in the log is caused by guards alone.
-Each transition offers one candidate, its FIFO-first binding, picked from
-its token pools directly (``fifo_first``) and kept until a firing consumes
-from or produces into a place the transition reads (its preset and guard
-places), a token there becomes available, or, for a ``timeuntilnext`` guard,
-the clock advances. The clock stops at the times of a heap of ``(time,
-places)`` entries: produced tokens, stored or not (``Net.unread``), with the
-places they went to, and the sources' next times, with none.
+Each transition offers one candidate, kept until a firing consumes from or
+produces into a place the transition reads (its preset and guard places), a
+token there becomes available, or, for a ``timeuntilnext`` guard, the clock
+advances. An ordinary transition offers its FIFO-first binding, picked from
+its token pools directly (``fifo_first``); a task source offers its empty
+binding when due, and as it reads itself too, it is recomputed when it comes
+due or fires. The clock stops at the times of a heap of ``(time, nodes)``
+entries: places where produced tokens, stored or not (``Net.unread``),
+become available, a task source that comes due, and, with no nodes, a
+non-task source's next injection, which is made at the clock advance.
 
 Guards are evaluated only through ``enabled_bindings(..., check_guards=True)``,
 for source transitions too: their empty preset has one empty binding, which
@@ -154,8 +157,8 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     events: list[Event] = []
     delay_rngs = {tid: _stream(cfg.seed, "delay", tid) for tid in net.transitions}
 
-    # sources by id; for each place, the ordinary transitions that read it
-    # (preset or guard); the ordinary transitions whose guards read the clock
+    # sources by id; for each node, the transitions that read it (preset or
+    # guard places, a task source itself); the transitions reading the clock
     task_sources: dict[str, _Source] = {}
     free_sources: dict[str, _Source] = {}
     readers: dict[str, set[str]] = {}
@@ -163,17 +166,19 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     for tid, t in sorted(net.transitions.items()):
         if t.arrival_spec is not None:
             (task_sources if t.is_task else free_sources)[tid] = _Source(t, cfg.seed, cfg.max_cases)
+        if tid in free_sources:
             continue
         atoms = t.guard.atoms if t.guard else ()
         if any(atom.feature.kind == "timeuntilnext" for atom in atoms):
             timed.add(tid)
         for p in {*preset(net, tid), *(p for atom in atoms for p, _ in atom.feature.references())}:
             readers.setdefault(p, set()).add(tid)
-    # each ordinary transition's FIFO-first candidate, kept until it is dirty;
-    # every one reads its nonempty preset, so every one starts dirty
+    readers.update((tid, {tid}) for tid in task_sources)
+    # each transition's candidate, kept until it is dirty; every one reads its
+    # nonempty preset or, for a task source, itself, so every one starts dirty
     cands: dict[str, Optional[tuple[tuple, str, Binding]]] = {}
     dirty = set().union(*readers.values())
-    # (time, places) where tokens become available, or a source's next time
+    # (time, nodes) entries where the clock stops, as the module docstring lists
     future = [(tok.available_at, (p,)) for p in marking.places() for tok in marking.tokens(p)]
     heapq.heapify(future)
 
@@ -185,6 +190,16 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
             dirty.update(readers.get(p, ()))
         if outs:
             heapq.heappush(future, (now + delay, outs))
+
+    def candidate(tid: str) -> Optional[tuple[tuple, str, Binding]]:
+        src = task_sources.get(tid)
+        if src is None:
+            y = fifo_first(net, marking, tid, clock)
+            return None if y is None else (fifo_key(net, tid, y, clock), tid, y)
+        due = not src.exhausted() and src.next_time <= clock
+        if due and enabled_bindings(net, marking, tid, clock, check_guards=True):
+            return ((src.next_time, -net.flow_depth(tid), "", tid), tid, {})
+        return None
 
     def pump_free_sources() -> None:
         """Inject pending arrivals: token k+1 appears when token k becomes available."""
@@ -209,17 +224,9 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
         # fire everything possible at the current clock, one binding at a time
         for fired in range(MAX_FIRINGS_PER_INSTANT + 1):
             for tid in dirty:
-                y = fifo_first(net, marking, tid, clock)
-                cands[tid] = None if y is None else (fifo_key(net, tid, y, clock), tid, y)
+                cands[tid] = candidate(tid)
             dirty.clear()
             candidates = [c for c in cands.values() if c is not None]
-            for tid, src in task_sources.items():
-                if src.exhausted() or src.next_time > clock:
-                    continue
-                if enabled_bindings(net, marking, tid, clock, check_guards=True):
-                    candidates.append(
-                        ((src.next_time, -net.flow_depth(tid), "", tid), tid, {})
-                    )
             if not candidates:
                 break
             _, tid, y = min(candidates, key=lambda c: c[0])
@@ -227,13 +234,14 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                 raise _stuck_clock(tid, clock)
             t = net.transitions[tid]
             delay = t.delay.sample(delay_rngs[tid])
-            if tid in task_sources:
-                src = task_sources[tid]
+            src = task_sources.get(tid)
+            if src is not None:
                 case_id, attrs = src.new_case()
                 src.next_time = clock + src.spec.interarrival.sample(src.rng_gaps)
                 fire_at(tid, {}, clock, delay, (case_id, attrs))
+                dirty.add(tid)
                 if not src.exhausted():
-                    heapq.heappush(future, (src.next_time, ()))
+                    heapq.heappush(future, (src.next_time, (tid,)))
                 events.append(Event(case_id, tid, clock, clock + delay, None, attrs))
             else:
                 case_tok = net.case_token(tid, y)

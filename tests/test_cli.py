@@ -184,6 +184,28 @@ def test_config_value_that_does_not_parse_exits_3(
     assert f"config value {key} = {value!r}" in capsys.readouterr().err
 
 
+def test_config_not_utf8_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "dsync.conf"
+    cfg.write_bytes(b"seed = 1\xff\n")
+    code = main(["--config", str(cfg), "simulate", "--model", model_path("blocking"),
+                 "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert f"config {str(cfg)!r} is not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["tau-s", "bogus"])
+def test_config_unknown_key_exits_3(tmp_path, capsys, key):
+    cfg = tmp_path / "dsync.conf"
+    cfg.write_text(f"seed = 1\n{key} = 3\n")
+    code = main(["--config", str(cfg), "simulate", "--model", model_path("blocking"),
+                 "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"config key {key!r} is unknown" in err
+    assert "seed, max_cases, horizon, tau_s, tau_g, max_depth, min_samples_leaf" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def _priority_doc_with(path: tuple, value) -> dict:
     """The priority model with one field replaced; ``path`` ends at a key or index."""
     doc = json.loads((MODELS / "priority.json").read_text())
@@ -225,6 +247,23 @@ def test_non_finite_model_number_exits_3(tmp_path, capsys, path, value, message)
     assert code == 3
     err = capsys.readouterr().err
     assert message in err and "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "delay, message",
+    [
+        ({"kind": "gamma"}, "pre-processing delay: unknown delay kind 'gamma'"),
+        ({"kind": "uniform", "lo": 1}, "missing key 'hi'"),
+    ],
+    ids=["unknown-kind", "missing-bound"],
+)
+def test_bad_delay_exits_3(tmp_path, capsys, delay, message):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_priority_doc_with(("transitions", 1, "delay"), delay)))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])

@@ -234,6 +234,34 @@ def test_clock_stops_at_unstored_sink_outputs():
     assert [(e.label, e.start) for e in log.events] == [("t1", 0.0), ("t2", 3.0)]
 
 
+def test_guarded_task_source_arrives_when_its_guard_place_drains():
+    # arrive may fire only while q holds fewer than 2 cases; from 3 on it is
+    # due but blocked until serve takes from q, so c4 and c5 arrive at the
+    # instant serve drains q, which needs arrive re-evaluated when q changes
+    net = Net(
+        places=[Place("q", "case"), Place("r", "resource"), Place("done", "case")],
+        transitions=[
+            Transition(
+                "arrive",
+                delay=DelaySpec.constant(0),
+                guard=parse_constraint("nrtokens(q) < 2"),
+                arrival_spec=ArrivalSpec(interarrival=DelaySpec.constant(1)),
+            ),
+            Transition("serve", delay=DelaySpec.constant(3)),
+        ],
+        flows=[("arrive", "q"), ("q", "serve"), ("r", "serve"), ("serve", "r"),
+               ("serve", "done")],
+        initial_marking=Marking({"r": (Token("w1", {}, 0.0),)}),
+    )
+    log = simulate(net, SimConfig(seed=1, max_cases=5))
+    assert [(e.case_id, e.label, e.start) for e in log.events] == [
+        ("c1", "arrive", 0.0), ("c2", "arrive", 1.0), ("c3", "arrive", 2.0),
+        ("c1", "serve", 0.0), ("c4", "arrive", 3.0), ("c2", "serve", 3.0),
+        ("c5", "arrive", 6.0), ("c3", "serve", 6.0), ("c4", "serve", 9.0),
+        ("c5", "serve", 12.0),
+    ]
+
+
 def _ordinary(net: Net) -> list[str]:
     return sorted(tid for tid, t in net.transitions.items() if t.arrival_spec is None)
 
