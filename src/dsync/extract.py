@@ -22,7 +22,7 @@ from typing import Optional, Union
 from .constraints import Atom, ConstraintExpr, FeatureRef
 from .errors import DsyncError, ModelError
 from .eventlog import Log
-from .net import Net
+from .net import Net, validate_net
 from .patterns import (
     PatternCandidate,
     PatternKind,
@@ -277,8 +277,6 @@ def annotate_net(net: Net, constraints: list[PatternConstraint]) -> Net:
     Constraints for the same transition are conjoined; a targeted
     transition's previous guard is replaced.
     """
-    from .net import validate_net
-
     guards: dict[str, ConstraintExpr] = {}
     for pc in constraints:
         if pc.t_g not in net.transitions:

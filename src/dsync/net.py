@@ -142,8 +142,8 @@ class ArrivalSpec:
     """Self-scheduling behaviour of a source transition (empty preset).
 
     ``interarrival`` spaces consecutive injections, ``attributes`` generates
-    the new case token's data, and ``max_count`` (when set) caps the number
-    of injections regardless of the simulation config.
+    the new case token's data, and ``max_count`` (when set, at least 1) caps
+    the number of injections regardless of the simulation config.
     """
 
     interarrival: DelaySpec
@@ -630,6 +630,9 @@ def validate_net(net: Net) -> list[str]:
                 out.append(f"non-task source {t.id!r} cannot carry a guard")
             for prob in t.arrival_spec.interarrival.problems():
                 out.append(f"transition {t.id!r} interarrival: {prob}")
+            cap = t.arrival_spec.max_count
+            if cap is not None and cap < 1:
+                out.append(f"source {t.id!r} max_count must be >= 1, got {cap}")
             for p in postset(net, t.id):
                 if p in net.places and net.places[p].kind == "resource":
                     out.append(f"source {t.id!r} cannot feed resource place {p!r}")

@@ -11,17 +11,18 @@ transition that fired is observed in the state it fired from, while a
 transition that was passed over is observed in the state that remained after
 everything else happened.
 
-The moves of one start time are applied by a single greedy loop, in both
-modes: downstream moves first (larger ``Net.flow_depth``, ties in log
-order), in rounds until a round applies nothing, so a move whose input a
-same-instant producer supplies still matches. Guard checks are off by
-default: the discovery input is the unguarded process model. With
-``check_guards`` on (the replayability check) each move must also satisfy
-its transition's guard at the moment it applies. Downstream-first can close
-a guard that the simulator's order left open, so when the greedy loop leaves
-a guard-checked group of at most ``MAX_SEARCH_GROUP`` moves unmatched, a
-depth-first search for an order under which every move matches takes over
-as the fallback, for at most ``MAX_SEARCH_MOVES`` candidate moves.
+The moves of one start time are applied by one depth-first walk over their
+orders (``_walk``), in both modes. It tries downstream moves first (larger
+``Net.flow_depth``, ties in log order) and, after each applied move, the
+remaining ones cyclically from the one after it, until none applies; so a
+move whose input a same-instant producer supplies still matches. Guard
+checks are off by default: the discovery input is the unguarded process
+model. With ``check_guards`` on (the replayability check) each move must
+also satisfy its transition's guard at the moment it applies.
+Downstream-first can close a guard that the simulator's order left open, so
+when the walk leaves a guard-checked group of at most ``MAX_SEARCH_GROUP``
+moves unmatched, it backtracks in search of an order under which every move
+matches, for at most ``MAX_SEARCH_MOVES`` more candidate moves.
 
 An unmatched move repairs the marking as if it had happened for its case:
 the case's token leaves the case inputs, and each case output gets a token
@@ -29,6 +30,7 @@ with the event's data at its completion; other places stay as they are.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -36,11 +38,12 @@ from .errors import ReplayError
 from .eventlog import Event, Log
 from .net import Binding, Marking, Net, Token, enabled_bindings, fire, postset, preset
 
-# guard-checked timestamp groups larger than this get no order-search fallback
+# guard-checked timestamp groups larger than this are not searched beyond the
+# walk's first dead end
 MAX_SEARCH_GROUP = 8
-# calls of ``_best_move`` after which the fallback search gives up: enough to
-# try every order of a group of up to 6 moves, while a group of 8 with no
-# order would otherwise take over 100,000
+# calls of ``_best_move`` after which the search from that dead end gives up:
+# enough to try every order of a group of up to 6 moves, while a group of 8
+# with no order would otherwise take over 100,000
 MAX_SEARCH_MOVES = 2_000
 
 
@@ -50,10 +53,9 @@ class StateSample:
 
     ``before``/``after`` bracket the timestamp's log moves. ``at_fire`` maps
     each transition that started here to the marking just before its own
-    (first) move: the state it actually fired from, in the order the greedy
-    loop applied the same-instant moves (downstream-first, like the
-    simulator's FIFO policy resolves them), or in the order the search found
-    when the guard-checked fallback ran.
+    (first) move: the state it actually fired from, in the order the walk
+    applied the same-instant moves (downstream-first, like the simulator's
+    FIFO policy resolves them, or the order its search found).
     """
 
     time: float
@@ -139,68 +141,57 @@ def _best_move(
     return best[1] if best else None
 
 
-def _apply(net: Net, marking: Marking, e: Event, binding: Binding, tau: float) -> Marking:
-    return fire(net, marking, e.label, binding, tau, e.complete - e.start, (e.case_id, e.attrs))
-
-
 # an applied log move: the event, its binding and the marking it applied to
 Move = tuple[Event, Binding, Marking]
 
 
-def _greedy(
+def _walk(
     net: Net, marking: Marking, events: list[Event], tau: float, check_guards: bool
 ) -> tuple[Marking, list[Move], list[Event]]:
-    """Apply same-instant moves in rounds until a round applies none.
+    """Apply same-instant moves by one depth-first walk over their orders.
 
-    Each round tries the still-pending events in the given order and applies
-    every one that has a binding. Returns the final marking, the applied moves
-    in order, and the events left unmatched.
+    Each step tries the events left cyclically, from the one after the last
+    applied move (from the first at the start), and applies the first that
+    has a binding; so the first descent goes on until a full cycle applies
+    none. That first dead end is the result, unless a guard-checked group of
+    at most ``MAX_SEARCH_GROUP`` events is left unmatched: then the walk
+    backtracks for at most ``MAX_SEARCH_MOVES`` more ``_best_move`` calls in
+    search of an order that matches every event. Returns the final marking,
+    the applied moves in order, and the unmatched events in the given order.
+    The stack is explicit, as a group can hold thousands of moves.
     """
+    # the walk is at marking m with the events ``rest`` left, in the order to
+    # try them, and tries rest[i] next; ``stack`` holds the same for each
+    # applied move's parent, to backtrack to
+    m, rest, i = marking, events, 0
+    stack: list[tuple[Marking, list[Event], int]] = []
     moves: list[Move] = []
-    pending = events
-    while pending:
-        left = []
-        for e in pending:
-            binding = _best_move(net, marking, e, tau, check_guards)
-            if binding is None:
-                left.append(e)
-                continue
-            moves.append((e, binding, marking))
-            marking = _apply(net, marking, e, binding, tau)
-        if len(left) == len(pending):
-            break
-        pending = left
-    return marking, moves, pending
-
-
-def _search_order(
-    net: Net, marking: Marking, events: list[Event], tau: float
-) -> Optional[tuple[Marking, list[Move]]]:
-    """An order of same-instant moves under which every guard holds.
-
-    Depth-first over the events in the given order; returns the final
-    marking and the applied moves, or None when no order matches them all or
-    none was found within ``MAX_SEARCH_MOVES`` calls of ``_best_move``.
-    """
-    budget = MAX_SEARCH_MOVES
-
-    def search(marking: Marking, events: list[Event]) -> Optional[tuple[Marking, list[Move]]]:
-        nonlocal budget
-        if not events:
-            return marking, []
-        for i, e in enumerate(events):
-            if budget == 0:
-                return None
+    first = None  # the result at the first dead end
+    budget = math.inf  # calls of ``_best_move`` left, counted from there
+    while True:
+        while i < len(rest) and budget > 0:
             budget -= 1
-            binding = _best_move(net, marking, e, tau, check_guards=True)
+            e = rest[i]
+            binding = _best_move(net, m, e, tau, check_guards)
             if binding is None:
+                i += 1
                 continue
-            sub = search(_apply(net, marking, e, binding, tau), events[:i] + events[i + 1 :])
-            if sub is not None:
-                return sub[0], [(e, binding, marking)] + sub[1]
-        return None
-
-    return search(marking, events)
+            moves.append((e, binding, m))
+            stack.append((m, rest, i + 1))
+            m = fire(net, m, e.label, binding, tau, e.complete - e.start, (e.case_id, e.attrs))
+            rest, i = rest[i + 1 :] + rest[:i], 0
+        if not rest:
+            return m, moves, []
+        if first is None:
+            left = set(map(id, rest))
+            first = m, list(moves), [e for e in events if id(e) in left]
+            if not check_guards or len(events) > MAX_SEARCH_GROUP:
+                return first
+            budget = MAX_SEARCH_MOVES
+        if budget == 0 or not stack:
+            return first
+        m, rest, i = stack.pop()
+        moves.pop()
 
 
 def replay(
@@ -241,11 +232,7 @@ def replay(
         # downstream moves first (the order the FIFO policy fires them); the
         # sort is stable, so ties keep log order
         ordered = sorted(group, key=lambda e: -net.flow_depth(e.label))
-        marking, moves, pending = _greedy(net, before, ordered, tau, check_guards)
-        if pending and check_guards and len(group) <= MAX_SEARCH_GROUP:
-            found = _search_order(net, before, ordered, tau)
-            if found is not None:
-                (marking, moves), pending = found, []
+        marking, moves, pending = _walk(net, before, ordered, tau, check_guards)
 
         at_fire: dict[str, Marking] = {}
         for e, binding, fired_from in moves:

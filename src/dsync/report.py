@@ -125,23 +125,15 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines)
 
 
-def summary_lines(report: dict) -> list[str]:
-    out = [f"candidates examined: {len(report['candidates'])}"]
-    for entry in report["constraints"]:
-        out.append(
-            f"{entry['kind']} on {entry['transition']}: {entry['constraint']}"
-        )
-    if not report["constraints"]:
-        out.append("no synchronization constraints discovered")
-    rep = report["replayability"]
-    out.append(
-        f"replayability: {rep['matched']}/{rep['matched'] + rep['unmatched']} "
-        f"log moves matched"
-    )
-    return out
-
-
 def text_summary(report: dict, header: Optional[str] = None) -> str:
     lines = [header] if header else []
-    lines.extend(summary_lines(report))
+    lines.append(f"candidates examined: {len(report['candidates'])}")
+    for entry in report["constraints"]:
+        lines.append(f"{entry['kind']} on {entry['transition']}: {entry['constraint']}")
+    if not report["constraints"]:
+        lines.append("no synchronization constraints discovered")
+    rep = report["replayability"]
+    lines.append(
+        f"replayability: {rep['matched']}/{rep['matched'] + rep['unmatched']} log moves matched"
+    )
     return "\n".join(lines) + "\n"

@@ -10,12 +10,11 @@ Each transition offers one candidate, kept until a firing consumes from or
 produces into a place the transition reads (its preset and guard places), a
 token there becomes available, or, for a ``timeuntilnext`` guard, the clock
 advances. An ordinary transition offers its FIFO-first binding, picked from
-its token pools directly (``fifo_first``); a task source offers its empty
-binding when due, and as it reads itself too, it is recomputed when it comes
-due or fires. The clock stops at the times of a heap of ``(time, nodes)``
-entries: places where produced tokens, stored or not (``Net.unread``),
-become available, a task source that comes due, and, with no nodes, a
-non-task source's next injection, which is made at the clock advance.
+its token pools directly (``fifo_first``); a source offers its empty binding
+when due, and as it reads itself too, it is recomputed when it comes due or
+fires. The clock stops at the times of a heap of ``(time, nodes)`` entries:
+places where produced tokens, stored or not (``Net.unread``), become
+available, and sources that come due.
 
 Guards are evaluated only through ``enabled_bindings(..., check_guards=True)``,
 for source transitions too: their empty preset has one empty binding, which
@@ -28,7 +27,11 @@ survives exactly when the guard holds. Source transitions (empty preset,
   injected one interarrival ahead of its availability, so guards can already
   see the upcoming case while it is still pending. An injection is a zero-delay
   ``fire`` of the source at the token's availability time, with the new
-  case supplied as the produced case.
+  case supplied as the produced case. Its candidate sorts before every
+  firing at its instant, so arrivals are injected first, in source-id order,
+  and while one is due nothing else is evaluated. As the next injection
+  comes due when the last case becomes available and dirties the readers of
+  its places, only a source's last case puts its places on the heap.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from .eventlog import Event, Log, sort_events
 from .net import Binding, Marking, Net, Transition, binding_pools, enabled_bindings, fire
 from .net import postset, preset, validate_net
 
-# firings (and arrivals per source) allowed at one clock value; more means a
+# firings, arrivals included, allowed at one clock value; more means a
 # zero-delay cycle or interarrival that would keep the clock from advancing
 MAX_FIRINGS_PER_INSTANT = 10_000
 
@@ -81,10 +84,7 @@ class _Source:
         self.count = 0
         self.rng_gaps = _stream(seed, "arrivals", t.id)
         self.rng_attrs = _stream(seed, "attrs", t.id)
-        # task sources: time of the next scheduled firing;
-        # non-task sources: availability of the last injected token,
-        # which is also the moment the next token gets injected.
-        self.next_time = 0.0
+        self.next_time = 0.0  # when the source next fires
 
     def exhausted(self) -> bool:
         return self.cap > 0 and self.count >= self.cap
@@ -97,13 +97,6 @@ class _Source:
             for name, gen in sorted(self.spec.attributes.items())
         }
         return case_id, attrs
-
-
-def _stuck_clock(t_id: str, clock: float) -> SimulationError:
-    return SimulationError(
-        f"transition {t_id!r} would fire more than {MAX_FIRINGS_PER_INSTANT} times at "
-        f"time {clock:g}; a zero-delay cycle or interarrival keeps the clock from advancing"
-    )
 
 
 def fifo_key(net: Net, t_id: str, binding: Binding, clock: float) -> tuple:
@@ -158,100 +151,106 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     delay_rngs = {tid: _stream(cfg.seed, "delay", tid) for tid in net.transitions}
 
     # sources by id; for each node, the transitions that read it (preset or
-    # guard places, a task source itself); the transitions reading the clock
-    task_sources: dict[str, _Source] = {}
-    free_sources: dict[str, _Source] = {}
+    # guard places, a source itself); the transitions reading the clock
+    sources: dict[str, _Source] = {}
     readers: dict[str, set[str]] = {}
     timed: set[str] = set()
     for tid, t in sorted(net.transitions.items()):
         if t.arrival_spec is not None:
-            (task_sources if t.is_task else free_sources)[tid] = _Source(t, cfg.seed, cfg.max_cases)
-        if tid in free_sources:
-            continue
+            sources[tid] = _Source(t, cfg.seed, cfg.max_cases)
+            readers[tid] = {tid}
         atoms = t.guard.atoms if t.guard else ()
         if any(atom.feature.kind == "timeuntilnext" for atom in atoms):
             timed.add(tid)
         for p in {*preset(net, tid), *(p for atom in atoms for p, _ in atom.feature.references())}:
             readers.setdefault(p, set()).add(tid)
-    readers.update((tid, {tid}) for tid in task_sources)
     # each transition's candidate, kept until it is dirty; every one reads its
-    # nonempty preset or, for a task source, itself, so every one starts dirty
+    # nonempty preset or, for a source, itself, so every one starts dirty
     cands: dict[str, Optional[tuple[tuple, str, Binding]]] = {}
     dirty = set().union(*readers.values())
     # (time, nodes) entries where the clock stops, as the module docstring lists
     future = [(tok.available_at, (p,)) for p in marking.places() for tok in marking.tokens(p)]
     heapq.heapify(future)
 
-    def fire_at(tid: str, y: Binding, now: float, delay: float, case=None) -> None:
+    def fire_at(tid: str, y: Binding, now: float, delay: float, case=None, stop=True) -> None:
+        """Fire, dirty the readers of every node it touched and, with
+        ``stop``, stop the clock when its outputs become available."""
         nonlocal marking
         marking = fire(net, marking, tid, y, now, delay, case)
         outs = postset(net, tid)
-        for p in (*y, *outs):
-            dirty.update(readers.get(p, ()))
-        if outs:
+        for node in (tid, *y, *outs):
+            dirty.update(readers.get(node, ()))
+        if outs and stop:
             heapq.heappush(future, (now + delay, outs))
 
     def candidate(tid: str) -> Optional[tuple[tuple, str, Binding]]:
-        src = task_sources.get(tid)
+        src = sources.get(tid)
         if src is None:
             y = fifo_first(net, marking, tid, clock)
             return None if y is None else (fifo_key(net, tid, y, clock), tid, y)
-        due = not src.exhausted() and src.next_time <= clock
-        if due and enabled_bindings(net, marking, tid, clock, check_guards=True):
+        if src.exhausted() or src.next_time > clock:
+            return None
+        if not src.t.is_task:
+            return ((-math.inf, 0, "", tid), tid, {})
+        if enabled_bindings(net, marking, tid, clock, check_guards=True):
             return ((src.next_time, -net.flow_depth(tid), "", tid), tid, {})
         return None
 
-    def pump_free_sources() -> None:
-        """Inject pending arrivals: token k+1 appears when token k becomes available."""
-        for tid, src in free_sources.items():
-            for injected in range(MAX_FIRINGS_PER_INSTANT + 1):
-                if src.exhausted() or src.next_time > clock:
-                    break
-                if injected == MAX_FIRINGS_PER_INSTANT:
-                    raise _stuck_clock(tid, clock)
-                inject_at = src.next_time
-                if src.count == 0:
-                    avail = inject_at  # first case is available immediately
-                else:
-                    avail = inject_at + src.spec.interarrival.sample(src.rng_gaps)
-                fire_at(tid, {}, avail, 0.0, src.new_case())
-                src.next_time = avail
-                if not src.exhausted():
-                    heapq.heappush(future, (avail, ()))
-
-    pump_free_sources()
     while True:
         # fire everything possible at the current clock, one binding at a time
+        arriving = False  # the last firing was an arrival whose source is still due
         for fired in range(MAX_FIRINGS_PER_INSTANT + 1):
-            for tid in dirty:
+            # no firing precedes a due arrival, so while one is known to be
+            # due only the sources are evaluated
+            todo = dirty & sources.keys() if arriving else dirty
+            for tid in todo:
                 cands[tid] = candidate(tid)
-            dirty.clear()
-            candidates = [c for c in cands.values() if c is not None]
-            if not candidates:
+            dirty.difference_update(todo)
+            # keys end with the transition id, so ``min`` never compares bindings
+            best = min(filter(None, cands.values()), default=None)
+            if best is None:
                 break
-            _, tid, y = min(candidates, key=lambda c: c[0])
+            _, tid, y = best
             if fired == MAX_FIRINGS_PER_INSTANT:
-                raise _stuck_clock(tid, clock)
+                raise SimulationError(
+                    f"transition {tid!r} would fire more than {MAX_FIRINGS_PER_INSTANT} times "
+                    f"at time {clock:g}; a zero-delay cycle or interarrival keeps the clock "
+                    "from advancing"
+                )
             t = net.transitions[tid]
-            delay = t.delay.sample(delay_rngs[tid])
-            src = task_sources.get(tid)
-            if src is not None:
-                case_id, attrs = src.new_case()
-                src.next_time = clock + src.spec.interarrival.sample(src.rng_gaps)
-                fire_at(tid, {}, clock, delay, (case_id, attrs))
-                dirty.add(tid)
-                if not src.exhausted():
-                    heapq.heappush(future, (src.next_time, (tid,)))
-                events.append(Event(case_id, tid, clock, clock + delay, None, attrs))
-            else:
+            src = sources.get(tid)
+            arriving = False
+            if src is None:
                 case_tok = net.case_token(tid, y)
                 res = net.resource_inputs(tid)
                 resource = y[res[0]].case_id if res else None
+                delay = t.delay.sample(delay_rngs[tid])
                 fire_at(tid, y, clock, delay)
                 if t.is_task:
                     case_id = case_tok.case_id if case_tok else ""
                     attrs = dict(case_tok.attrs) if case_tok else {}
                     events.append(Event(case_id, tid, clock, clock + delay, resource, attrs))
+                continue
+            if t.is_task:
+                delay = t.delay.sample(delay_rngs[tid])
+                case_id, attrs = src.new_case()
+                src.next_time = clock + src.spec.interarrival.sample(src.rng_gaps)
+                fire_at(tid, {}, clock, delay, (case_id, attrs))
+                events.append(Event(case_id, tid, clock, clock + delay, None, attrs))
+            else:
+                # case k+1 is injected when case k becomes available (the
+                # first at once), and first at that instant, so it dirties
+                # the readers of case k's places; only the last case needs
+                # the clock to stop for its own
+                avail = src.next_time
+                if src.count:
+                    avail += src.spec.interarrival.sample(src.rng_gaps)
+                case = src.new_case()
+                fire_at(tid, {}, avail, 0.0, case, stop=src.exhausted())
+                src.next_time = avail
+                arriving = avail <= clock and not src.exhausted()
+            if not src.exhausted():
+                heapq.heappush(future, (src.next_time, (tid,)))
 
         # nothing fires now; advance the clock to the next possible change
         while future and future[0][0] <= clock:
@@ -263,7 +262,6 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
             for p in heapq.heappop(future)[1]:
                 dirty.update(readers.get(p, ()))
         dirty.update(timed)
-        pump_free_sources()
 
     if not events:
         raise SimulationError(f"deadlock before any event; final marking: {marking!r}")

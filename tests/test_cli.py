@@ -266,6 +266,19 @@ def test_bad_delay_exits_3(tmp_path, capsys, delay, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_count", [0, -3])
+def test_source_max_count_below_one_exits_3(tmp_path, capsys, max_count):
+    # such a source ignores --max-cases; the horizon ends the run should the
+    # check ever be lost, so the test fails instead of hanging
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_priority_doc_with(_SOURCE + ("max_count",), max_count)))
+    code = main(["simulate", "--model", str(model), "--seed", "1", "--max-cases", "10",
+                 "--horizon", "50", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"source 'job_arrival' max_count must be >= 1, got {max_count}" in err
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_log_attribute_exits_3(tmp_path, capsys, cell):
     log = tmp_path / "log.csv"

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from dsync.errors import ModelError
 from dsync.eventlog import write_log
 from dsync.modelfile import load_model, net_to_json, save_model
 from dsync.simulate import SimConfig, simulate
@@ -17,3 +20,17 @@ def test_saved_model_loads_back_the_same(tmp_path, model):
     assert net_to_json(again) == net_to_json(net)
     cfg = SimConfig(seed=1, max_cases=100)
     assert write_log(simulate(again, cfg)) == write_log(simulate(net, cfg))
+
+
+@pytest.mark.parametrize("max_count", [0, -3])
+def test_source_max_count_below_one_is_rejected(tmp_path, max_count):
+    # such a source would never be exhausted, whatever max_cases says
+    with open(model_path("blocking"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["transitions"][0]["id"] == "arriving"
+    doc["transitions"][0]["arrival_spec"]["max_count"] = max_count
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    message = f"source 'arriving' max_count must be >= 1, got {max_count}"
+    with pytest.raises(ModelError, match=message):
+        load_model(str(path))

@@ -305,3 +305,25 @@ def test_order_search_stops_at_its_budget(monkeypatch):
     # beyond the search: greedy rounds of 8 and 1 moves, and the unmatched
     # move's reason
     assert calls <= module.MAX_SEARCH_MOVES + 8 + 1 + 1
+
+
+@pytest.mark.parametrize("check_guards", [False, True])
+def test_large_same_instant_group_replays_every_move(check_guards):
+    # 1,500 moves share one start time; a walk that recursed once per applied
+    # move would run out of stack
+    n = 1500
+    net = Net(
+        places=[Place("in", "case"), Place("out", "case")],
+        transitions=[Transition("t")],
+        flows=[("in", "t"), ("t", "out")],
+        initial_marking=Marking(
+            {"in": tuple(Token(f"c{i}", {}, 0.0) for i in range(1, n + 1))}
+        ),
+    )
+    log = Log([Event(f"c{i}", "t", 0.0, 1.0) for i in range(1, n + 1)])
+    try:
+        _, report = replay(log, net, check_guards=check_guards)
+    except RecursionError:  # failed outside: pytest takes minutes to report 1,000 frames
+        report = None
+    assert report is not None, "replay recursed once per same-instant move"
+    assert (report.matched, report.total) == (n, n)

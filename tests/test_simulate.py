@@ -262,6 +262,58 @@ def test_guarded_task_source_arrives_when_its_guard_place_drains():
     ]
 
 
+def test_arrivals_are_injected_before_any_firing_at_their_instant():
+    # skip takes a case while another one is on its way into a, t otherwise;
+    # each next case is injected the moment the last becomes available, so at
+    # 4, where c0 and c2 become available, skip must see c3 arrive before it
+    # serves c2 (t and skip are deeper than the source, and c0's arrival at 4
+    # makes them evaluate there, so a FIFO tie with the arrival would let t
+    # serve c2); only c3 finds no successor
+    net = Net(
+        places=[Place("a", "case"), Place("done", "plain")],
+        transitions=[
+            Transition("arrive", is_task=False,
+                       arrival_spec=ArrivalSpec(DelaySpec.constant(4), case_prefix="c")),
+            Transition("t", delay=DelaySpec.constant(1),
+                       guard=parse_constraint("nrtokens(a) < 2")),
+            Transition("skip", delay=DelaySpec.constant(1),
+                       guard=parse_constraint("nrtokens(a) >= 2")),
+        ],
+        flows=[("arrive", "a"), ("a", "t"), ("t", "done"), ("a", "skip"), ("skip", "done")],
+        initial_marking=Marking({"a": (Token("c0", {}, 4.0),)}),
+    )
+    log = simulate(net, SimConfig(seed=1, max_cases=3))
+    assert [(e.case_id, e.label, e.start) for e in log.events] == [
+        ("c1", "skip", 0.0), ("c0", "skip", 4.0), ("c2", "skip", 4.0), ("c3", "t", 8.0),
+    ]
+
+
+def test_same_instant_arrivals_do_not_reevaluate_their_readers(monkeypatch):
+    # 300 cases arrive at 0 and t cannot fire before its worker is free at 5;
+    # evaluating t after every arrival would take 300 scans of a growing pool
+    sim = importlib.import_module("dsync.simulate")
+    calls, fifo_first = collections.Counter(), sim.fifo_first
+
+    def counting(net, m, tid, clock):
+        calls[clock] += 1
+        return fifo_first(net, m, tid, clock)
+
+    monkeypatch.setattr(sim, "fifo_first", counting)
+    net = Net(
+        places=[Place("p", "case"), Place("r", "resource"), Place("q", "case")],
+        transitions=[
+            Transition("src", is_task=False,
+                       arrival_spec=ArrivalSpec(interarrival=DelaySpec.constant(0))),
+            Transition("t", delay=DelaySpec.constant(1)),
+        ],
+        flows=[("src", "p"), ("p", "t"), ("r", "t"), ("t", "r"), ("t", "q")],
+        initial_marking=Marking({"r": (Token("w1", {}, 5.0),)}),
+    )
+    log = simulate(net, SimConfig(seed=1, max_cases=300))
+    assert [e.start for e in log.events] == [5.0 + i for i in range(300)]
+    assert calls[0.0] <= 2
+
+
 def _ordinary(net: Net) -> list[str]:
     return sorted(tid for tid, t in net.transitions.items() if t.arrival_spec is None)
 
