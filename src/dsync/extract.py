@@ -12,6 +12,10 @@ required atom set is complete.
 Violation directions per pattern: a high upstream/queue ratio or a pending
 extremum token (priority), a full downstream place (blocking), too few
 enabled tokens or a too-soon next token (hold-batch and choice).
+
+``discover_run`` also reads the replayability check of the net annotated with
+its constraints off its own replay (``replay.read_off_check``) and keeps it as
+``DiscoveryRun.check``, which is None when the check needs a replay of its own.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from .patterns import (
     build_pt_log,
     detect_constructs,
 )
-from .replay import MatchReport, replay
+from .replay import MatchReport, read_off_check, replay
 from .tree import TreeNode, TreeParams, fit
 
 log = logging.getLogger(__name__)
@@ -189,6 +193,9 @@ class DiscoveryRun:
     match_report: MatchReport
     tree_params: TreeParams = field(default_factory=TreeParams)
     extraction_params: ExtractionParams = field(default_factory=ExtractionParams)
+    # the guard-checked replay over the net annotated with ``constraints``, read
+    # off the discovery replay; None when that replay has to be run
+    check: Optional[MatchReport] = None
 
 
 def _mine(res: CandidateResult, tree_params: TreeParams, p: ExtractionParams) -> Optional[str]:
@@ -222,7 +229,8 @@ def discover_run(
     tree_params: TreeParams = TreeParams(),
     extraction_params: ExtractionParams = ExtractionParams(),
 ) -> DiscoveryRun:
-    """Full pipeline: replay, detect constructs, mine each candidate."""
+    """Full pipeline: replay, detect constructs, mine each candidate, and read
+    the replayability check of the discoveries off the replay when it can."""
     extraction_params.check()
     tree_params.check()
     samples, report = replay(log_data, net)
@@ -235,8 +243,11 @@ def discover_run(
         results.append(res)
 
     constraints = _dedup([r.constraint for r in results if r.constraint is not None])
+    check = read_off_check(
+        net, samples, report, annotate_net(net.without_guards(), constraints)
+    )
     return DiscoveryRun(
-        constraints, results, len(samples), report, tree_params, extraction_params
+        constraints, results, len(samples), report, tree_params, extraction_params, check
     )
 
 

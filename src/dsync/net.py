@@ -391,28 +391,28 @@ class Net:
         cut where it closes, so its members count the chain from the queried
         transition; the answer does not depend on which was asked first.
         """
-
-        def depth(node: str, seen: frozenset, memo: dict[str, int]) -> tuple[int, bool]:
-            # (depth, cut short by a cycle); only uncut depths are memoised,
-            # because a cut depth depends on where the walk entered the cycle
-            if node in memo:
-                return memo[node], False
-            if node in seen:
-                return 0, True
-            value, cut = 0, False
-            for p in self._preset.get(node, ()):
-                if p in self.places and self.places[p].kind == "case":
-                    for t2 in self._preset.get(p, ()):
-                        d, c = depth(t2, seen | {node}, memo)
-                        value, cut = max(value, d + 1), cut or c
-            if not cut:
-                memo[node] = value
-            return value, cut
-
         if t_id not in self._depth_cache:
             self.transition(t_id)
-            self._depth_cache[t_id] = depth(t_id, frozenset(), {})[0]
+            self._depth_cache[t_id] = self._depth(t_id, frozenset(), {})[0]
         return self._depth_cache[t_id]
+
+    def _depth(self, node: str, seen: frozenset, memo: dict[str, int]) -> tuple[int, bool]:
+        """``flow_depth`` walk: (depth, cut short by a cycle). Only uncut depths
+        are memoised, because a cut depth depends on where the walk entered the
+        cycle. A method, not a closure, so that a call leaves no reference cycle."""
+        if node in memo:
+            return memo[node], False
+        if node in seen:
+            return 0, True
+        value, cut = 0, False
+        for p in self._preset.get(node, ()):
+            if p in self.places and self.places[p].kind == "case":
+                for t2 in self._preset.get(p, ()):
+                    d, c = self._depth(t2, seen | {node}, memo)
+                    value, cut = max(value, d + 1), cut or c
+        if not cut:
+            memo[node] = value
+        return value, cut
 
     def with_guards(self, guards: Mapping[str, Optional["ConstraintExpr"]]) -> "Net":
         """Copy of the net with the given transitions' guards replaced."""

@@ -6,10 +6,11 @@ become available at the event's completion time. Cases enter as the
 simulator lets them in: each arrival is a zero-delay ``fire`` of its
 non-task source with the case's first-event data, one interarrival ahead
 (``_arrival_plan``). One state sample is emitted per distinct start time; it
-captures the marking both before and after that timestamp's moves, because a
-transition that fired is observed in the state it fired from, while a
-transition that was passed over is observed in the state that remained after
-everything else happened.
+captures the marking both before and after that timestamp's moves, and every
+move applied in between with the marking it applied to, because a transition
+that fired is observed in the state it fired from, while a transition that
+was passed over is observed in the state that remained after everything else
+happened.
 
 The moves of one start time are applied by one depth-first walk over their
 orders (``_walk``), in both modes. It tries downstream moves first (larger
@@ -27,6 +28,10 @@ matches, for at most ``MAX_SEARCH_MOVES`` more candidate moves.
 An unmatched move repairs the marking as if it had happened for its case:
 the case's token leaves the case inputs, and each case output gets a token
 with the event's data at its completion; other places stay as they are.
+
+The kept moves settle a guard-checked replay of the same log over the net
+with other guards whenever every move satisfies them: ``read_off_check``
+then returns its report without replaying.
 """
 from __future__ import annotations
 
@@ -47,23 +52,35 @@ MAX_SEARCH_GROUP = 8
 MAX_SEARCH_MOVES = 2_000
 
 
+# an applied log move: the event, its binding and the marking it applied to
+Move = tuple[Event, Binding, Marking]
+
+
 @dataclass(frozen=True)
 class StateSample:
     """State observed at one distinct event start time.
 
-    ``before``/``after`` bracket the timestamp's log moves. ``at_fire`` maps
-    each transition that started here to the marking just before its own
-    (first) move: the state it actually fired from, in the order the walk
-    applied the same-instant moves (downstream-first, like the simulator's
-    FIFO policy resolves them, or the order its search found).
+    ``before``/``after`` bracket the timestamp's log moves. ``moves`` holds
+    every move applied in between, in the order the walk applied them
+    (downstream-first, like the simulator's FIFO policy resolves them, or the
+    order its search found).
     """
 
     time: float
     before: Marking
     after: Marking
     fired: frozenset[str]
-    at_fire: Mapping[str, Marking] = field(default_factory=dict)
+    moves: tuple[Move, ...] = ()
     repaired: bool = False
+
+    @property
+    def at_fire(self) -> dict[str, Marking]:
+        """Each transition that started here -> the marking just before its own
+        (first) move: the state it actually fired from."""
+        out: dict[str, Marking] = {}
+        for e, _, m in self.moves:
+            out.setdefault(e.label, m)
+        return out
 
 
 @dataclass
@@ -139,10 +156,6 @@ def _best_move(
     scored = ((sim_score(net, e.label, y, e), y) for y in bindings)
     best = max((s for s in scored if s[0][0] == 1), key=lambda s: s[0], default=None)
     return best[1] if best else None
-
-
-# an applied log move: the event, its binding and the marking it applied to
-Move = tuple[Event, Binding, Marking]
 
 
 def _walk(
@@ -234,9 +247,7 @@ def replay(
         ordered = sorted(group, key=lambda e: -net.flow_depth(e.label))
         marking, moves, pending = _walk(net, before, ordered, tau, check_guards)
 
-        at_fire: dict[str, Marking] = {}
-        for e, binding, fired_from in moves:
-            at_fire.setdefault(e.label, fired_from)
+        for e, binding, _ in moves:
             report.matched += 1
             tok = net.case_token(e.label, binding, e.case_id)
             if tok is not None:
@@ -265,7 +276,7 @@ def replay(
                 before=before,
                 after=marking,
                 fired=frozenset(e.label for e in group),
-                at_fire=at_fire,
+                moves=tuple(moves),
                 repaired=bool(pending),
             )
         )
@@ -276,6 +287,33 @@ def replay(
         "mean_start_gap": (gap_sum / gap_n) if gap_n else 0.0,
     }
     return samples, report
+
+
+def read_off_check(
+    net: Net, samples: list[StateSample], report: MatchReport, annotated: Net
+) -> Optional[MatchReport]:
+    """The report of ``replay(log, annotated, check_guards=True)``, read off
+    the unguarded ``replay(log, net)`` that gave ``samples`` and ``report``;
+    None when its moves do not settle it.
+
+    ``annotated`` is ``net`` with other guards. Guards only shrink the binding
+    pools, and the pools keep their order, so the guard-checked walk takes
+    exactly the unguarded walk's steps, and never searches, when every move
+    matched, every place the annotated guards read is stored in ``net``'s
+    markings (none is in ``net.unread``), and each move on a guarded
+    transition gets the binding it applied from the guard-checked
+    ``_best_move`` too.
+    """
+    if report.unmatched:
+        return None
+    guards = {t: tr.guard for t, tr in annotated.transitions.items() if tr.guard is not None}
+    if any(p in net.unread for g in guards.values() for p, _ in g.references()):
+        return None
+    for s in samples:
+        for e, binding, m in s.moves:
+            if e.label in guards and _best_move(annotated, m, e, s.time, True) != binding:
+                return None
+    return MatchReport(report.matched, [], dict(report.stats))
 
 
 def _arrival_plan(log: Log, net: Net) -> list[tuple[float, str, str, Mapping, float]]:

@@ -1,4 +1,9 @@
-"""Discovery report assembly: JSON document and markdown rendering."""
+"""Discovery report assembly: JSON document and markdown rendering.
+
+The replayability section is the check that ``discover_run`` read off its
+replay (``DiscoveryRun.check``); only when that is None does ``build_report``
+replay the log over the annotated net with guard checks on.
+"""
 from __future__ import annotations
 
 import json
@@ -17,7 +22,8 @@ def build_report(run: DiscoveryRun, net: Net, log_data: Log) -> dict:
 
     Sections: effective config, every candidate with its outcome, the
     trained trees, the discovered constraints, the modeled ground truth,
-    and the replayability check of the net annotated with the discoveries.
+    and the replayability check of the net annotated with the discoveries
+    (``run.check``, or a guard-checked replay when that is None).
     """
     report: dict = {
         "config": {"tree": asdict(run.tree_params), "extraction": asdict(run.extraction_params)},
@@ -82,8 +88,10 @@ def build_report(run: DiscoveryRun, net: Net, log_data: Log) -> dict:
         for tid, guard in ground_truth(net)
     ]
 
-    annotated = annotate_net(net.without_guards(), run.constraints)
-    _, check = replay(log_data, annotated, check_guards=True)
+    check = run.check
+    if check is None:
+        annotated = annotate_net(net.without_guards(), run.constraints)
+        _, check = replay(log_data, annotated, check_guards=True)
     report["replayability"] = {
         "matched": check.matched,
         "unmatched": len(check.unmatched),

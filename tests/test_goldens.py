@@ -20,7 +20,9 @@ from dsync.simulate import SimConfig, simulate
 
 # (model, seed) -> (sha256 of the log text, sha256 of the report JSON), 300 cases
 # unless CASES says otherwise; the priority and supplychain seeds are not the
-# benchmark's, so a change tuned to its inputs still meets unseen ones
+# benchmark's, so a change tuned to its inputs still meets unseen ones.
+# Supplychain seed 6 is the one input whose discovered guards reject moves
+# (118 of 2,498), so its replayability comes from a guard-checked replay.
 GOLDENS = {
     ("holdbatch", 1): (
         "9b55502064c4d481e81f1189b3c393492785264a44807770b3a3828f85baf763",
@@ -50,8 +52,12 @@ GOLDENS = {
         "bf05edea2762526e919cdfc1dd3dd9542dac43ee9dec09854367372d4ccf9cdf",
         "eb8f251e463258129851c29abf55bf93a616f19ec78c351aeac832f0a103a179",
     ),
+    ("supplychain", 6): (
+        "1dc28b787fa648b8d5a28d17238bc724cb5143ba9edb9c0c8040e47b45cb98b0",
+        "0ec46432e507d694413613873c3e5ef01d8dd22d009f3992ea87e44e41ba70ee",
+    ),
 }
-CASES = {"supplychain": 200}
+CASES = {("supplychain", 4): 200, ("supplychain", 6): 150}
 
 
 def _sha256(text: str) -> str:
@@ -61,7 +67,7 @@ def _sha256(text: str) -> str:
 @pytest.mark.parametrize("model, seed", sorted(GOLDENS))
 def test_log_and_report_hashes(model, seed):
     net = load_model(model_path(model))
-    log_text = write_log(simulate(net, SimConfig(seed=seed, max_cases=CASES.get(model, 300))))
+    log_text = write_log(simulate(net, SimConfig(seed=seed, max_cases=CASES.get((model, seed), 300))))
     parsed = parse_log(log_text)
     report_text = report_to_json(build_report(discover_run(parsed, net), net, parsed))
     assert (_sha256(log_text), _sha256(report_text)) == GOLDENS[model, seed]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib
 import itertools
 import random
@@ -278,6 +279,19 @@ def test_flow_depth_on_case_cycle_ignores_query_order():
     asked_t1_first = {t: forward.flow_depth(t) for t in ("t1", "t2")}
     asked_t2_first = {t: backward.flow_depth(t) for t in ("t2", "t1")}
     assert asked_t1_first == asked_t2_first == {"t1": 2, "t2": 2}
+
+
+def test_simulate_and_replay_leave_no_reference_cycles(blocking_net):
+    # replay calls ``flow_depth`` once per event and the simulator once per
+    # FIFO key; a cycle left per call is garbage that only a collection frees,
+    # and that collection then lands in whichever step runs next
+    gc.collect()
+    gc.disable()
+    try:
+        replay(simulate(blocking_net, SimConfig(seed=1, max_cases=300)), blocking_net)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_preset_of_bundled_multi_pattern_model(supplychain_net):

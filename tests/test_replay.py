@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import importlib
+from functools import lru_cache
 
 import pytest
 
 from dsync.constraints import parse_constraint
 from dsync.errors import ReplayError
 from dsync.eventlog import Event, Log, parse_log
+from dsync.extract import annotate_net, discover_run
+from dsync.modelfile import load_model
 from dsync.net import ArrivalSpec, DelaySpec, Marking, Net, Place, Token, Transition
-from dsync.replay import replay, sim_score
+from dsync.replay import read_off_check, replay, sim_score
+from dsync.report import build_report
 from dsync.simulate import SimConfig, simulate
+from tests.conftest import model_path
 
 
 def arrivals(prefix: str, gap: float) -> ArrivalSpec:
@@ -327,3 +332,104 @@ def test_large_same_instant_group_replays_every_move(check_guards):
         report = None
     assert report is not None, "replay recursed once per same-instant move"
     assert (report.matched, report.total) == (n, n)
+
+
+def test_samples_keep_every_applied_move(priority_net, table1_log):
+    samples, _ = replay(table1_log, priority_net)
+    s15 = [s for s in samples if s.time == 15][0]
+    # downstream first: handling applies to the state before the timestamp,
+    # pre-processing to the state handling left
+    assert [e.label for e, _, _ in s15.moves] == ["handling", "pre-processing"]
+    assert s15.moves[0][2] is s15.before
+    assert s15.at_fire == {e.label: m for e, _, m in s15.moves}
+    assert sum(len(s.moves) for s in samples) == 9
+
+
+@lru_cache(maxsize=None)
+def _simulated(model: str, cases: int, seed: int) -> tuple[Net, Log]:
+    net = load_model(model_path(model))
+    return net, simulate(net, SimConfig(seed=seed, max_cases=cases))
+
+
+# the five bundled models at 300 cases (the supply chain at 150) for seeds
+# 1-3, and supply chain seed 6, whose discovered guards reject 118 moves
+READ_OFF_INPUTS = [
+    (model, 150 if model == "supplychain" else 300, seed)
+    for model in ("blocking", "choice", "holdbatch", "priority", "supplychain")
+    for seed in (1, 2, 3)
+] + [("supplychain", 150, 6)]
+
+
+@pytest.mark.parametrize("model, cases, seed", READ_OFF_INPUTS)
+def test_read_off_check_equals_the_guard_checked_replay(model, cases, seed):
+    net, log = _simulated(model, cases, seed)
+    run = discover_run(log, net)
+    annotated = annotate_net(net.without_guards(), run.constraints)
+    _, check = replay(log, annotated, check_guards=True)
+    if (model, seed) == ("supplychain", 6):
+        assert run.check is None
+        assert (check.matched, len(check.unmatched)) == (2380, 118)
+    else:
+        assert run.check is not None
+        assert (run.check.matched, run.check.unmatched, run.check.stats) == (
+            check.matched, check.unmatched, check.stats
+        )
+
+
+def _guarded(net: Net, t_id: str, guard: str) -> Net:
+    return net.without_guards().with_guards({t_id: parse_constraint(guard)})
+
+
+def test_read_off_check_declines_a_tightened_guard():
+    net, log = _simulated("blocking", 300, 1)
+    samples, report = replay(log, net)
+    # the discovered guard, then the same with a smaller constant
+    found = _guarded(net, "pre-processing", "nrtokens(q1) <= 4.5")
+    tight = _guarded(net, "pre-processing", "nrtokens(q1) <= 2.5")
+    assert read_off_check(net, samples, report, found) is not None
+    assert read_off_check(net, samples, report, tight) is None
+    assert replay(log, tight, check_guards=True)[1].unmatched
+
+
+def test_read_off_check_declines_a_guard_on_an_unstored_place():
+    # ``done`` is a sink no model guard reads, so the replayed markings keep no
+    # tokens there and the guard below holds on every one of them; over the
+    # annotated net, which stores them, it closes after five handlings
+    net, log = _simulated("blocking", 300, 1)
+    samples, report = replay(log, net)
+    assert "done" in net.unread
+    annotated = _guarded(net, "handling", "nrtokens(done) < 5")
+    assert read_off_check(net, samples, report, annotated) is None
+    assert replay(log, annotated, check_guards=True)[1].unmatched
+
+
+def test_read_off_check_declines_a_replay_with_unmatched_moves(blocking_net):
+    text = (
+        "case,activity,start,complete,resource\n"
+        "1,arriving,0,1,\n"
+        "1,pre-processing,1,2,\n"
+        "7,pre-processing,3,4,\n"
+    )
+    samples, report = replay(parse_log(text), blocking_net)
+    assert read_off_check(blocking_net, samples, report, blocking_net.without_guards()) is None
+
+
+@pytest.mark.parametrize("model, cases, seed, calls", [
+    ("blocking", 300, 1, 1),
+    ("supplychain", 150, 6, 2),
+])
+def test_discovery_and_its_report_replay_once_unless_guards_reject_moves(
+    monkeypatch, model, cases, seed, calls
+):
+    net, log = _simulated(model, cases, seed)
+    count = 0
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return replay(*args, **kwargs)
+
+    for module in ("dsync.extract", "dsync.report"):
+        monkeypatch.setattr(importlib.import_module(module), "replay", counted)
+    build_report(discover_run(log, net), net, log)
+    assert count == calls
