@@ -98,9 +98,6 @@ class FeatureRef:
         else:
             yield (self.place, self.attr)
 
-    def __str__(self) -> str:
-        return self.canonical()
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -156,12 +153,10 @@ class ConstraintExpr:
         """Whether ``pin`` lets ``binding`` take each of its tokens.
 
         ``net.enabled_bindings`` applies ``pin`` to whole pools before the
-        binding product instead of calling this per binding.
+        binding product instead of calling this per binding;
+        ``replay.read_off_check`` calls it on bindings already applied.
         """
         return all(self.pin(m, p, [tok]) for p, tok in binding.items())
-
-    def conjoin(self, other: "ConstraintExpr") -> "ConstraintExpr":
-        return ConstraintExpr(self.atoms + other.atoms)
 
     def references(self) -> Iterator[tuple[str, Optional[str]]]:
         for atom in self.atoms:
@@ -169,9 +164,6 @@ class ConstraintExpr:
 
     def canonical(self) -> str:
         return " and ".join(atom.canonical() for atom in self.atoms)
-
-    def __str__(self) -> str:
-        return self.canonical()
 
 
 # -- feature evaluation ------------------------------------------------------

@@ -87,41 +87,38 @@ def parse_log(text: str) -> Log:
     attr_cols = [
         h for h in header if h not in MANDATORY and h != "resource"
     ]
+    # a row shorter than the header is padded once: its missing cells are empty
+    width = len(header)
+    body = [row + [""] * (width - len(row)) if len(row) < width else row for row in rows[1:]]
 
     # First pass: column typing over the whole file.
     col_types: dict[str, str] = {}
     for col in attr_cols:
-        values = [
-            row[idx[col]].strip()
-            for row in rows[1:]
-            if idx[col] < len(row) and row[idx[col]].strip() != ""
-        ]
-        col_types[col] = _infer_type(values)
+        i = idx[col]
+        col_types[col] = _infer_type([v for row in body if (v := row[i].strip())])
 
+    i_case, i_label, i_start, i_complete = (idx[col] for col in MANDATORY)
+    i_resource = idx.get("resource")
+    typed = [(col, idx[col], col_types[col]) for col in attr_cols]
     events: list[Event] = []
-    for row_num, row in enumerate(rows[1:], start=2):
-        def cell(col: str) -> str:
-            i = idx[col]
-            return row[i].strip() if i < len(row) else ""
-
-        case_id = cell("case")
-        label = cell("activity")
+    for row_num, row in enumerate(body, start=2):
+        label = row[i_label].strip()
         if not label:
             raise LogError(f"row {row_num}: empty activity label")
-        start = _parse_time(cell("start"), row_num, "start")
-        complete = _parse_time(cell("complete"), row_num, "complete")
+        start = _parse_time(row[i_start].strip(), row_num, "start")
+        complete = _parse_time(row[i_complete].strip(), row_num, "complete")
         if start > complete:
             raise LogError(f"row {row_num}: start {start:g} is after complete {complete:g}")
-        resource = cell("resource") or None if has_resource else None
+        resource = row[i_resource].strip() or None if has_resource else None
         attrs: dict[str, AttrValue] = {}
-        for col in attr_cols:
-            raw = cell(col)
+        for col, i, typ in typed:
+            raw = row[i].strip()
             if raw == "":
                 continue
-            attrs[col] = value = _coerce(raw, col_types[col])
+            attrs[col] = value = _coerce(raw, typ)
             if isinstance(value, float) and not math.isfinite(value):
                 raise LogError(f"row {row_num}: {col} value {raw!r} is not finite")
-        events.append(Event(case_id, label, start, complete, resource, attrs))
+        events.append(Event(row[i_case].strip(), label, start, complete, resource, attrs))
 
     schema = tuple((col, col_types[col]) for col in attr_cols)
     return Log(sort_events(events), schema, has_resource)

@@ -285,17 +285,17 @@ def discover(
 def annotate_net(net: Net, constraints: list[PatternConstraint]) -> Net:
     """Copy of the net with discovered constraints installed as guards.
 
-    Constraints for the same transition are conjoined; a targeted
-    transition's previous guard is replaced.
+    Each transition takes at most one constraint, as discovery keeps one per
+    transition (two raise ``ModelError``); a targeted transition's previous
+    guard is replaced.
     """
     guards: dict[str, ConstraintExpr] = {}
     for pc in constraints:
         if pc.t_g not in net.transitions:
             raise ModelError(f"constraint targets unknown transition {pc.t_g!r}")
         if pc.t_g in guards:
-            guards[pc.t_g] = guards[pc.t_g].conjoin(pc.expr)
-        else:
-            guards[pc.t_g] = pc.expr
+            raise ModelError(f"two constraints target transition {pc.t_g!r}")
+        guards[pc.t_g] = pc.expr
     if not guards:
         return net
     annotated = net.with_guards(guards)

@@ -191,9 +191,10 @@ def _inserted(toks: tuple[Token, ...], token: Token) -> tuple[Token, ...]:
 def _removed(toks: tuple[Token, ...], token: Token, place_id: str) -> tuple[Token, ...]:
     key = _store_key(token)
     for i in range(bisect_left(toks, key, key=_store_key), len(toks)):
-        if toks[i] == token:
+        tok = toks[i]
+        if tok is token or tok == token:
             return toks[:i] + toks[i + 1 :]
-        if _store_key(toks[i]) != key:
+        if _store_key(tok) != key:
             break
     raise ModelError(f"token {token} not present in place {place_id!r}")
 
@@ -465,7 +466,8 @@ def binding_pools(
     filters that keep the surviving tokens in order:
 
     * with ``check_guards`` set, the transition's guard must hold on the
-      marking (this is the one place where guards are evaluated), and its
+      marking (this is the one place where the token game evaluates guards;
+      ``replay.read_off_check`` tests moves already applied), and its
       pinning atoms keep only the tokens ``ConstraintExpr.pin`` allows;
     * with ``case_id`` set and exactly one case input, that input's pool
       keeps only the token of that case (several case inputs stay unfiltered,
@@ -475,9 +477,9 @@ def binding_pools(
 
     None when some pool is empty, i.e. there is no binding.
     """
-    inputs = net._plan(t_id).inputs
+    plan = net._plan(t_id)
     pools = []
-    for p, _ in inputs:
+    for p, _ in plan.inputs:
         toks = _enabled_tokens(m, p, now)
         if not toks:
             return None
@@ -485,8 +487,8 @@ def binding_pools(
     guard = net.transitions[t_id].guard if check_guards else None
     if guard is not None and not guard.holds(m, now):
         return None
-    case_place = net.case_inputs(t_id) if case_id is not None else ()
-    for i, (p, plain) in enumerate(inputs):
+    case_place = plan.case_inputs if case_id is not None else ()
+    for i, (p, plain) in enumerate(plan.inputs):
         toks = pools[i]
         if guard is not None:
             toks = guard.pin(m, p, toks)
@@ -515,13 +517,17 @@ def enabled_bindings(
     key (``simulate.fifo_key``) is never worse for the earliest plain token,
     ``replay.sim_score`` ignores plain tokens and rejects a token of another
     case, and the kept bindings keep their relative order, so the first
-    binding attaining the best key is the one the full product would give. A
-    transition with an empty preset has exactly one (empty) binding.
+    binding attaining the best key is the one the full product would give.
+    Callers pick that binding without always scoring the product: the
+    simulator reads it off the pools (``simulate.fifo_first``), and a log
+    move takes a lone binding unscored when the case filter applied
+    (``replay._best_move``). A transition with an empty preset has exactly
+    one (empty) binding.
     """
     pools = binding_pools(net, m, t_id, now, check_guards, case_id)
     if pools is None:
         return []
-    in_places = preset(net, t_id)
+    in_places = net._preset[t_id]
     return [dict(zip(in_places, combo)) for combo in itertools.product(*pools)]
 
 
@@ -555,7 +561,7 @@ def fire(
     """
     outputs = net._plan(t_id).outputs
     stores = dict(m._by_place)
-    for p, tok in sorted(binding.items()):
+    for p, tok in binding.items():
         stores[p] = _removed(stores.get(p, ()), tok, p)
 
     if delay < 0:

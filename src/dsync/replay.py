@@ -1,16 +1,17 @@
 """Replays an event log over a net via log moves.
 
 Every event is executed as a log move at its start time: the binding with
-the highest similarity to the event is consumed and the produced tokens
-become available at the event's completion time. Cases enter as the
-simulator lets them in: each arrival is a zero-delay ``fire`` of its
-non-task source with the case's first-event data, one interarrival ahead
-(``_arrival_plan``). One state sample is emitted per distinct start time; it
-captures the marking both before and after that timestamp's moves, and every
-move applied in between with the marking it applied to, because a transition
-that fired is observed in the state it fired from, while a transition that
-was passed over is observed in the state that remained after everything else
-happened.
+the highest similarity to the event is consumed (a transition's only
+binding needs no score when it holds the event's case token) and the
+produced tokens become available at the event's completion time. Cases
+enter as the simulator lets them in: each arrival is a zero-delay ``fire``
+of its non-task source with the case's first-event data, one interarrival
+ahead (``_arrival_plan``). One state sample is emitted per distinct start
+time; it captures the marking both before and after that timestamp's moves,
+and every move applied in between with the marking it applied to, because a
+transition that fired is observed in the state it fired from, while a
+transition that was passed over is observed in the state that remained
+after everything else happened.
 
 The moves of one start time are applied by one depth-first walk over their
 orders (``_walk``), in both modes. It tries downstream moves first (larger
@@ -31,7 +32,8 @@ with the event's data at its completion; other places stay as they are.
 
 The kept moves settle a guard-checked replay of the same log over the net
 with other guards whenever every move satisfies them: ``read_off_check``
-then returns its report without replaying.
+tests each kept move's binding against its guard and then returns the
+report without replaying.
 """
 from __future__ import annotations
 
@@ -149,10 +151,17 @@ def _best_move(
     net: Net, marking: Marking, e: Event, tau: float, check_guards: bool
 ) -> Optional[Binding]:
     """Best case-matching (and, when checking, guard-satisfying) binding; of
-    equally scored ones, the first that ``enabled_bindings`` lists."""
+    equally scored ones, the first that ``enabled_bindings`` lists.
+
+    A lone binding of a transition with at most one case input is returned
+    unscored: ``binding_pools`` has already kept only the event's case, and
+    ``sim_score`` only ranks bindings against each other.
+    """
     bindings = enabled_bindings(
         net, marking, e.label, tau, check_guards=check_guards, case_id=e.case_id
     )
+    if len(bindings) == 1 and len(net.case_inputs(e.label)) <= 1:
+        return bindings[0]
     scored = ((sim_score(net, e.label, y, e), y) for y in bindings)
     best = max((s for s in scored if s[0][0] == 1), key=lambda s: s[0], default=None)
     return best[1] if best else None
@@ -244,7 +253,9 @@ def replay(
         group = groups[tau]
         # downstream moves first (the order the FIFO policy fires them); the
         # sort is stable, so ties keep log order
-        ordered = sorted(group, key=lambda e: -net.flow_depth(e.label))
+        ordered = group
+        if len(group) > 1:
+            ordered = sorted(group, key=lambda e: -net.flow_depth(e.label))
         marking, moves, pending = _walk(net, before, ordered, tau, check_guards)
 
         for e, binding, _ in moves:
@@ -302,7 +313,10 @@ def read_off_check(
     matched, every place the annotated guards read is stored in ``net``'s
     markings (none is in ``net.unread``), and each move on a guarded
     transition gets the binding it applied from the guard-checked
-    ``_best_move`` too.
+    ``_best_move`` too. That last holds exactly when the guard holds on the
+    move's marking and ``binding_ok`` passes the applied binding: ``pin``
+    filters each token on its own, so the applied first-best binding is then
+    in the guarded product, and first-best there.
     """
     if report.unmatched:
         return None
@@ -311,7 +325,10 @@ def read_off_check(
         return None
     for s in samples:
         for e, binding, m in s.moves:
-            if e.label in guards and _best_move(annotated, m, e, s.time, True) != binding:
+            guard = guards.get(e.label)
+            if guard is not None and not (
+                guard.holds(m, s.time) and guard.binding_ok(m, s.time, binding)
+            ):
                 return None
     return MatchReport(report.matched, [], dict(report.stats))
 

@@ -39,13 +39,15 @@ import hashlib
 import heapq
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .errors import SimulationError
 from .eventlog import Event, Log, sort_events
 from .net import Binding, Marking, Net, Transition, binding_pools, enabled_bindings, fire
-from .net import postset, preset, validate_net
+from .net import _avail, postset, preset, validate_net
 
 # firings, arrivals included, allowed at one clock value; more means a
 # zero-delay cycle or interarrival that would keep the clock from advancing
@@ -117,8 +119,12 @@ def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Bindin
     pool but the first case input's gives its earliest token, and the first
     case input gives its first token minimising ``(max(avail, rest), case
     id)``, where ``rest`` is the latest of the other pools' earliest tokens.
-    Among bindings with equal keys that is the first in product order, the
-    one ``min`` over ``enabled_bindings`` would return.
+    The pool keeps store order (availability, then case id, ties in insertion
+    order), so that token is the pool's first when none is available by
+    ``rest``, and otherwise the first with the smallest case id among those
+    that are, a prefix found by bisection. Among bindings with equal keys that
+    is the first in product order, the one ``min`` over ``enabled_bindings``
+    would return.
     """
     pools = binding_pools(net, m, t_id, clock, check_guards=True)
     if pools is None:
@@ -129,7 +135,9 @@ def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Bindin
     if case_inputs:
         c = in_places.index(case_inputs[0])
         rest = max((tok.available_at for tok in chosen[:c] + chosen[c + 1 :]), default=-math.inf)
-        chosen[c] = min(pools[c], key=lambda tok: (max(tok.available_at, rest), tok.case_id))
+        waiting = pools[c][: bisect_right(pools[c], rest, key=_avail)]
+        if waiting:
+            chosen[c] = min(waiting, key=attrgetter("case_id"))
     return dict(zip(in_places, chosen))
 
 

@@ -69,6 +69,36 @@ def test_non_finite_time_rejected(row):
         parse_log("case,activity,start,complete\n" + row + "\n")
 
 
+def test_short_row_parses_missing_cells_as_absent():
+    text = (
+        "case,activity,start,complete,resource,value,code\n"
+        "1,a,0,1,w1,3,x\n"
+        "2,a,1,2\n"
+        "3,a,2,3,w2,4\n"
+    )
+    log = parse_log(text)
+    assert log.schema == (("value", "number"), ("code", "text"))
+    by_case = {e.case_id: e for e in log.events}
+    assert (by_case["1"].resource, by_case["1"].attrs) == ("w1", {"value": 3.0, "code": "x"})
+    assert (by_case["2"].resource, by_case["2"].attrs) == (None, {})
+    assert (by_case["3"].resource, by_case["3"].attrs) == ("w2", {"value": 4.0})
+
+
+@pytest.mark.parametrize("row, message", [
+    ("9,,0,5", "row 4: empty activity label"),
+    ("9,a,zero,5", "row 4: start value 'zero' is not numeric"),
+    ("9,a,0,inf", "row 4: complete value 'inf' is not finite"),
+    ("9,a,7,5", "row 4: start 7 is after complete 5"),
+    ("9,a,0,5,w1,nan", "row 4: value value 'nan' is not finite"),
+])
+def test_bad_cell_names_its_row(row, message):
+    # row 3 is short, so the padding must not shift the row count
+    text = "case,activity,start,complete,resource,value\n1,a,0,1,w1,3\n2,a,1,2\n" + row + "\n"
+    with pytest.raises(LogError) as info:
+        parse_log(text)
+    assert str(info.value) == message
+
+
 def test_round_trip_identity():
     log = parse_log(TABLE1)
     assert parse_log(write_log(log)) == log

@@ -228,6 +228,16 @@ def test_annotate_unknown_transition_rejected(blocking_net):
         annotate_net(blocking_net, [pc])
 
 
+def test_annotate_rejects_two_constraints_on_one_transition(blocking_net):
+    cand = PatternCandidate(PatternKind.BLOCKING, "pre-processing", (("downstream", "q1"),))
+    pcs = [
+        assemble_constraint([SplitAtom(FeatureRef.nrtokens("q1"), ">", const, -0.4, 0)], cand)
+        for const in (4.5, 3.5)
+    ]
+    with pytest.raises(ModelError, match="pre-processing"):
+        annotate_net(blocking_net, pcs)
+
+
 def test_annotated_net_replays_training_log(blocking_net, blocking_log):
     constraints = discover(blocking_log, blocking_net)
     annotated = annotate_net(blocking_net.without_guards(), constraints)

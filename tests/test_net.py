@@ -446,6 +446,74 @@ def test_filtered_bindings_pick_what_the_full_product_picks(model):
     assert checked > 0
 
 
+def test_a_lone_binding_over_two_case_inputs_is_still_scored():
+    # several case inputs are not filtered by case, so a transition's only
+    # binding may hold no token of the event's case
+    net = merge_net()
+    m = Marking({
+        "a": (Token("c1", {"value": 1.0}, 0.0),),
+        "b": (Token("c2", {"value": 1.0}, 0.0),),
+        "s": (Token(None, {}, 0.0),),
+    })
+    lone = enabled_bindings(net, m, "merge", 1.0)
+    assert len(lone) == 1
+    for case_id, expected in (("c2", lone[0]), ("c3", None)):
+        assert _best_move(net, m, Event(case_id, "merge", 1.0, 2.0), 1.0, False) == expected
+
+
+@pytest.mark.parametrize("resource_at, expected", [
+    (0.5, ("c5", 0.0)),  # nothing waits by then: the pool's first token
+    (3.0, ("c2", 1.0)),  # the two c2 tokens available at exactly 3 tie; the first wins
+    (4.0, ("c1", 0.0)),  # every token waits by then: the smallest case id
+])
+def test_fifo_first_bisects_the_case_pool_at_the_other_inputs(resource_at, expected):
+    net = Net(
+        places=[Place("q", "case", (("v", "number"),)), Place("r", "resource")],
+        transitions=[Transition("t")],
+        flows=[("q", "t"), ("r", "t"), ("t", "r")],
+    )
+    m = Marking({
+        "q": (
+            Token("c5", {"v": 0.0}, 1.0),
+            Token("c2", {"v": 1.0}, 3.0),
+            Token("c2", {"v": 2.0}, 3.0),
+            Token("c1", {"v": 0.0}, 4.0),
+        ),
+        "r": (Token("w1", {}, resource_at),),
+    })
+    chosen = fifo_first(net, m, "t", 5.0)
+    assert (chosen["q"].case_id, chosen["q"].attrs["v"]) == expected
+    assert chosen == _fifo_choice(net, enabled_bindings(net, m, "t", 5.0), "t", 5.0)
+
+
+@pytest.mark.parametrize("model, seed", [
+    (model, seed)
+    for model in ("blocking", "choice", "holdbatch", "priority", "supplychain")
+    for seed in (1, 2, 3)
+] + [("supplychain", 6)])
+def test_replay_moves_are_the_first_best_scored_bindings(monkeypatch, model, seed):
+    # every move of the discovery and check replays, the unscored lone
+    # bindings included, against scoring every enabled binding of the
+    # transition, unfiltered by case
+    net = load_model(model_path(model))
+    log = simulate(net, SimConfig(seed=seed, max_cases=150))
+    replay_mod = importlib.import_module("dsync.replay")
+    best_move, calls = replay_mod._best_move, 0
+
+    def checked(net_, marking, e, tau, check_guards):
+        nonlocal calls
+        calls += 1
+        chosen = best_move(net_, marking, e, tau, check_guards)
+        full = enabled_bindings(net_, marking, e.label, tau, check_guards=check_guards)
+        assert chosen == _first_max_score(net_, full, e)
+        return chosen
+
+    monkeypatch.setattr(replay_mod, "_best_move", checked)
+    run = discover_run(log, net)
+    replay(log, annotate_net(net.without_guards(), run.constraints), check_guards=True)
+    assert calls >= 2 * len(log.events)
+
+
 def test_bindings_per_fired_move_stay_small(monkeypatch, priority_net):
     # bindings enumerated per fired move (simulator injections and firings,
     # discovery and check log moves) on a priority round trip; enumerating
