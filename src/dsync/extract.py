@@ -134,18 +134,6 @@ def trace_and_filter(
     return atoms
 
 
-def merge_atoms(per_leaf: list[list[SplitAtom]]) -> list[SplitAtom]:
-    """Deduplicate atoms on the same feature, keeping the largest |ΔGini|."""
-    best: dict[str, SplitAtom] = {}
-    for atoms in per_leaf:
-        for atom in atoms:
-            key = atom.feature.canonical()
-            current = best.get(key)
-            if current is None or abs(atom.delta_gini) > abs(current.delta_gini):
-                best[key] = atom
-    return sorted(best.values(), key=lambda a: a.feature.canonical())
-
-
 def _best(atoms: list[SplitAtom], kind: str) -> Optional[SplitAtom]:
     matching = [a for a in atoms if a.feature.kind == kind]
     if not matching:
@@ -212,9 +200,9 @@ def _mine(res: CandidateResult, tree_params: TreeParams, p: ExtractionParams) ->
     if not leaves:
         return "no qualifying false leaf"
     c = res.candidate
-    atoms = merge_atoms(
-        [trace_and_filter(res.tree, leaf, c.kind, ptlog.features) for leaf in leaves]
-    )
+    atoms = [
+        atom for leaf in leaves for atom in trace_and_filter(res.tree, leaf, c.kind, ptlog.features)
+    ]
     support = sum(leaf.class_counts[0] for leaf in leaves)
     res.constraint = assemble_constraint(atoms, c, support)
     if res.constraint is None:

@@ -2,9 +2,9 @@
 
 Top-level keys: ``format``, ``name``, ``places``, ``transitions``, ``flows``,
 ``initial_marking``. Guards are constraint text in the grammar of
-:mod:`dsync.constraints`; delays and interarrivals are distribution objects
-(``{"kind": "constant"|"uniform"|"exponential", ...}``) and attribute
-generators support constant, uniform, uniform_int and weighted choice.
+:mod:`dsync.constraints`; delays, interarrivals and attribute generators are
+distribution objects, ``{"kind": ...}`` plus the kind's ``net.DIST_PARAMS``
+(a choice may omit ``weights``), and a delay may also be a bare number.
 """
 from __future__ import annotations
 
@@ -15,10 +15,10 @@ from typing import Any
 from .constraints import parse_constraint
 from .errors import ModelError
 from .net import (
-    DELAY_PARAMS,
+    DIST_PARAMS,
+    DIST_ROLES,
     ArrivalSpec,
-    AttrGen,
-    DelaySpec,
+    Dist,
     Marking,
     Net,
     Place,
@@ -45,48 +45,33 @@ def _finite(value: Any, what: str) -> Any:
     return value
 
 
-def _number(obj: dict, key: str, context: str) -> float:
-    return _finite(float(obj[key]), f"{context} {key}")
-
-
-def _delay_from_json(obj: Any, context: str) -> DelaySpec:
-    if obj is None:
-        return DelaySpec.constant(0.0)
-    if isinstance(obj, (int, float)):
-        return DelaySpec.constant(_finite(float(obj), context))
+def _dist_from_json(obj: Any, context: str, role: str) -> Dist:
+    """A ``role`` distribution (a ``DIST_ROLES`` key); a delay may also be a
+    bare number or absent (constant 0)."""
+    if role == "delay" and (obj is None or isinstance(obj, (int, float))):
+        return Dist.constant(_finite(float(obj or 0.0), context))
     kind = obj.get("kind")
-    if kind not in DELAY_PARAMS:
-        raise ModelError(f"{context}: unknown delay kind {kind!r}")
-    return DelaySpec(kind, **{key: _number(obj, key, context) for key in DELAY_PARAMS[kind]})
+    if kind not in DIST_ROLES[role]:
+        raise ModelError(f"{context}: unknown {role} kind {kind!r}")
+    params: dict[str, Any] = {}
+    for key in DIST_PARAMS[kind]:
+        what = f"{context} {key}"
+        if key in ("values", "weights"):
+            items = _typed(obj[key] if key == "values" else obj.get(key, []), (list,), what)
+            params[key] = tuple(_finite(v, what) for v in items)
+        else:  # a constant attribute may be any JSON value, other parameters are numbers
+            raw = obj[key] if key == "value" and role != "delay" else float(obj[key])
+            params[key] = _finite(raw, what)
+    return Dist(kind, **params)
 
 
-def _delay_to_json(spec: DelaySpec) -> Any:
-    return {"kind": spec.kind, **{key: getattr(spec, key) for key in DELAY_PARAMS[spec.kind]}}
-
-
-def _attrgen_from_json(obj: Any, context: str) -> AttrGen:
-    kind = obj.get("kind")
-    if kind == "constant":
-        return AttrGen("constant", value=_finite(obj["value"], f"{context} value"))
-    if kind in ("uniform", "uniform_int"):
-        return AttrGen(kind, lo=_number(obj, "lo", context), hi=_number(obj, "hi", context))
-    if kind == "choice":
-        return AttrGen(
-            "choice",
-            values=tuple(_finite(v, f"{context} values") for v in obj["values"]),
-            weights=tuple(_finite(w, f"{context} weights") for w in obj.get("weights", ())),
-        )
-    raise ModelError(f"{context}: unknown attribute generator kind {kind!r}")
-
-
-def _attrgen_to_json(gen: AttrGen) -> Any:
-    if gen.kind == "constant":
-        return {"kind": "constant", "value": gen.value}
-    if gen.kind in ("uniform", "uniform_int"):
-        return {"kind": gen.kind, "lo": gen.lo, "hi": gen.hi}
-    out: dict[str, Any] = {"kind": "choice", "values": list(gen.values)}
-    if gen.weights:
-        out["weights"] = list(gen.weights)
+def _dist_to_json(dist: Dist) -> dict:
+    """The object ``_dist_from_json`` reads back; empty weights are left out."""
+    out: dict[str, Any] = {"kind": dist.kind}
+    for key in DIST_PARAMS[dist.kind]:
+        value = getattr(dist, key)
+        if key != "weights" or value:
+            out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -118,24 +103,32 @@ def net_from_json(doc: dict) -> Net:
         if t.get("arrival_spec"):
             spec = t["arrival_spec"]
             arrival = ArrivalSpec(
-                interarrival=_delay_from_json(spec.get("interarrival"), f"{t['id']} interarrival"),
+                interarrival=_dist_from_json(
+                    spec.get("interarrival"), f"{t['id']} interarrival", "delay"
+                ),
                 attributes={
-                    name: _attrgen_from_json(gen, f"{t['id']} attribute {name}")
+                    name: _dist_from_json(
+                        gen, f"{t['id']} attribute {name}", "attribute generator"
+                    )
                     for name, gen in sorted(spec.get("attributes", {}).items())
                 },
                 max_count=_typed(spec.get("max_count"), (int, type(None)), "max_count"),
-                case_prefix=spec.get("case_prefix", "c"),
+                case_prefix=_typed(spec.get("case_prefix", "c"), (str,), "case_prefix"),
             )
         transitions.append(
             Transition(
                 _typed(t["id"], (str,), "transition id"),
                 is_task=_typed(t.get("is_task", True), (bool,), "is_task"),
-                delay=_delay_from_json(t.get("delay"), f"{t['id']} delay"),
+                delay=_dist_from_json(t.get("delay"), f"{t['id']} delay", "delay"),
                 guard=guard,
                 arrival_spec=arrival,
             )
         )
-    flows = [(src, tgt) for src, tgt in doc.get("flows", [])]
+    flows = [
+        (_typed(src, (str,), f"flow ({src!r}, {tgt!r}) source"),
+         _typed(tgt, (str,), f"flow ({src!r}, {tgt!r}) target"))
+        for src, tgt in doc.get("flows", [])
+    ]
     marking = Marking({
         place_id: [_token_from_json(tok, f"initial token in {place_id}:") for tok in tokens]
         for place_id, tokens in sorted(doc.get("initial_marking", {}).items())
@@ -154,15 +147,15 @@ def net_to_json(net: Net) -> dict:
         obj: dict[str, Any] = {
             "id": t.id,
             "is_task": t.is_task,
-            "delay": _delay_to_json(t.delay),
+            "delay": _dist_to_json(t.delay),
         }
         if t.guard is not None:
             obj["guard"] = t.guard.canonical()
         if t.arrival_spec is not None:
             obj["arrival_spec"] = {
-                "interarrival": _delay_to_json(t.arrival_spec.interarrival),
+                "interarrival": _dist_to_json(t.arrival_spec.interarrival),
                 "attributes": {
-                    name: _attrgen_to_json(gen)
+                    name: _dist_to_json(gen)
                     for name, gen in sorted(t.arrival_spec.attributes.items())
                 },
                 "max_count": t.arrival_spec.max_count,

@@ -16,6 +16,9 @@ and the time-enabled tokens are the store's prefix up to the current time.
 ``Marking.extremum`` memoises attribute extrema, a pure function of the stores.
 Tokens that nothing can read are not stored: a plain place with an empty
 postset that no guard references (``Net.unread``) receives no tokens.
+
+Delays, interarrivals and case attribute generators are each a ``Dist``;
+``validate_net`` checks each against the kinds its role takes (``DIST_ROLES``).
 """
 from __future__ import annotations
 
@@ -59,82 +62,96 @@ class Token:
         )
 
 
-# each delay kind's parameters, as DelaySpec fields and as model-file keys
-DELAY_PARAMS = {"constant": ("value",), "uniform": ("lo", "hi"), "exponential": ("mean",)}
+# each distribution kind's parameters, as Dist fields and as model-file keys
+DIST_PARAMS = {"constant": ("value",), "uniform": ("lo", "hi"), "exponential": ("mean",),
+               "uniform_int": ("lo", "hi"), "choice": ("values", "weights")}
+# the kinds each role takes
+DIST_ROLES = {"delay": ("constant", "uniform", "exponential"),
+              "attribute generator": ("constant", "uniform", "uniform_int", "choice")}
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def attr_type(value: AttrValue) -> str:
+    """The ``ATTR_TYPES`` entry of an attribute value."""
+    if isinstance(value, bool):
+        return "boolean"
+    return "number" if isinstance(value, (int, float)) else "text"
 
 
 @dataclass(frozen=True)
-class DelaySpec:
-    """Duration distribution: constant, uniform(lo, hi) or exponential(mean)."""
+class Dist:
+    """A distribution over ``DIST_PARAMS``: ``uniform_int`` draws an integer, as a
+    float, and ``choice`` one of ``values``, at equal odds when ``weights`` is empty."""
 
-    kind: str  # "constant" | "uniform" | "exponential"
-    value: float = 0.0
+    kind: str
+    value: AttrValue = 0.0
     lo: float = 0.0
     hi: float = 0.0
     mean: float = 0.0
-
-    @staticmethod
-    def constant(value: float) -> "DelaySpec":
-        return DelaySpec("constant", value=value)
-
-    @staticmethod
-    def uniform(lo: float, hi: float) -> "DelaySpec":
-        return DelaySpec("uniform", lo=lo, hi=hi)
-
-    @staticmethod
-    def exponential(mean: float) -> "DelaySpec":
-        return DelaySpec("exponential", mean=mean)
-
-    def sample(self, rng: Optional[random.Random]) -> float:
-        if self.kind == "constant":
-            return self.value
-        if rng is None:
-            raise ModelError("a random stream is required to sample a %s delay" % self.kind)
-        if self.kind == "uniform":
-            return rng.uniform(self.lo, self.hi)
-        if self.kind == "exponential":
-            return rng.expovariate(1.0 / self.mean)
-        raise ModelError(f"unknown delay kind {self.kind!r}")
-
-    def problems(self) -> list[str]:
-        if self.kind not in DELAY_PARAMS:
-            return [f"unknown delay kind {self.kind!r}"]
-        if not all(math.isfinite(getattr(self, name)) for name in DELAY_PARAMS[self.kind]):
-            return [f"{self.kind} delay parameters must be finite"]
-        if self.kind == "constant":
-            return [] if self.value >= 0 else ["constant delay is negative"]
-        if self.kind == "uniform":
-            out = []
-            if self.lo < 0:
-                out.append("uniform delay lower bound is negative")
-            if self.hi < self.lo:
-                out.append("uniform delay bounds are inverted")
-            return out
-        return [] if self.mean > 0 else ["exponential delay mean must be positive"]
-
-
-@dataclass(frozen=True)
-class AttrGen:
-    """Generator for one token attribute of newly injected cases."""
-
-    kind: str  # "constant" | "uniform" | "uniform_int" | "choice"
-    value: AttrValue = None
-    lo: float = 0.0
-    hi: float = 0.0
     values: tuple = ()
     weights: tuple = ()
+
+    @staticmethod
+    def constant(value: float) -> "Dist":
+        return Dist("constant", value=value)
+
+    @staticmethod
+    def uniform(lo: float, hi: float) -> "Dist":
+        return Dist("uniform", lo=lo, hi=hi)
+
+    @staticmethod
+    def exponential(mean: float) -> "Dist":
+        return Dist("exponential", mean=mean)
 
     def sample(self, rng: random.Random) -> AttrValue:
         if self.kind == "constant":
             return self.value
         if self.kind == "uniform":
             return rng.uniform(self.lo, self.hi)
+        if self.kind == "exponential":
+            return rng.expovariate(1.0 / self.mean)
         if self.kind == "uniform_int":
             return float(rng.randint(int(self.lo), int(self.hi)))
         if self.kind == "choice":
-            weights = self.weights or None
-            return rng.choices(list(self.values), weights=weights, k=1)[0]
-        raise ModelError(f"unknown attribute generator kind {self.kind!r}")
+            return rng.choices(self.values, weights=self.weights or None, k=1)[0]
+        raise ModelError(f"unknown distribution kind {self.kind!r}")
+
+    def outcomes(self) -> tuple:
+        """A choice's values, else the parameters: what ``problems`` checks."""
+        if self.kind == "choice":
+            return self.values
+        return tuple(getattr(self, name) for name in DIST_PARAMS.get(self.kind, ()))
+
+    def problems(self, role: str) -> list[str]:
+        """Why this cannot serve as a ``role`` (a ``DIST_ROLES`` key)."""
+        kind, what, values = self.kind, f"{self.kind} {role}", self.outcomes()
+        if kind not in DIST_ROLES[role]:
+            return [f"unknown {role} kind {kind!r}"]
+        if role == "delay" or kind not in ("constant", "choice"):
+            if not all(map(_is_number, values)):
+                return [f"{what} parameters must be finite"]
+        elif not values or not all(_is_number(v) or isinstance(v, (bool, str)) for v in values):
+            return [f"{what} values must be finite numbers, bools or text, at least one"]
+        out = []
+        if role == "delay" and kind == "constant" and self.value < 0:
+            out.append("constant delay is negative")
+        if role == "delay" and kind == "uniform" and self.lo < 0:
+            out.append("uniform delay lower bound is negative")
+        if self.hi < self.lo:
+            out.append(f"{what} bounds are inverted")
+        elif not math.isfinite(self.hi - self.lo):  # ``rng.uniform`` would draw infinities
+            out.append(f"{what} bounds are too far apart")
+        if kind == "exponential" and self.mean <= 0:
+            out.append("exponential delay mean must be positive")
+        if self.weights and len(self.weights) != len(values):
+            out.append(f"{what} has {len(values)} values but {len(self.weights)} weights")
+        elif self.weights and not (all(_is_number(w) and w >= 0 for w in self.weights)
+                                   and 0 < sum(self.weights) < math.inf):
+            out.append(f"{what} weights must be finite, non-negative and not all zero")
+        return out
 
 
 @dataclass(frozen=True)
@@ -146,8 +163,8 @@ class ArrivalSpec:
     the number of injections regardless of the simulation config.
     """
 
-    interarrival: DelaySpec
-    attributes: Mapping[str, AttrGen] = field(default_factory=dict)
+    interarrival: Dist
+    attributes: Mapping[str, Dist] = field(default_factory=dict)
     max_count: Optional[int] = None
     case_prefix: str = "c"
 
@@ -171,7 +188,7 @@ class Place:
 class Transition:
     id: str
     is_task: bool = True
-    delay: DelaySpec = DelaySpec.constant(0.0)
+    delay: Dist = Dist.constant(0.0)
     guard: Optional["ConstraintExpr"] = None
     arrival_spec: Optional[ArrivalSpec] = None
 
@@ -602,11 +619,8 @@ def fire(
 
 def validate_net(net: Net) -> list[str]:
     """All invariant violations of the net (empty list when valid)."""
-    out = [
-        f"id {tid!r} used by both a place and a transition"
-        for tid in net.transitions
-        if tid in net.places
-    ]
+    out = [f"id {tid!r} used by both a place and a transition"
+           for tid in net.transitions if tid in net.places]
 
     for p in net.places.values():
         if p.kind not in PLACE_KINDS:
@@ -620,22 +634,27 @@ def validate_net(net: Net) -> list[str]:
     for src, tgt in net.flows:
         if not net.has_node(src) or not net.has_node(tgt):
             out.append(f"flow ({src!r}, {tgt!r}) references an unknown node")
-            continue
-        src_is_place = src in net.places
-        tgt_is_place = tgt in net.places
-        if src_is_place == tgt_is_place:
+        elif (src in net.places) == (tgt in net.places):
             out.append(f"flow ({src!r}, {tgt!r}) is not place/transition bipartite")
 
     for t in net.transitions.values():
-        for prob in t.delay.problems():
-            out.append(f"transition {t.id!r}: {prob}")
+        out += [f"transition {t.id!r}: {prob}" for prob in t.delay.problems("delay")]
         if t.arrival_spec is not None:
             if preset(net, t.id):
                 out.append(f"source transition {t.id!r} has a nonempty preset")
             if not t.is_task and t.guard is not None:
                 out.append(f"non-task source {t.id!r} cannot carry a guard")
-            for prob in t.arrival_spec.interarrival.problems():
-                out.append(f"transition {t.id!r} interarrival: {prob}")
+            out += [f"transition {t.id!r} interarrival: {prob}"
+                    for prob in t.arrival_spec.interarrival.problems("delay")]
+            for name, gen in sorted(t.arrival_spec.attributes.items()):
+                yields = set(map(attr_type, gen.outcomes()))
+                probs = gen.problems("attribute generator") or [  # then the places' types
+                    f"{gen.kind} attribute generator yields {'/'.join(sorted(yields))} values "
+                    f"but place {p!r} declares {typ}"
+                    for p in postset(net, t.id) if p in net.places
+                    for attr, typ in net.places[p].attributes if attr == name and yields != {typ}
+                ]
+                out += [f"transition {t.id!r} attribute {name!r}: {prob}" for prob in probs]
             cap = t.arrival_spec.max_count
             if cap is not None and cap < 1:
                 out.append(f"source {t.id!r} max_count must be >= 1, got {cap}")
@@ -643,9 +662,7 @@ def validate_net(net: Net) -> list[str]:
                 if p in net.places and net.places[p].kind == "resource":
                     out.append(f"source {t.id!r} cannot feed resource place {p!r}")
         elif not preset(net, t.id):
-            out.append(
-                f"transition {t.id!r} has an empty preset and no arrival_spec"
-            )
+            out.append(f"transition {t.id!r} has an empty preset and no arrival_spec")
         if t.guard is not None:
             for place_id, attr in t.guard.references():
                 if place_id not in net.places:
@@ -660,11 +677,8 @@ def validate_net(net: Net) -> list[str]:
         if pid not in net.places:
             out.append(f"initial marking references unknown place {pid!r}")
             continue
-        place = net.places[pid]
-        for tok in net.initial_marking.tokens(pid):
-            out.extend(
-                f"initial token in {pid!r}: {prob}" for prob in token_problems(place, tok)
-            )
+        out += [f"initial token in {pid!r}: {prob}" for tok in net.initial_marking.tokens(pid)
+                for prob in token_problems(net.places[pid], tok)]
     return out
 
 

@@ -221,15 +221,25 @@ def replay(
 ) -> tuple[list[StateSample], MatchReport]:
     """Execute all log moves; returns the sample sequence and a match report.
 
-    Events with no enabled (or, when checking, guard-satisfying) binding are
-    recorded as unmatched and skipped; the marking is repaired as if the move
-    had happened for its case, so later moves of the same case still line up.
-    Samples at repaired timestamps are flagged and excluded from pattern
-    mining.
+    Before the first move, a log label that is no task of the net, or a log
+    column holding values of another type than a case place declares for that
+    attribute, raises ``ReplayError``. Events with no enabled (or, when
+    checking, guard-satisfying) binding are recorded as unmatched and skipped;
+    the marking is repaired as if the move had happened for its case, so later
+    moves of the same case still line up. Samples at repaired timestamps are
+    flagged and excluded from pattern mining.
     """
     for label in sorted({e.label for e in log.events}):
         if label not in net.transitions or not net.transitions[label].is_task:
             raise ReplayError(f"log label {label!r} is not a task transition of the net")
+    for col, typ in log.schema:
+        for p, place in sorted(net.places.items()):
+            declared = dict(place.attributes).get(col, typ)
+            if place.kind == "case" and declared != typ and any(col in e.attrs for e in log.events):
+                raise ReplayError(
+                    f"log column {col!r} holds {typ} values but case place {p!r} "
+                    f"declares {col!r} as {declared}"
+                )
 
     marking = net.initial_marking
     injections = _arrival_plan(log, net)

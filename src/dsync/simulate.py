@@ -47,7 +47,7 @@ from typing import Optional
 from .errors import SimulationError
 from .eventlog import Event, Log, sort_events
 from .net import Binding, Marking, Net, Transition, binding_pools, enabled_bindings, fire
-from .net import _avail, postset, preset, validate_net
+from .net import _avail, attr_type, postset, preset, validate_net
 
 # firings, arrivals included, allowed at one clock value; more means a
 # zero-delay cycle or interarrival that would keep the clock from advancing
@@ -284,16 +284,8 @@ def _infer_schema(events: list[Event]) -> tuple[tuple[str, str], ...]:
     cols: dict[str, str] = {}
     for e in events:
         for name, value in e.attrs.items():
-            if isinstance(value, bool):
-                typ = "boolean"
-            elif isinstance(value, (int, float)):
-                typ = "number"
-            else:
-                typ = "text"
-            if name in cols and cols[name] != typ:
-                cols[name] = "text"
-            else:
-                cols.setdefault(name, typ)
+            typ = attr_type(value)
+            cols[name] = typ if cols.get(name, typ) == typ else "text"
     return tuple(sorted(cols.items()))
 
 

@@ -266,6 +266,74 @@ def test_bad_delay_exits_3(tmp_path, capsys, delay, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "gen, message",
+    [
+        ({"kind": "uniform_int", "lo": 100, "hi": 0},
+         "uniform_int attribute generator bounds are inverted"),
+        ({"kind": "choice", "values": []},
+         "choice attribute generator values must be finite numbers, bools or text, at least one"),
+        ({"kind": "choice", "values": [1, None]},
+         "choice attribute generator values must be finite numbers, bools or text"),
+        ({"kind": "constant", "value": {}},
+         "constant attribute generator values must be finite numbers, bools or text"),
+        ({"kind": "choice", "values": [1, 2], "weights": [1]},
+         "choice attribute generator has 2 values but 1 weights"),
+        ({"kind": "choice", "values": [1, 2], "weights": [0, 0]},
+         "choice attribute generator weights must be finite, non-negative and not all zero"),
+        ({"kind": "choice", "values": [1, 2], "weights": [-1, 2]},
+         "choice attribute generator weights must be finite, non-negative and not all zero"),
+        ({"kind": "choice", "values": [1, 2], "weights": ["x", 2]},
+         "choice attribute generator weights must be finite, non-negative and not all zero"),
+        ({"kind": "choice", "values": ["x", 2]},
+         "choice attribute generator yields number/text values but place 'arrival' "
+         "declares number"),
+        ({"kind": "constant", "value": True},
+         "constant attribute generator yields boolean values but place 'arrival' "
+         "declares number"),
+    ],
+    ids=["inverted", "no-values", "null-value", "object-value", "weights-length",
+         "zero-weights", "negative-weight", "text-weight", "text-value", "bool-value"],
+)
+def test_bad_attribute_generator_exits_3(tmp_path, capsys, gen, message):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_priority_doc_with(_SOURCE + ("attributes", "value"), gen)))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert f"transition 'job_arrival' attribute 'value': {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "gen, message",
+    [
+        ({"kind": "choice", "values": "12"}, "job_arrival attribute value values should be list"),
+        ({"kind": "choice", "values": [1], "weights": {}},
+         "job_arrival attribute value weights should be list"),
+        ({"kind": "exponential", "mean": 1},
+         "job_arrival attribute value: unknown attribute generator kind 'exponential'"),
+        ({"kind": "uniform_int", "lo": 1}, "missing key 'hi'"),
+    ],
+    ids=["values-text", "weights-object", "exponential", "missing-bound"],
+)
+def test_malformed_attribute_generator_exits_3(tmp_path, capsys, gen, message):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_priority_doc_with(_SOURCE + ("attributes", "value"), gen)))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+def test_case_prefix_that_is_no_string_exits_3(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_priority_doc_with(_SOURCE + ("case_prefix",), 7)))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "case_prefix should be str, found 7" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("max_count", [0, -3])
 def test_source_max_count_below_one_exits_3(tmp_path, capsys, max_count):
     # such a source ignores --max-cases; the horizon ends the run should the
@@ -337,3 +405,35 @@ def test_report_malformed_exits_3(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["report", "--report", str(path)]) == 3
     assert "is malformed or incomplete" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["discover", "check"])
+def test_log_column_of_another_type_than_the_place_exits_3(tmp_path, capsys, command):
+    log = tmp_path / "log.csv"
+    main(["simulate", "--model", model_path("priority"), "--seed", "1",
+          "--max-cases", "60", "--out", str(log)])
+    header, first, *rest = log.read_text().splitlines()
+    column = header.split(",").index("value")
+    cells = first.split(",")
+    cells[column] = "abc"
+    log.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    capsys.readouterr()
+    code = main([command, "--model", model_path("priority"), "--log", str(log)])
+    assert code == 3
+    assert ("log column 'value' holds text values but case place 'arrival' "
+            "declares 'value' as number") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("endpoint", [[], {}, 3, None], ids=["list", "object", "number", "null"])
+@pytest.mark.parametrize("end", [0, 1], ids=["source", "target"])
+def test_flow_endpoint_that_is_no_string_exits_3(tmp_path, capsys, endpoint, end):
+    doc = json.loads((MODELS / "priority.json").read_text())
+    flow = doc["flows"][0]
+    flow[end] = endpoint
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    role = ("source", "target")[end]
+    assert f"flow ({flow[0]!r}, {flow[1]!r}) {role} should be str" in capsys.readouterr().err

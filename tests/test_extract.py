@@ -10,7 +10,6 @@ from dsync.extract import (
     assemble_constraint,
     discover,
     discover_run,
-    merge_atoms,
     select_false_leaves,
     trace_and_filter,
 )
@@ -101,31 +100,36 @@ def test_trace_requires_impurity_decrease():
     assert atoms == []
 
 
-def test_merge_resolves_duplicates_by_gini_drop():
+def test_assemble_resolves_duplicates_by_gini_drop():
+    ratio_atom = SplitAtom(RATIO, ">", 1.5, -0.3, 0)
     a = SplitAtom(ENABLED, "==", True, -0.422, 5)
     b = SplitAtom(ENABLED, "==", False, -0.322, 9)
-    merged = merge_atoms([[a], [b]])
-    assert merged == [a]
+    for atoms in ([ratio_atom, a, b], [ratio_atom, b, a]):
+        pc = assemble_constraint(atoms, PRIORITY_CAND)
+        assert pc.provenance == (ratio_atom, a)
 
 
 def test_shared_root_split_contributes_one_atom():
-    left = leaf(40, 0, 1)
-    right_false = leaf(15, 0, 3)
-    right_true = leaf(0, 60, 4)
+    # both false leaves lie under the root's ratio > 3.2 branch, so both
+    # paths trace the root split
+    held_a = leaf(40, 0, 3)
+    held_b = leaf(15, 1, 4)
     inner = TreeNode(
-        gini=0.3, samples=75, class_counts=(15, 60),
-        split=(1, 0.5), left=right_false, right=right_true, node_id=2,
+        gini=0.3, samples=56, class_counts=(55, 1),
+        split=(1, 0.5), left=held_a, right=held_b, node_id=2,
     )
     root = TreeNode(
-        gini=0.49, samples=115, class_counts=(55, 60),
-        split=(0, 3.2), left=left, right=inner, node_id=0,
+        gini=0.49, samples=116, class_counts=(55, 61),
+        split=(0, 3.2), left=inner, right=leaf(0, 60, 1), node_id=0,
     )
     per_leaf = [
-        trace_and_filter(root, left, PatternKind.PRIORITY, FEATURES),
-        trace_and_filter(root, right_false, PatternKind.PRIORITY, FEATURES),
+        trace_and_filter(root, held_a, PatternKind.PRIORITY, FEATURES),
+        trace_and_filter(root, held_b, PatternKind.PRIORITY, FEATURES),
     ]
-    merged = merge_atoms(per_leaf)
-    assert sum(1 for a in merged if a.feature.kind == "ratio") == 1
+    atoms = per_leaf[0] + per_leaf[1]
+    assert sum(1 for a in atoms if a.feature.kind == "ratio") == 2
+    pc = assemble_constraint(atoms, PRIORITY_CAND)
+    assert sum(1 for a in pc.provenance if a.feature.kind == "ratio") == 1
 
 
 def test_assemble_priority_needs_both_parts():

@@ -16,7 +16,7 @@ from dsync.extract import annotate_net, discover_run
 from dsync.modelfile import load_model
 from dsync.net import (
     ArrivalSpec,
-    DelaySpec,
+    Dist,
     Marking,
     Net,
     Place,
@@ -44,8 +44,8 @@ def fig1_net() -> Net:
             Place("r1", "resource"),
         ],
         transitions=[
-            Transition("pre-processing", delay=DelaySpec.constant(5)),
-            Transition("handling", delay=DelaySpec.constant(7)),
+            Transition("pre-processing", delay=Dist.constant(5)),
+            Transition("handling", delay=Dist.constant(7)),
         ],
         flows=[
             ("arrival", "pre-processing"),
@@ -123,7 +123,7 @@ def test_fire_moves_job_and_returns_worker():
 def test_fire_zero_delay_token_available_now():
     net = Net(
         places=[Place("a", "case"), Place("b", "case")],
-        transitions=[Transition("t", delay=DelaySpec.constant(0))],
+        transitions=[Transition("t", delay=Dist.constant(0))],
         flows=[("a", "t"), ("t", "b")],
     )
     m = Marking().with_added("a", Token("c1", {}, 1.0))
@@ -160,7 +160,7 @@ def test_validate_place_to_place_flow():
 
 
 def test_validate_arrival_spec_with_preset():
-    spec = ArrivalSpec(interarrival=DelaySpec.constant(1))
+    spec = ArrivalSpec(interarrival=Dist.constant(1))
     net = Net(
         places=[Place("a", "case"), Place("b", "case")],
         transitions=[Transition("t", arrival_spec=spec)],
@@ -171,7 +171,7 @@ def test_validate_arrival_spec_with_preset():
 
 
 def test_validate_source_feeding_resource_place():
-    spec = ArrivalSpec(interarrival=DelaySpec.constant(1))
+    spec = ArrivalSpec(interarrival=Dist.constant(1))
     net = Net(
         places=[Place("r", "resource"), Place("b", "case")],
         transitions=[Transition("arrive", arrival_spec=spec)],
@@ -192,7 +192,7 @@ def test_validate_resource_place_attributes():
 def test_validate_bad_delay_and_unknown_flow():
     net = Net(
         places=[Place("a", "case")],
-        transitions=[Transition("t", delay=DelaySpec.uniform(3, 1))],
+        transitions=[Transition("t", delay=Dist.uniform(3, 1))],
         flows=[("a", "t"), ("t", "ghost")],
     )
     problems = validate_net(net)
@@ -221,10 +221,10 @@ def test_validate_place_and_transition_sharing_an_id():
 @pytest.mark.parametrize(
     "make",
     [
-        DelaySpec.constant,
-        lambda v: DelaySpec.uniform(v, 1.0),
-        lambda v: DelaySpec.uniform(0.0, v),
-        DelaySpec.exponential,
+        Dist.constant,
+        lambda v: Dist.uniform(v, 1.0),
+        lambda v: Dist.uniform(0.0, v),
+        Dist.exponential,
     ],
     ids=["constant", "uniform-lo", "uniform-hi", "exponential"],
 )
@@ -236,6 +236,56 @@ def test_validate_non_finite_delay(make, value):
         flows=[("a", "t")],
     )
     assert validate_net(net) == [f"transition 't': {spec.kind} delay parameters must be finite"]
+
+
+def _source_net(gen: Dist, delay: Dist = Dist.constant(0)) -> Net:
+    """A non-task source generating attribute ``v`` of case place ``a``."""
+    return Net(
+        places=[Place("a", "case", (("v", "number"),))],
+        transitions=[
+            Transition("src", is_task=False,
+                       arrival_spec=ArrivalSpec(Dist.constant(1), {"v": gen})),
+            Transition("t", delay=delay),
+        ],
+        flows=[("src", "a"), ("a", "t")],
+    )
+
+
+def test_each_role_takes_its_own_distribution_kinds():
+    assert validate_net(_source_net(Dist("uniform_int", lo=1, hi=5))) == []
+    assert validate_net(_source_net(Dist("exponential", mean=1))) == [
+        "transition 'src' attribute 'v': unknown attribute generator kind 'exponential'"
+    ]
+    assert validate_net(_source_net(Dist.constant(1), Dist("uniform_int", lo=1, hi=2))) == [
+        "transition 't': unknown delay kind 'uniform_int'"
+    ]
+
+
+def test_attribute_generators_may_be_negative_but_not_inverted_or_non_finite():
+    assert validate_net(_source_net(Dist.uniform(-5, -1))) == []
+    assert validate_net(_source_net(Dist.constant(-3))) == []
+    assert validate_net(_source_net(Dist("uniform_int", lo=2, hi=1))) == [
+        "transition 'src' attribute 'v': uniform_int attribute generator bounds are inverted"
+    ]
+    assert validate_net(_source_net(Dist.uniform(-1e308, 1e308))) == [
+        "transition 'src' attribute 'v': uniform attribute generator bounds are too far apart"
+    ]
+    assert validate_net(_source_net(Dist.uniform(0, float("inf")))) == [
+        "transition 'src' attribute 'v': uniform attribute generator parameters must be finite"
+    ]
+    assert validate_net(_source_net(Dist.constant(float("nan")))) == [
+        "transition 'src' attribute 'v': constant attribute generator values must be "
+        "finite numbers, bools or text, at least one"
+    ]
+
+
+def test_choice_weights_must_fit_the_values():
+    assert validate_net(_source_net(Dist("choice", values=(1, 2), weights=(0, 3)))) == []
+    too_large = Dist("choice", values=(1, 2), weights=(1e308, 1e308))
+    assert validate_net(_source_net(too_large)) == [
+        "transition 'src' attribute 'v': choice attribute generator weights must be finite, "
+        "non-negative and not all zero"
+    ]
 
 
 def test_validate_initial_marking_conformance():
@@ -253,11 +303,10 @@ def test_validate_initial_marking_conformance():
 def test_delay_sampling_is_deterministic_per_stream():
     import random
 
-    spec = DelaySpec.uniform(1, 3)
+    spec = Dist.uniform(1, 3)
     a = [spec.sample(random.Random(7)) for _ in range(5)]
     b = [spec.sample(random.Random(7)) for _ in range(5)]
     assert a == b
-    assert DelaySpec.constant(4).sample(None) == 4
 
 
 def test_flow_depth_orders_downstream_deeper():

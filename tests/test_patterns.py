@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from dsync.net import DelaySpec, Net, Place, Transition
+from dsync.net import Dist, Net, Place, Transition
 from dsync.patterns import (
     PatternCandidate,
     PatternKind,
@@ -55,7 +55,7 @@ def test_resource_places_never_fill_roles(priority_net):
 
 
 def test_no_candidates_without_places():
-    net = Net(places=[], transitions=[Transition("t", delay=DelaySpec.constant(1))], flows=[])
+    net = Net(places=[], transitions=[Transition("t", delay=Dist.constant(1))], flows=[])
     assert detect_constructs(net) == []
 
 
@@ -64,7 +64,7 @@ def test_detection_monotone_under_extension(priority_net):
     extended = Net(
         places=list(priority_net.places.values()) + [Place("island", "case")],
         transitions=list(priority_net.transitions.values())
-        + [Transition("lonely", delay=DelaySpec.constant(1))],
+        + [Transition("lonely", delay=Dist.constant(1))],
         flows=list(priority_net.flows) + [("island", "lonely")],
         initial_marking=priority_net.initial_marking,
     )

@@ -10,7 +10,7 @@ from dsync.errors import ReplayError
 from dsync.eventlog import Event, Log, parse_log
 from dsync.extract import annotate_net, discover_run
 from dsync.modelfile import load_model
-from dsync.net import ArrivalSpec, DelaySpec, Marking, Net, Place, Token, Transition
+from dsync.net import ArrivalSpec, Dist, Marking, Net, Place, Token, Transition
 from dsync.replay import read_off_check, replay, sim_score
 from dsync.report import build_report
 from dsync.simulate import SimConfig, simulate
@@ -18,7 +18,7 @@ from tests.conftest import model_path
 
 
 def arrivals(prefix: str, gap: float) -> ArrivalSpec:
-    return ArrivalSpec(interarrival=DelaySpec.constant(gap), case_prefix=prefix)
+    return ArrivalSpec(interarrival=Dist.constant(gap), case_prefix=prefix)
 
 
 def test_sample_times_are_distinct_starts(priority_net, table1_log):
@@ -187,7 +187,7 @@ def zero_delay_chain_net() -> Net:
     return Net(
         places=[Place(f"p{i}", "case") for i in range(4)],
         transitions=[Transition("arrive", is_task=False, arrival_spec=arrivals("c", 1))]
-        + [Transition(t, delay=DelaySpec.constant(0)) for t in "abc"],
+        + [Transition(t, delay=Dist.constant(0)) for t in "abc"],
         flows=[
             ("arrive", "p0"), ("p0", "a"), ("a", "p1"),
             ("p1", "b"), ("b", "p2"), ("p2", "c"), ("c", "p3"),
@@ -213,8 +213,8 @@ def arrival_with_three_outputs_net() -> Net:
         places=[Place("pa", "case"), Place("pb", "case"), Place("gate", "plain")],
         transitions=[
             Transition("arrive", is_task=False, arrival_spec=arrivals("c", 2)),
-            Transition("a", delay=DelaySpec.constant(1)),
-            Transition("b", delay=DelaySpec.constant(3)),
+            Transition("a", delay=Dist.constant(1)),
+            Transition("b", delay=Dist.constant(3)),
         ],
         flows=[
             ("arrive", "pa"), ("arrive", "pb"), ("arrive", "gate"),
@@ -242,8 +242,8 @@ def guard_closed_by_downstream_net() -> Net:
         transitions=[
             Transition("arrive_a", is_task=False, arrival_spec=arrivals("a", 1)),
             Transition("arrive_b", is_task=False, arrival_spec=arrivals("b", 9.5)),
-            Transition("u", delay=DelaySpec.constant(9)),
-            Transition("tp", delay=DelaySpec.constant(1)),
+            Transition("u", delay=Dist.constant(9)),
+            Transition("tp", delay=Dist.constant(1)),
             Transition("tg", guard=parse_constraint("timeuntilnext(o) > 2")),
         ],
         flows=[

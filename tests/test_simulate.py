@@ -9,7 +9,7 @@ from dsync.constraints import parse_constraint
 from dsync.errors import SimulationError
 from dsync.eventlog import write_log
 from dsync.modelfile import load_model
-from dsync.net import AttrGen, ArrivalSpec, DelaySpec, Marking, Net, Place, Token, Transition
+from dsync.net import ArrivalSpec, Dist, Marking, Net, Place, Token, Transition
 from dsync.simulate import SimConfig, ground_truth, simulate
 from tests.conftest import model_path
 
@@ -21,9 +21,9 @@ def source_net(interarrival: float = 1.0) -> Net:
             Transition(
                 "arrive",
                 is_task=True,
-                delay=DelaySpec.constant(0),
+                delay=Dist.constant(0),
                 arrival_spec=ArrivalSpec(
-                    interarrival=DelaySpec.constant(interarrival), case_prefix="c"
+                    interarrival=Dist.constant(interarrival), case_prefix="c"
                 ),
             )
         ],
@@ -65,7 +65,7 @@ def test_horizon_caps_run():
 def test_deadlock_reports_marking():
     net = Net(
         places=[Place("a", "case"), Place("b", "case")],
-        transitions=[Transition("t", delay=DelaySpec.constant(1))],
+        transitions=[Transition("t", delay=Dist.constant(1))],
         flows=[("a", "t"), ("t", "b")],
         initial_marking=Marking(),
     )
@@ -155,9 +155,9 @@ def test_zero_delay_cycle_raises():
             Transition(
                 "src",
                 is_task=False,
-                arrival_spec=ArrivalSpec(interarrival=DelaySpec.constant(1)),
+                arrival_spec=ArrivalSpec(interarrival=Dist.constant(1)),
             ),
-            Transition("t", delay=DelaySpec.constant(0)),
+            Transition("t", delay=Dist.constant(0)),
         ],
         flows=[("src", "p"), ("p", "t"), ("t", "p")],
     )
@@ -173,9 +173,9 @@ def test_zero_interarrival_source_raises():
             Transition(
                 "src",
                 is_task=False,
-                arrival_spec=ArrivalSpec(interarrival=DelaySpec.constant(0)),
+                arrival_spec=ArrivalSpec(interarrival=Dist.constant(0)),
             ),
-            Transition("t", delay=DelaySpec.constant(1)),
+            Transition("t", delay=Dist.constant(1)),
         ],
         flows=[("src", "p"), ("p", "t"), ("t", "q")],
     )
@@ -218,8 +218,8 @@ def test_clock_stops_at_unstored_sink_outputs():
             Place("sink", "plain"), Place("p", "plain"),
         ],
         transitions=[
-            Transition("t1", delay=DelaySpec.constant(3)),
-            Transition("t2", delay=DelaySpec.constant(1),
+            Transition("t1", delay=Dist.constant(3)),
+            Transition("t2", delay=Dist.constant(1),
                        guard=parse_constraint("timeuntilnext(p) < 8")),
         ],
         flows=[("a", "t1"), ("t1", "sink"), ("b", "t2"), ("t2", "out")],
@@ -243,11 +243,11 @@ def test_guarded_task_source_arrives_when_its_guard_place_drains():
         transitions=[
             Transition(
                 "arrive",
-                delay=DelaySpec.constant(0),
+                delay=Dist.constant(0),
                 guard=parse_constraint("nrtokens(q) < 2"),
-                arrival_spec=ArrivalSpec(interarrival=DelaySpec.constant(1)),
+                arrival_spec=ArrivalSpec(interarrival=Dist.constant(1)),
             ),
-            Transition("serve", delay=DelaySpec.constant(3)),
+            Transition("serve", delay=Dist.constant(3)),
         ],
         flows=[("arrive", "q"), ("q", "serve"), ("r", "serve"), ("serve", "r"),
                ("serve", "done")],
@@ -273,10 +273,10 @@ def test_arrivals_are_injected_before_any_firing_at_their_instant():
         places=[Place("a", "case"), Place("done", "plain")],
         transitions=[
             Transition("arrive", is_task=False,
-                       arrival_spec=ArrivalSpec(DelaySpec.constant(4), case_prefix="c")),
-            Transition("t", delay=DelaySpec.constant(1),
+                       arrival_spec=ArrivalSpec(Dist.constant(4), case_prefix="c")),
+            Transition("t", delay=Dist.constant(1),
                        guard=parse_constraint("nrtokens(a) < 2")),
-            Transition("skip", delay=DelaySpec.constant(1),
+            Transition("skip", delay=Dist.constant(1),
                        guard=parse_constraint("nrtokens(a) >= 2")),
         ],
         flows=[("arrive", "a"), ("a", "t"), ("t", "done"), ("a", "skip"), ("skip", "done")],
@@ -303,8 +303,8 @@ def test_same_instant_arrivals_do_not_reevaluate_their_readers(monkeypatch):
         places=[Place("p", "case"), Place("r", "resource"), Place("q", "case")],
         transitions=[
             Transition("src", is_task=False,
-                       arrival_spec=ArrivalSpec(interarrival=DelaySpec.constant(0))),
-            Transition("t", delay=DelaySpec.constant(1)),
+                       arrival_spec=ArrivalSpec(interarrival=Dist.constant(0))),
+            Transition("t", delay=Dist.constant(1)),
         ],
         flows=[("src", "p"), ("p", "t"), ("r", "t"), ("t", "r"), ("t", "q")],
         initial_marking=Marking({"r": (Token("w1", {}, 5.0),)}),
@@ -352,7 +352,7 @@ def reader_net(guard: str) -> Net:
     that become available at t0's completion, while no other change to p
     happens, and one worker makes them queue."""
     def source(prefix, **attrs):
-        spec = ArrivalSpec(DelaySpec.exponential(1.5), attrs, case_prefix=prefix)
+        spec = ArrivalSpec(Dist.exponential(1.5), attrs, case_prefix=prefix)
         return Transition(f"src_{prefix}", is_task=False, arrival_spec=spec)
 
     return Net(
@@ -362,10 +362,10 @@ def reader_net(guard: str) -> Net:
             Place("done", "plain"),
         ],
         transitions=[
-            source("a"), source("p", value=AttrGen("uniform", lo=0, hi=100)),
-            Transition("t0", delay=DelaySpec.uniform(0.5, 2)),
-            Transition("t1", delay=DelaySpec.constant(0.3), guard=parse_constraint(guard)),
-            Transition("t2", delay=DelaySpec.uniform(1, 3)),
+            source("a"), source("p", value=Dist.uniform(0, 100)),
+            Transition("t0", delay=Dist.uniform(0.5, 2)),
+            Transition("t1", delay=Dist.constant(0.3), guard=parse_constraint(guard)),
+            Transition("t2", delay=Dist.uniform(1, 3)),
         ],
         flows=[
             ("src_a", "a"), ("a", "t1"), ("t1", "done"),
