@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Mapping, Optional, Union
 
+from .acyclic import acyclic
 from .errors import LogError
 
 AttrValue = Union[float, bool, str]
@@ -67,12 +68,14 @@ def _parse_time(raw: str, row_num: int, column: str) -> float:
     return stamp.timestamp() / 60.0
 
 
+@acyclic
 def parse_log(text: str) -> Log:
     """Parse CSV text into a Log.
 
     Extra columns become attributes typed per column over the whole file:
     numeric if every non-empty value parses as a number, boolean if every
-    value is true/false, text otherwise.
+    value is true/false, text otherwise. Runs with the cyclic garbage
+    collector paused (``acyclic``).
     """
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]

@@ -23,6 +23,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .acyclic import acyclic
 from .constraints import Atom, ConstraintExpr, FeatureRef
 from .errors import DsyncError, ModelError
 from .eventlog import Log
@@ -211,6 +212,7 @@ def _mine(res: CandidateResult, tree_params: TreeParams, p: ExtractionParams) ->
     return None
 
 
+@acyclic
 def discover_run(
     log_data: Log,
     net: Net,
@@ -218,7 +220,11 @@ def discover_run(
     extraction_params: ExtractionParams = ExtractionParams(),
 ) -> DiscoveryRun:
     """Full pipeline: replay, detect constructs, mine each candidate, and read
-    the replayability check of the discoveries off the replay when it can."""
+    the replayability check of the discoveries off the replay when it can.
+
+    Runs with the cyclic garbage collector paused (``acyclic``), and so does
+    its replay, which leaves the collector to this call.
+    """
     extraction_params.check()
     tree_params.check()
     samples, report = replay(log_data, net)

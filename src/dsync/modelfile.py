@@ -45,11 +45,16 @@ def _finite(value: Any, what: str) -> Any:
     return value
 
 
+def _number(value: Any, what: str) -> float:
+    """``value`` as a float when it is a finite JSON number (no bool or text)."""
+    return _finite(float(_typed(value, (int, float), what)), what)
+
+
 def _dist_from_json(obj: Any, context: str, role: str) -> Dist:
     """A ``role`` distribution (a ``DIST_ROLES`` key); a delay may also be a
     bare number or absent (constant 0)."""
-    if role == "delay" and (obj is None or isinstance(obj, (int, float))):
-        return Dist.constant(_finite(float(obj or 0.0), context))
+    if role == "delay" and not isinstance(obj, dict):
+        return Dist.constant(0.0 if obj is None else _number(obj, context))
     kind = obj.get("kind")
     if kind not in DIST_ROLES[role]:
         raise ModelError(f"{context}: unknown {role} kind {kind!r}")
@@ -60,8 +65,8 @@ def _dist_from_json(obj: Any, context: str, role: str) -> Dist:
             items = _typed(obj[key] if key == "values" else obj.get(key, []), (list,), what)
             params[key] = tuple(_finite(v, what) for v in items)
         else:  # a constant attribute may be any JSON value, other parameters are numbers
-            raw = obj[key] if key == "value" and role != "delay" else float(obj[key])
-            params[key] = _finite(raw, what)
+            number = key != "value" or role == "delay"
+            params[key] = _number(obj[key], what) if number else _finite(obj[key], what)
     return Dist(kind, **params)
 
 
@@ -79,7 +84,7 @@ def _token_from_json(tok: dict, what: str) -> Token:
     return Token(
         tok.get("case_id"),
         {k: _finite(v, f"{what} {k}") for k, v in tok.get("attrs", {}).items()},
-        _finite(float(tok.get("available_at", 0.0)), f"{what} available_at"),
+        _number(tok.get("available_at", 0.0), f"{what} available_at"),
     )
 
 

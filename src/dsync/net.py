@@ -693,8 +693,6 @@ def token_problems(place: Place, token: Token) -> list[str]:
     for name, value in token.attrs.items():
         if name not in declared:
             out.append(f"attribute {name!r} is not declared by the place")
-        elif declared[name] == "number" and not isinstance(value, (int, float)):
-            out.append(f"attribute {name!r} should be numeric")
-        elif declared[name] == "boolean" and not isinstance(value, bool):
-            out.append(f"attribute {name!r} should be boolean")
+        elif not isinstance(value, (int, float, str)) or attr_type(value) != declared[name]:
+            out.append(f"attribute {name!r} should be {declared[name]}, found {value!r}")
     return out

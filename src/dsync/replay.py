@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from .acyclic import acyclic
 from .errors import ReplayError
 from .eventlog import Event, Log
 from .net import Binding, Marking, Net, Token, enabled_bindings, fire, postset, preset
@@ -216,6 +217,7 @@ def _walk(
         moves.pop()
 
 
+@acyclic
 def replay(
     log: Log, net: Net, check_guards: bool = False
 ) -> tuple[list[StateSample], MatchReport]:
@@ -227,7 +229,8 @@ def replay(
     checking, guard-satisfying) binding are recorded as unmatched and skipped;
     the marking is repaired as if the move had happened for its case, so later
     moves of the same case still line up. Samples at repaired timestamps are
-    flagged and excluded from pattern mining.
+    flagged and excluded from pattern mining. Runs with the cyclic garbage
+    collector paused (``acyclic``).
     """
     for label in sorted({e.label for e in log.events}):
         if label not in net.transitions or not net.transitions[label].is_task:

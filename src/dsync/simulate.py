@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
 
+from .acyclic import acyclic
 from .errors import SimulationError
 from .eventlog import Event, Log, sort_events
 from .net import Binding, Marking, Net, Transition, binding_pools, enabled_bindings, fire
@@ -141,12 +142,15 @@ def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Bindin
     return dict(zip(in_places, chosen))
 
 
+@acyclic
 def simulate(net: Net, cfg: SimConfig) -> Log:
     """Run the net until its sources are exhausted and the work has drained.
 
     Identical (net, cfg) yields an identical log: random streams are split
     per (seed, purpose, transition id) so transitions never perturb each
-    other's samples.
+    other's samples. A delay or interarrival that carries an event time past
+    the largest float raises ``SimulationError`` naming the transition. Runs
+    with the cyclic garbage collector paused (``acyclic``).
     """
     cfg.check()
     problems = validate_net(net)
@@ -184,6 +188,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
         """Fire, dirty the readers of every node it touched and, with
         ``stop``, stop the clock when its outputs become available."""
         nonlocal marking
+        _finite_time(now + delay, tid, "completion")
         marking = fire(net, marking, tid, y, now, delay, case)
         outs = postset(net, tid)
         for node in (tid, *y, *outs):
@@ -243,6 +248,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                 delay = t.delay.sample(delay_rngs[tid])
                 case_id, attrs = src.new_case()
                 src.next_time = clock + src.spec.interarrival.sample(src.rng_gaps)
+                _finite_time(src.next_time, tid, "next firing")
                 fire_at(tid, {}, clock, delay, (case_id, attrs))
                 events.append(Event(case_id, tid, clock, clock + delay, None, attrs))
             else:
@@ -253,6 +259,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                 avail = src.next_time
                 if src.count:
                     avail += src.spec.interarrival.sample(src.rng_gaps)
+                    _finite_time(avail, tid, "next firing")
                 case = src.new_case()
                 fire_at(tid, {}, avail, 0.0, case, stop=src.exhausted())
                 src.next_time = avail
@@ -278,6 +285,13 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     schema = _infer_schema(events)
     has_resource = any(e.resource for e in events)
     return Log(events, schema, has_resource)
+
+
+def _finite_time(time: float, tid: str, what: str) -> None:
+    """Raise when a finite delay or interarrival carried ``time`` past the
+    largest float."""
+    if not math.isfinite(time):
+        raise SimulationError(f"transition {tid!r}: {what} time overflows to {time}")
 
 
 def _infer_schema(events: list[Event]) -> tuple[tuple[str, str], ...]:

@@ -206,9 +206,9 @@ def test_config_unknown_key_exits_3(tmp_path, capsys, key):
     assert not (tmp_path / "x.csv").exists()
 
 
-def _priority_doc_with(path: tuple, value) -> dict:
-    """The priority model with one field replaced; ``path`` ends at a key or index."""
-    doc = json.loads((MODELS / "priority.json").read_text())
+def _doc_with(path: tuple, value, model: str = "priority") -> dict:
+    """A bundled model with one field replaced; ``path`` ends at a key or index."""
+    doc = json.loads((MODELS / f"{model}.json").read_text())
     node = doc
     for step in path[:-1]:
         node = node[step]
@@ -222,16 +222,17 @@ _SOURCE = ("transitions", 0, "arrival_spec")
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (_SOURCE + ("attributes", "value", "lo"), "nan", "job_arrival attribute value lo"),
+        (_SOURCE + ("attributes", "value", "lo"), float("nan"), "job_arrival attribute value lo"),
         (_SOURCE + ("attributes", "value", "hi"), 1e400, "job_arrival attribute value hi"),
         (_SOURCE + ("attributes", "value"), {"kind": "constant", "value": float("nan")},
          "job_arrival attribute value value"),
         (_SOURCE + ("attributes", "value"), {"kind": "choice", "values": [1.0, float("inf")]},
          "job_arrival attribute value values"),
-        (_SOURCE + ("interarrival", "hi"), "inf", "job_arrival interarrival hi"),
-        (("transitions", 1, "delay", "value"), "nan", "pre-processing delay value"),
+        (_SOURCE + ("interarrival", "hi"), float("inf"), "job_arrival interarrival hi"),
+        (("transitions", 1, "delay", "value"), float("nan"), "pre-processing delay value"),
         (("transitions", 2, "delay"), float("nan"), "handling delay"),
-        (("initial_marking", "r0", 0, "available_at"), "-inf", "initial token in r0: available_at"),
+        (("initial_marking", "r0", 0, "available_at"), float("-inf"),
+         "initial token in r0: available_at"),
         (("initial_marking", "r0", 0, "attrs"), {"load": float("nan")},
          "initial token in r0: load"),
     ],
@@ -241,12 +242,58 @@ _SOURCE = ("transitions", 0, "arrival_spec")
 def test_non_finite_model_number_exits_3(tmp_path, capsys, path, value, message):
     # json writes NaN and Infinity literals, which Python's json reads back
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(_priority_doc_with(path, value)))
+    model.write_text(json.dumps(_doc_with(path, value)))
     code = main(["simulate", "--model", str(model),
                  "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 3
     err = capsys.readouterr().err
     assert message in err and "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (_SOURCE + ("interarrival",), {"kind": "uniform", "lo": True, "hi": "3"},
+         "job_arrival interarrival lo should be int or float, found True"),
+        (_SOURCE + ("interarrival", "hi"), "3",
+         "job_arrival interarrival hi should be int or float"),
+        (_SOURCE + ("attributes", "value", "lo"), True, "job_arrival attribute value lo should be"),
+        (("transitions", 1, "delay", "value"), "3", "pre-processing delay value should be"),
+        (("transitions", 2, "delay"), True, "handling delay should be int or float, found True"),
+        (("initial_marking", "r0", 0, "available_at"), "3",
+         "initial token in r0: available_at should be int or float, found '3'"),
+    ],
+    ids=["interarrival-bool", "interarrival-text", "generator-bool", "delay-text",
+         "delay-bool", "token-time-text"],
+)
+def test_model_number_that_is_no_json_number_exits_3(tmp_path, capsys, path, value, message):
+    # a JSON true or "3" is no number, though Python's float() would take both
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_doc_with(path, value)))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, path, message",
+    [
+        ("priority", ("transitions", 1, "delay"), "'pre-processing': completion time"),
+        ("priority", _SOURCE + ("interarrival",), "'job_arrival': next firing time"),
+        ("blocking", _SOURCE + ("interarrival",), "'arriving': next firing time"),
+    ],
+    ids=["delay", "interarrival-non-task-source", "interarrival-task-source"],
+)
+def test_simulate_time_that_overflows_exits_3(tmp_path, capsys, model, path, message):
+    # each delay and interarrival is finite, but a sum of two is not
+    doc = _doc_with(path, {"kind": "constant", "value": 1e308}, model)
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    code = main(["simulate", "--model", str(tmp_path / "model.json"),
+                 "--seed", "1", "--max-cases", "20", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert f"transition {message} overflows to inf" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -259,7 +306,7 @@ def test_non_finite_model_number_exits_3(tmp_path, capsys, path, value, message)
 )
 def test_bad_delay_exits_3(tmp_path, capsys, delay, message):
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(_priority_doc_with(("transitions", 1, "delay"), delay)))
+    model.write_text(json.dumps(_doc_with(("transitions", 1, "delay"), delay)))
     code = main(["simulate", "--model", str(model),
                  "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 3
@@ -297,7 +344,7 @@ def test_bad_delay_exits_3(tmp_path, capsys, delay, message):
 )
 def test_bad_attribute_generator_exits_3(tmp_path, capsys, gen, message):
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(_priority_doc_with(_SOURCE + ("attributes", "value"), gen)))
+    model.write_text(json.dumps(_doc_with(_SOURCE + ("attributes", "value"), gen)))
     code = main(["simulate", "--model", str(model),
                  "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 3
@@ -318,16 +365,27 @@ def test_bad_attribute_generator_exits_3(tmp_path, capsys, gen, message):
 )
 def test_malformed_attribute_generator_exits_3(tmp_path, capsys, gen, message):
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(_priority_doc_with(_SOURCE + ("attributes", "value"), gen)))
+    model.write_text(json.dumps(_doc_with(_SOURCE + ("attributes", "value"), gen)))
     code = main(["simulate", "--model", str(model),
                  "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert message in capsys.readouterr().err
 
 
+def test_initial_token_attribute_of_another_type_exits_3(tmp_path, capsys):
+    doc = _doc_with(("initial_marking", "q1"), [{"case_id": "j0", "attrs": {"value": True}}])
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    code = main(["simulate", "--model", str(tmp_path / "model.json"),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "initial token in 'q1': attribute 'value' should be number, found True" in (
+        capsys.readouterr().err
+    )
+
+
 def test_case_prefix_that_is_no_string_exits_3(tmp_path, capsys):
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(_priority_doc_with(_SOURCE + ("case_prefix",), 7)))
+    model.write_text(json.dumps(_doc_with(_SOURCE + ("case_prefix",), 7)))
     code = main(["simulate", "--model", str(model),
                  "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 3
@@ -339,7 +397,7 @@ def test_source_max_count_below_one_exits_3(tmp_path, capsys, max_count):
     # such a source ignores --max-cases; the horizon ends the run should the
     # check ever be lost, so the test fails instead of hanging
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(_priority_doc_with(_SOURCE + ("max_count",), max_count)))
+    model.write_text(json.dumps(_doc_with(_SOURCE + ("max_count",), max_count)))
     code = main(["simulate", "--model", str(model), "--seed", "1", "--max-cases", "10",
                  "--horizon", "50", "--out", str(tmp_path / "x.csv")])
     assert code == 3

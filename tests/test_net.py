@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import gc
 import importlib
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
 from tests.conftest import model_path
+import dsync.extract as extract_mod
 import dsync.net as net_mod
+from dsync.acyclic import acyclic
 from dsync.constraints import parse_constraint
-from dsync.errors import ModelError
-from dsync.eventlog import Event, parse_log, write_log
+from dsync.errors import ModelError, ReplayError
+from dsync.eventlog import Event, Log, parse_log, write_log
 from dsync.extract import annotate_net, discover_run
 from dsync.modelfile import load_model
 from dsync.net import (
@@ -200,6 +204,24 @@ def test_validate_bad_delay_and_unknown_flow():
     assert any("unknown node" in p for p in problems)
 
 
+def test_validate_initial_token_attributes_of_another_type():
+    # a bool is no number and a number no text, as for generators and log columns
+    place = Place("a", "case", (("v", "number"), ("w", "text"), ("b", "boolean")))
+    net = Net(
+        places=[place],
+        transitions=[Transition("t")],
+        flows=[("a", "t")],
+        initial_marking=Marking({"a": [Token("c1", {"v": True, "w": 5.0, "b": 1.0}, 0.0)]}),
+    )
+    assert validate_net(net) == [
+        "initial token in 'a': attribute 'v' should be number, found True",
+        "initial token in 'a': attribute 'w' should be text, found 5.0",
+        "initial token in 'a': attribute 'b' should be boolean, found 1.0",
+    ]
+    typed = Marking({"a": [Token("c1", {"v": 2.0, "w": "x", "b": False}, 0.0)]})
+    assert validate_net(Net([place], [Transition("t")], [("a", "t")], typed)) == []
+
+
 def test_duplicate_node_ids_are_rejected():
     # a dict keyed by id would keep only the last place or transition
     with pytest.raises(ModelError, match="duplicate place id 'a'"):
@@ -330,17 +352,110 @@ def test_flow_depth_on_case_cycle_ignores_query_order():
     assert asked_t1_first == asked_t2_first == {"t1": 2, "t2": 2}
 
 
-def test_simulate_and_replay_leave_no_reference_cycles(blocking_net):
-    # replay calls ``flow_depth`` once per event and the simulator once per
-    # FIFO key; a cycle left per call is garbage that only a collection frees,
-    # and that collection then lands in whichever step runs next
+# the inputs of the reference-cycle check: every bundled model, and supply
+# chain 150 cases seed 6, whose discovered guards need a guard-checked replay
+# of their own (the report's fallback path)
+ACYCLIC_INPUTS = [
+    ("blocking", 1, 300),
+    ("choice", 1, 150),
+    ("holdbatch", 1, 150),
+    ("priority", 1, 150),
+    ("supplychain", 1, 150),
+    ("supplychain", 6, 150),
+]
+
+
+def test_simulate_and_replay_leave_no_reference_cycles():
+    # simulate, parse_log, replay and discover_run run with the cyclic
+    # collector paused (``dsync.acyclic``), which is safe only while they build
+    # no reference cycle: a cycle would be garbage that only a collection
+    # frees, and the pause would let it pile up
+    def cycles_left(call):
+        gc.collect()
+        result = call()
+        return result, gc.collect()
+
     gc.collect()
     gc.disable()
     try:
-        replay(simulate(blocking_net, SimConfig(seed=1, max_cases=300)), blocking_net)
-        assert gc.collect() == 0
+        for model, seed, cases in ACYCLIC_INPUTS:
+            net = load_model(model_path(model))
+            log, left = cycles_left(lambda: simulate(net, SimConfig(seed=seed, max_cases=cases)))
+            assert left == 0, (model, seed, "simulate")
+            parsed, left = cycles_left(lambda: parse_log(write_log(log)))
+            assert left == 0, (model, seed, "parse_log")
+            run, left = cycles_left(lambda: discover_run(parsed, net))
+            assert left == 0, (model, seed, "discover_run")
+            _, left = cycles_left(lambda: replay(parsed, net))
+            assert left == 0, (model, seed, "replay")
+            annotated = annotate_net(net.without_guards(), run.constraints)
+            _, left = cycles_left(lambda: replay(parsed, annotated, check_guards=True))
+            assert left == 0, (model, seed, "guard-checked replay")
+            if (model, seed) == ("supplychain", 6):
+                assert run.check is None
     finally:
         gc.enable()
+
+
+def test_acyclic_calls_restore_the_collector_state(blocking_net, monkeypatch):
+    log = simulate(blocking_net, SimConfig(seed=1, max_cases=20))
+    seen = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # replay returns inside discover_run before it builds pattern-transition logs
+    monkeypatch.setattr(extract_mod, "build_pt_log", spy(extract_mod.build_pt_log))
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        acyclic(spy(lambda: None))()
+        assert seen == [False] and gc.isenabled()
+        # nested: the inner replay leaves the collector to discover_run
+        seen.clear()
+        discover_run(log, blocking_net)
+        assert seen and not any(seen) and gc.isenabled()
+        # a call that raises restores the state too
+        with pytest.raises(ReplayError):
+            replay(Log([Event("c1", "ghost", 0.0, 1.0)]), blocking_net)
+        assert gc.isenabled()
+        # a collector the caller disabled stays disabled
+        gc.disable()
+        seen.clear()
+        replay(log, blocking_net)
+        acyclic(spy(lambda: None))()
+        assert seen == [False] and not gc.isenabled()
+        with pytest.raises(ReplayError):
+            replay(Log([Event("c1", "ghost", 0.0, 1.0)]), blocking_net)
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_no_collection_starts_inside_a_replay(blocking_net):
+    # collections are counted only while a replay frame is on the stack, so
+    # the one deferred to the first allocation after the call is left out
+    log = simulate(blocking_net, SimConfig(seed=1, max_cases=300))
+    code = inspect.unwrap(replay).__code__
+    inside = []
+
+    def count(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            inside.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        replay(log, blocking_net)
+    finally:
+        gc.callbacks.remove(count)
+    assert inside == []
 
 
 def test_preset_of_bundled_multi_pattern_model(supplychain_net):
