@@ -6,37 +6,16 @@ per-pattern observation-outcome tables, trains decision trees on them, and
 extracts the guard constraints that make the net replay the log.
 """
 
-from .constraints import (
-    ConstraintExpr,
-    FeatureRef,
-    eval_feature,
-    parse_constraint,
-)
+from .constraints import ConstraintExpr, FeatureRef, parse_constraint
 from .errors import DsyncError
-from .eventlog import Event, Log, parse_log, traces, write_log
-from .extract import (
-    ExtractionParams,
-    PatternConstraint,
-    annotate_net,
-    discover,
-    discover_run,
-)
+from .eventlog import Event, Log, parse_log, write_log
+from .extract import ExtractionParams, PatternConstraint, annotate_net, discover_run
 from .modelfile import load_model, save_model
-from .net import (
-    Marking,
-    Net,
-    Place,
-    Token,
-    Transition,
-    enabled_bindings,
-    fire,
-    preset,
-    validate_net,
-)
-from .patterns import PatternCandidate, PatternKind, build_pt_log, detect_constructs, features_for
-from .replay import MatchReport, StateSample, replay, sim_score
-from .simulate import SimConfig, ground_truth, simulate
-from .tree import TreeNode, TreeParams, fit, gini, predict
+from .net import Marking, Net, Place, Token, Transition
+from .patterns import PatternCandidate, PatternKind
+from .replay import MatchReport, StateSample, replay
+from .simulate import SimConfig, simulate
+from .tree import TreeNode, TreeParams
 
 __version__ = "0.1.0"
 
@@ -61,27 +40,12 @@ __all__ = [
     "TreeNode",
     "TreeParams",
     "annotate_net",
-    "build_pt_log",
-    "detect_constructs",
-    "discover",
     "discover_run",
-    "enabled_bindings",
-    "eval_feature",
-    "features_for",
-    "fire",
-    "fit",
-    "gini",
-    "ground_truth",
     "load_model",
     "parse_constraint",
     "parse_log",
-    "predict",
-    "preset",
     "replay",
     "save_model",
-    "sim_score",
     "simulate",
-    "traces",
-    "validate_net",
     "write_log",
 ]

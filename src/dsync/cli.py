@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 from typing import Optional
+from urllib.parse import quote
 
 from .errors import DsyncError
 from .eventlog import load_log, save_log
@@ -96,15 +97,17 @@ def cmd_discover(args: argparse.Namespace) -> int:
     if args.dump_ptlogs:
         os.makedirs(args.dump_ptlogs, exist_ok=True)
         for res in run.results:
-            if res.ptlog is None or not res.ptlog.rows:
+            if not res.ptlog.rows:
                 continue
             name = f"{res.candidate.kind.value}__{res.candidate.t_g}"
             for role, place in res.candidate.roles:
                 name += f"__{place}"
             if res.candidate.attr:
                 name += f"__{res.candidate.attr}"
-            path = os.path.join(args.dump_ptlogs, name.replace(" ", "_") + ".csv")
-            with open(path, "w", encoding="utf-8") as fh:
+            # every character outside [A-Za-z0-9._-] percent-encoded, so that
+            # each candidate has a file of its own inside the directory
+            name = quote(name, safe="").replace("~", "%7E")
+            with open(os.path.join(args.dump_ptlogs, name + ".csv"), "w", encoding="utf-8") as fh:
                 fh.write(res.ptlog.to_csv())
     report = build_report(run, net, log_data)
     if args.out:

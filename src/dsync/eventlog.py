@@ -3,8 +3,9 @@
 Logs are plain CSV (comma separated, UTF-8, ``.`` decimal separator) with
 mandatory columns ``case, activity, start, complete``, an optional
 ``resource`` column, and any further columns treated as typed event
-attributes. Timestamps are numeric time units; ISO-8601 timestamps are also
-accepted on input and converted to fractional minutes from the epoch.
+attributes; no column name appears twice. Timestamps are numeric time units;
+ISO-8601 timestamps are also accepted on input and converted to fractional
+minutes from the epoch.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ from .errors import LogError
 AttrValue = Union[float, bool, str]
 
 MANDATORY = ("case", "activity", "start", "complete")
+# the columns that are no event attribute
+COLUMNS = (*MANDATORY, "resource")
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,15 @@ def parse_log(text: str) -> Log:
     if not rows:
         raise LogError("log has no header row")
     header = [h.strip() for h in rows[0]]
+    for i, col in enumerate(header):
+        if col in header[:i]:
+            raise LogError(f"column {col!r} appears more than once in the header")
     for col in MANDATORY:
         if col not in header:
             raise LogError(f"missing mandatory column {col!r}")
     idx = {name: i for i, name in enumerate(header)}
     has_resource = "resource" in idx
-    attr_cols = [
-        h for h in header if h not in MANDATORY and h != "resource"
-    ]
+    attr_cols = [h for h in header if h not in COLUMNS]
     # a row shorter than the header is padded once: its missing cells are empty
     width = len(header)
     body = [row + [""] * (width - len(row)) if len(row) < width else row for row in rows[1:]]
@@ -146,14 +150,6 @@ def _coerce(raw: str, typ: str) -> AttrValue:
     if typ == "boolean":
         return raw.lower() == "true"
     return raw
-
-
-def traces(log: Log) -> dict[str, list[Event]]:
-    """Group events by case, preserving per-case completion order."""
-    out: dict[str, list[Event]] = {}
-    for e in log.events:
-        out.setdefault(e.case_id, []).append(e)
-    return out
 
 
 def fmt_num(x: float) -> str:

@@ -36,7 +36,7 @@ from .patterns import (
     detect_constructs,
 )
 from .replay import MatchReport, read_off_check, replay
-from .tree import TreeNode, TreeParams, fit
+from .tree import Path, TreeNode, TreeParams, fit
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +61,6 @@ class SplitAtom:
     op: str  # "<=", ">", "=="
     threshold: Union[float, bool]
     delta_gini: float  # child-on-path Gini minus parent Gini (negative = purer)
-    node_id: int
 
     def canonical(self) -> str:
         return Atom(self.feature, self.op, self.threshold).canonical()
@@ -86,11 +85,12 @@ class PatternConstraint:
         return f"{self.kind.value} on {self.t_g}: {self.expr.canonical()}"
 
 
-def select_false_leaves(tree: TreeNode, p: ExtractionParams) -> list[TreeNode]:
-    """Leaves predicting False with samples >= tau_s and Gini <= tau_g."""
+def select_false_leaves(tree: TreeNode, p: ExtractionParams) -> list[tuple[TreeNode, Path]]:
+    """Leaves predicting False with samples >= tau_s and Gini <= tau_g, each
+    with its root path."""
     return [
-        leaf
-        for leaf in tree.leaves()
+        (leaf, path)
+        for leaf, path in tree.leaves()
         if not leaf.prediction and leaf.samples >= p.tau_s and leaf.gini <= p.tau_g
     ]
 
@@ -106,16 +106,10 @@ _PERMISSION = {">": "<=", "<=": ">", "==": "=="}
 
 
 def trace_and_filter(
-    tree: TreeNode,
-    leaf: TreeNode,
-    kind: PatternKind,
-    features: tuple[FeatureRef, ...],
+    path: Path, kind: PatternKind, features: tuple[FeatureRef, ...]
 ) -> list[SplitAtom]:
-    """Branch conditions on the path to ``leaf`` that match the violation
+    """Branch conditions on a leaf's root ``path`` that match the violation
     template of ``kind`` and decrease Gini along the path."""
-    path = tree.path_to(leaf)
-    if path is None:
-        raise DsyncError("leaf does not belong to the given tree")
     template = _VIOLATION_TEMPLATE[kind]
     atoms: list[SplitAtom] = []
     for node, taken in path:
@@ -131,7 +125,7 @@ def trace_and_filter(
         else:
             op, value = ("<=", threshold) if taken else (">", threshold)
         if (feature.kind, op) in template:
-            atoms.append(SplitAtom(feature, op, value, delta, node.node_id))
+            atoms.append(SplitAtom(feature, op, value, delta))
     return atoms
 
 
@@ -168,7 +162,7 @@ def assemble_constraint(
 @dataclass
 class CandidateResult:
     candidate: PatternCandidate
-    ptlog: Optional[PatternTransitionLog] = None
+    ptlog: PatternTransitionLog
     tree: Optional[TreeNode] = None
     constraint: Optional[PatternConstraint] = None
     skip_reason: Optional[str] = None
@@ -201,10 +195,8 @@ def _mine(res: CandidateResult, tree_params: TreeParams, p: ExtractionParams) ->
     if not leaves:
         return "no qualifying false leaf"
     c = res.candidate
-    atoms = [
-        atom for leaf in leaves for atom in trace_and_filter(res.tree, leaf, c.kind, ptlog.features)
-    ]
-    support = sum(leaf.class_counts[0] for leaf in leaves)
+    atoms = [atom for _, path in leaves for atom in trace_and_filter(path, c.kind, ptlog.features)]
+    support = sum(leaf.class_counts[0] for leaf, _ in leaves)
     res.constraint = assemble_constraint(atoms, c, support)
     if res.constraint is None:
         return "violation template not covered"
@@ -265,15 +257,6 @@ def _dedup(constraints: list[PatternConstraint]) -> list[PatternConstraint]:
         ):
             best[pc.t_g] = pc
     return sorted(best.values(), key=lambda pc: (pc.t_g, pc.kind.value))
-
-
-def discover(
-    log_data: Log,
-    net: Net,
-    tree_params: TreeParams = TreeParams(),
-    extraction_params: ExtractionParams = ExtractionParams(),
-) -> list[PatternConstraint]:
-    return discover_run(log_data, net, tree_params, extraction_params).constraints
 
 
 def annotate_net(net: Net, constraints: list[PatternConstraint]) -> Net:

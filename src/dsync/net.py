@@ -23,7 +23,6 @@ Delays, interarrivals and case attribute generators are each a ``Dist``;
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -32,6 +31,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
 from .errors import ModelError
+from .eventlog import COLUMNS
 
 if TYPE_CHECKING:  # avoid a runtime cycle; guards are duck-typed here
     from .constraints import ConstraintExpr
@@ -53,13 +53,6 @@ class Token:
     case_id: Optional[str]
     attrs: Mapping[str, AttrValue]
     available_at: float
-
-    def sort_key(self) -> tuple:
-        return (
-            self.available_at,
-            self.case_id or "",
-            json.dumps(self.attrs, sort_keys=True, default=str),
-        )
 
 
 # each distribution kind's parameters, as Dist fields and as model-file keys
@@ -283,18 +276,6 @@ class Marking:
     def total_tokens(self) -> int:
         return sum(len(toks) for toks in self._by_place.values())
 
-    def _canonical(self) -> dict[str, list[tuple]]:
-        return {
-            p: sorted(t.sort_key() for t in toks)
-            for p, toks in self._by_place.items()
-            if toks
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Marking):
-            return NotImplemented
-        return self._canonical() == other._canonical()
-
     def __repr__(self) -> str:
         parts = []
         for p in sorted(self._by_place):
@@ -309,13 +290,15 @@ Binding = dict  # place id -> Token chosen from that place
 
 
 class _Plan(NamedTuple):
-    """A transition's preset places (is each plain?), and its output places but
-    ``Net.unread`` with their kinds (None when unknown) and attribute names."""
+    """A transition's preset places (is each plain?), its output places but
+    ``Net.unread`` with their kinds (None when unknown) and attribute names,
+    and its ``Net.flow_depth``."""
 
     inputs: tuple[tuple[str, bool], ...]
     outputs: tuple[tuple[str, Optional[str], Optional[frozenset]], ...]
     case_inputs: tuple[str, ...]
     resource_inputs: tuple[str, ...]
+    depth: int
 
 
 class Net:
@@ -341,7 +324,6 @@ class Net:
         self.initial_marking = initial_marking or Marking()
         self._preset: dict[str, tuple[str, ...]] = {}
         self._postset: dict[str, tuple[str, ...]] = {}
-        self._depth_cache: dict[str, int] = {}
         for node in list(self.places) + list(self.transitions):
             self._preset[node] = tuple(sorted(src for src, tgt in self.flows if tgt == node))
             self._postset[node] = tuple(sorted(tgt for src, tgt in self.flows if src == node))
@@ -360,17 +342,12 @@ class Net:
                       for p in self._postset[t] if p not in self.unread),
                 tuple(p for p in self._preset[t] if kinds.get(p) == "case"),
                 tuple(p for p in self._preset[t] if kinds.get(p) == "resource"),
+                self._depth(t, frozenset(), {})[0],
             )
             for t in self.transitions
         }
 
     # -- structure ---------------------------------------------------------
-
-    def transition(self, t_id: str) -> Transition:
-        try:
-            return self.transitions[t_id]
-        except KeyError:
-            raise ModelError(f"unknown transition {t_id!r}") from None
 
     def _plan(self, t_id: str) -> "_Plan":
         try:
@@ -406,13 +383,10 @@ class Net:
         Used to order simultaneous firings: downstream transitions consume
         before upstream ones refill, which is also the order the FIFO policy
         produces (their tokens have been waiting longer). A case-flow cycle is
-        cut where it closes, so its members count the chain from the queried
-        transition; the answer does not depend on which was asked first.
+        cut where it closes, so each member counts the chain that ends at it.
+        Computed for every transition when the net is built.
         """
-        if t_id not in self._depth_cache:
-            self.transition(t_id)
-            self._depth_cache[t_id] = self._depth(t_id, frozenset(), {})[0]
-        return self._depth_cache[t_id]
+        return self._plan(t_id).depth
 
     def _depth(self, node: str, seen: frozenset, memo: dict[str, int]) -> tuple[int, bool]:
         """``flow_depth`` walk: (depth, cut short by a cycle). Only uncut depths
@@ -630,6 +604,8 @@ def validate_net(net: Net) -> list[str]:
         for name, typ in p.attributes:
             if typ not in ATTR_TYPES:
                 out.append(f"place {p.id!r} attribute {name!r} has unknown type {typ!r}")
+            if name in COLUMNS:
+                out.append(f"place {p.id!r} attribute {name!r} is named after a log column")
 
     for src, tgt in net.flows:
         if not net.has_node(src) or not net.has_node(tgt):
@@ -648,7 +624,8 @@ def validate_net(net: Net) -> list[str]:
                     for prob in t.arrival_spec.interarrival.problems("delay")]
             for name, gen in sorted(t.arrival_spec.attributes.items()):
                 yields = set(map(attr_type, gen.outcomes()))
-                probs = gen.problems("attribute generator") or [  # then the places' types
+                probs = ["is named after a log column"] if name in COLUMNS else []
+                probs += gen.problems("attribute generator") or [  # then the places' types
                     f"{gen.kind} attribute generator yields {'/'.join(sorted(yields))} values "
                     f"but place {p!r} declares {typ}"
                     for p in postset(net, t.id) if p in net.places

@@ -45,11 +45,10 @@ def build_report(run: DiscoveryRun, net: Net, log_data: Log) -> dict:
         }
         if res.candidate.attr:
             entry["attr"] = res.candidate.attr
-        if res.ptlog is not None:
-            n_false, n_true = res.ptlog.label_counts()
-            entry["rows"] = len(res.ptlog.rows)
-            entry["rows_false"] = n_false
-            entry["rows_true"] = n_true
+        n_false, n_true = res.ptlog.label_counts()
+        entry["rows"] = len(res.ptlog.rows)
+        entry["rows_false"] = n_false
+        entry["rows_true"] = n_true
         if res.skip_reason:
             entry["skipped"] = res.skip_reason
         if res.constraint is not None:

@@ -1,22 +1,27 @@
 """Discrete-event execution of a guarded timed net.
 
 Produces ground-truth event logs: each task-transition firing becomes one
-event. The clock advances to the earliest moment any transition has a
-guard-satisfying, time-enabled binding; simultaneous candidates fire in FIFO
-order (the binding whose newest consumed token is oldest goes first, ties by
-case id then transition id), which keeps the selection policy value-blind so
-that any case reordering observable in the log is caused by guards alone.
-Each transition offers one candidate, kept until a firing consumes from or
-produces into a place the transition reads (its preset and guard places), a
-token there becomes available, or, for a ``timeuntilnext`` guard, the clock
-advances. An ordinary transition offers its FIFO-first binding, picked from
-its token pools directly (``fifo_first``); a source offers its empty binding
-when due, and as it reads itself too, it is recomputed when it comes due or
-fires. The clock stops at the times of a heap of ``(time, nodes)`` entries:
-places where produced tokens, stored or not (``Net.unread``), become
-available, and sources that come due.
+event. Simultaneous candidates fire in FIFO order (the binding whose newest
+consumed token is oldest goes first, ties by case id then transition id),
+which keeps the selection policy value-blind so that any case reordering
+observable in the log is caused by guards alone. Each transition offers one
+candidate, kept until a firing consumes from or produces into a node the
+transition reads (its preset and guard places, a source itself) or a token
+there becomes available. An ordinary transition offers its FIFO-first
+binding, picked from its token pools directly (``fifo_first``); a source
+offers its empty binding when due, and as it reads itself too, it is
+recomputed when it comes due or fires.
 
-Guards are evaluated only through ``enabled_bindings(..., check_guards=True)``,
+When nothing fires, the clock stops at the next time on a heap of ``(time,
+nodes)`` entries: places where produced tokens, stored or not
+(``Net.unread``), become available, and sources that come due. At a stop the
+readers of those nodes are re-evaluated, and so is every transition whose
+guard has a ``timeuntilnext`` atom compared by ``<``, ``<=`` or ``==``, the
+only atoms that time alone can make true (a ``>`` or ``>=`` one can only
+close as time passes). Nothing is evaluated between two stops, so a
+transition whose guard holds only between two of them does not fire.
+
+Guards are evaluated only through ``binding_pools(..., check_guards=True)``,
 for source transitions too: their empty preset has one empty binding, which
 survives exactly when the guard holds. Source transitions (empty preset,
 ``arrival_spec``) come in two flavours:
@@ -163,7 +168,8 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     delay_rngs = {tid: _stream(cfg.seed, "delay", tid) for tid in net.transitions}
 
     # sources by id; for each node, the transitions that read it (preset or
-    # guard places, a source itself); the transitions reading the clock
+    # guard places, a source itself); the transitions whose guard time alone
+    # can open
     sources: dict[str, _Source] = {}
     readers: dict[str, set[str]] = {}
     timed: set[str] = set()
@@ -172,7 +178,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
             sources[tid] = _Source(t, cfg.seed, cfg.max_cases)
             readers[tid] = {tid}
         atoms = t.guard.atoms if t.guard else ()
-        if any(atom.feature.kind == "timeuntilnext" for atom in atoms):
+        if any(a.feature.kind == "timeuntilnext" and a.op in ("<", "<=", "==") for a in atoms):
             timed.add(tid)
         for p in {*preset(net, tid), *(p for atom in atoms for p, _ in atom.feature.references())}:
             readers.setdefault(p, set()).add(tid)

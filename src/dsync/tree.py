@@ -9,7 +9,6 @@ lowest threshold.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -53,7 +52,6 @@ class TreeNode:
     split: Optional[tuple[int, float]] = None
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
-    node_id: int = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -64,22 +62,13 @@ class TreeNode:
         n_false, n_true = self.class_counts
         return n_true > n_false
 
-    def leaves(self) -> list["TreeNode"]:
+    def leaves(self, path: Path = ()) -> Iterator[tuple["TreeNode", Path]]:
+        """Each leaf, left before right, with its root ``Path``."""
         if self.is_leaf:
-            return [self]
-        return self.left.leaves() + self.right.leaves()
-
-    def path_to(self, leaf: "TreeNode") -> Optional[list[tuple["TreeNode", bool]]]:
-        """(node, condition-branch-taken) pairs from the root down to ``leaf``."""
-        if self is leaf:
-            return []
-        if self.is_leaf:
-            return None
-        for child, taken in ((self.left, False), (self.right, True)):
-            sub = child.path_to(leaf)
-            if sub is not None:
-                return [(self, taken)] + sub
-        return None
+            yield self, path
+        else:
+            yield from self.left.leaves(path + ((self, False),))
+            yield from self.right.leaves(path + ((self, True),))
 
     def to_dict(self, feature_names: Optional[list[str]] = None) -> dict:
         out: dict = {
@@ -96,6 +85,10 @@ class TreeNode:
             out["left"] = self.left.to_dict(feature_names)
             out["right"] = self.right.to_dict(feature_names)
         return out
+
+
+# a root path: the (node, condition-branch-taken) pairs from the root down
+Path = tuple[tuple[TreeNode, bool], ...]
 
 
 def _best_split(
@@ -141,18 +134,15 @@ def fit(xs: list[list[float]], ys: list[bool], params: TreeParams = TreeParams()
         raise DsyncError("cannot fit a tree on an empty dataset")
     if len(xs) != len(ys):
         raise DsyncError("feature and label counts differ")
-    return _grow(xs, ys, params, depth=0, counter=itertools.count())
+    return _grow(xs, ys, params, depth=0)
 
 
-def _grow(
-    xs: list[list[float]], ys: list[bool], params: TreeParams, depth: int, counter: Iterator[int]
-) -> TreeNode:
+def _grow(xs: list[list[float]], ys: list[bool], params: TreeParams, depth: int) -> TreeNode:
     n_true = sum(ys)
     node = TreeNode(
         gini=gini(len(ys) - n_true, n_true),
         samples=len(ys),
         class_counts=(len(ys) - n_true, n_true),
-        node_id=next(counter),
     )
     if depth >= params.max_depth or node.gini == 0.0:
         return node
@@ -169,8 +159,8 @@ def _grow(
             left_rows.append(row)
             left_ys.append(label)
     node.split = (f, threshold)
-    node.right = _grow(right_rows, right_ys, params, depth + 1, counter)
-    node.left = _grow(left_rows, left_ys, params, depth + 1, counter)
+    node.right = _grow(right_rows, right_ys, params, depth + 1)
+    node.left = _grow(left_rows, left_ys, params, depth + 1)
     return node
 
 

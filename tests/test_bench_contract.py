@@ -1,13 +1,15 @@
-"""The traced benchmark wraps package names from outside the package.
+"""The benchmark uses package names from outside the package.
 
 ``bench/tracer.py`` replaces every (module, name) pair in its ``SPANS`` and
-``LEAVES`` tables and reads ``StateSample.before``; a rename that breaks it
-fails here instead of crashing the traced benchmark run.
+``LEAVES`` tables and reads ``StateSample.before``, and ``bench/harness.py``
+and ``bench/probes.py`` call ``dsync.<name>`` and the report functions; a
+rename that breaks them fails here instead of crashing the benchmark run.
 """
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import re
 import sys
 
 import dsync
@@ -47,3 +49,16 @@ def test_tracer_installs_counts_and_uninstalls():
     assert metrics["net.fire_calls"] > 0
     assert metrics["replay.samples"] > 0
     assert metrics["constraints.holds_calls"] > 0
+
+
+def test_harness_and_probes_names_exist():
+    import dsync.report
+
+    for script in ("harness.py", "probes.py"):
+        text = (ROOT / "bench" / script).read_text(encoding="utf-8")
+        # ``import dsync.report as report_mod`` binds the module the harness reads
+        names = set(re.findall(r"(?<!import )\bdsync\.([A-Za-z_]\w*)", text))
+        assert names, script
+        assert [n for n in sorted(names) if not hasattr(dsync, n)] == [], script
+        report_names = set(re.findall(r"\breport_mod\.([A-Za-z_]\w*)", text))
+        assert [n for n in sorted(report_names) if not hasattr(dsync.report, n)] == [], script

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import urllib.parse
 
 import pytest
 
@@ -480,6 +481,61 @@ def test_log_column_of_another_type_than_the_place_exits_3(tmp_path, capsys, com
     assert code == 3
     assert ("log column 'value' holds text values but case place 'arrival' "
             "declares 'value' as number") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_id", ["pre/processing", "pre processing", "pre%2Fprocessing"])
+def test_dump_ptlogs_writes_one_file_per_candidate_inside_the_directory(tmp_path, t_id):
+    model = tmp_path / "model.json"
+    model.write_text((MODELS / "blocking.json").read_text().replace("pre-processing", t_id))
+    log, report, pt = tmp_path / "log.csv", tmp_path / "report.json", tmp_path / "pt"
+    assert main(["simulate", "--model", str(model), "--seed", "1",
+                 "--max-cases", "150", "--out", str(log)]) == 0
+    assert main(["discover", "--model", str(model), "--log", str(log),
+                 "--out", str(report), "--dump-ptlogs", str(pt)]) == 0
+    candidates = [c for c in json.loads(report.read_text())["candidates"] if c["rows"]]
+    files = sorted(pt.iterdir())
+    assert all(f.is_file() for f in files) and len(files) == len(candidates) >= 1
+    # the names decode to the candidates' own, the renamed transition's too
+    decoded = {urllib.parse.unquote(f.name).split("__")[1] for f in files}
+    assert decoded == {c["transition"] for c in candidates} and t_id in decoded
+
+
+@pytest.mark.parametrize("command", ["discover", "check"])
+def test_log_with_a_duplicate_column_exits_3(tmp_path, capsys, command):
+    log = tmp_path / "log.csv"
+    log.write_text("case,activity,start,complete,value,value\n1,pre-processing,0,5,1,abc\n")
+    code = main([command, "--model", model_path("priority"), "--log", str(log)])
+    assert code == 3
+    assert "column 'value' appears more than once in the header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", ["case", "activity", "start", "complete", "resource"])
+@pytest.mark.parametrize("command", ["simulate", "discover", "check"])
+def test_model_attribute_named_after_a_log_column_exits_3(tmp_path, capsys, column, command):
+    # priority's case attribute ``value`` renamed: in both case places, the
+    # source's generator and the guard
+    doc = json.loads((MODELS / "priority.json").read_text())
+    for place in doc["places"][:2]:
+        place["attributes"] = [[column, "number"]]
+    spec = doc["transitions"][0]["arrival_spec"]
+    spec["attributes"] = {column: spec["attributes"]["value"]}
+    doc["transitions"][2]["guard"] = doc["transitions"][2]["guard"].replace(
+        ", value,", f", {column},"
+    )
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    log = tmp_path / "log.csv"
+    log.write_text("case,activity,start,complete\n1,pre-processing,0,5\n")
+    if command == "simulate":
+        args = ["--max-cases", "5", "--out", str(tmp_path / "x.csv")]
+    else:
+        args = ["--log", str(log)]
+    code = main([command, "--model", str(model), *args])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"place 'arrival' attribute {column!r} is named after a log column" in err
+    assert f"transition 'job_arrival' attribute {column!r}: is named after a log column" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("endpoint", [[], {}, 3, None], ids=["list", "object", "number", "null"])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dsync.errors import LogError
-from dsync.eventlog import Event, Log, parse_log, sort_events, traces, write_log
+from dsync.eventlog import Event, Log, parse_log, sort_events, write_log
 
 TABLE1 = """case,activity,start,complete,value
 1,pre-processing,0,5,100
@@ -27,18 +27,9 @@ def test_parse_running_example():
     handling3 = [e for e in log.events if e.case_id == "3" and e.label == "handling"][0]
     assert handling3.start == 15 and handling3.complete == 22
     assert handling3.attrs["value"] == 855
-
-
-def test_traces_group_by_case():
-    tr = traces(parse_log(TABLE1))
-    assert [e.label for e in tr["3"]] == ["pre-processing", "handling"]
-    assert len(tr) == 7
-
-
-def test_traces_empty_and_singletons():
-    assert traces(Log([], ())) == {}
-    log = parse_log("case,activity,start,complete\na,x,0,1\nb,x,2,3\n")
-    assert all(len(t) == 1 for t in traces(log).values())
+    # each case's events keep their completion order
+    assert [e.label for e in log.events if e.case_id == "3"] == ["pre-processing", "handling"]
+    assert len({e.case_id for e in log.events}) == 7
 
 
 def test_header_only_file():
@@ -50,6 +41,15 @@ def test_header_only_file():
 def test_missing_mandatory_column():
     with pytest.raises(LogError, match="activity"):
         parse_log("case,start,complete\n1,0,1\n")
+
+
+@pytest.mark.parametrize("header", ["value,value", "start"])
+def test_duplicate_column_is_rejected(header):
+    # the last cell would win, and write_log would repeat it in both columns
+    text = f"case,activity,start,complete,{header}\n1,pre-processing,0,5,1,abc\n"
+    column = header.split(",")[0]
+    with pytest.raises(LogError, match=f"column '{column}' appears more than once"):
+        parse_log(text)
 
 
 def test_complete_before_start_names_row():

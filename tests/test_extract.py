@@ -8,7 +8,6 @@ from dsync.extract import (
     SplitAtom,
     annotate_net,
     assemble_constraint,
-    discover,
     discover_run,
     select_false_leaves,
     trace_and_filter,
@@ -30,14 +29,13 @@ PRIORITY_CAND = PatternCandidate(
 )
 
 
-def leaf(n_false, n_true, node_id):
+def leaf(n_false, n_true):
     from dsync.tree import gini as gini_of
 
     return TreeNode(
         gini=gini_of(n_false, n_true),
         samples=n_false + n_true,
         class_counts=(n_false, n_true),
-        node_id=node_id,
     )
 
 
@@ -47,63 +45,76 @@ def priority_tree():
     root: ratio <= 1.505? no -> held leaf (333); yes -> enabled split whose
     false branch holds the remaining 49 held samples.
     """
-    ratio_false = leaf(333, 0, 1)
-    enabled_false = leaf(49, 2, 3)  # the x <= 0.5 branch: extremum pending
-    enabled_true = leaf(0, 500, 4)
+    ratio_false = leaf(333, 0)
+    enabled_false = leaf(49, 2)  # the x <= 0.5 branch: extremum pending
+    enabled_true = leaf(0, 500)
     inner = TreeNode(
         gini=0.16, samples=551, class_counts=(51, 500),
-        split=(1, 0.5), left=enabled_true, right=enabled_false, node_id=2,
+        split=(1, 0.5), left=enabled_true, right=enabled_false,
     )
     return TreeNode(
         gini=0.48, samples=884, class_counts=(384, 500),
-        split=(0, 1.505), left=ratio_false, right=inner, node_id=0,
+        split=(0, 1.505), left=ratio_false, right=inner,
     )
+
+
+def _chosen(tree, p):
+    """The leaves ``select_false_leaves`` picks, as the ``ratio`` (root's left)
+    and ``enabled`` (inner node's right) leaves of ``priority_tree``."""
+    names = {id(tree.left): "ratio", id(tree.right.right): "enabled"}
+    return {names[id(leaf)] for leaf, _ in select_false_leaves(tree, p)}
 
 
 def test_select_false_leaves_applies_both_thresholds():
     tree = priority_tree()
     chosen = select_false_leaves(tree, ExtractionParams(tau_s=10, tau_g=0.1))
-    assert {l.node_id for l in chosen} == {1, 3}
+    assert _chosen(tree, ExtractionParams(tau_s=10, tau_g=0.1)) == {"ratio", "enabled"}
+    # each leaf comes with its root path
+    assert [[taken for _, taken in path] for _, path in chosen] == [[False], [True, True]]
     # raising tau_s excludes the small leaf; tightening tau_g the impure one
-    assert {l.node_id for l in select_false_leaves(tree, ExtractionParams(tau_s=50, tau_g=0.1))} == {1, 3}
-    assert {l.node_id for l in select_false_leaves(tree, ExtractionParams(tau_s=340, tau_g=0.1))} == set()
-    assert {l.node_id for l in select_false_leaves(tree, ExtractionParams(tau_s=10, tau_g=0.01))} == {1}
+    assert _chosen(tree, ExtractionParams(tau_s=50, tau_g=0.1)) == {"ratio", "enabled"}
+    assert _chosen(tree, ExtractionParams(tau_s=340, tau_g=0.1)) == set()
+    assert _chosen(tree, ExtractionParams(tau_s=10, tau_g=0.01)) == {"ratio"}
 
 
 def test_pure_true_tree_selects_nothing():
-    assert select_false_leaves(leaf(0, 20, 0), ExtractionParams()) == []
+    assert select_false_leaves(leaf(0, 20), ExtractionParams()) == []
+
+
+def _path_to(tree, target):
+    return next(path for leaf, path in tree.leaves() if leaf is target)
 
 
 def test_trace_keeps_violation_directions_only():
     tree = priority_tree()
     ratio_leaf = tree.left
-    atoms = trace_and_filter(tree, ratio_leaf, PatternKind.PRIORITY, FEATURES)
+    atoms = trace_and_filter(_path_to(tree, ratio_leaf), PatternKind.PRIORITY, FEATURES)
     assert [a.canonical() for a in atoms] == ["ratio(attrval(arrival, value, max), attrval(q1, value, max)) > 1.505"]
 
     enabled_leaf = tree.right.right
-    atoms = trace_and_filter(tree, enabled_leaf, PatternKind.PRIORITY, FEATURES)
+    atoms = trace_and_filter(_path_to(tree, enabled_leaf), PatternKind.PRIORITY, FEATURES)
     # the ratio <= branch does not match the violation direction; the
     # enabled == false branch does
     assert [a.canonical() for a in atoms] == ["attrenabled(q1, value, max) == false"]
 
 
 def test_trace_requires_impurity_decrease():
-    stray_false = leaf(30, 1, 1)
-    pure_true = leaf(0, 10, 2)
+    stray_false = leaf(30, 1)
+    pure_true = leaf(0, 10)
     root = TreeNode(
         gini=0.2, samples=41, class_counts=(30, 11),
-        split=(0, 2.0), left=stray_false, right=pure_true, node_id=0,
+        split=(0, 2.0), left=stray_false, right=pure_true,
     )
     # the left child is *less* pure than the root, so its split is dropped
-    root.left = TreeNode(gini=0.35, samples=31, class_counts=(30, 1), node_id=1)
-    atoms = trace_and_filter(root, root.left, PatternKind.PRIORITY, FEATURES)
+    root.left = TreeNode(gini=0.35, samples=31, class_counts=(30, 1))
+    atoms = trace_and_filter(_path_to(root, root.left), PatternKind.PRIORITY, FEATURES)
     assert atoms == []
 
 
 def test_assemble_resolves_duplicates_by_gini_drop():
-    ratio_atom = SplitAtom(RATIO, ">", 1.5, -0.3, 0)
-    a = SplitAtom(ENABLED, "==", True, -0.422, 5)
-    b = SplitAtom(ENABLED, "==", False, -0.322, 9)
+    ratio_atom = SplitAtom(RATIO, ">", 1.5, -0.3)
+    a = SplitAtom(ENABLED, "==", True, -0.422)
+    b = SplitAtom(ENABLED, "==", False, -0.322)
     for atoms in ([ratio_atom, a, b], [ratio_atom, b, a]):
         pc = assemble_constraint(atoms, PRIORITY_CAND)
         assert pc.provenance == (ratio_atom, a)
@@ -112,19 +123,19 @@ def test_assemble_resolves_duplicates_by_gini_drop():
 def test_shared_root_split_contributes_one_atom():
     # both false leaves lie under the root's ratio > 3.2 branch, so both
     # paths trace the root split
-    held_a = leaf(40, 0, 3)
-    held_b = leaf(15, 1, 4)
+    held_a = leaf(40, 0)
+    held_b = leaf(15, 1)
     inner = TreeNode(
         gini=0.3, samples=56, class_counts=(55, 1),
-        split=(1, 0.5), left=held_a, right=held_b, node_id=2,
+        split=(1, 0.5), left=held_a, right=held_b,
     )
     root = TreeNode(
         gini=0.49, samples=116, class_counts=(55, 61),
-        split=(0, 3.2), left=inner, right=leaf(0, 60, 1), node_id=0,
+        split=(0, 3.2), left=inner, right=leaf(0, 60),
     )
     per_leaf = [
-        trace_and_filter(root, held_a, PatternKind.PRIORITY, FEATURES),
-        trace_and_filter(root, held_b, PatternKind.PRIORITY, FEATURES),
+        trace_and_filter(_path_to(root, held_a), PatternKind.PRIORITY, FEATURES),
+        trace_and_filter(_path_to(root, held_b), PatternKind.PRIORITY, FEATURES),
     ]
     atoms = per_leaf[0] + per_leaf[1]
     assert sum(1 for a in atoms if a.feature.kind == "ratio") == 2
@@ -133,8 +144,8 @@ def test_shared_root_split_contributes_one_atom():
 
 
 def test_assemble_priority_needs_both_parts():
-    ratio_atom = SplitAtom(RATIO, ">", 1.505, -0.3, 0)
-    enabled_atom = SplitAtom(ENABLED, "==", True, -0.42, 2)
+    ratio_atom = SplitAtom(RATIO, ">", 1.505, -0.3)
+    enabled_atom = SplitAtom(ENABLED, "==", True, -0.42)
     pc = assemble_constraint([ratio_atom, enabled_atom], PRIORITY_CAND, support=382)
     assert pc is not None
     assert pc.expr.canonical() == (
@@ -145,23 +156,23 @@ def test_assemble_priority_needs_both_parts():
 
 
 def test_assemble_normalizes_enabled_to_true():
-    ratio_atom = SplitAtom(RATIO, ">", 1.5, -0.3, 0)
-    enabled_false = SplitAtom(ENABLED, "==", False, -0.32, 2)
+    ratio_atom = SplitAtom(RATIO, ">", 1.5, -0.3)
+    enabled_false = SplitAtom(ENABLED, "==", False, -0.32)
     pc = assemble_constraint([ratio_atom, enabled_false], PRIORITY_CAND)
     assert "attrenabled(q1, value, max) == true" in pc.expr.canonical()
 
 
 def test_assemble_blocking_negates_threshold():
     cand = PatternCandidate(PatternKind.BLOCKING, "pre-processing", (("downstream", "q1"),))
-    atom = SplitAtom(FeatureRef.nrtokens("q1"), ">", 4.5, -0.4, 0)
+    atom = SplitAtom(FeatureRef.nrtokens("q1"), ">", 4.5, -0.4)
     pc = assemble_constraint([atom], cand, support=100)
     assert pc.expr.canonical() == "nrtokens(q1) <= 4.5"
 
 
 def test_assemble_holdbatch_needs_both_atoms():
     cand = PatternCandidate(PatternKind.HOLD_BATCH, "transportation", (("input", "q1"),))
-    count_atom = SplitAtom(FeatureRef.nrtokensenabled("q1"), "<=", 3.5, -0.2, 0)
-    time_atom = SplitAtom(FeatureRef.timeuntilnext("q1"), "<=", 2.0, -0.2, 1)
+    count_atom = SplitAtom(FeatureRef.nrtokensenabled("q1"), "<=", 3.5, -0.2)
+    time_atom = SplitAtom(FeatureRef.timeuntilnext("q1"), "<=", 2.0, -0.2)
     pc = assemble_constraint([count_atom, time_atom], cand)
     assert pc.expr.canonical() == "nrtokensenabled(q1) > 3.5 and timeuntilnext(q1) > 2"
     assert assemble_constraint([count_atom], cand) is None
@@ -169,11 +180,11 @@ def test_assemble_holdbatch_needs_both_atoms():
 
 def test_assemble_negates_the_template_comparison_not_the_atoms():
     blocking = PatternCandidate(PatternKind.BLOCKING, "pre-processing", (("downstream", "q1"),))
-    count_leq = SplitAtom(FeatureRef.nrtokens("q1"), "<=", 4.5, -0.4, 0)
+    count_leq = SplitAtom(FeatureRef.nrtokens("q1"), "<=", 4.5, -0.4)
     assert assemble_constraint([count_leq], blocking).expr.canonical() == "nrtokens(q1) <= 4.5"
     hold = PatternCandidate(PatternKind.HOLD_BATCH, "transportation", (("input", "q1"),))
-    count_gt = SplitAtom(FeatureRef.nrtokensenabled("q1"), ">", 3.5, -0.2, 0)
-    time_gt = SplitAtom(FeatureRef.timeuntilnext("q1"), ">", 2.0, -0.2, 1)
+    count_gt = SplitAtom(FeatureRef.nrtokensenabled("q1"), ">", 3.5, -0.2)
+    time_gt = SplitAtom(FeatureRef.timeuntilnext("q1"), ">", 2.0, -0.2)
     pc = assemble_constraint([count_gt, time_gt], hold)
     assert pc.expr.canonical() == "nrtokensenabled(q1) > 3.5 and timeuntilnext(q1) > 2"
     assert pc.provenance == (count_gt, time_gt)
@@ -183,13 +194,13 @@ def test_assemble_choice_single_atom():
     cand = PatternCandidate(
         PatternKind.CHOICE, "production_a", (("other_input", "stock_b"), ("shared", "shared"))
     )
-    atom = SplitAtom(FeatureRef.timeuntilnext("stock_b"), "<=", 1.915, -0.3, 0)
+    atom = SplitAtom(FeatureRef.timeuntilnext("stock_b"), "<=", 1.915, -0.3)
     pc = assemble_constraint([atom], cand)
     assert pc.expr.canonical() == "timeuntilnext(stock_b) > 1.915"
 
 
 def test_discover_blocking_round_trip(blocking_net, blocking_log):
-    constraints = discover(blocking_log, blocking_net)
+    constraints = discover_run(blocking_log, blocking_net).constraints
     assert len(constraints) == 1
     pc = constraints[0]
     assert pc.kind == PatternKind.BLOCKING and pc.t_g == "pre-processing"
@@ -197,8 +208,12 @@ def test_discover_blocking_round_trip(blocking_net, blocking_log):
 
 
 def test_discover_is_monotone_in_tau_s(blocking_net, blocking_log):
-    lax = discover(blocking_log, blocking_net, extraction_params=ExtractionParams(tau_s=10))
-    strict = discover(blocking_log, blocking_net, extraction_params=ExtractionParams(tau_s=120))
+    lax = discover_run(
+        blocking_log, blocking_net, extraction_params=ExtractionParams(tau_s=10)
+    ).constraints
+    strict = discover_run(
+        blocking_log, blocking_net, extraction_params=ExtractionParams(tau_s=120)
+    ).constraints
     lax_keys = {(pc.t_g, pc.kind) for pc in lax}
     strict_keys = {(pc.t_g, pc.kind) for pc in strict}
     assert strict_keys <= lax_keys
@@ -213,11 +228,11 @@ def test_discover_reports_skip_reasons(blocking_net, blocking_log):
 
 
 def test_annotate_replaces_guard(blocking_net, blocking_log):
-    constraints = discover(blocking_log, blocking_net)
+    constraints = discover_run(blocking_log, blocking_net).constraints
     annotated = annotate_net(blocking_net, constraints)
-    assert annotated.transition("pre-processing").guard.canonical() == "nrtokens(q1) <= 4.5"
+    assert annotated.transitions["pre-processing"].guard.canonical() == "nrtokens(q1) <= 4.5"
     # the original net keeps its modeled guard
-    assert blocking_net.transition("pre-processing").guard.canonical() == "nrtokens(q1) < 5"
+    assert blocking_net.transitions["pre-processing"].guard.canonical() == "nrtokens(q1) < 5"
 
 
 def test_annotate_empty_list_is_identity(blocking_net):
@@ -226,7 +241,7 @@ def test_annotate_empty_list_is_identity(blocking_net):
 
 def test_annotate_unknown_transition_rejected(blocking_net):
     cand = PatternCandidate(PatternKind.BLOCKING, "ghost", (("downstream", "q1"),))
-    atom = SplitAtom(FeatureRef.nrtokens("q1"), ">", 4.5, -0.4, 0)
+    atom = SplitAtom(FeatureRef.nrtokens("q1"), ">", 4.5, -0.4)
     pc = assemble_constraint([atom], cand)
     with pytest.raises(ModelError):
         annotate_net(blocking_net, [pc])
@@ -235,7 +250,7 @@ def test_annotate_unknown_transition_rejected(blocking_net):
 def test_annotate_rejects_two_constraints_on_one_transition(blocking_net):
     cand = PatternCandidate(PatternKind.BLOCKING, "pre-processing", (("downstream", "q1"),))
     pcs = [
-        assemble_constraint([SplitAtom(FeatureRef.nrtokens("q1"), ">", const, -0.4, 0)], cand)
+        assemble_constraint([SplitAtom(FeatureRef.nrtokens("q1"), ">", const, -0.4)], cand)
         for const in (4.5, 3.5)
     ]
     with pytest.raises(ModelError, match="pre-processing"):
@@ -243,7 +258,7 @@ def test_annotate_rejects_two_constraints_on_one_transition(blocking_net):
 
 
 def test_annotated_net_replays_training_log(blocking_net, blocking_log):
-    constraints = discover(blocking_log, blocking_net)
+    constraints = discover_run(blocking_log, blocking_net).constraints
     annotated = annotate_net(blocking_net.without_guards(), constraints)
     _, report = replay(blocking_log, annotated, check_guards=True)
     assert report.matched == len(blocking_log.events)

@@ -230,6 +230,21 @@ def test_duplicate_node_ids_are_rejected():
         Net([Place("a", "case")], [Transition("t"), Transition("t", is_task=False)], [])
 
 
+@pytest.mark.parametrize("column", ["case", "activity", "start", "complete", "resource"])
+def test_validate_attributes_named_after_a_log_column(column):
+    # the log would carry the attribute in a second column of that name
+    spec = ArrivalSpec(Dist.constant(1), {column: Dist.constant(1.0)})
+    net = Net(
+        places=[Place("a", "case", ((column, "number"),)), Place("b", "case")],
+        transitions=[Transition("arrive", arrival_spec=spec), Transition("t")],
+        flows=[("arrive", "a"), ("a", "t"), ("t", "b")],
+    )
+    assert validate_net(net) == [
+        f"place 'a' attribute {column!r} is named after a log column",
+        f"transition 'arrive' attribute {column!r}: is named after a log column",
+    ]
+
+
 def test_validate_place_and_transition_sharing_an_id():
     net = Net(
         places=[Place("a", "case"), Place("x", "case")],
@@ -350,6 +365,13 @@ def test_flow_depth_on_case_cycle_ignores_query_order():
     asked_t1_first = {t: forward.flow_depth(t) for t in ("t1", "t2")}
     asked_t2_first = {t: backward.flow_depth(t) for t in ("t2", "t1")}
     assert asked_t1_first == asked_t2_first == {"t1": 2, "t2": 2}
+
+
+def test_flow_depth_of_an_unknown_transition_raises():
+    net = fig1_net()
+    for node in ("ghost", "q1"):  # no node, a place
+        with pytest.raises(ModelError, match=f"unknown transition '{node}'"):
+            net.flow_depth(node)
 
 
 # the inputs of the reference-cycle check: every bundled model, and supply
@@ -537,7 +559,7 @@ def _full_product(net: Net, m: Marking, t_id: str, now: float, check_guards: boo
         )
         for p in places
     ]
-    guard = net.transition(t_id).guard if check_guards else None
+    guard = net.transitions[t_id].guard if check_guards else None
     if guard is not None and not guard.holds(m, now):
         return []
     bindings = [dict(zip(places, combo)) for combo in itertools.product(*pools)]

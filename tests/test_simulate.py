@@ -126,7 +126,7 @@ def test_guard_soundness_on_held_states(blocking_net, blocking_log):
     it fired from."""
     from dsync.replay import replay
 
-    guard = blocking_net.transition("pre-processing").guard
+    guard = blocking_net.transitions["pre-processing"].guard
     samples, report = replay(blocking_log, blocking_net)
     assert not report.unmatched
     checked = 0
@@ -232,6 +232,42 @@ def test_clock_stops_at_unstored_sink_outputs():
     assert net.unread == {"sink"}
     log = simulate(net, SimConfig(seed=1, horizon=100))
     assert [(e.label, e.start) for e in log.events] == [("t1", 0.0), ("t2", 3.0)]
+
+
+def test_clock_stops_skip_a_guard_that_time_alone_cannot_open(monkeypatch):
+    # t2's guard ``timeuntilnext(p) > 5`` only closes as time passes; it opens
+    # when p's token becomes available at 4, which dirties t2 as a reader of
+    # p. t1's cases stop the clock at 0.5, 1, ..., 3.75 and touch nothing t2
+    # reads, so t2 is evaluated at 0 and at 4 only
+    sim = importlib.import_module("dsync.simulate")
+    calls, fifo_first = collections.Counter(), sim.fifo_first
+
+    def counting(net, m, tid, clock):
+        calls[tid, clock] += 1
+        return fifo_first(net, m, tid, clock)
+
+    monkeypatch.setattr(sim, "fifo_first", counting)
+    net = Net(
+        places=[
+            Place("a", "case"), Place("b", "case"), Place("out", "case"),
+            Place("sink", "plain"), Place("p", "plain"),
+        ],
+        transitions=[
+            Transition("t1", delay=Dist.constant(0.25)),
+            Transition("t2", delay=Dist.constant(1),
+                       guard=parse_constraint("timeuntilnext(p) > 5")),
+        ],
+        flows=[("a", "t1"), ("t1", "sink"), ("b", "t2"), ("t2", "out")],
+        initial_marking=Marking({
+            "a": tuple(Token(f"c{i}", {}, 0.5 * i) for i in range(8)),
+            "b": (Token("d", {}, 0.0),),
+            "p": (Token(None, {}, 4.0),),
+        }),
+    )
+    log = simulate(net, SimConfig(seed=1, horizon=100))
+    assert [(e.case_id, e.start) for e in log.events if e.label == "t2"] == [("d", 4.0)]
+    assert sum(1 for e in log.events if e.label == "t1") == 8
+    assert {clock for tid, clock in calls if tid == "t2"} == {0.0, 4.0}
 
 
 def test_guarded_task_source_arrives_when_its_guard_place_drains():

@@ -125,7 +125,7 @@ def test_min_samples_leaf_respected():
     xs = [[rng.uniform(0, 1)] for _ in range(40)]
     ys = [rng.random() < 0.5 for _ in range(40)]
     tree = fit(xs, ys, TreeParams(max_depth=6, min_samples_leaf=7))
-    assert all(leaf.samples >= 7 for leaf in tree.leaves())
+    assert all(leaf.samples >= 7 for leaf, _ in tree.leaves())
 
 
 def test_boolean_encoded_feature_splits_at_half():
