@@ -27,7 +27,11 @@ def test_parse_running_example():
     handling3 = [e for e in log.events if e.case_id == "3" and e.label == "handling"][0]
     assert handling3.start == 15 and handling3.complete == 22
     assert handling3.attrs["value"] == 855
+
+
+def test_traces_group_by_case():
     # each case's events keep their completion order
+    log = parse_log(TABLE1)
     assert [e.label for e in log.events if e.case_id == "3"] == ["pre-processing", "handling"]
     assert len({e.case_id for e in log.events}) == 7
 
