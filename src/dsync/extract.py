@@ -34,6 +34,7 @@ from .patterns import (
     PatternTransitionLog,
     build_pt_log,
     detect_constructs,
+    observe,
 )
 from .replay import MatchReport, read_off_check, replay
 from .tree import Path, TreeNode, TreeParams, fit
@@ -211,7 +212,8 @@ def discover_run(
     tree_params: TreeParams = TreeParams(),
     extraction_params: ExtractionParams = ExtractionParams(),
 ) -> DiscoveryRun:
-    """Full pipeline: replay, detect constructs, mine each candidate, and read
+    """Full pipeline: replay, detect constructs, observe their guarded
+    transitions in one pass over the replay, mine each candidate, and read
     the replayability check of the discoveries off the replay when it can.
 
     Runs with the cyclic garbage collector paused (``acyclic``), and so does
@@ -220,9 +222,11 @@ def discover_run(
     extraction_params.check()
     tree_params.check()
     samples, report = replay(log_data, net)
+    candidates = detect_constructs(net)
+    observations = observe(net, samples, {c.t_g for c in candidates})
     results: list[CandidateResult] = []
-    for c in detect_constructs(net):
-        res = CandidateResult(c, build_pt_log(net, c, samples))
+    for c in candidates:
+        res = CandidateResult(c, build_pt_log(net, c, observations[c.t_g]))
         res.skip_reason = _mine(res, tree_params, extraction_params)
         if res.skip_reason:
             log.info("skip %s: %s", c.describe(), res.skip_reason)

@@ -525,9 +525,11 @@ def enabled_bindings(
 def has_enabled_binding(net: Net, m: Marking, t_id: str, now: float) -> bool:
     """Cheap existence test, guards ignored: every preset place's earliest token is enabled."""
     stores = m._by_place
-    return all(
-        stores.get(p) and stores[p][0].available_at <= now for p, _ in net._plan(t_id).inputs
-    )
+    for p, _ in net._plan(t_id).inputs:
+        toks = stores.get(p)
+        if not toks or toks[0].available_at > now:
+            return False
+    return True
 
 
 def fire(

@@ -5,18 +5,24 @@ A candidate is one way a pattern's process construct maps onto the net: a
 guarded-transition role plus one or two place roles. Candidates are
 over-generated on purpose; the tree and extraction stages filter the ones
 whose behaviour shows no synchronization.
+
+Several candidates share a guarded transition, and so share the moments it
+is observed at. ``observe`` finds those moments for every guarded transition
+in one pass over the replay's samples, testing enabledness at most once per
+transition and sample; ``build_pt_log`` then only reads each candidate's
+features off its transition's observations.
 """
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
-from .constraints import FeatureRef, eval_feature
+from .constraints import RATIO_EPSILON, FeatureRef, eval_feature
 from .errors import ModelError
 from .eventlog import fmt_cell, fmt_num
-from .net import Net, has_enabled_binding, postset, preset
+from .net import Marking, Net, has_enabled_binding, postset, preset
 from .replay import StateSample
 
 
@@ -144,7 +150,7 @@ def features_for(c: PatternCandidate) -> list[FeatureRef]:
     raise ModelError(f"unknown pattern kind {c.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PTRow:
     time: float
     values: tuple
@@ -177,34 +183,76 @@ class PatternTransitionLog:
         return buf.getvalue()
 
 
-def build_pt_log(
-    net: Net, c: PatternCandidate, samples: list[StateSample]
-) -> PatternTransitionLog:
-    """Observation-outcome rows for one candidate.
+# one moment a guarded transition is observed: the time, the marking its
+# features are read from, and whether it fired
+Observation = tuple[float, Marking, bool]
 
-    A sample contributes one row when the guarded transition has an enabled
-    binding (guards off) in the relevant marking: the state it fired from
-    when it fired, and the post-move marking when it stayed passed over.
-    Repaired samples are excluded.
+
+def observe(
+    net: Net, samples: list[StateSample], transitions: Iterable[str]
+) -> dict[str, list[Observation]]:
+    """The observations of each of ``transitions``, from one pass over a
+    replay's samples.
+
+    A transition is observed up to its last start; after that, not firing is
+    indistinguishable from having nothing left to do. Repaired samples are
+    skipped. In the others it is observed in the state it fired from when it
+    fired, which had a binding by construction, and in the post-move marking
+    when it was passed over, if it has an enabled binding (guards off) there.
+    """
+    out: dict[str, list[Observation]] = {t: [] for t in sorted(set(transitions))}
+    last: dict[str, float] = {}
+    for s in samples:
+        for t in s.fired.intersection(out):
+            last[t] = max(s.time, last.get(t, s.time))
+    watched = [(t, last[t], out[t].append) for t in out if t in last]
+    for s in samples:
+        if s.repaired:
+            continue
+        now, fired, after = s.time, s.fired, s.after
+        at_fire = None
+        for t, last_start, add in watched:
+            if now > last_start:
+                continue
+            if t in fired:
+                if at_fire is None:
+                    at_fire = s.at_fire
+                add((now, at_fire[t], True))
+            elif has_enabled_binding(net, after, t, now):
+                add((now, after, False))
+    return out
+
+
+def build_pt_log(
+    net: Net, c: PatternCandidate, observations: list[Observation]
+) -> PatternTransitionLog:
+    """Observation-outcome rows for one candidate: its features read off each
+    of its guarded transition's ``observations`` (``observe``), labelled by
+    whether the transition fired.
+
+    A ratio whose two parts come before it among the candidate's features is
+    computed from their values, by ``eval_feature``'s own expression.
     """
     feats = tuple(features_for(c))
     for f in feats:
         for place_id, attr in f.references():
             if place_id not in net.places:
                 raise ModelError(f"feature place {place_id!r} missing from net")
-    # scope: the transition is only observed up to its last firing; after
-    # that, not firing is indistinguishable from having nothing left to do
-    last_start = max((s.time for s in samples if c.t_g in s.fired), default=None)
-    if last_start is None:
-        return PatternTransitionLog(c, feats, [])
+    # each feature with the positions of its ratio parts, or None to evaluate it
+    index = {f: i for i, f in enumerate(feats)}
+    plan = [
+        (f, (index[f.num], index[f.den]))
+        if f.kind == "ratio" and index.get(f.num, i) < i and index.get(f.den, i) < i
+        else (f, None)
+        for i, f in enumerate(feats)
+    ]
     rows: list[PTRow] = []
-    for s in samples:
-        if s.repaired or s.time > last_start:
-            continue
-        fired = c.t_g in s.fired
-        marking = s.at_fire[c.t_g] if fired else s.after
-        if not has_enabled_binding(net, marking, c.t_g, s.time):
-            continue
-        values = tuple(eval_feature(f, marking, s.time) for f in feats)
-        rows.append(PTRow(s.time, values, fired))
+    for now, marking, fired in observations:
+        values = []
+        for f, parts in plan:
+            if parts is None:
+                values.append(eval_feature(f, marking, now))
+            else:
+                values.append(values[parts[0]] / max(values[parts[1]], RATIO_EPSILON))
+        rows.append(PTRow(now, tuple(values), fired))
     return PatternTransitionLog(c, feats, rows)

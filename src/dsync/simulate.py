@@ -18,8 +18,10 @@ nodes)`` entries: places where produced tokens, stored or not
 readers of those nodes are re-evaluated, and so is every transition whose
 guard has a ``timeuntilnext`` atom compared by ``<``, ``<=`` or ``==``, the
 only atoms that time alone can make true (a ``>`` or ``>=`` one can only
-close as time passes). Nothing is evaluated between two stops, so a
-transition whose guard holds only between two of them does not fire.
+close as time passes). Nothing is evaluated between two stops, so when such
+an atom fails at a transition that has no candidate, the clock also stops
+at the first float time at which the atom holds while its place's next
+token is still pending (``_opening``): an entry with no nodes.
 
 Guards are evaluated only through ``binding_pools(..., check_guards=True)``,
 for source transitions too: their empty preset has one empty binding, which
@@ -50,6 +52,7 @@ from operator import attrgetter
 from typing import Optional
 
 from .acyclic import acyclic
+from .constraints import OPS, Atom
 from .errors import SimulationError
 from .eventlog import Event, Log, sort_events
 from .net import Binding, Marking, Net, Transition, binding_pools, enabled_bindings, fire
@@ -169,17 +172,20 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
 
     # sources by id; for each node, the transitions that read it (preset or
     # guard places, a source itself); the transitions whose guard time alone
-    # can open
+    # can open, with the atoms that can
     sources: dict[str, _Source] = {}
     readers: dict[str, set[str]] = {}
-    timed: set[str] = set()
+    timed: dict[str, list[Atom]] = {}
     for tid, t in sorted(net.transitions.items()):
         if t.arrival_spec is not None:
             sources[tid] = _Source(t, cfg.seed, cfg.max_cases)
             readers[tid] = {tid}
         atoms = t.guard.atoms if t.guard else ()
-        if any(a.feature.kind == "timeuntilnext" and a.op in ("<", "<=", "==") for a in atoms):
-            timed.add(tid)
+        opening = [
+            a for a in atoms if a.feature.kind == "timeuntilnext" and a.op in ("<", "<=", "==")
+        ]
+        if opening:
+            timed[tid] = opening
         for p in {*preset(net, tid), *(p for atom in atoms for p, _ in atom.feature.references())}:
             readers.setdefault(p, set()).add(tid)
     # each transition's candidate, kept until it is dirty; every one reads its
@@ -223,7 +229,12 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
             # due only the sources are evaluated
             todo = dirty & sources.keys() if arriving else dirty
             for tid in todo:
-                cands[tid] = candidate(tid)
+                cands[tid] = cand = candidate(tid)
+                if cand is None and tid in timed:
+                    for atom in timed[tid]:
+                        at = _opening(atom, marking, clock)
+                        if at is not None:
+                            heapq.heappush(future, (at, ()))
             dirty.difference_update(todo)
             # keys end with the transition id, so ``min`` never compares bindings
             best = min(filter(None, cands.values()), default=None)
@@ -291,6 +302,34 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     schema = _infer_schema(events)
     has_resource = any(e.resource for e in events)
     return Log(events, schema, has_resource)
+
+
+def _opening(atom: Atom, m: Marking, clock: float) -> Optional[float]:
+    """The first float time after ``clock`` at which a ``timeuntilnext`` atom
+    compared by ``<``, ``<=`` or ``==`` that fails at ``clock`` holds, while
+    its place's next pending token stays pending; None when there is none.
+
+    The value is the token's ``available_at - now``, which falls as ``now``
+    grows, so the time is found near ``available_at - const`` by stepping
+    ``math.nextafter`` to where the float comparison flips.
+    """
+    toks = m.tokens(atom.feature.place)
+    i = m.n_enabled(atom.feature.place, clock)
+    compare, const = OPS[atom.op], atom.const
+    if i == len(toks) or compare(toks[i].available_at - clock, const):
+        return None
+    due = toks[i].available_at
+    # the first time after ``clock`` with ``due - now <= const`` (``<`` for ``<``)
+    below = OPS["<"] if atom.op == "<" else OPS["<="]
+    now = max(due - const, math.nextafter(clock, math.inf))
+    while now < due and not below(due - now, const):
+        now = math.nextafter(now, math.inf)
+    while True:
+        before = math.nextafter(now, -math.inf)
+        if before <= clock or not below(due - before, const):
+            break
+        now = before
+    return now if now < due and compare(due - now, const) else None
 
 
 def _finite_time(time: float, tid: str, what: str) -> None:

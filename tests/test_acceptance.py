@@ -15,7 +15,7 @@ import pytest
 from dsync.eventlog import write_log
 from dsync.extract import annotate_net, discover_run
 from dsync.modelfile import load_model
-from dsync.patterns import PatternKind, build_pt_log, detect_constructs
+from dsync.patterns import PatternKind, build_pt_log, detect_constructs, observe
 from dsync.replay import replay
 from dsync.report import build_report, report_to_json
 from dsync.simulate import SimConfig, simulate
@@ -247,7 +247,8 @@ def test_criterion_5c_observation_table_reproduction(priority_net, table1_log):
     candidate = [
         c for c in detect_constructs(priority_net) if c.kind == PatternKind.PRIORITY
     ][0]
-    pt = build_pt_log(priority_net, candidate, samples)
+    observations = observe(priority_net, samples, [candidate.t_g])[candidate.t_g]
+    pt = build_pt_log(priority_net, candidate, observations)
     rows = {r.time: r for r in pt.rows}
     assert rows[5].label is False
     assert rows[15].label is True

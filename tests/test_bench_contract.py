@@ -51,6 +51,31 @@ def test_tracer_installs_counts_and_uninstalls():
     assert metrics["constraints.holds_calls"] > 0
 
 
+def test_traced_discovery_has_one_pt_log_span_per_candidate():
+    # the tracer counts candidates and rows off the ``build_pt_log`` spans that
+    # ``discover_run`` makes through ``dsync.extract``; the selftest compares
+    # the traced row count with the untraced one
+    tracer_mod = load_tracer()
+    net = dsync.load_model(model_path("blocking"))
+    log = dsync.simulate(net, SimConfig(seed=1, max_cases=50))
+    untraced = dsync.discover_run(log, net)
+
+    tracer = tracer_mod.Tracer().install()
+    try:
+        traced = dsync.discover_run(log, net)
+        spans = [s for s in tracer.spans if s.name == "patterns.build_pt_log"]
+        metrics = tracer.end_pass()
+    finally:
+        tracer.uninstall()
+
+    rows = sum(len(r.ptlog.rows) for r in untraced.results)
+    assert len(spans) == len(traced.results) == len(untraced.results) > 1
+    assert metrics["patterns.candidates"] == len(untraced.results)
+    assert metrics["patterns.rows"] == rows > 0
+    assert metrics["net.has_enabled_binding_calls"] > 0
+    assert metrics["constraints.eval_feature_calls"] > 0
+
+
 def test_harness_and_probes_names_exist():
     import dsync.report
 

@@ -1,9 +1,12 @@
-"""Byte-identical logs and reports for inputs the benchmark does not run.
+"""Byte-identical logs, reports and pattern-transition logs for inputs the
+benchmark does not run.
 
 The hashes pin the simulator's schedule (which binding fires, and when the
 clock stops) and everything discovery derives from it. In ``choice`` the
 production transitions output only into unstored plain sinks, so the clock
 must still stop at their completion times for the log to stay the same.
+The pattern-transition log hashes pin every candidate's rows, which a report
+shows only through the tree fitted to them.
 """
 from __future__ import annotations
 
@@ -71,3 +74,67 @@ def test_log_and_report_hashes(model, seed):
     parsed = parse_log(log_text)
     report_text = report_to_json(build_report(discover_run(parsed, net), net, parsed))
     assert (_sha256(log_text), _sha256(report_text)) == GOLDENS[model, seed]
+
+
+# (model, seed, cases) -> candidate -> sha256 of its pattern-transition log CSV
+PT_GOLDENS = {
+    ("supplychain", 6, 150): {
+        "blocking(game_case_arriving; downstream=stock_gc)":
+            "eaeac591c660bd3fa48c8a71ac97c2973e5596fc3ccf286a5268c54f5f52c0e4",
+        "blocking(move_nl; downstream=phone_nl)":
+            "eaa8999876cf5771f4c547eb49581232b4d3e0fceb0179837a590c0b5f3115c3",
+        "blocking(order_pc; downstream=ordered_pc)":
+            "ccfe21336c87f59f3b0c303b9eb0698ab7860eeb241264b91b4044f73f8072bc",
+        "blocking(prep_pc; downstream=stock_pc)":
+            "67e2757845f5f80435ed928f5b2ffa5e9fa2b8c8655a5858edafea22f4648fc2",
+        "blocking(production_phone; downstream=phone_fin)":
+            "132ac983e85febbc665a81d8df8e2f6cf20819065ea466911286fb08ca8a9a87",
+        "choice(production_game; other_input=stock_pc, shared=chips)":
+            "4bf1be36efd03dff55ffea87f1ca180fb590f54ae164e4f20351c1307653d940",
+        "choice(production_phone; other_input=stock_gc, shared=chips)":
+            "a11b230036f72c92d19fbd9f15b51c2e1adcf816ffc13594534ea3be3aa8ceff",
+        "holdbatch(move_nl; input=phone_fin)":
+            "fa1bd5078422f327ae931a2ba5056372b511a1d762a27a27d0462ad53523c1ad",
+        "holdbatch(prep_pc; input=ordered_pc)":
+            "5aafbd339324ec09d7dbcef63be47e7d903266f4a606cae4434a8953610c219e",
+        "holdbatch(production_game; input=stock_gc)":
+            "1fa31d9ad69d38f52e4a32b213dac557c19816a28c9de319007353da033686b8",
+        "holdbatch(production_phone; input=stock_pc)":
+            "592787dbd27858aeaefe167d7ce904138dec9dbf636f4d417957887ca0c7f5f7",
+        "holdbatch(transportation; input=phone_nl)":
+            "893849d1039050f7bbd64994963b0115653a4dbeb52d10b3a9359e413e99ab64",
+        "priority(production_phone; queue=stock_pc, upstream=ordered_pc, attr=value)":
+            "fd8c67a010a7f7961ede50d67ee7ddedba1aa7842e043434fe1ea52056addc1f",
+    },
+    ("priority", 2, 300): {
+        "blocking(job_arrival; downstream=arrival)":
+            "df2f561449c4296fbc2872d1dca78d90900f4bbb1b0b3e5a62de8fa055a305b5",
+        "blocking(pre-processing; downstream=q1)":
+            "21ea2f38d3e802c04fffdb0fdbc42969103b809e4ac194928c9fd2db35b65959",
+        "holdbatch(handling; input=q1)":
+            "ceeab8771723b729cf4c07be613c8025d8e37437d2131aba868d67f0583d5232",
+        "holdbatch(pre-processing; input=arrival)":
+            "d2d9896fa8db42d85f6e33ffdd38132bef3b68ea2f91f9bdaca0186ed9ddc877",
+        "priority(handling; queue=q1, upstream=arrival, attr=value)":
+            "44b86d9870a26866119ff8514731dfb391488c247c43cbe484ca8c3007b437d9",
+    },
+    ("blocking", 1, 300): {
+        "blocking(arriving; downstream=arrival)":
+            "756c250dd1f9afced87dca201aacf45669d3b0796eea6440e275caddcd478a25",
+        "blocking(pre-processing; downstream=q1)":
+            "5ee64f0899afbce7cb44c42e164c1e1db141ad03ef71c0ba4b3d820d87b6e2a2",
+        "holdbatch(handling; input=q1)":
+            "8ba37c7db11d6e33715385b1d08de0eab324e94601ffe37e1c2abde9d4a6d93b",
+        "holdbatch(pre-processing; input=arrival)":
+            "162840f3dd6c19ade64bdb23d53abd5487e1b3d17935d000d8916422c8478c95",
+    },
+}
+
+
+@pytest.mark.parametrize("model, seed, cases", sorted(PT_GOLDENS))
+def test_pattern_transition_log_hashes(model, seed, cases):
+    net = load_model(model_path(model))
+    parsed = parse_log(write_log(simulate(net, SimConfig(seed=seed, max_cases=cases))))
+    run = discover_run(parsed, net)
+    hashes = {r.candidate.describe(): _sha256(r.ptlog.to_csv()) for r in run.results}
+    assert hashes == PT_GOLDENS[model, seed, cases]

@@ -1,20 +1,35 @@
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
-from dsync.net import Dist, Net, Place, Transition
+import dsync.patterns as patterns_mod
+from dsync.constraints import RATIO_EPSILON, eval_feature
+from dsync.extract import discover_run
+from dsync.modelfile import load_model
+from dsync.net import Dist, Marking, Net, Place, Token, Transition, has_enabled_binding
 from dsync.patterns import (
     PatternCandidate,
     PatternKind,
+    PTRow,
     build_pt_log,
     detect_constructs,
     features_for,
+    observe,
 )
 from dsync.replay import replay
+from dsync.simulate import SimConfig, simulate
+from tests.conftest import model_path
 
 
 def by_kind(candidates, kind):
     return [c for c in candidates if c.kind == kind]
+
+
+def pt_log(net, c, samples):
+    return build_pt_log(net, c, observe(net, samples, [c.t_g])[c.t_g])
 
 
 def test_priority_construct_on_running_example(priority_net):
@@ -99,7 +114,7 @@ def test_feature_sets_per_kind():
 def test_observation_rows_of_running_example(priority_net, table1_log):
     samples, _ = replay(table1_log, priority_net)
     candidate = by_kind(detect_constructs(priority_net), PatternKind.PRIORITY)[0]
-    pt = build_pt_log(priority_net, candidate, samples)
+    pt = pt_log(priority_net, candidate, samples)
     rows = {r.time: r for r in pt.rows}
 
     assert rows[5].label is False and rows[15].label is True and rows[22].label is True
@@ -114,7 +129,7 @@ def test_observation_rows_of_running_example(priority_net, table1_log):
 def test_rows_only_while_transition_can_fire(priority_net, table1_log):
     samples, _ = replay(table1_log, priority_net)
     candidate = by_kind(detect_constructs(priority_net), PatternKind.PRIORITY)[0]
-    pt = build_pt_log(priority_net, candidate, samples)
+    pt = pt_log(priority_net, candidate, samples)
     # at t=0 the queue is empty and at t=20/25 the worker is busy
     assert {r.time for r in pt.rows}.isdisjoint({0, 20, 25})
 
@@ -122,7 +137,18 @@ def test_rows_only_while_transition_can_fire(priority_net, table1_log):
 def test_never_fired_candidate_has_no_rows(priority_net, table1_log):
     samples, _ = replay(table1_log, priority_net)
     ghost = PatternCandidate(PatternKind.BLOCKING, "job_arrival", (("downstream", "arrival"),))
-    assert build_pt_log(priority_net, ghost, samples).rows == []
+    assert pt_log(priority_net, ghost, samples).rows == []
+
+
+def test_repaired_samples_are_not_observed(priority_net, table1_log):
+    samples, _ = replay(table1_log, priority_net)
+    candidate = by_kind(detect_constructs(priority_net), PatternKind.PRIORITY)[0]
+    times = [now for now, _, _ in observe(priority_net, samples, ["handling"])["handling"]]
+    assert 5 in times and 15 in times
+    # a repaired sample's marking is a guess, whether the transition fired or not
+    repaired = [replace(s, repaired=s.time in (5, 15)) for s in samples]
+    rows = pt_log(priority_net, candidate, repaired).rows
+    assert [r.time for r in rows] == [t for t in times if t not in (5, 15)]
 
 
 def test_blocked_rows_respect_capacity(blocking_net, blocking_log):
@@ -131,7 +157,7 @@ def test_blocked_rows_respect_capacity(blocking_net, blocking_log):
         c for c in detect_constructs(blocking_net)
         if c.kind == PatternKind.BLOCKING and c.t_g == "pre-processing"
     ][0]
-    pt = build_pt_log(blocking_net, candidate, samples)
+    pt = pt_log(blocking_net, candidate, samples)
     fired = [r for r in pt.rows if r.label]
     held = [r for r in pt.rows if not r.label]
     assert fired and held
@@ -142,9 +168,84 @@ def test_blocked_rows_respect_capacity(blocking_net, blocking_log):
 def test_pt_log_csv_dump(priority_net, table1_log):
     samples, _ = replay(table1_log, priority_net)
     candidate = by_kind(detect_constructs(priority_net), PatternKind.PRIORITY)[0]
-    pt = build_pt_log(priority_net, candidate, samples)
+    pt = pt_log(priority_net, candidate, samples)
     text = pt.to_csv()
     header, first = text.splitlines()[:2]
     assert '"time"' in header and '"label"' in header
     assert first.startswith("5,")
     assert first.endswith("false")
+
+
+def per_candidate_rows(net, c, samples):
+    """The rows of ``c`` as they were built before ``observe``: a pass over
+    every sample per candidate, testing for an enabled binding in each."""
+    feats = features_for(c)
+    last_start = max((s.time for s in samples if c.t_g in s.fired), default=None)
+    if last_start is None:
+        return []
+    rows = []
+    for s in samples:
+        if s.repaired or s.time > last_start:
+            continue
+        fired = c.t_g in s.fired
+        marking = s.at_fire[c.t_g] if fired else s.after
+        if not has_enabled_binding(net, marking, c.t_g, s.time):
+            continue
+        rows.append(PTRow(s.time, tuple(eval_feature(f, marking, s.time) for f in feats), fired))
+    return rows
+
+
+@pytest.mark.parametrize("model", ["blocking", "choice", "holdbatch", "priority", "supplychain"])
+def test_observed_rows_match_the_per_candidate_pass(model):
+    net = load_model(model_path(model))
+    candidates = detect_constructs(net)
+    for seed in (1, 2, 3):
+        samples, _ = replay(simulate(net, SimConfig(seed=seed, max_cases=150)), net)
+        observations = observe(net, samples, {c.t_g for c in candidates})
+        assert sorted(observations) == sorted({c.t_g for c in candidates})
+        for c in candidates:
+            rows = build_pt_log(net, c, observations[c.t_g]).rows
+            # repr pins every value's bits and type, not only its equality
+            assert repr(rows) == repr(per_candidate_rows(net, c, samples)), (model, seed, c)
+
+
+def test_enabledness_tested_at_most_once_per_transition_and_sample(supplychain_net, monkeypatch):
+    log = simulate(supplychain_net, SimConfig(seed=1, max_cases=150))
+    calls = Counter()
+
+    def counting(net, m, t_id, now):
+        calls[t_id, now] += 1
+        return has_enabled_binding(net, m, t_id, now)
+
+    monkeypatch.setattr(patterns_mod, "has_enabled_binding", counting)
+    run = discover_run(log, supplychain_net)
+    # several candidates share a guarded transition, and none re-tests it
+    assert len({r.candidate.t_g for r in run.results}) < len(run.results)
+    assert calls and max(calls.values()) == 1
+    fired = {(t, s.time) for s in replay(log, supplychain_net)[0] for t in s.fired}
+    assert fired.isdisjoint(calls)
+
+
+def test_ratio_from_its_parts_is_eval_feature_bit_for_bit(priority_net):
+    c = by_kind(detect_constructs(priority_net), PatternKind.PRIORITY)[0]
+    q, u = c.role("queue"), c.role("upstream")
+
+    def tokens(*values):
+        return tuple(Token(f"c{i}", {"value": v}, float(i)) for i, v in enumerate(values))
+
+    markings = [
+        Marking({u: tokens(855, 12), q: tokens(118, 3)}),
+        Marking({u: tokens(7)}),  # empty queue: every denominator is 0
+        Marking({u: tokens(1, 2), q: tokens(0.004, 0.0099)}),  # below RATIO_EPSILON
+        Marking({u: tokens(0.3), q: tokens(-2, 0.01)}),  # negative and exactly epsilon
+        Marking({u: tokens(1 / 3, 2 / 7), q: tokens(0.1, 0.7)}),
+    ]
+    observations = [(float(i), m, bool(i % 2)) for i, m in enumerate(markings)]
+    pt = build_pt_log(priority_net, c, observations)
+    ratios = [(i, f) for i, f in enumerate(pt.features) if f.kind == "ratio"]
+    assert len(ratios) == 4
+    assert min(eval_feature(f.den, markings[2], 2.0) for _, f in ratios) < RATIO_EPSILON
+    for (now, m, fired), row in zip(observations, pt.rows):
+        assert (row.time, row.label) == (now, fired)
+        for i, f in ratios:
+            assert row.values[i].hex() == eval_feature(f, m, now).hex()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import importlib
+import math
 
 import pytest
 
@@ -208,10 +209,20 @@ def test_fifo_key_runs_once_per_transition_per_round(monkeypatch, blocking_net):
     assert all(n <= len(ordinary) * (fires[clock] + 1) for clock, n in keys.items())
 
 
-def test_clock_stops_at_unstored_sink_outputs():
+def test_clock_stops_at_unstored_sink_outputs(monkeypatch):
     # t1's only output is a plain sink nothing reads, so its token is not
-    # stored; the clock must still stop at its completion (3), where t2's
-    # guard holds (p's token is 7 away), and not jump to p's availability (10)
+    # stored; the clock must still stop at its completion (3), where the timed
+    # t2 is evaluated again, and not jump to p's availability (10). t2's guard
+    # opens as soon as p's token is less than 8 away, just after 2, so it
+    # fires at the stop pushed there
+    sim = importlib.import_module("dsync.simulate")
+    calls, fifo_first = collections.Counter(), sim.fifo_first
+
+    def counting(net, m, tid, clock):
+        calls[tid, clock] += 1
+        return fifo_first(net, m, tid, clock)
+
+    monkeypatch.setattr(sim, "fifo_first", counting)
     net = Net(
         places=[
             Place("a", "case"), Place("b", "case"), Place("out", "case"),
@@ -231,7 +242,12 @@ def test_clock_stops_at_unstored_sink_outputs():
     )
     assert net.unread == {"sink"}
     log = simulate(net, SimConfig(seed=1, horizon=100))
-    assert [(e.label, e.start) for e in log.events] == [("t1", 0.0), ("t2", 3.0)]
+    assert [e.label for e in log.events] == ["t1", "t2"] and log.events[0].start == 0.0
+    # the first float time at which the guard holds, in float arithmetic
+    opens = log.events[1].start
+    assert 2.0 < opens < 2.0 + 1e-12
+    assert 10.0 - opens < 8 and not 10.0 - math.nextafter(opens, -math.inf) < 8
+    assert 3.0 in {clock for tid, clock in calls if tid == "t2"}
 
 
 def test_clock_stops_skip_a_guard_that_time_alone_cannot_open(monkeypatch):
@@ -268,6 +284,57 @@ def test_clock_stops_skip_a_guard_that_time_alone_cannot_open(monkeypatch):
     assert [(e.case_id, e.start) for e in log.events if e.label == "t2"] == [("d", 4.0)]
     assert sum(1 for e in log.events if e.label == "t1") == 8
     assert {clock for tid, clock in calls if tid == "t2"} == {0.0, 4.0}
+
+
+def test_guard_that_opens_between_two_clock_stops_fires_when_it_opens():
+    # t's guard ``timeuntilnext(q) <= 1`` holds on [9, 10) while q's token is
+    # pending; no token event happens in between, so only a clock stop pushed
+    # at the time the atom opens lets t fire there
+    net = Net(
+        places=[Place("a", "case"), Place("q", "case"), Place("done_t", "case"),
+                Place("done_u", "case")],
+        transitions=[
+            Transition("t", delay=Dist.constant(1),
+                       guard=parse_constraint("timeuntilnext(q) <= 1")),
+            Transition("u", delay=Dist.constant(1)),
+        ],
+        flows=[("a", "t"), ("t", "done_t"), ("q", "u"), ("u", "done_u")],
+        initial_marking=Marking({"a": (Token("c1", {}, 0.0),), "q": (Token("c2", {}, 10.0),)}),
+    )
+    log = simulate(net, SimConfig(seed=1, horizon=100))
+    assert [(e.label, e.start) for e in log.events] == [("t", 9.0), ("u", 10.0)]
+
+
+@pytest.mark.parametrize("op, const", [("<=", 1.0), ("<", 1.0), ("==", 1.0), ("<=", 0.1),
+                                       ("<", 0.1), ("==", 0.3), ("<=", 1e-300), ("<=", 2.2)])
+@pytest.mark.parametrize("due", [10.0, 0.7, 1e9 + 0.3, 3.3])
+def test_a_guard_opening_stop_is_the_first_time_its_atom_holds(op, const, due):
+    # 3.3 - 2.2 rounds to a float after the first one at which the atom holds
+    sim = importlib.import_module("dsync.simulate")
+    atom = parse_constraint(f"timeuntilnext(q) {op} {const!r}").atoms[0]
+    m = Marking({"q": (Token("c", {}, due),)})
+    opens = sim._opening(atom, m, 0.0)
+    if opens is None:
+        # the atom holds already, or at no float time in (0, due): not at the
+        # last one, where the value is smallest, nor, for an equality, at the
+        # time its constant points at
+        late, aim = math.nextafter(due, -math.inf), due - const
+        assert atom.holds(m, 0.0) or not (atom.holds(m, late) or 0 < aim and atom.holds(m, aim))
+        return
+    assert 0.0 < opens < due
+    assert atom.holds(m, opens)
+    assert not atom.holds(m, math.nextafter(opens, -math.inf))
+
+
+def test_no_guard_opening_stop_without_a_pending_token_or_for_a_holding_atom():
+    sim = importlib.import_module("dsync.simulate")
+    atom = parse_constraint("timeuntilnext(q) <= 1").atoms[0]
+    assert sim._opening(atom, Marking({"q": (Token("c", {}, 0.0),)}), 0.0) is None
+    assert sim._opening(atom, Marking(), 0.0) is None
+    assert sim._opening(atom, Marking({"q": (Token("c", {}, 0.5),)}), 0.0) is None
+    # an equality the value already passed never holds for this token
+    passed = parse_constraint("timeuntilnext(q) == 1").atoms[0]
+    assert sim._opening(passed, Marking({"q": (Token("c", {}, 0.5),)}), 0.0) is None
 
 
 def test_guarded_task_source_arrives_when_its_guard_place_drains():
