@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Mapping, Optional, Union
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .acyclic import acyclic
 from .errors import LogError
@@ -26,14 +28,13 @@ MANDATORY = ("case", "activity", "start", "complete")
 COLUMNS = (*MANDATORY, "resource")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     case_id: str
     label: str
     start: float
     complete: float
     resource: Optional[str] = None
-    attrs: Mapping[str, AttrValue] = field(default_factory=dict)
+    attrs: Mapping[str, AttrValue] = MappingProxyType({})  # immutable, so it can be shared
 
 
 @dataclass
@@ -45,12 +46,8 @@ class Log:
     has_resource: bool = False
 
 
-def _order_key(e: Event) -> tuple:
-    return (e.complete, e.start, e.case_id)
-
-
 def sort_events(events: list[Event]) -> list[Event]:
-    return sorted(events, key=_order_key)
+    return sorted(events, key=attrgetter("complete", "start", "case_id"))
 
 
 def _parse_time(raw: str, row_num: int, column: str) -> float:
@@ -77,11 +74,12 @@ def parse_log(text: str) -> Log:
 
     Extra columns become attributes typed per column over the whole file:
     numeric if every non-empty value parses as a number, boolean if every
-    value is true/false, text otherwise. Runs with the cyclic garbage
-    collector paused (``acyclic``).
+    value is true/false, text otherwise. A row may end in empty cells beyond
+    the header, but a non-empty one raises ``LogError``. Runs with the cyclic
+    garbage collector paused (``acyclic``).
     """
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = [row for row in reader if any(map(str.strip, row))]
     if not rows:
         raise LogError("log has no header row")
     header = [h.strip() for h in rows[0]]
@@ -109,6 +107,8 @@ def parse_log(text: str) -> Log:
     typed = [(col, idx[col], col_types[col]) for col in attr_cols]
     events: list[Event] = []
     for row_num, row in enumerate(body, start=2):
+        if len(row) > width and any(map(str.strip, row[width:])):
+            raise LogError(f"row {row_num}: a cell beyond the {width} header columns is not empty")
         label = row[i_label].strip()
         if not label:
             raise LogError(f"row {row_num}: empty activity label")

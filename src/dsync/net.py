@@ -11,8 +11,10 @@ token game reads the stores directly, along per-transition plans (``_Plan``)
 that ``Net`` compiles once.
 
 A marking stores each place's tokens sorted by availability, then case id,
-ties in insertion order; adding and removing a token locate it by bisection,
-and the time-enabled tokens are the store's prefix up to the current time.
+ties in insertion order; adding and removing a token bisect on availability
+(a C attribute getter), then on case id among same-time tokens, and enabled
+tokens are the store's prefix up to now. Callers read a lone binding, one
+token per pool, off ``binding_pools`` instead of enumerating the product.
 ``Marking.extremum`` memoises attribute extrema, a pure function of the stores.
 Tokens that nothing can read are not stored: a plain place with an empty
 postset that no guard references (``Net.unread``) receives no tokens.
@@ -42,9 +44,8 @@ PLACE_KINDS = ("case", "resource", "plain")
 ATTR_TYPES = ("number", "boolean", "text")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One timestamped, attribute-carrying token.
+class Token(NamedTuple):
+    """One timestamped, attribute-carrying token, an immutable named tuple.
 
     ``case_id`` is the case identifier in a case place, the resource
     identifier in a resource place, and ``None`` in plain places.
@@ -190,23 +191,33 @@ def _store_key(tok: Token) -> tuple:
     return (tok.available_at, tok.case_id or "")
 
 
+def _case_key(tok: Token) -> str:
+    return tok.case_id or ""
+
+
 _avail = attrgetter("available_at")
 
 
 def _inserted(toks: tuple[Token, ...], token: Token) -> tuple[Token, ...]:
-    i = bisect_right(toks, _store_key(token), key=_store_key)
+    """``toks`` with ``token`` after every token whose ``_store_key`` is not
+    larger: bisected on availability through the C ``_avail``, and on case id
+    among same-time tokens only."""
+    at = token.available_at
+    i = bisect_right(toks, at, key=_avail)
+    if i and toks[i - 1].available_at == at:
+        lo = bisect_left(toks, at, 0, i, key=_avail)
+        i = bisect_right(toks, _case_key(token), lo, i, key=_case_key)
     return toks[:i] + (token,) + toks[i:]
 
 
 def _removed(toks: tuple[Token, ...], token: Token, place_id: str) -> tuple[Token, ...]:
-    key = _store_key(token)
-    for i in range(bisect_left(toks, key, key=_store_key), len(toks)):
-        tok = toks[i]
-        if tok is token or tok == token:
-            return toks[:i] + toks[i + 1 :]
-        if _store_key(tok) != key:
-            break
-    raise ModelError(f"token {token} not present in place {place_id!r}")
+    """``toks`` less its first token that is or equals ``token``, found from
+    the first same-time token on: equal tokens share a ``_store_key``."""
+    try:
+        i = toks.index(token, bisect_left(toks, token.available_at, key=_avail))
+    except ValueError:
+        raise ModelError(f"token {token} not present in place {place_id!r}") from None
+    return toks[:i] + toks[i + 1 :]
 
 
 def _extremum(toks: tuple[Token, ...], attr: str, agg: str) -> Optional[tuple[AttrValue, float]]:
@@ -464,15 +475,16 @@ def binding_pools(
       keeps only the token of that case (several case inputs stay unfiltered,
       because a log move may match the case on any of them);
     * a plain place keeps only its earliest token, because plain tokens are
-      interchangeable apart from their availability.
+      interchangeable apart from their availability (or ``pin``'s first).
 
     None when some pool is empty, i.e. there is no binding.
     """
     plan = net._plan(t_id)
     pools = []
-    for p, _ in plan.inputs:
-        toks = _enabled_tokens(m, p, now)
-        if not toks:
+    for p, plain in plan.inputs:
+        toks = m._by_place.get(p, ())
+        toks = toks[:1] if plain else toks[: bisect_right(toks, now, key=_avail)]
+        if not toks or toks[0].available_at > now:
             return None
         pools.append(toks)
     guard = net.transitions[t_id].guard if check_guards else None
@@ -483,10 +495,10 @@ def binding_pools(
         toks = pools[i]
         if guard is not None:
             toks = guard.pin(m, p, toks)
+            if plain and not toks:
+                toks = guard.pin(m, p, _enabled_tokens(m, p, now))[:1]
         if case_place == (p,):
             toks = [tok for tok in toks if tok.case_id == case_id]
-        if plain:
-            toks = toks[:1]
         if not toks:
             return None
         pools[i] = toks
@@ -509,9 +521,9 @@ def enabled_bindings(
     ``replay.sim_score`` ignores plain tokens and rejects a token of another
     case, and the kept bindings keep their relative order, so the first
     binding attaining the best key is the one the full product would give.
-    Callers pick that binding without always scoring the product: the
-    simulator reads it off the pools (``simulate.fifo_first``), and a log
-    move takes a lone binding unscored when the case filter applied
+    Callers pick that binding without always enumerating the product: the
+    simulator reads it off the pools (``simulate.fifo_first``), and so does a
+    log move when every pool holds one token and the case filter applied
     (``replay._best_move``). A transition with an empty preset has exactly
     one (empty) binding.
     """
@@ -552,7 +564,7 @@ def fire(
     token bound from the same place, and the places in ``net.unread`` receive
     nothing.
     """
-    outputs = net._plan(t_id).outputs
+    plan = net._plan(t_id)
     stores = dict(m._by_place)
     for p, tok in binding.items():
         stores[p] = _removed(stores.get(p, ()), tok, p)
@@ -561,16 +573,14 @@ def fire(
         raise ModelError(f"transition {t_id!r} produced a negative delay {delay}")
     out_time = now + delay
 
-    case_id: Optional[str] = None
-    case_attrs: Mapping[str, AttrValue] = {}
-    if produced_case is not None:
-        case_id, case_attrs = produced_case
-    else:
-        case_tok = net.case_token(t_id, binding)
-        if case_tok is not None:
-            case_id, case_attrs = case_tok.case_id, case_tok.attrs
+    case_id, case_attrs = produced_case or (None, {})
+    if produced_case is None:  # ``Net.case_token``, inline
+        for p in plan.case_inputs:
+            if p in binding:
+                case_id, case_attrs = binding[p].case_id, binding[p].attrs
+                break
 
-    for p, kind, names in outputs:
+    for p, kind, names in plan.outputs:
         if kind == "case":
             if case_id is None:
                 raise ModelError(

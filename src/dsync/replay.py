@@ -1,9 +1,9 @@
 """Replays an event log over a net via log moves.
 
 Every event is executed as a log move at its start time: the binding with
-the highest similarity to the event is consumed (a transition's only
-binding needs no score when it holds the event's case token) and the
-produced tokens become available at the event's completion time. Cases
+the highest similarity to the event is consumed (a lone binding, one token
+per pool, is read off the pools, unscored, when the case filter applied) and
+the produced tokens become available at the event's completion time. Cases
 enter as the simulator lets them in: each arrival is a zero-delay ``fire``
 of its non-task source with the case's first-event data, one interarrival
 ahead (``_arrival_plan``). One state sample is emitted per distinct start
@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .acyclic import acyclic
 from .errors import ReplayError
 from .eventlog import Event, Log
-from .net import Binding, Marking, Net, Token, enabled_bindings, fire, postset, preset
+from .net import Binding, Marking, Net, Token, binding_pools, enabled_bindings, fire, postset
+from .net import preset
 
 # guard-checked timestamp groups larger than this are not searched beyond the
 # walk's first dead end
@@ -59,9 +60,8 @@ MAX_SEARCH_MOVES = 2_000
 Move = tuple[Event, Binding, Marking]
 
 
-@dataclass(frozen=True)
-class StateSample:
-    """State observed at one distinct event start time.
+class StateSample(NamedTuple):
+    """State observed at one distinct event start time, an immutable named tuple.
 
     ``before``/``after`` bracket the timestamp's log moves. ``moves`` holds
     every move applied in between, in the order the walk applied them
@@ -154,15 +154,16 @@ def _best_move(
     """Best case-matching (and, when checking, guard-satisfying) binding; of
     equally scored ones, the first that ``enabled_bindings`` lists.
 
-    A lone binding of a transition with at most one case input is returned
-    unscored: ``binding_pools`` has already kept only the event's case, and
-    ``sim_score`` only ranks bindings against each other.
+    A lone binding (one token per pool) of a transition with at most one case
+    input is read off the pools, unscored: ``binding_pools`` has already kept
+    only the event's case, and ``sim_score`` only ranks bindings.
     """
-    bindings = enabled_bindings(
-        net, marking, e.label, tau, check_guards=check_guards, case_id=e.case_id
-    )
-    if len(bindings) == 1 and len(net.case_inputs(e.label)) <= 1:
-        return bindings[0]
+    pools = binding_pools(net, marking, e.label, tau, check_guards, e.case_id)
+    if pools is None:
+        return None
+    if max(map(len, pools), default=1) == 1 and len(net.case_inputs(e.label)) <= 1:
+        return {p: pool[0] for p, pool in zip(preset(net, e.label), pools)}
+    bindings = enabled_bindings(net, marking, e.label, tau, check_guards, e.case_id)
     scored = ((sim_score(net, e.label, y, e), y) for y in bindings)
     best = max((s for s in scored if s[0][0] == 1), key=lambda s: s[0], default=None)
     return best[1] if best else None
@@ -183,6 +184,13 @@ def _walk(
     the applied moves in order, and the unmatched events in the given order.
     The stack is explicit, as a group can hold thousands of moves.
     """
+    if len(events) == 1:  # one order, nothing to search
+        (e,) = events
+        y = _best_move(net, marking, e, tau, check_guards)
+        if y is None:
+            return marking, [], [e]
+        m = fire(net, marking, e.label, y, tau, e.complete - e.start, (e.case_id, e.attrs))
+        return m, [(e, y, marking)], []
     # the walk is at marking m with the events ``rest`` left, in the order to
     # try them, and tries rest[i] next; ``stack`` holds the same for each
     # applied move's parent, to backtrack to
@@ -223,18 +231,21 @@ def replay(
 ) -> tuple[list[StateSample], MatchReport]:
     """Execute all log moves; returns the sample sequence and a match report.
 
-    Before the first move, a log label that is no task of the net, or a log
-    column holding values of another type than a case place declares for that
-    attribute, raises ``ReplayError``. Events with no enabled (or, when
-    checking, guard-satisfying) binding are recorded as unmatched and skipped;
-    the marking is repaired as if the move had happened for its case, so later
-    moves of the same case still line up. Samples at repaired timestamps are
-    flagged and excluded from pattern mining. Runs with the cyclic garbage
-    collector paused (``acyclic``).
+    Before the first move, a log label that is no task of the net, an empty
+    case id on a transition with a case input, or a log column holding values
+    of another type than a case place declares, raises ``ReplayError``. Events
+    with no enabled (or, when checking, guard-satisfying) binding are recorded
+    as unmatched and skipped; the marking is repaired as if the move had
+    happened for its case, so later moves of the same case still line up.
+    Samples at repaired timestamps are flagged and excluded from pattern
+    mining. Runs with the cyclic garbage collector paused (``acyclic``).
     """
     for label in sorted({e.label for e in log.events}):
         if label not in net.transitions or not net.transitions[label].is_task:
             raise ReplayError(f"log label {label!r} is not a task transition of the net")
+    for label in sorted({e.label for e in log.events if not e.case_id}):
+        if net.case_inputs(label):
+            raise ReplayError(f"an event of {label!r} has an empty case id but takes a case token")
     for col, typ in log.schema:
         for p, place in sorted(net.places.items()):
             declared = dict(place.attributes).get(col, typ)
@@ -294,16 +305,8 @@ def replay(
                     token = Token(e.case_id, net.places[p].project(e.attrs), e.complete)
                     marking = marking.with_added(p, token)
 
-        samples.append(
-            StateSample(
-                time=tau,
-                before=before,
-                after=marking,
-                fired=frozenset(e.label for e in group),
-                moves=tuple(moves),
-                repaired=bool(pending),
-            )
-        )
+        fired = frozenset([e.label for e in group])
+        samples.append(StateSample(tau, before, marking, fired, tuple(moves), bool(pending)))
 
     report.stats = {
         "events": float(report.total),

@@ -120,6 +120,18 @@ def test_check_wrong_guard_exits_1(sim_log, tmp_path, capsys):
     assert "unmatched" in capsys.readouterr().out
 
 
+def test_check_log_with_empty_case_ids_exits_3(tmp_path, capsys):
+    out = tmp_path / "blocking.csv"
+    args = ["--model", model_path("blocking"), "--log", str(out)]
+    assert main(["simulate", "--model", model_path("blocking"), "--seed", "1",
+                 "--max-cases", "20", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(line[line.index(","):] if line.split(",")[0] in ("3", "4") else line
+                           for line in lines))
+    assert main(["check", *args]) == 3
+    assert "has an empty case id" in capsys.readouterr().err
+
+
 def test_check_unguarded_model_exits_0(sim_log, tmp_path):
     doc = json.loads((MODELS / "blocking.json").read_text())
     for t in doc["transitions"]:

@@ -94,6 +94,7 @@ def test_short_row_parses_missing_cells_as_absent():
     ("9,a,0,inf", "row 4: complete value 'inf' is not finite"),
     ("9,a,7,5", "row 4: start 7 is after complete 5"),
     ("9,a,0,5,w1,nan", "row 4: value value 'nan' is not finite"),
+    ("9,a,0,5,w1,3,EXTRA", "row 4: a cell beyond the 6 header columns is not empty"),
 ])
 def test_bad_cell_names_its_row(row, message):
     # row 3 is short, so the padding must not shift the row count
@@ -101,6 +102,13 @@ def test_bad_cell_names_its_row(row, message):
     with pytest.raises(LogError) as info:
         parse_log(text)
     assert str(info.value) == message
+
+
+def test_empty_cells_beyond_the_header_are_ignored():
+    log = parse_log("case,activity,start,complete\nc1,a,1,2,,\nc2,a,2,3, \n")
+    assert [(e.case_id, e.attrs) for e in log.events] == [("c1", {}), ("c2", {})]
+    with pytest.raises(LogError, match="row 2: a cell beyond the 4 header columns"):
+        parse_log("case,activity,start,complete\nc1,a,1,2,EXTRA\n")
 
 
 def test_round_trip_identity():

@@ -6,6 +6,7 @@ import inspect
 import itertools
 import random
 import sys
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -487,6 +488,19 @@ def test_preset_of_bundled_multi_pattern_model(supplychain_net):
     assert expected == ("chips", "stock_gc")
 
 
+def test_tokens_and_events_are_immutable_values():
+    tok = Token("c1", {"v": 1.0}, 2.0)
+    assert tok == Token("c1", {"v": 1.0}, 2.0) != Token("c1", {"v": 1.0}, 3.0)
+    assert tok._replace(available_at=3.0) == Token("c1", {"v": 1.0}, 3.0)
+    with pytest.raises(AttributeError):
+        tok.case_id = "c2"
+    e = Event("c1", "a", 0.0, 1.0)
+    assert (e.resource, e.attrs) == (None, {})
+    with pytest.raises(TypeError):  # the default attrs are shared, so read-only
+        e.attrs["x"] = 1.0
+    assert Event("c2", "a", 0.0, 1.0).attrs == {}
+
+
 # -- sorted per-place stores ---------------------------------------------------
 
 
@@ -528,6 +542,79 @@ def test_stores_stay_sorted_with_ties_in_insertion_order():
         assert {p: marking.tokens(p) for p in net.places} == expected
 
 
+def _key(tok):
+    return (tok.available_at, tok.case_id or "")
+
+
+def _key_inserted(toks, token):
+    """Insertion by bisection on the whole store key, the reference order."""
+    i = bisect_right(toks, _key(token), key=_key)
+    return toks[:i] + (token,) + toks[i:]
+
+
+def _key_removed(toks, token):
+    """Removal of the first token that is or equals ``token`` from its key on."""
+    for i in range(bisect_left(toks, _key(token), key=_key), len(toks)):
+        if toks[i] is token or toks[i] == token:
+            return toks[:i] + toks[i + 1 :]
+        if _key(toks[i]) != _key(token):
+            break
+    raise AssertionError(f"{token} not in the reference store")
+
+
+def test_adds_removes_and_firings_keep_the_store_key_order():
+    # random adds, removes and firings with tied times, None, empty and string
+    # case ids and tokens equal by value, against stores kept by bisecting on
+    # the whole store key; the same token objects must sit in the same order
+    net = Net(
+        places=[
+            Place("q", "case"), Place("r", "resource"), Place("s", "plain"),
+            Place("o", "case"), Place("x", "plain"),
+        ],
+        transitions=[Transition("t")],
+        flows=[("q", "t"), ("r", "t"), ("s", "t"), ("t", "r"), ("t", "s"), ("t", "o")],
+    )
+    ids = {"q": ("", "c1", "c2", "c10"), "r": ("w1", "w2"), "s": (None,), "o": ("c1",),
+           "x": (None, "", "c1", "c2")}
+    rng = random.Random("store-key order")
+    m, fired = Marking(), 0
+    for step in range(4000):
+        if step % 400 == 0:
+            m = Marking()
+        before = {p: m.tokens(p) for p in net.places}
+        action = rng.random()
+        if action < 0.15 and all(before[p] for p in ("q", "r", "s")):
+            binding = {p: rng.choice(before[p]) for p in ("q", "r", "s")}
+            now = float(rng.choice((0, 1, 2)))
+            m = fire(net, m, "t", binding, now, float(rng.choice((0, 0, 1))))
+            fired += 1
+            for p in net.places:
+                want = before[p]
+                if p in binding:
+                    want = _key_removed(want, binding[p])
+                old = set(map(id, before[p]))
+                for tok in [tok for tok in m.tokens(p) if id(tok) not in old]:
+                    want = _key_inserted(want, tok)
+                assert list(map(id, m.tokens(p))) == list(map(id, want)), p
+            continue
+        p = rng.choice(sorted(net.places))
+        if before[p] and action < 0.5:
+            tok = rng.choice(before[p])
+            if rng.random() < 0.5:  # an equal copy removes the first equal token
+                tok = Token(tok.case_id, dict(tok.attrs), tok.available_at)
+            m, want = m.with_removed(p, tok), _key_removed(before[p], tok)
+        else:
+            tok = Token(rng.choice(ids[p]), {"n": rng.choice((0, 1))} if p != "r" else {},
+                        float(rng.choice((0, 1, 1, 2))))
+            if before[p] and rng.random() < 0.3:  # a duplicate equal by value
+                tok = rng.choice(before[p])
+                tok = Token(tok.case_id, dict(tok.attrs), tok.available_at)
+            m, want = m.with_added(p, tok), _key_inserted(before[p], tok)
+        assert list(map(id, m.tokens(p))) == list(map(id, want)), p
+        assert all(m.tokens(q) is before[q] for q in net.places if q != p)
+    assert fired > 100
+
+
 # -- binding filters against the full product ---------------------------------
 
 
@@ -539,7 +626,8 @@ def _random_marking(net: Net, rng) -> Marking:
         for _ in range(rng.randint(0, 40)):
             avail = float(rng.choice((0, 1, 1, 2, 3, 5)))
             if place.kind == "plain":
-                toks.append(Token(None, {}, avail))
+                attrs = {n: float(rng.choice((0, 1, 5))) for n in place.attr_names()}
+                toks.append(Token(None, attrs, avail))
             elif place.kind == "resource":
                 toks.append(Token(rng.choice(("w1", "w2", "w3")), {}, avail))
             else:
@@ -596,12 +684,27 @@ def merge_net() -> Net:
     )
 
 
+def plain_pin_net() -> Net:
+    """A guard that pins a plain input, whose earliest token it may drop."""
+    return Net(
+        places=[
+            Place("q", "case"), Place("s", "plain", (("size", "number"),)), Place("o", "case"),
+        ],
+        transitions=[
+            Transition("pack", guard=parse_constraint("attrenabled(s, size, max) == true"))
+        ],
+        flows=[("q", "pack"), ("s", "pack"), ("pack", "o")],
+    )
+
+
 @pytest.mark.parametrize(
-    "model", ["priority", "blocking", "holdbatch", "choice", "supplychain", "merge"]
+    "model", ["priority", "blocking", "holdbatch", "choice", "supplychain", "merge", "plainpin"]
 )
 def test_filtered_bindings_pick_what_the_full_product_picks(model):
-    # the five bundled models, and a net whose transition has two case inputs
-    net = merge_net() if model == "merge" else load_model(model_path(model))
+    # the five bundled models, a net whose transition has two case inputs and
+    # one whose guard pins a plain input
+    nets = {"merge": merge_net, "plainpin": plain_pin_net}
+    net = nets[model]() if model in nets else load_model(model_path(model))
     rng = random.Random(f"bindings-{model}")
     checked = 0
     for _ in range(4):
@@ -672,6 +775,30 @@ def test_fifo_first_bisects_the_case_pool_at_the_other_inputs(resource_at, expec
     assert chosen == _fifo_choice(net, enabled_bindings(net, m, "t", 5.0), "t", 5.0)
 
 
+def _check_best_moves(monkeypatch) -> dict:
+    """Pin every ``replay._best_move`` call against scoring every enabled
+    binding of the transition, unfiltered by case; counts the calls and the
+    ``sim_score`` calls of the scored path."""
+    replay_mod = importlib.import_module("dsync.replay")
+    best_move, score = replay_mod._best_move, replay_mod.sim_score
+    counts = {"moves": 0, "scored": 0}
+
+    def checked(net_, marking, e, tau, check_guards):
+        counts["moves"] += 1
+        chosen = best_move(net_, marking, e, tau, check_guards)
+        full = enabled_bindings(net_, marking, e.label, tau, check_guards=check_guards)
+        assert chosen == _first_max_score(net_, full, e)
+        return chosen
+
+    def scored(*args):
+        counts["scored"] += 1
+        return score(*args)
+
+    monkeypatch.setattr(replay_mod, "_best_move", checked)
+    monkeypatch.setattr(replay_mod, "sim_score", scored)
+    return counts
+
+
 @pytest.mark.parametrize("model, seed", [
     (model, seed)
     for model in ("blocking", "choice", "holdbatch", "priority", "supplychain")
@@ -679,25 +806,60 @@ def test_fifo_first_bisects_the_case_pool_at_the_other_inputs(resource_at, expec
 ] + [("supplychain", 6)])
 def test_replay_moves_are_the_first_best_scored_bindings(monkeypatch, model, seed):
     # every move of the discovery and check replays, the unscored lone
-    # bindings included, against scoring every enabled binding of the
-    # transition, unfiltered by case
+    # bindings included
     net = load_model(model_path(model))
     log = simulate(net, SimConfig(seed=seed, max_cases=150))
-    replay_mod = importlib.import_module("dsync.replay")
-    best_move, calls = replay_mod._best_move, 0
-
-    def checked(net_, marking, e, tau, check_guards):
-        nonlocal calls
-        calls += 1
-        chosen = best_move(net_, marking, e, tau, check_guards)
-        full = enabled_bindings(net_, marking, e.label, tau, check_guards=check_guards)
-        assert chosen == _first_max_score(net_, full, e)
-        return chosen
-
-    monkeypatch.setattr(replay_mod, "_best_move", checked)
+    counts = _check_best_moves(monkeypatch)
     run = discover_run(log, net)
     replay(log, annotate_net(net.without_guards(), run.constraints), check_guards=True)
-    assert calls >= 2 * len(log.events)
+    assert counts["moves"] >= 2 * len(log.events)
+
+
+def two_workers_net() -> Net:
+    """A guarded task that takes a case and one of two workers."""
+    return Net(
+        places=[Place("q", "case"), Place("r", "resource"), Place("o", "case")],
+        transitions=[Transition("work", guard=parse_constraint("nrtokens(q) < 9"))],
+        flows=[("q", "work"), ("r", "work"), ("work", "r"), ("work", "o")],
+        initial_marking=Marking({
+            "q": (Token("c1", {}, 0.0), Token("c2", {}, 0.0)),
+            "r": (Token("w1", {}, 0.0), Token("w2", {}, 0.0)),
+        }),
+    )
+
+
+@pytest.mark.parametrize("check_guards", [False, True])
+@pytest.mark.parametrize("inputs", ["two workers", "two case inputs"])
+def test_scored_replay_moves_are_the_first_best_scored_bindings(
+    monkeypatch, inputs, check_guards
+):
+    # no bundled model reaches the scored product: a two-token resource pool
+    # whose event names the second worker, and a transition with two case
+    # inputs, whose lone binding is scored too and may hold no token of the
+    # event's case (the third merge)
+    if inputs == "two workers":
+        net = two_workers_net()
+        log = Log([Event("c1", "work", 1.0, 2.0, "w2"), Event("c2", "work", 3.0, 4.0, "w1")])
+        expected = [{"q": "c1", "r": "w2"}, {"q": "c2", "r": "w1"}]
+    else:
+        bare = merge_net()
+        net = Net(list(bare.places.values()), list(bare.transitions.values()), list(bare.flows),
+                  Marking({
+                      "a": tuple(Token(c, {"value": 1.0}, 0.0) for c in ("c1", "c2", "c6")),
+                      "b": tuple(Token(c, {"value": v}, 0.0) for c, v in (("c3", 5.0),
+                                                                         ("c4", 2.0),
+                                                                         ("c7", 1.0))),
+                      "s": (Token(None, {}, 0.0),) * 3,
+                  }))
+        log = Log([Event("c4", "merge", 1.0, 2.0, None, {"value": 2.0}),
+                   Event("c2", "merge", 3.0, 4.0), Event("c5", "merge", 5.0, 6.0)])
+        expected = [{"a": "c1", "b": "c4", "s": None}, {"a": "c2", "b": "c3", "s": None}]
+    counts = _check_best_moves(monkeypatch)
+    samples, report = replay(log, net, check_guards=check_guards)
+    assert report.matched == 2 and report.total == len(log.events)
+    assert counts["moves"] >= len(log.events) and counts["scored"] >= len(log.events)
+    moves = [{p: tok.case_id for p, tok in y.items()} for s in samples for _, y, _ in s.moves]
+    assert moves == expected
 
 
 def test_bindings_per_fired_move_stay_small(monkeypatch, priority_net):

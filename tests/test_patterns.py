@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -146,7 +145,7 @@ def test_repaired_samples_are_not_observed(priority_net, table1_log):
     times = [now for now, _, _ in observe(priority_net, samples, ["handling"])["handling"]]
     assert 5 in times and 15 in times
     # a repaired sample's marking is a guess, whether the transition fired or not
-    repaired = [replace(s, repaired=s.time in (5, 15)) for s in samples]
+    repaired = [s._replace(repaired=s.time in (5, 15)) for s in samples]
     rows = pt_log(priority_net, candidate, repaired).rows
     assert [r.time for r in rows] == [t for t in times if t not in (5, 15)]
 

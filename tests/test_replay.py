@@ -62,6 +62,30 @@ def test_unknown_label_rejected(priority_net):
         replay(log, priority_net)
 
 
+def test_empty_case_id_on_a_case_input_is_rejected(blocking_net):
+    # blanked cases would match one another's tokens
+    log = simulate(blocking_net, SimConfig(seed=1, max_cases=20))
+    events = [e._replace(case_id="") if e.case_id in ("3", "4") else e for e in log.events]
+    log = Log(events, log.schema, log.has_resource)
+    for check_guards in (False, True):
+        with pytest.raises(ReplayError, match="event of 'handling' has an empty case id"):
+            replay(log, blocking_net, check_guards=check_guards)
+
+
+def test_empty_case_id_on_a_caseless_task_is_valid():
+    # the simulator writes empty case ids for tasks without case inputs
+    net = Net(
+        places=[Place("s", "plain")],
+        transitions=[Transition("tick", delay=Dist.constant(1))],
+        flows=[("s", "tick"), ("tick", "s")],
+        initial_marking=Marking({"s": (Token(None, {}, 0.0),)}),
+    )
+    log = simulate(net, SimConfig(seed=1, horizon=5))
+    assert len(log.events) > 3 and {e.case_id for e in log.events} == {""}
+    _, report = replay(log, net, check_guards=True)
+    assert report.matched == len(log.events)
+
+
 def test_orphan_event_is_repaired_and_flagged(priority_net):
     # case 99 was never produced into q1, so handling cannot bind it
     text = (
