@@ -79,10 +79,11 @@ def parse_log(text: str) -> Log:
     garbage collector paused (``acyclic``).
     """
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if any(map(str.strip, row))]
+    # each record with a non-empty cell, after the number of the line it ends on
+    rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
     if not rows:
         raise LogError("log has no header row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     for i, col in enumerate(header):
         if col in header[:i]:
             raise LogError(f"column {col!r} appears more than once in the header")
@@ -94,7 +95,7 @@ def parse_log(text: str) -> Log:
     attr_cols = [h for h in header if h not in COLUMNS]
     # a row shorter than the header is padded once: its missing cells are empty
     width = len(header)
-    body = [row + [""] * (width - len(row)) if len(row) < width else row for row in rows[1:]]
+    body = [row + [""] * (width - len(row)) if len(row) < width else row for _, row in rows[1:]]
 
     # First pass: column typing over the whole file.
     col_types: dict[str, str] = {}
@@ -106,7 +107,7 @@ def parse_log(text: str) -> Log:
     i_resource = idx.get("resource")
     typed = [(col, idx[col], col_types[col]) for col in attr_cols]
     events: list[Event] = []
-    for row_num, row in enumerate(body, start=2):
+    for (row_num, _), row in zip(rows[1:], body):
         if len(row) > width and any(map(str.strip, row[width:])):
             raise LogError(f"row {row_num}: a cell beyond the {width} header columns is not empty")
         label = row[i_label].strip()

@@ -488,17 +488,19 @@ def binding_pools(
             return None
         pools.append(toks)
     guard = net.transitions[t_id].guard if check_guards else None
+    if guard is None and case_id is None:
+        return pools
     if guard is not None and not guard.holds(m, now):
         return None
     case_place = plan.case_inputs if case_id is not None else ()
     for i, (p, plain) in enumerate(plan.inputs):
         toks = pools[i]
+        if case_place == (p,):
+            toks = [tok for tok in toks if tok.case_id == case_id]
         if guard is not None:
             toks = guard.pin(m, p, toks)
             if plain and not toks:
                 toks = guard.pin(m, p, _enabled_tokens(m, p, now))[:1]
-        if case_place == (p,):
-            toks = [tok for tok in toks if tok.case_id == case_id]
         if not toks:
             return None
         pools[i] = toks
@@ -517,7 +519,7 @@ def enabled_bindings(
 
     The result is the cartesian product of ``binding_pools``, whose filters
     drop only bindings the guard rejects or no caller would choose: the FIFO
-    key (``simulate.fifo_key``) is never worse for the earliest plain token,
+    key (``simulate.fifo_first``) is never worse for the earliest plain token,
     ``replay.sim_score`` ignores plain tokens and rejects a token of another
     case, and the kept bindings keep their relative order, so the first
     binding attaining the best key is the one the full product would give.

@@ -4,13 +4,19 @@ Produces ground-truth event logs: each task-transition firing becomes one
 event. Simultaneous candidates fire in FIFO order (the binding whose newest
 consumed token is oldest goes first, ties by case id then transition id),
 which keeps the selection policy value-blind so that any case reordering
-observable in the log is caused by guards alone. Each transition offers one
-candidate, kept until a firing consumes from or produces into a node the
-transition reads (its preset and guard places, a source itself) or a token
-there becomes available. An ordinary transition offers its FIFO-first
-binding, picked from its token pools directly (``fifo_first``); a source
-offers its empty binding when due, and as it reads itself too, it is
-recomputed when it comes due or fires.
+observable in the log is caused by guards alone. Each transition offers at
+most one candidate, ``(key, transition id, binding)``, kept until a firing
+consumes from or produces into a node the transition reads (its preset and
+guard places, a source itself) or a token there becomes available. An
+ordinary transition offers its FIFO-first binding with its key, both read off
+its token pools (``fifo_first``); a source offers its empty binding when due,
+and as it reads itself too, it is recomputed when it comes due or fires.
+
+A firing at the clock whose outputs become available strictly later (``now +
+delay > now``: not a delay the float clock absorbs) dirties only the guard
+readers of its outputs; the others take only enabled tokens through
+``binding_pools``, and the clock stop at the outputs dirties them. An
+injection (zero delay) dirties every reader, announcing the previous case.
 
 When nothing fires, the clock stops at the next time on a heap of ``(time,
 nodes)`` entries: places where produced tokens, stored or not
@@ -56,7 +62,7 @@ from .constraints import OPS, Atom
 from .errors import SimulationError
 from .eventlog import Event, Log, sort_events
 from .net import Binding, Marking, Net, Transition, binding_pools, enabled_bindings, fire
-from .net import _avail, attr_type, postset, preset, validate_net
+from .net import _avail, attr_type, preset, validate_net
 
 # firings, arrivals included, allowed at one clock value; more means a
 # zero-delay cycle or interarrival that would keep the clock from advancing
@@ -96,6 +102,7 @@ class _Source:
         self.rng_gaps = _stream(seed, "arrivals", t.id)
         self.rng_attrs = _stream(seed, "attrs", t.id)
         self.next_time = 0.0  # when the source next fires
+        self.gens = sorted(spec.attributes.items())
 
     def exhausted(self) -> bool:
         return self.cap > 0 and self.count >= self.cap
@@ -103,51 +110,45 @@ class _Source:
     def new_case(self) -> tuple[str, dict]:
         self.count += 1
         case_id = f"{self.spec.case_prefix}{self.count}"
-        attrs = {
-            name: gen.sample(self.rng_attrs)
-            for name, gen in sorted(self.spec.attributes.items())
-        }
-        return case_id, attrs
+        return case_id, {name: gen.sample(self.rng_attrs) for name, gen in self.gens}
 
 
-def fifo_key(net: Net, t_id: str, binding: Binding, clock: float) -> tuple:
-    """Firing priority of a binding at ``clock``; the smallest fires first.
-
-    The binding whose newest consumed token is oldest goes first, then the
-    downstream transition, then the smaller case id, then the transition id.
-    """
-    newest = max((tok.available_at for tok in binding.values()), default=clock)
-    case_tok = net.case_token(t_id, binding)
-    return (newest, -net.flow_depth(t_id), case_tok.case_id if case_tok else "", t_id)
+Candidate = tuple[tuple, str, Binding]  # (FIFO key, transition id, binding)
 
 
-def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Binding]:
-    """The guard-satisfying binding of ``t_id`` with the smallest ``fifo_key``.
+def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Candidate]:
+    """The guard-satisfying binding of ``t_id`` that fires first, as the
+    candidate ``(key, t_id, binding)``. The key, read off the chosen tokens,
+    is (newest token's availability or ``clock``, ``-flow_depth``, case id,
+    ``t_id``): among simultaneous candidates the smallest fires first.
 
-    Picked from ``binding_pools`` without enumerating their product: every
-    pool but the first case input's gives its earliest token, and the first
-    case input gives its first token minimising ``(max(avail, rest), case
-    id)``, where ``rest`` is the latest of the other pools' earliest tokens.
-    The pool keeps store order (availability, then case id, ties in insertion
-    order), so that token is the pool's first when none is available by
-    ``rest``, and otherwise the first with the smallest case id among those
-    that are, a prefix found by bisection. Among bindings with equal keys that
-    is the first in product order, the one ``min`` over ``enabled_bindings``
-    would return.
+    The binding is picked from ``binding_pools`` without enumerating their
+    product: every pool but the first case input's gives its earliest token,
+    and the first case input gives its first token minimising ``(max(avail,
+    rest), case id)``, where ``rest`` is the latest of the other pools'
+    earliest tokens. The pool keeps store order (availability, then case id,
+    ties in insertion order), so that token is the pool's first when none is
+    available by ``rest``, and otherwise the first with the smallest case id
+    among those that are, a prefix found by bisection. Among bindings with
+    equal keys that is the first in product order, the one ``min`` over
+    ``enabled_bindings`` would return.
     """
     pools = binding_pools(net, m, t_id, clock, check_guards=True)
     if pools is None:
         return None
-    in_places = preset(net, t_id)
+    in_places, plan = net._preset[t_id], net._plan(t_id)
     chosen = [pool[0] for pool in pools]
-    case_inputs = net.case_inputs(t_id)
-    if case_inputs:
-        c = in_places.index(case_inputs[0])
-        rest = max((tok.available_at for tok in chosen[:c] + chosen[c + 1 :]), default=-math.inf)
-        waiting = pools[c][: bisect_right(pools[c], rest, key=_avail)]
-        if waiting:
-            chosen[c] = min(waiting, key=attrgetter("case_id"))
-    return dict(zip(in_places, chosen))
+    if not plan.case_inputs:
+        newest = max(map(_avail, chosen), default=clock)
+        return (newest, -plan.depth, "", t_id), t_id, dict(zip(in_places, chosen))
+    c = in_places.index(plan.case_inputs[0])
+    rest = max(map(_avail, chosen[:c] + chosen[c + 1 :]), default=-math.inf)
+    waiting = pools[c][: bisect_right(pools[c], rest, key=_avail)]
+    if waiting:
+        chosen[c] = min(waiting, key=attrgetter("case_id"))
+    tok = chosen[c]
+    key = (max(rest, tok.available_at), -plan.depth, tok.case_id, t_id)
+    return key, t_id, dict(zip(in_places, chosen))
 
 
 @acyclic
@@ -171,10 +172,11 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     delay_rngs = {tid: _stream(cfg.seed, "delay", tid) for tid in net.transitions}
 
     # sources by id; for each node, the transitions that read it (preset or
-    # guard places, a source itself); the transitions whose guard time alone
-    # can open, with the atoms that can
+    # guard places, a source itself) and those whose guard reads it; the
+    # transitions whose guard time alone can open, with the atoms that can
     sources: dict[str, _Source] = {}
     readers: dict[str, set[str]] = {}
+    guard_readers: dict[str, set[str]] = {}
     timed: dict[str, list[Atom]] = {}
     for tid, t in sorted(net.transitions.items()):
         if t.arrival_spec is not None:
@@ -186,11 +188,14 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
         ]
         if opening:
             timed[tid] = opening
-        for p in {*preset(net, tid), *(p for atom in atoms for p, _ in atom.feature.references())}:
+        guarded = {p for atom in atoms for p, _ in atom.feature.references()}
+        for p in guarded:
+            guard_readers.setdefault(p, set()).add(tid)
+        for p in {*preset(net, tid), *guarded}:
             readers.setdefault(p, set()).add(tid)
-    # each transition's candidate, kept until it is dirty; every one reads its
-    # nonempty preset or, for a source, itself, so every one starts dirty
-    cands: dict[str, Optional[tuple[tuple, str, Binding]]] = {}
+    # the live candidate of each transition, kept until it is dirty; every one
+    # reads its nonempty preset or, for a source, itself, so every one starts dirty
+    cands: dict[str, Candidate] = {}
     dirty = set().union(*readers.values())
     # (time, nodes) entries where the clock stops, as the module docstring lists
     future = [(tok.available_at, (p,)) for p in marking.places() for tok in marking.tokens(p)]
@@ -202,17 +207,19 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
         nonlocal marking
         _finite_time(now + delay, tid, "completion")
         marking = fire(net, marking, tid, y, now, delay, case)
-        outs = postset(net, tid)
-        for node in (tid, *y, *outs):
+        outs = net._postset[tid]
+        for node in (tid, *y):
             dirty.update(readers.get(node, ()))
+        watch = guard_readers if stop and now + delay > now else readers
+        for node in outs:
+            dirty.update(watch.get(node, ()))
         if outs and stop:
             heapq.heappush(future, (now + delay, outs))
 
-    def candidate(tid: str) -> Optional[tuple[tuple, str, Binding]]:
+    def candidate(tid: str) -> Optional[Candidate]:
         src = sources.get(tid)
         if src is None:
-            y = fifo_first(net, marking, tid, clock)
-            return None if y is None else (fifo_key(net, tid, y, clock), tid, y)
+            return fifo_first(net, marking, tid, clock)
         if src.exhausted() or src.next_time > clock:
             return None
         if not src.t.is_task:
@@ -229,18 +236,18 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
             # due only the sources are evaluated
             todo = dirty & sources.keys() if arriving else dirty
             for tid in todo:
-                cands[tid] = cand = candidate(tid)
-                if cand is None and tid in timed:
-                    for atom in timed[tid]:
+                cands[tid] = candidate(tid)
+                if cands[tid] is None:
+                    del cands[tid]
+                    for atom in timed.get(tid, ()):
                         at = _opening(atom, marking, clock)
                         if at is not None:
                             heapq.heappush(future, (at, ()))
             dirty.difference_update(todo)
-            # keys end with the transition id, so ``min`` never compares bindings
-            best = min(filter(None, cands.values()), default=None)
-            if best is None:
+            if not cands:
                 break
-            _, tid, y = best
+            # keys end with the transition id, so ``min`` never compares bindings
+            _, tid, y = min(cands.values())
             if fired == MAX_FIRINGS_PER_INSTANT:
                 raise SimulationError(
                     f"transition {tid!r} would fire more than {MAX_FIRINGS_PER_INSTANT} times "
@@ -251,9 +258,9 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
             src = sources.get(tid)
             arriving = False
             if src is None:
-                case_tok = net.case_token(tid, y)
-                res = net.resource_inputs(tid)
-                resource = y[res[0]].case_id if res else None
+                plan = net._plan(tid)
+                case_tok = y[plan.case_inputs[0]] if plan.case_inputs else None
+                resource = y[plan.resource_inputs[0]].case_id if plan.resource_inputs else None
                 delay = t.delay.sample(delay_rngs[tid])
                 fire_at(tid, y, clock, delay)
                 if t.is_task:

@@ -17,6 +17,17 @@ def model_path(name: str) -> str:
     return str(MODELS / f"{name}.json")
 
 
+def fifo_key(net: Net, t_id: str, binding: dict, clock: float) -> tuple:
+    """The simulator's firing priority of a binding at ``clock``, built from
+    the whole binding: the oracle for the key ``simulate.fifo_first`` reads
+    off the tokens it chose. The binding whose newest consumed token is oldest
+    goes first, then the downstream transition, then the smaller case id,
+    then the transition id."""
+    newest = max((tok.available_at for tok in binding.values()), default=clock)
+    case_tok = net.case_token(t_id, binding)
+    return (newest, -net.flow_depth(t_id), case_tok.case_id if case_tok else "", t_id)
+
+
 @pytest.fixture(scope="session")
 def priority_net() -> Net:
     return load_model(model_path("priority"))

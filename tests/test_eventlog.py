@@ -97,11 +97,14 @@ def test_short_row_parses_missing_cells_as_absent():
     ("9,a,0,5,w1,3,EXTRA", "row 4: a cell beyond the 6 header columns is not empty"),
 ])
 def test_bad_cell_names_its_row(row, message):
-    # row 3 is short, so the padding must not shift the row count
-    text = "case,activity,start,complete,resource,value\n1,a,0,1,w1,3\n2,a,1,2\n" + row + "\n"
-    with pytest.raises(LogError) as info:
-        parse_log(text)
-    assert str(info.value) == message
+    # row 3 is short, so the padding must not shift the row count; a blank
+    # line and a row of empty cells are skipped but still count as lines
+    header = "case,activity,start,complete,resource,value\n"
+    for before in ("1,a,0,1,w1,3\n2,a,1,2\n", "\n,,,\n"):
+        text = header + before + row + "\n"
+        with pytest.raises(LogError) as info:
+            parse_log(text)
+        assert str(info.value) == message
 
 
 def test_empty_cells_beyond_the_header_are_ignored():

@@ -76,6 +76,28 @@ def test_log_and_report_hashes(model, seed):
     assert (_sha256(log_text), _sha256(report_text)) == GOLDENS[model, seed]
 
 
+# model -> sha256 of the logs of seeds 1-10 at 500 cases, written one after
+# another: pins the simulator's schedule on every bundled model and seeds
+# that neither the benchmark nor GOLDENS run
+SIM_GOLDENS = {
+    "blocking": "583e2645f33da1b3f5a0c323cfd023c37ac249f4c69e707773376890f85aed39",
+    "choice": "9f4403e161fdab23d35c64d4728aa743f6daf16609e37dcb16d62444e0e0dc10",
+    "holdbatch": "adb7fc805744f4053268cb8faadb5d3077fa9fee191c9a0ef6eda832b7006f15",
+    "priority": "e8330622e4abaa837e241377422783b61775bf8052298258cc45e9fca8f18133",
+    "supplychain": "b322225386fac7e43d60fe83836bbc56f934536f51c99846554b688ed276d809",
+}
+
+
+@pytest.mark.parametrize("model", sorted(SIM_GOLDENS))
+def test_simulated_log_hashes(model):
+    net = load_model(model_path(model))
+    digest = hashlib.sha256()
+    for seed in range(1, 11):
+        log = simulate(net, SimConfig(seed=seed, max_cases=500))
+        digest.update(write_log(log).encode("utf-8"))
+    assert digest.hexdigest() == SIM_GOLDENS[model]
+
+
 # (model, seed, cases) -> candidate -> sha256 of its pattern-transition log CSV
 PT_GOLDENS = {
     ("supplychain", 6, 150): {

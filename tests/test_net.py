@@ -10,7 +10,7 @@ from bisect import bisect_left, bisect_right
 
 import pytest
 
-from tests.conftest import model_path
+from tests.conftest import fifo_key, model_path
 import dsync.extract as extract_mod
 import dsync.net as net_mod
 from dsync.acyclic import acyclic
@@ -36,7 +36,7 @@ from dsync.net import (
     validate_net,
 )
 from dsync.replay import _best_move, replay, sim_score
-from dsync.simulate import SimConfig, fifo_first, fifo_key, simulate
+from dsync.simulate import SimConfig, fifo_first, simulate
 
 
 def fig1_net() -> Net:
@@ -659,6 +659,12 @@ def _fifo_choice(net: Net, bindings, t_id: str, now: float):
     return min(bindings, key=lambda y: fifo_key(net, t_id, y, now)) if bindings else None
 
 
+def _fifo_candidate(net: Net, bindings, t_id: str, now: float):
+    """``_fifo_choice`` as the ``(key, t_id, binding)`` that ``fifo_first`` returns."""
+    y = _fifo_choice(net, bindings, t_id, now)
+    return None if y is None else (fifo_key(net, t_id, y, now), t_id, y)
+
+
 def _first_max_score(net: Net, bindings, e: Event):
     best = None
     for y in bindings:
@@ -720,7 +726,9 @@ def test_filtered_bindings_pick_what_the_full_product_picks(model):
                     )
                     if check_guards:
                         # the simulator's direct pick, without the product
-                        assert fifo_first(net, m, t_id, now) == _fifo_choice(net, full, t_id, now)
+                        assert fifo_first(net, m, t_id, now) == _fifo_candidate(
+                            net, full, t_id, now
+                        )
                     event = Event(
                         rng.choice(case_ids + ["absent"]),
                         t_id,
@@ -770,9 +778,11 @@ def test_fifo_first_bisects_the_case_pool_at_the_other_inputs(resource_at, expec
         ),
         "r": (Token("w1", {}, resource_at),),
     })
-    chosen = fifo_first(net, m, "t", 5.0)
+    _, _, chosen = fifo_first(net, m, "t", 5.0)
     assert (chosen["q"].case_id, chosen["q"].attrs["v"]) == expected
-    assert chosen == _fifo_choice(net, enabled_bindings(net, m, "t", 5.0), "t", 5.0)
+    assert fifo_first(net, m, "t", 5.0) == _fifo_candidate(
+        net, enabled_bindings(net, m, "t", 5.0), "t", 5.0
+    )
 
 
 def _check_best_moves(monkeypatch) -> dict:
