@@ -152,8 +152,8 @@ class ConstraintExpr:
     def binding_ok(self, m: "Marking", now: float, binding: "Binding") -> bool:
         """Whether ``pin`` lets ``binding`` take each of its tokens.
 
-        ``net.enabled_bindings`` applies ``pin`` to whole pools before the
-        binding product instead of calling this per binding;
+        ``net.binding_pools`` applies ``pin`` to whole pools instead of
+        calling this per binding;
         ``replay.read_off_check`` calls it on bindings already applied.
         """
         return all(self.pin(m, p, [tok]) for p, tok in binding.items())
@@ -199,9 +199,13 @@ def eval_feature(f: FeatureRef, m: "Marking", now: float) -> Union[float, bool]:
 
 # -- parsing -----------------------------------------------------------------
 
+# the place ids and attribute names a constraint can name; ``validate_net``
+# rejects the others, so that every discovered guard reads back
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{IDENT.pattern})"
     r"|(?P<op><=|>=|==|<|>)"
     r"|(?P<punct>[(),]))"
 )

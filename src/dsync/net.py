@@ -8,13 +8,14 @@ counts of "enabled" tokens and times-until-availability observable state.
 Nets, markings and tokens are immutable values; ``fire`` returns a new
 marking and never touches its input, from one copy of the place dict. The
 token game reads the stores directly, along per-transition plans (``_Plan``)
-that ``Net`` compiles once.
+that ``Net`` compiles once. Every case input of a binding takes a token of
+one case; material shared across cases flows through plain places.
 
 A marking stores each place's tokens sorted by availability, then case id,
 ties in insertion order; adding and removing a token bisect on availability
 (a C attribute getter), then on case id among same-time tokens, and enabled
-tokens are the store's prefix up to now. Callers read a lone binding, one
-token per pool, off ``binding_pools`` instead of enumerating the product.
+tokens are the store's prefix up to now. Callers read a binding, one token
+per pool, off ``binding_pools`` instead of enumerating the product.
 ``Marking.extremum`` memoises attribute extrema, a pure function of the stores.
 Tokens that nothing can read are not stored: a plain place with an empty
 postset that no guard references (``Net.unread``) receives no tokens.
@@ -30,13 +31,11 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
+from .constraints import IDENT, ConstraintExpr
 from .errors import ModelError
 from .eventlog import COLUMNS
-
-if TYPE_CHECKING:  # avoid a runtime cycle; guards are duck-typed here
-    from .constraints import ConstraintExpr
 
 AttrValue = object  # number | bool | str
 
@@ -377,17 +376,6 @@ class Net:
         """Resource places in the preset of transition ``t_id``, sorted."""
         return self._plan(t_id).resource_inputs
 
-    def case_token(
-        self, t_id: str, binding: Binding, case_id: Optional[str] = None
-    ) -> Optional[Token]:
-        """The token ``binding`` takes from the first case input of ``t_id``,
-        or with ``case_id`` the first one it takes of that case."""
-        for p in self.case_inputs(t_id):
-            tok = binding.get(p)
-            if tok is not None and (case_id is None or tok.case_id == case_id):
-                return tok
-        return None
-
     def flow_depth(self, t_id: str) -> int:
         """Longest chain of case places feeding ``t_id`` (0 for sources).
 
@@ -471,9 +459,8 @@ def binding_pools(
       marking (this is the one place where the token game evaluates guards;
       ``replay.read_off_check`` tests moves already applied), and its
       pinning atoms keep only the tokens ``ConstraintExpr.pin`` allows;
-    * with ``case_id`` set and exactly one case input, that input's pool
-      keeps only the token of that case (several case inputs stay unfiltered,
-      because a log move may match the case on any of them);
+    * with ``case_id`` set, every case input's pool keeps only the tokens of
+      that case;
     * a plain place keeps only its earliest token, because plain tokens are
       interchangeable apart from their availability (or ``pin``'s first).
 
@@ -492,10 +479,10 @@ def binding_pools(
         return pools
     if guard is not None and not guard.holds(m, now):
         return None
-    case_place = plan.case_inputs if case_id is not None else ()
+    case_inputs = plan.case_inputs if case_id is not None else ()
     for i, (p, plain) in enumerate(plan.inputs):
         toks = pools[i]
-        if case_place == (p,):
+        if p in case_inputs:
             toks = [tok for tok in toks if tok.case_id == case_id]
         if guard is not None:
             toks = guard.pin(m, p, toks)
@@ -515,19 +502,16 @@ def enabled_bindings(
     check_guards: bool = False,
     case_id: Optional[str] = None,
 ) -> list[Binding]:
-    """The bindings of time-enabled tokens for transition ``t_id`` at ``now``.
+    """The bindings of time-enabled tokens for transition ``t_id`` at ``now``:
+    the cartesian product of ``binding_pools``, in product order.
 
-    The result is the cartesian product of ``binding_pools``, whose filters
-    drop only bindings the guard rejects or no caller would choose: the FIFO
-    key (``simulate.fifo_first``) is never worse for the earliest plain token,
-    ``replay.sim_score`` ignores plain tokens and rejects a token of another
-    case, and the kept bindings keep their relative order, so the first
-    binding attaining the best key is the one the full product would give.
-    Callers pick that binding without always enumerating the product: the
-    simulator reads it off the pools (``simulate.fifo_first``), and so does a
-    log move when every pool holds one token and the case filter applied
-    (``replay._best_move``). A transition with an empty preset has exactly
-    one (empty) binding.
+    Neither engine enumerates it: the simulator (``simulate.fifo_first``) and
+    a log move (``replay._best_move``) read one token off each pool. The
+    pools' filters keep their tokens in order and drop only tokens the guard
+    rejects, tokens of another case than the log move's, and plain tokens
+    after the earliest, which no pick prefers. The simulator calls this only
+    for a task source, whose empty preset has exactly one (empty) binding,
+    kept when the guard holds.
     """
     pools = binding_pools(net, m, t_id, now, check_guards, case_id)
     if pools is None:
@@ -576,7 +560,7 @@ def fire(
     out_time = now + delay
 
     case_id, case_attrs = produced_case or (None, {})
-    if produced_case is None:  # ``Net.case_token``, inline
+    if produced_case is None:  # the first case input's token
         for p in plan.case_inputs:
             if p in binding:
                 case_id, case_attrs = binding[p].case_id, binding[p].attrs
@@ -611,11 +595,15 @@ def validate_net(net: Net) -> list[str]:
            for tid in net.transitions if tid in net.places]
 
     for p in net.places.values():
+        if not IDENT.fullmatch(str(p.id)):
+            out.append(f"place id {p.id!r} is no identifier ({IDENT.pattern}) a guard can name")
         if p.kind not in PLACE_KINDS:
             out.append(f"place {p.id!r} has unknown kind {p.kind!r}")
         if p.kind == "resource" and p.attributes:
             out.append(f"resource place {p.id!r} must not declare attributes")
         for name, typ in p.attributes:
+            if not IDENT.fullmatch(str(name)):
+                out.append(f"place {p.id!r} attribute {name!r} is no identifier a guard can name")
             if typ not in ATTR_TYPES:
                 out.append(f"place {p.id!r} attribute {name!r} has unknown type {typ!r}")
             if name in COLUMNS:

@@ -1,17 +1,16 @@
 """Replays an event log over a net via log moves.
 
-Every event is executed as a log move at its start time: the binding with
-the highest similarity to the event is consumed (a lone binding, one token
-per pool, is read off the pools, unscored, when the case filter applied) and
-the produced tokens become available at the event's completion time. Cases
-enter as the simulator lets them in: each arrival is a zero-delay ``fire``
-of its non-task source with the case's first-event data, one interarrival
-ahead (``_arrival_plan``). One state sample is emitted per distinct start
-time; it captures the marking both before and after that timestamp's moves,
-and every move applied in between with the marking it applied to, because a
-transition that fired is observed in the state it fired from, while a
-transition that was passed over is observed in the state that remained
-after everything else happened.
+Every event is executed as a log move at its start time: it consumes one
+token off each binding pool, every case input giving a token of the event's
+case (``_best_move``), and the produced tokens become available at the
+event's completion time. Cases enter as the simulator lets them in: each
+arrival is a zero-delay ``fire`` of its non-task source with the case's
+first-event data, one interarrival ahead (``_arrival_plan``). One state
+sample is emitted per distinct start time; it captures the marking both
+before and after that timestamp's moves, and every move applied in between
+with the marking it applied to, because a transition that fired is observed
+in the state it fired from, while a transition that was passed over is
+observed in the state that remained after everything else happened.
 
 The moves of one start time are applied by one depth-first walk over their
 orders (``_walk``), in both modes. It tries downstream moves first (larger
@@ -44,8 +43,8 @@ from typing import Mapping, NamedTuple, Optional
 from .acyclic import acyclic
 from .errors import ReplayError
 from .eventlog import Event, Log
-from .net import Binding, Marking, Net, Token, binding_pools, enabled_bindings, fire, postset
-from .net import preset
+from .net import Binding, Marking, Net, Token, binding_pools, fire, postset, preset
+from .net import enabled_bindings  # noqa: F401  unused; bench/tracer.py wraps this name
 
 # guard-checked timestamp groups larger than this are not searched beyond the
 # walk's first dead end
@@ -101,72 +100,52 @@ class MatchReport:
         return self.matched / self.total if self.total else 1.0
 
 
-NEVER = (0, -1, -1, float("-inf"), float("-inf"))
-
-
-def sim_score(net: Net, t_id: str, binding: Binding, e: Event) -> tuple:
-    """Similarity of a binding to an event, higher is better.
-
-    Lexicographic components: case-id match (mandatory; a miss scores below
-    everything), resource match when both sides name one, preference for a
-    case token available at or before the event start, closeness of that
-    token's availability to the start, and closeness of the attributes.
-    Transitions without case inputs match any binding.
-    """
-    case_token = net.case_token(t_id, binding, e.case_id)
-    if case_token is None and net.case_inputs(t_id):
-        return NEVER
-
-    resource_match = 0
-    if e.resource:
-        for p in net.resource_inputs(t_id):
-            tok = binding.get(p)
-            if tok is not None and tok.case_id == e.resource:
-                resource_match = 1
-                break
-
-    if case_token is None:
-        leq, closeness = 1, 0.0
-    else:
-        leq = 1 if case_token.available_at <= e.start else 0
-        closeness = -abs(case_token.available_at - e.start)
-
+def sim_score(tok: Token, e: Event) -> tuple:
+    """How well a case token matches an event, higher is better: the newest
+    availability, as a pool holds only tokens enabled at the event's start,
+    then the closest attributes."""
     attr_dist = 0.0
-    if case_token is not None:
-        for name, value in e.attrs.items():
-            have = case_token.attrs.get(name)
-            if have is None:
-                continue
-            if (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and isinstance(have, (int, float))
-            ):
-                attr_dist += abs(float(have) - float(value))
-            elif have != value:
-                attr_dist += 1.0
-    return (1, resource_match, leq, closeness, -attr_dist)
+    for name, value in e.attrs.items():
+        have = tok.attrs.get(name)
+        if have is None:
+            continue
+        if (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and isinstance(have, (int, float))
+        ):
+            attr_dist += abs(float(have) - float(value))
+        elif have != value:
+            attr_dist += 1.0
+    return (tok.available_at, -attr_dist)
 
 
 def _best_move(
     net: Net, marking: Marking, e: Event, tau: float, check_guards: bool
 ) -> Optional[Binding]:
-    """Best case-matching (and, when checking, guard-satisfying) binding; of
-    equally scored ones, the first that ``enabled_bindings`` lists.
+    """The binding the log move of ``e`` consumes, one token per pool of
+    ``binding_pools``, which keeps only the event's case in every case input
+    (and, when checking, only what the guard lets through); None when a pool
+    is empty.
 
-    A lone binding (one token per pool) of a transition with at most one case
-    input is read off the pools, unscored: ``binding_pools`` has already kept
-    only the event's case, and ``sim_score`` only ranks bindings.
+    A case pool gives its first token maximising ``sim_score``; a resource
+    pool gives the event's resource when it holds it, else its first token;
+    any other pool gives its first token.
     """
     pools = binding_pools(net, marking, e.label, tau, check_guards, e.case_id)
     if pools is None:
         return None
-    if max(map(len, pools), default=1) == 1 and len(net.case_inputs(e.label)) <= 1:
-        return {p: pool[0] for p, pool in zip(preset(net, e.label), pools)}
-    bindings = enabled_bindings(net, marking, e.label, tau, check_guards, e.case_id)
-    scored = ((sim_score(net, e.label, y, e), y) for y in bindings)
-    best = max((s for s in scored if s[0][0] == 1), key=lambda s: s[0], default=None)
-    return best[1] if best else None
+    plan = net._plan(e.label)
+    binding = {}
+    for (p, _), pool in zip(plan.inputs, pools):
+        tok = pool[0]
+        if len(pool) > 1:
+            if p in plan.case_inputs:
+                tok = max(pool, key=lambda t: sim_score(t, e))
+            elif p in plan.resource_inputs:
+                tok = next((t for t in pool if t.case_id == e.resource), tok)
+        binding[p] = tok
+    return binding
 
 
 def _walk(
@@ -284,9 +263,9 @@ def replay(
 
         for e, binding, _ in moves:
             report.matched += 1
-            tok = net.case_token(e.label, binding, e.case_id)
-            if tok is not None:
-                gap_sum += abs(tok.available_at - e.start)
+            case_inputs = net.case_inputs(e.label)
+            if case_inputs:
+                gap_sum += abs(binding[case_inputs[0]].available_at - e.start)
                 gap_n += 1
 
         for e in pending:
@@ -330,9 +309,11 @@ def read_off_check(
     markings (none is in ``net.unread``), and each move on a guarded
     transition gets the binding it applied from the guard-checked
     ``_best_move`` too. That last holds exactly when the guard holds on the
-    move's marking and ``binding_ok`` passes the applied binding: ``pin``
-    filters each token on its own, so the applied first-best binding is then
-    in the guarded product, and first-best there.
+    move's marking and ``binding_ok`` passes the applied binding, pool by
+    pool: ``pin`` filters each token on its own, so a pinned pool is a
+    subsequence of the unpinned one, and the token ``_best_move`` took as the
+    first maximum of the unpinned pool stays the first maximum if ``pin``
+    keeps it.
     """
     if report.unmatched:
         return None

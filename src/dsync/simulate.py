@@ -123,15 +123,17 @@ def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Candid
     ``t_id``): among simultaneous candidates the smallest fires first.
 
     The binding is picked from ``binding_pools`` without enumerating their
-    product: every pool but the first case input's gives its earliest token,
-    and the first case input gives its first token minimising ``(max(avail,
-    rest), case id)``, where ``rest`` is the latest of the other pools'
-    earliest tokens. The pool keeps store order (availability, then case id,
-    ties in insertion order), so that token is the pool's first when none is
+    product, and every case input takes a token of one case. Every other pool
+    gives its earliest token; ``rest`` is the latest of those. A lone case
+    input gives its first token minimising ``(max(avail, rest), case id)``.
+    The pool keeps store order (availability, then case id, ties in
+    insertion order), so that token is the pool's first when none is
     available by ``rest``, and otherwise the first with the smallest case id
-    among those that are, a prefix found by bisection. Among bindings with
-    equal keys that is the first in product order, the one ``min`` over
-    ``enabled_bindings`` would return.
+    among those that are, a prefix found by bisection. Several case inputs
+    take the case with a token in each that minimises (the newest of its
+    first tokens there and ``rest``, case id), each input giving that case's
+    first token. Among bindings of one case with equal keys that is the first
+    in product order, the one ``min`` over ``enabled_bindings`` would return.
     """
     pools = binding_pools(net, m, t_id, clock, check_guards=True)
     if pools is None:
@@ -141,6 +143,21 @@ def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Candid
     if not plan.case_inputs:
         newest = max(map(_avail, chosen), default=clock)
         return (newest, -plan.depth, "", t_id), t_id, dict(zip(in_places, chosen))
+    if len(plan.case_inputs) > 1:
+        joins = [in_places.index(p) for p in plan.case_inputs]
+        rest = max((tok.available_at for i, tok in enumerate(chosen) if i not in joins),
+                   default=-math.inf)
+        firsts = [{} for _ in joins]
+        for first, i in zip(firsts, joins):
+            for tok in pools[i]:
+                first.setdefault(tok.case_id, tok)
+        joined = set(firsts[0]).intersection(*firsts[1:])
+        if not joined:
+            return None
+        newest, case_id = min((max(rest, *(f[k].available_at for f in firsts)), k) for k in joined)
+        for first, i in zip(firsts, joins):
+            chosen[i] = first[case_id]
+        return (newest, -plan.depth, case_id, t_id), t_id, dict(zip(in_places, chosen))
     c = in_places.index(plan.case_inputs[0])
     rest = max(map(_avail, chosen[:c] + chosen[c + 1 :]), default=-math.inf)
     waiting = pools[c][: bisect_right(pools[c], rest, key=_avail)]

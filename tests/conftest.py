@@ -24,8 +24,9 @@ def fifo_key(net: Net, t_id: str, binding: dict, clock: float) -> tuple:
     goes first, then the downstream transition, then the smaller case id,
     then the transition id."""
     newest = max((tok.available_at for tok in binding.values()), default=clock)
-    case_tok = net.case_token(t_id, binding)
-    return (newest, -net.flow_depth(t_id), case_tok.case_id if case_tok else "", t_id)
+    case_inputs = net.case_inputs(t_id)
+    case_id = binding[case_inputs[0]].case_id if case_inputs else ""
+    return (newest, -net.flow_depth(t_id), case_id, t_id)
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,8 @@ import re
 import sys
 
 import dsync
+from dsync.eventlog import Event, Log
+from dsync.net import Marking, Net, Place, Token, Transition
 from dsync.simulate import SimConfig
 from tests.conftest import ROOT, model_path
 
@@ -74,6 +76,27 @@ def test_traced_discovery_has_one_pt_log_span_per_candidate():
     assert metrics["patterns.rows"] == rows > 0
     assert metrics["net.has_enabled_binding_calls"] > 0
     assert metrics["constraints.eval_feature_calls"] > 0
+
+
+def test_traced_replay_counts_the_case_token_scores():
+    # ``replay._best_move`` scores a case pool's tokens only when the pool
+    # holds several of the event's case, which no benchmark workload does
+    tracer_mod = load_tracer()
+    net = Net(
+        places=[Place("q", "case", (("v", "number"),)), Place("o", "case", (("v", "number"),))],
+        transitions=[Transition("t")],
+        flows=[("q", "t"), ("t", "o")],
+        initial_marking=Marking({"q": (Token("c1", {"v": 1.0}, 0.0),
+                                       Token("c1", {"v": 2.0}, 1.0))}),
+    )
+    tracer = tracer_mod.Tracer().install()
+    try:
+        _, report = dsync.replay(Log([Event("c1", "t", 2.0, 3.0, None, {"v": 2.0})]), net)
+        metrics = tracer.end_pass()
+    finally:
+        tracer.uninstall()
+    assert report.matched == 1
+    assert metrics["replay.sim_score_calls"] > 0
 
 
 def test_harness_and_probes_names_exist():

@@ -442,6 +442,29 @@ def test_simulate_duplicate_place_id_exits_3(tmp_path, capsys):
     assert f"duplicate place id {doc['places'][0]['id']!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, message", [
+    ("q-1", "place id 'q-1' is no identifier"),
+    ("size-kg", "place 'arrival' attribute 'size-kg' is no identifier"),
+])
+def test_name_no_guard_can_read_back_exits_3(tmp_path, capsys, name, message):
+    # a discovered guard on ``nrtokens(q-1)`` would be written to the annotated
+    # model but fail to parse when that model is loaded again
+    doc = json.loads((MODELS / "blocking.json").read_text())
+    if name == "q-1":
+        doc["places"] = [dict(p, id=name if p["id"] == "q1" else p["id"]) for p in doc["places"]]
+        doc["flows"] = [[name if node == "q1" else node for node in f] for f in doc["flows"]]
+        for t in doc["transitions"]:
+            t.pop("guard", None)
+    else:
+        doc["places"][0]["attributes"] = [[name, "number"]]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_out_directory_exits_2(tmp_path, capsys):
     code = main(["simulate", "--model", model_path("blocking"),
                  "--seed", "1", "--max-cases", "5", "--out", str(tmp_path)])

@@ -35,7 +35,7 @@ from dsync.net import (
     preset,
     validate_net,
 )
-from dsync.replay import _best_move, replay, sim_score
+from dsync.replay import _best_move, replay
 from dsync.simulate import SimConfig, fifo_first, simulate
 
 
@@ -665,11 +665,56 @@ def _fifo_candidate(net: Net, bindings, t_id: str, now: float):
     return None if y is None else (fifo_key(net, t_id, y, now), t_id, y)
 
 
-def _first_max_score(net: Net, bindings, e: Event):
-    best = None
+def _one_case(net: Net, t_id: str, bindings, case_id=None):
+    """The bindings whose case inputs all hold a token of one case (of
+    ``case_id`` when given)."""
+    case_inputs = net.case_inputs(t_id)
+    kept = []
     for y in bindings:
-        score = sim_score(net, e.label, y, e)
-        if score[0] == 1 and (best is None or score > best[0]):
+        cases = {y[p].case_id for p in case_inputs}
+        if len(cases) <= 1 and (case_id is None or cases <= {case_id}):
+            kept.append(y)
+    return kept
+
+
+def _attr_dist(tok: Token, e: Event) -> float:
+    dist = 0.0
+    for name, value in e.attrs.items():
+        have = tok.attrs.get(name)
+        if have is None:
+            continue
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and isinstance(
+            have, (int, float)
+        ):
+            dist += abs(float(have) - float(value))
+        elif have != value:
+            dist += 1.0
+    return dist
+
+
+def _whole_binding_score(net: Net, t_id: str, y, e: Event) -> tuple:
+    """The similarity of a whole binding to an event, higher is better:
+    whether each resource input holds the event's resource, then for each
+    case input whether its token is available at or before the start, how
+    close that is to the start, and how close its attributes are. With one
+    resource and one case input this is the replay's former binding score
+    less its mandatory case match, which ``_one_case`` applies."""
+    score = [int(bool(e.resource) and y[p].case_id == e.resource)
+             for p in net.resource_inputs(t_id)]
+    for p in net.case_inputs(t_id):
+        tok = y[p]
+        closeness = -abs(tok.available_at - e.start)
+        score += [tok.available_at <= e.start, closeness, -_attr_dist(tok, e)]
+    return tuple(score)
+
+
+def _first_max_score(net: Net, bindings, e: Event):
+    """The first binding of the event's case attaining the best whole-binding
+    score, in the order given: the product-and-score pick of a log move."""
+    best = None
+    for y in _one_case(net, e.label, bindings, e.case_id):
+        score = _whole_binding_score(net, e.label, y, e)
+        if best is None or score > best[0]:
             best = (score, y)
     return best[1] if best else None
 
@@ -727,7 +772,7 @@ def test_filtered_bindings_pick_what_the_full_product_picks(model):
                     if check_guards:
                         # the simulator's direct pick, without the product
                         assert fifo_first(net, m, t_id, now) == _fifo_candidate(
-                            net, full, t_id, now
+                            net, _one_case(net, t_id, full), t_id, now
                         )
                     event = Event(
                         rng.choice(case_ids + ["absent"]),
@@ -743,19 +788,27 @@ def test_filtered_bindings_pick_what_the_full_product_picks(model):
     assert checked > 0
 
 
-def test_a_lone_binding_over_two_case_inputs_is_still_scored():
-    # several case inputs are not filtered by case, so a transition's only
-    # binding may hold no token of the event's case
+def test_two_case_inputs_bind_one_case():
+    # the unfiltered product pairs tokens of two cases; a log move and the
+    # simulator both take the tokens of one case from both case inputs
     net = merge_net()
     m = Marking({
-        "a": (Token("c1", {"value": 1.0}, 0.0),),
-        "b": (Token("c2", {"value": 1.0}, 0.0),),
+        "a": (Token("c1", {"value": 1.0}, 0.0), Token("c2", {"value": 1.0}, 0.0)),
+        "b": (Token("c2", {"value": 1.0}, 0.0), Token("c1", {"value": 1.0}, 1.0),
+              Token("c3", {"value": 1.0}, 1.0)),
         "s": (Token(None, {}, 0.0),),
     })
-    lone = enabled_bindings(net, m, "merge", 1.0)
-    assert len(lone) == 1
-    for case_id, expected in (("c2", lone[0]), ("c3", None)):
-        assert _best_move(net, m, Event(case_id, "merge", 1.0, 2.0), 1.0, False) == expected
+    assert len(enabled_bindings(net, m, "merge", 0.5)) == 2
+    for case_id in ("c1", "c2"):
+        y = _best_move(net, m, Event(case_id, "merge", 1.0, 2.0), 1.0, False)
+        assert {p: tok.case_id for p, tok in y.items()} == {"a": case_id, "b": case_id, "s": None}
+    assert _best_move(net, m, Event("c1", "merge", 0.5, 2.0), 0.5, False) is None
+    assert _best_move(net, m, Event("c3", "merge", 1.0, 2.0), 1.0, False) is None
+    # c1's tokens are both enabled only at 1.0, c2's at 0.0: c2 fires first
+    key, _, y = fifo_first(net, m, "merge", 1.0)
+    assert key[0] == 0.0 and key[2] == "c2"
+    assert {p: tok.case_id for p, tok in y.items()} == {"a": "c2", "b": "c2", "s": None}
+    assert fifo_first(net, m.with_removed("a", m.tokens("a")[1]), "merge", 0.5) is None
 
 
 @pytest.mark.parametrize("resource_at, expected", [
@@ -787,11 +840,10 @@ def test_fifo_first_bisects_the_case_pool_at_the_other_inputs(resource_at, expec
 
 def _check_best_moves(monkeypatch) -> dict:
     """Pin every ``replay._best_move`` call against scoring every enabled
-    binding of the transition, unfiltered by case; counts the calls and the
-    ``sim_score`` calls of the scored path."""
+    binding of the transition that holds the event's case; counts the calls."""
     replay_mod = importlib.import_module("dsync.replay")
-    best_move, score = replay_mod._best_move, replay_mod.sim_score
-    counts = {"moves": 0, "scored": 0}
+    best_move = replay_mod._best_move
+    counts = {"moves": 0}
 
     def checked(net_, marking, e, tau, check_guards):
         counts["moves"] += 1
@@ -800,12 +852,7 @@ def _check_best_moves(monkeypatch) -> dict:
         assert chosen == _first_max_score(net_, full, e)
         return chosen
 
-    def scored(*args):
-        counts["scored"] += 1
-        return score(*args)
-
     monkeypatch.setattr(replay_mod, "_best_move", checked)
-    monkeypatch.setattr(replay_mod, "sim_score", scored)
     return counts
 
 
@@ -843,32 +890,38 @@ def two_workers_net() -> Net:
 def test_scored_replay_moves_are_the_first_best_scored_bindings(
     monkeypatch, inputs, check_guards
 ):
-    # no bundled model reaches the scored product: a two-token resource pool
-    # whose event names the second worker, and a transition with two case
-    # inputs, whose lone binding is scored too and may hold no token of the
-    # event's case (the third merge)
+    # pools no bundled model fills: a two-token resource pool whose event
+    # names the second worker, and two case inputs that each hold two tokens
+    # of the event's case; the third merge has no token of its case
     if inputs == "two workers":
         net = two_workers_net()
         log = Log([Event("c1", "work", 1.0, 2.0, "w2"), Event("c2", "work", 3.0, 4.0, "w1")])
-        expected = [{"q": "c1", "r": "w2"}, {"q": "c2", "r": "w1"}]
+        expected = [{"q": ("c1", 0.0, None), "r": ("w2", 0.0, None)},
+                    {"q": ("c2", 0.0, None), "r": ("w1", 0.0, None)}]
     else:
         bare = merge_net()
         net = Net(list(bare.places.values()), list(bare.transitions.values()), list(bare.flows),
                   Marking({
-                      "a": tuple(Token(c, {"value": 1.0}, 0.0) for c in ("c1", "c2", "c6")),
-                      "b": tuple(Token(c, {"value": v}, 0.0) for c, v in (("c3", 5.0),
-                                                                         ("c4", 2.0),
-                                                                         ("c7", 1.0))),
+                      "a": (Token("c1", {"value": 1.0}, 0.0), Token("c1", {"value": 1.0}, 0.5),
+                            Token("c2", {"value": 1.0}, 0.0)),
+                      "b": (Token("c1", {"value": 5.0}, 0.0), Token("c1", {"value": 2.0}, 0.0),
+                            Token("c2", {"value": 1.0}, 0.0), Token("c2", {"value": 1.0}, 2.0)),
                       "s": (Token(None, {}, 0.0),) * 3,
                   }))
-        log = Log([Event("c4", "merge", 1.0, 2.0, None, {"value": 2.0}),
+        log = Log([Event("c1", "merge", 1.0, 2.0, None, {"value": 2.0}),
                    Event("c2", "merge", 3.0, 4.0), Event("c5", "merge", 5.0, 6.0)])
-        expected = [{"a": "c1", "b": "c4", "s": None}, {"a": "c2", "b": "c3", "s": None}]
+        # a: the newest c1 token; b: the c1 token closest to the event's value,
+        # then the newest c2 token
+        expected = [{"a": ("c1", 0.5, 1.0), "b": ("c1", 0.0, 2.0), "s": (None, 0.0, None)},
+                    {"a": ("c2", 0.0, 1.0), "b": ("c2", 2.0, 1.0), "s": (None, 0.0, None)}]
     counts = _check_best_moves(monkeypatch)
     samples, report = replay(log, net, check_guards=check_guards)
     assert report.matched == 2 and report.total == len(log.events)
-    assert counts["moves"] >= len(log.events) and counts["scored"] >= len(log.events)
-    moves = [{p: tok.case_id for p, tok in y.items()} for s in samples for _, y, _ in s.moves]
+    assert counts["moves"] >= len(log.events)
+    moves = [
+        {p: (tok.case_id, tok.available_at, tok.attrs.get("value")) for p, tok in y.items()}
+        for s in samples for _, y, _ in s.moves
+    ]
     assert moves == expected
 
 

@@ -11,7 +11,7 @@ from dsync.eventlog import Event, Log, parse_log
 from dsync.extract import annotate_net, discover_run
 from dsync.modelfile import load_model
 from dsync.net import ArrivalSpec, Dist, Marking, Net, Place, Token, Transition
-from dsync.replay import read_off_check, replay, sim_score
+from dsync.replay import _best_move, read_off_check, replay, sim_score
 from dsync.report import build_report
 from dsync.simulate import SimConfig, simulate
 from tests.conftest import model_path
@@ -159,37 +159,35 @@ def test_replay_is_deterministic(priority_net, priority_log):
     assert a_report.stats == b_report.stats
 
 
-def _score(net, binding, event):
-    return sim_score(net, "handling", binding, event)
+def _move(net, event, q1, r1=(Token("w1", {}, 0.0),)):
+    """The tokens the log move of ``event`` takes from q1 and r1 of priority's
+    ``handling``, or None when it has no binding."""
+    y = _best_move(net, Marking({"q1": q1, "r1": r1}), event, event.start, False)
+    return y and (y["q1"], y["r1"])
 
 
 def test_sim_score_case_match_is_mandatory(priority_net):
-    event = Event("3", "handling", 15, 22, None, {"value": 855})
-    job1 = {"q1": Token("1", {"value": 100}, 5.0), "r1": Token("w1", {}, 0.0)}
-    job3 = {"q1": Token("3", {"value": 855}, 15.0), "r1": Token("w1", {}, 0.0)}
-    assert _score(priority_net, job3, event) > _score(priority_net, job1, event)
-    assert _score(priority_net, job1, event)[0] == 0
+    job1, job3 = Token("1", {"value": 100}, 5.0), Token("3", {"value": 855}, 15.0)
+    assert _move(priority_net, Event("3", "handling", 15, 22, None, {"value": 855}),
+                 (job1, job3))[0] is job3
+    assert _move(priority_net, Event("4", "handling", 15, 22), (job1, job3)) is None
 
 
 def test_sim_score_resource_tiebreak(priority_net):
-    event = Event("3", "handling", 15, 22, "w2", {})
-    w1 = {"q1": Token("3", {}, 10.0), "r1": Token("w1", {}, 0.0)}
-    w2 = {"q1": Token("3", {}, 10.0), "r1": Token("w2", {}, 0.0)}
-    assert _score(priority_net, w2, event) > _score(priority_net, w1, event)
-
-
-def test_sim_score_prefers_token_at_or_before_start(priority_net):
-    event = Event("3", "handling", 5, 12, None, {})
-    early = {"q1": Token("3", {}, 4.0), "r1": Token("w1", {}, 0.0)}
-    late = {"q1": Token("3", {}, 6.0), "r1": Token("w1", {}, 0.0)}
-    assert _score(priority_net, early, event) > _score(priority_net, late, event)
+    job, w1, w2 = Token("3", {}, 10.0), Token("w1", {}, 0.0), Token("w2", {}, 0.0)
+    assert _move(priority_net, Event("3", "handling", 15, 22, "w2"), (job,), (w1, w2))[1] is w2
+    # no resource named, or one the pool does not hold: the pool's first token
+    assert _move(priority_net, Event("3", "handling", 15, 22), (job,), (w1, w2))[1] is w1
+    assert _move(priority_net, Event("3", "handling", 15, 22, "w9"), (job,), (w1, w2))[1] is w1
 
 
 def test_sim_score_attribute_distance_breaks_ties(priority_net):
+    # of the case's tokens the newest comes first, then the closest attributes
     event = Event("3", "handling", 5, 12, None, {"value": 850})
-    near = {"q1": Token("3", {"value": 855}, 4.0), "r1": Token("w1", {}, 0.0)}
-    far = {"q1": Token("3", {"value": 100}, 4.0), "r1": Token("w1", {}, 0.0)}
-    assert _score(priority_net, near, event) > _score(priority_net, far, event)
+    near, far = Token("3", {"value": 855}, 4.0), Token("3", {"value": 100}, 4.0)
+    older = Token("3", {"value": 850}, 3.0)
+    assert _move(priority_net, event, (older, far, near))[0] is near
+    assert sim_score(near, event) > max(sim_score(far, event), sim_score(older, event))
 
 
 def test_guard_checked_replay_flags_wrong_guard(blocking_net, blocking_log):
