@@ -13,7 +13,7 @@ import math
 from typing import Any
 
 from .constraints import parse_constraint
-from .errors import ModelError
+from .errors import ConstraintSyntaxError, DsyncError, ModelError
 from .net import (
     DIST_PARAMS,
     DIST_ROLES,
@@ -103,7 +103,10 @@ def net_from_json(doc: dict) -> Net:
     for t in doc.get("transitions", []):
         guard = None
         if t.get("guard"):
-            guard = parse_constraint(t["guard"])
+            try:
+                guard = parse_constraint(t["guard"])
+            except ConstraintSyntaxError as exc:
+                raise ModelError(f"guard of {t['id']!r}: {exc}") from None
         arrival = None
         if t.get("arrival_spec"):
             spec = t["arrival_spec"]
@@ -180,7 +183,8 @@ def net_to_json(net: Net) -> dict:
 
 
 def load_model(path: str) -> Net:
-    """Load and validate a model file; raises ModelError on any violation.
+    """Load and validate a model file; raises ModelError on any violation,
+    naming the file.
 
     Invalid JSON and missing or ill-typed keys are violations too.
     """
@@ -189,6 +193,8 @@ def load_model(path: str) -> Net:
             net = net_from_json(json.load(fh))
         except KeyError as exc:
             raise ModelError(f"model {path!r} is missing key {exc}") from None
+        except DsyncError as exc:
+            raise ModelError(f"model {path!r}: {exc}") from None
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # JSONDecodeError too
             raise ModelError(f"model {path!r} is malformed: {exc}") from None
     problems = validate_net(net)

@@ -7,9 +7,11 @@ counts of "enabled" tokens and times-until-availability observable state.
 
 Nets, markings and tokens are immutable values; ``fire`` returns a new
 marking and never touches its input, from one copy of the place dict. The
-token game reads the stores directly, along per-transition plans (``_Plan``)
-that ``Net`` compiles once. Every case input of a binding takes a token of
-one case; material shared across cases flows through plain places.
+token game reads the stores directly, along per-transition plans
+(``Net.plan``) that ``Net`` compiles once, and the rest of the package reads
+a net's structure only through ``Net.preset``, ``Net.postset`` and
+``Net.plan``. Every case input of a binding takes a token of one case;
+material shared across cases flows through plain places.
 
 A marking stores each place's tokens sorted by availability, then case id,
 ties in insertion order; adding and removing a token bisect on availability
@@ -171,11 +173,6 @@ class Place:
     def attr_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.attributes)
 
-    def project(self, attrs: Mapping[str, AttrValue]) -> dict[str, AttrValue]:
-        """The entries of ``attrs`` that this place declares."""
-        names = self.attr_names()
-        return {k: v for k, v in attrs.items() if k in names}
-
 
 @dataclass(frozen=True)
 class Transition:
@@ -300,9 +297,17 @@ Binding = dict  # place id -> Token chosen from that place
 
 
 class _Plan(NamedTuple):
-    """A transition's preset places (is each plain?), its output places but
-    ``Net.unread`` with their kinds (None when unknown) and attribute names,
-    and its ``Net.flow_depth``."""
+    """A transition's structure as the token game reads it (``Net.plan``): its
+    preset places (is each plain?), its output places but ``Net.unread`` with
+    their kinds (None when unknown) and attribute names, the case and the
+    resource places of its preset, sorted, and its ``depth``.
+
+    ``depth`` is the longest chain of case places feeding the transition (0
+    for sources). It orders simultaneous firings: downstream transitions
+    consume before upstream ones refill, which is also the order the FIFO
+    policy produces (their tokens have been waiting longer). A case-flow cycle
+    is cut where it closes, so each member counts the chain that ends at it.
+    """
 
     inputs: tuple[tuple[str, bool], ...]
     outputs: tuple[tuple[str, Optional[str], Optional[frozenset]], ...]
@@ -332,26 +337,27 @@ class Net:
         self.transitions: dict[str, Transition] = {t.id: t for t in transitions}
         self.flows: tuple[tuple[str, str], ...] = tuple(flows)
         self.initial_marking = initial_marking or Marking()
-        self._preset: dict[str, tuple[str, ...]] = {}
-        self._postset: dict[str, tuple[str, ...]] = {}
+        # node id -> ids of the nodes with a flow into it (out of it), sorted
+        self.preset: dict[str, tuple[str, ...]] = {}
+        self.postset: dict[str, tuple[str, ...]] = {}
         for node in list(self.places) + list(self.transitions):
-            self._preset[node] = tuple(sorted(src for src, tgt in self.flows if tgt == node))
-            self._postset[node] = tuple(sorted(tgt for src, tgt in self.flows if src == node))
+            self.preset[node] = tuple(sorted(src for src, tgt in self.flows if tgt == node))
+            self.postset[node] = tuple(sorted(tgt for src, tgt in self.flows if src == node))
         # plain sinks that no guard reads; ``fire`` stores no tokens there
         read = {p for t in transitions if t.guard is not None for p, _ in t.guard.references()}
         self.unread = frozenset(
             p for p, place in self.places.items()
-            if place.kind == "plain" and not self._postset[p] and p not in read
+            if place.kind == "plain" and not self.postset[p] and p not in read
         )
         kinds = {p: place.kind for p, place in self.places.items()}
         names = {p: frozenset(place.attr_names()) for p, place in self.places.items()}
         self._plans = {
             t: _Plan(
-                tuple((p, kinds.get(p) == "plain") for p in self._preset[t]),
+                tuple((p, kinds.get(p) == "plain") for p in self.preset[t]),
                 tuple((p, kinds.get(p), names.get(p))
-                      for p in self._postset[t] if p not in self.unread),
-                tuple(p for p in self._preset[t] if kinds.get(p) == "case"),
-                tuple(p for p in self._preset[t] if kinds.get(p) == "resource"),
+                      for p in self.postset[t] if p not in self.unread),
+                tuple(p for p in self.preset[t] if kinds.get(p) == "case"),
+                tuple(p for p in self.preset[t] if kinds.get(p) == "resource"),
                 self._depth(t, frozenset(), {})[0],
             )
             for t in self.transitions
@@ -359,36 +365,15 @@ class Net:
 
     # -- structure ---------------------------------------------------------
 
-    def _plan(self, t_id: str) -> "_Plan":
+    def plan(self, t_id: str) -> "_Plan":
+        """The plan of transition ``t_id``, compiled when the net is built."""
         try:
             return self._plans[t_id]
         except KeyError:
             raise ModelError(f"unknown transition {t_id!r}") from None
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self.places or node_id in self.transitions
-
-    def case_inputs(self, t_id: str) -> tuple[str, ...]:
-        """Case places in the preset of transition ``t_id``, sorted."""
-        return self._plan(t_id).case_inputs
-
-    def resource_inputs(self, t_id: str) -> tuple[str, ...]:
-        """Resource places in the preset of transition ``t_id``, sorted."""
-        return self._plan(t_id).resource_inputs
-
-    def flow_depth(self, t_id: str) -> int:
-        """Longest chain of case places feeding ``t_id`` (0 for sources).
-
-        Used to order simultaneous firings: downstream transitions consume
-        before upstream ones refill, which is also the order the FIFO policy
-        produces (their tokens have been waiting longer). A case-flow cycle is
-        cut where it closes, so each member counts the chain that ends at it.
-        Computed for every transition when the net is built.
-        """
-        return self._plan(t_id).depth
-
     def _depth(self, node: str, seen: frozenset, memo: dict[str, int]) -> tuple[int, bool]:
-        """``flow_depth`` walk: (depth, cut short by a cycle). Only uncut depths
+        """``_Plan.depth`` walk: (depth, cut short by a cycle). Only uncut depths
         are memoised, because a cut depth depends on where the walk entered the
         cycle. A method, not a closure, so that a call leaves no reference cycle."""
         if node in memo:
@@ -396,9 +381,9 @@ class Net:
         if node in seen:
             return 0, True
         value, cut = 0, False
-        for p in self._preset.get(node, ()):
+        for p in self.preset.get(node, ()):
             if p in self.places and self.places[p].kind == "case":
-                for t2 in self._preset.get(p, ()):
+                for t2 in self.preset.get(p, ()):
                     d, c = self._depth(t2, seen | {node}, memo)
                     value, cut = max(value, d + 1), cut or c
         if not cut:
@@ -421,20 +406,6 @@ class Net:
 
     def without_guards(self) -> "Net":
         return self.with_guards({t: None for t in self.transitions})
-
-
-def preset(net: Net, node_id: str) -> tuple[str, ...]:
-    """Ids of nodes with a flow into ``node_id``, sorted."""
-    if not net.has_node(node_id):
-        raise ModelError(f"unknown node {node_id!r}")
-    return net._preset[node_id]
-
-
-def postset(net: Net, node_id: str) -> tuple[str, ...]:
-    """Ids of nodes with a flow out of ``node_id``, sorted."""
-    if not net.has_node(node_id):
-        raise ModelError(f"unknown node {node_id!r}")
-    return net._postset[node_id]
 
 
 def _enabled_tokens(m: Marking, place_id: str, now: float) -> tuple[Token, ...]:
@@ -466,7 +437,7 @@ def binding_pools(
 
     None when some pool is empty, i.e. there is no binding.
     """
-    plan = net._plan(t_id)
+    plan = net.plan(t_id)
     pools = []
     for p, plain in plan.inputs:
         toks = m._by_place.get(p, ())
@@ -516,14 +487,14 @@ def enabled_bindings(
     pools = binding_pools(net, m, t_id, now, check_guards, case_id)
     if pools is None:
         return []
-    in_places = net._preset[t_id]
+    in_places = net.preset[t_id]
     return [dict(zip(in_places, combo)) for combo in itertools.product(*pools)]
 
 
 def has_enabled_binding(net: Net, m: Marking, t_id: str, now: float) -> bool:
     """Cheap existence test, guards ignored: every preset place's earliest token is enabled."""
     stores = m._by_place
-    for p, _ in net._plan(t_id).inputs:
+    for p, _ in net.plan(t_id).inputs:
         toks = stores.get(p)
         if not toks or toks[0].available_at > now:
             return False
@@ -550,7 +521,7 @@ def fire(
     token bound from the same place, and the places in ``net.unread`` receive
     nothing.
     """
-    plan = net._plan(t_id)
+    plan = net.plan(t_id)
     stores = dict(m._by_place)
     for p, tok in binding.items():
         stores[p] = _removed(stores.get(p, ()), tok, p)
@@ -610,7 +581,7 @@ def validate_net(net: Net) -> list[str]:
                 out.append(f"place {p.id!r} attribute {name!r} is named after a log column")
 
     for src, tgt in net.flows:
-        if not net.has_node(src) or not net.has_node(tgt):
+        if src not in net.preset or tgt not in net.preset:
             out.append(f"flow ({src!r}, {tgt!r}) references an unknown node")
         elif (src in net.places) == (tgt in net.places):
             out.append(f"flow ({src!r}, {tgt!r}) is not place/transition bipartite")
@@ -618,7 +589,7 @@ def validate_net(net: Net) -> list[str]:
     for t in net.transitions.values():
         out += [f"transition {t.id!r}: {prob}" for prob in t.delay.problems("delay")]
         if t.arrival_spec is not None:
-            if preset(net, t.id):
+            if net.preset[t.id]:
                 out.append(f"source transition {t.id!r} has a nonempty preset")
             if not t.is_task and t.guard is not None:
                 out.append(f"non-task source {t.id!r} cannot carry a guard")
@@ -630,17 +601,17 @@ def validate_net(net: Net) -> list[str]:
                 probs += gen.problems("attribute generator") or [  # then the places' types
                     f"{gen.kind} attribute generator yields {'/'.join(sorted(yields))} values "
                     f"but place {p!r} declares {typ}"
-                    for p in postset(net, t.id) if p in net.places
+                    for p in net.postset[t.id] if p in net.places
                     for attr, typ in net.places[p].attributes if attr == name and yields != {typ}
                 ]
                 out += [f"transition {t.id!r} attribute {name!r}: {prob}" for prob in probs]
             cap = t.arrival_spec.max_count
             if cap is not None and cap < 1:
                 out.append(f"source {t.id!r} max_count must be >= 1, got {cap}")
-            for p in postset(net, t.id):
+            for p in net.postset[t.id]:
                 if p in net.places and net.places[p].kind == "resource":
                     out.append(f"source {t.id!r} cannot feed resource place {p!r}")
-        elif not preset(net, t.id):
+        elif not net.preset[t.id]:
             out.append(f"transition {t.id!r} has an empty preset and no arrival_spec")
         if t.guard is not None:
             for place_id, attr in t.guard.references():

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from .constraints import RATIO_EPSILON, FeatureRef, eval_feature
 from .errors import ModelError
 from .eventlog import fmt_cell, fmt_num
-from .net import Marking, Net, has_enabled_binding, postset, preset
+from .net import Marking, Net, has_enabled_binding
 from .replay import StateSample
 
 
@@ -67,15 +67,14 @@ def detect_constructs(net: Net) -> list[PatternCandidate]:
     """
     found: set[PatternCandidate] = set()
     for t_g in net.transitions:
-        ins = preset(net, t_g)
-        outs = postset(net, t_g)
+        ins, outs = net.preset[t_g], net.postset[t_g]
 
         # priority: p_i feeds t_g, p_j feeds a producer t' of p_i
         for p_i in _case_places(net, ins):
-            for t2 in preset(net, p_i):
+            for t2 in net.preset[p_i]:
                 if t2 == t_g:
                     continue
-                for p_j in _case_places(net, preset(net, t2)):
+                for p_j in _case_places(net, net.preset[t2]):
                     if p_j == p_i:
                         continue
                     shared = dict(net.places[p_i].attributes).items() & dict(
@@ -103,10 +102,10 @@ def detect_constructs(net: Net) -> list[PatternCandidate]:
 
         # choice: t_g shares input p_j with t', whose other input p_i avoids t_g
         for p_j in _non_resource(net, ins):
-            for t2 in postset(net, p_j):
+            for t2 in net.postset[p_j]:
                 if t2 == t_g:
                     continue
-                for p_i in _non_resource(net, preset(net, t2)):
+                for p_i in _non_resource(net, net.preset[t2]):
                     if p_i == p_j or p_i in ins:
                         continue
                     found.add(

@@ -14,7 +14,7 @@ observed in the state that remained after everything else happened.
 
 The moves of one start time are applied by one depth-first walk over their
 orders (``_walk``), in both modes. It tries downstream moves first (larger
-``Net.flow_depth``, ties in log order) and, after each applied move, the
+``Net.plan`` depth, ties in log order) and, after each applied move, the
 remaining ones cyclically from the one after it, until none applies; so a
 move whose input a same-instant producer supplies still matches. Guard
 checks are off by default: the discovery input is the unguarded process
@@ -43,7 +43,7 @@ from typing import Mapping, NamedTuple, Optional
 from .acyclic import acyclic
 from .errors import ReplayError
 from .eventlog import Event, Log
-from .net import Binding, Marking, Net, Token, binding_pools, fire, postset, preset
+from .net import Binding, Marking, Net, Token, binding_pools, fire
 from .net import enabled_bindings  # noqa: F401  unused; bench/tracer.py wraps this name
 
 # guard-checked timestamp groups larger than this are not searched beyond the
@@ -135,7 +135,7 @@ def _best_move(
     pools = binding_pools(net, marking, e.label, tau, check_guards, e.case_id)
     if pools is None:
         return None
-    plan = net._plan(e.label)
+    plan = net.plan(e.label)
     binding = {}
     for (p, _), pool in zip(plan.inputs, pools):
         tok = pool[0]
@@ -223,7 +223,7 @@ def replay(
         if label not in net.transitions or not net.transitions[label].is_task:
             raise ReplayError(f"log label {label!r} is not a task transition of the net")
     for label in sorted({e.label for e in log.events if not e.case_id}):
-        if net.case_inputs(label):
+        if net.plan(label).case_inputs:
             raise ReplayError(f"an event of {label!r} has an empty case id but takes a case token")
     for col, typ in log.schema:
         for p, place in sorted(net.places.items()):
@@ -258,12 +258,12 @@ def replay(
         # sort is stable, so ties keep log order
         ordered = group
         if len(group) > 1:
-            ordered = sorted(group, key=lambda e: -net.flow_depth(e.label))
+            ordered = sorted(group, key=lambda e: -net.plan(e.label).depth)
         marking, moves, pending = _walk(net, before, ordered, tau, check_guards)
 
         for e, binding, _ in moves:
             report.matched += 1
-            case_inputs = net.case_inputs(e.label)
+            case_inputs = net.plan(e.label).case_inputs
             if case_inputs:
                 gap_sum += abs(binding[case_inputs[0]].available_at - e.start)
                 gap_n += 1
@@ -275,14 +275,15 @@ def replay(
             ):
                 reason = "guard not satisfied"
             report.unmatched.append((e, reason))
-            for p in net.case_inputs(e.label):
+            plan = net.plan(e.label)
+            for p in plan.case_inputs:
                 own = [tok for tok in marking.tokens(p) if tok.case_id == e.case_id]
                 if own:
                     marking = marking.with_removed(p, own[0])
-            for p in postset(net, e.label):
-                if net.places[p].kind == "case":
-                    token = Token(e.case_id, net.places[p].project(e.attrs), e.complete)
-                    marking = marking.with_added(p, token)
+            for p, kind, names in plan.outputs:
+                if kind == "case":
+                    attrs = {k: v for k, v in e.attrs.items() if k in names}
+                    marking = marking.with_added(p, Token(e.case_id, attrs, e.complete))
 
         fired = frozenset([e.label for e in group])
         samples.append(StateSample(tau, before, marking, fired, tuple(moves), bool(pending)))
@@ -349,11 +350,11 @@ def _arrival_plan(log: Log, net: Net) -> list[tuple[float, str, str, Mapping, fl
     plan: list[tuple[float, str, str, Mapping, float]] = []
     claimed: set[str] = set()
     for src in sorted(t.id for t in net.transitions.values() if t.arrival_spec and not t.is_task):
-        outs = {p for p in postset(net, src) if net.places[p].kind == "case"}
+        outs = {p for p, kind, _ in net.plan(src).outputs if kind == "case"}
         cases = sorted(
             (e.start, case_id, e)
             for case_id, e in first_events.items()
-            if case_id not in claimed and outs.intersection(preset(net, e.label))
+            if case_id not in claimed and outs.intersection(net.preset[e.label])
         )
         for i, (avail, case_id, e) in enumerate(cases):
             claimed.add(case_id)

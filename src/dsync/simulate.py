@@ -62,7 +62,7 @@ from .constraints import OPS, Atom
 from .errors import SimulationError
 from .eventlog import Event, Log, sort_events
 from .net import Binding, Marking, Net, Transition, binding_pools, enabled_bindings, fire
-from .net import _avail, attr_type, preset, validate_net
+from .net import _avail, attr_type, validate_net
 
 # firings, arrivals included, allowed at one clock value; more means a
 # zero-delay cycle or interarrival that would keep the clock from advancing
@@ -119,7 +119,7 @@ Candidate = tuple[tuple, str, Binding]  # (FIFO key, transition id, binding)
 def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Candidate]:
     """The guard-satisfying binding of ``t_id`` that fires first, as the
     candidate ``(key, t_id, binding)``. The key, read off the chosen tokens,
-    is (newest token's availability or ``clock``, ``-flow_depth``, case id,
+    is (newest token's availability or ``clock``, ``-plan.depth``, case id,
     ``t_id``): among simultaneous candidates the smallest fires first.
 
     The binding is picked from ``binding_pools`` without enumerating their
@@ -138,7 +138,7 @@ def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Candid
     pools = binding_pools(net, m, t_id, clock, check_guards=True)
     if pools is None:
         return None
-    in_places, plan = net._preset[t_id], net._plan(t_id)
+    in_places, plan = net.preset[t_id], net.plan(t_id)
     chosen = [pool[0] for pool in pools]
     if not plan.case_inputs:
         newest = max(map(_avail, chosen), default=clock)
@@ -208,7 +208,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
         guarded = {p for atom in atoms for p, _ in atom.feature.references()}
         for p in guarded:
             guard_readers.setdefault(p, set()).add(tid)
-        for p in {*preset(net, tid), *guarded}:
+        for p in {*net.preset[tid], *guarded}:
             readers.setdefault(p, set()).add(tid)
     # the live candidate of each transition, kept until it is dirty; every one
     # reads its nonempty preset or, for a source, itself, so every one starts dirty
@@ -224,7 +224,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
         nonlocal marking
         _finite_time(now + delay, tid, "completion")
         marking = fire(net, marking, tid, y, now, delay, case)
-        outs = net._postset[tid]
+        outs = net.postset[tid]
         for node in (tid, *y):
             dirty.update(readers.get(node, ()))
         watch = guard_readers if stop and now + delay > now else readers
@@ -242,7 +242,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
         if not src.t.is_task:
             return ((-math.inf, 0, "", tid), tid, {})
         if enabled_bindings(net, marking, tid, clock, check_guards=True):
-            return ((src.next_time, -net.flow_depth(tid), "", tid), tid, {})
+            return ((src.next_time, -net.plan(tid).depth, "", tid), tid, {})
         return None
 
     while True:
@@ -275,7 +275,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
             src = sources.get(tid)
             arriving = False
             if src is None:
-                plan = net._plan(tid)
+                plan = net.plan(tid)
                 case_tok = y[plan.case_inputs[0]] if plan.case_inputs else None
                 resource = y[plan.resource_inputs[0]].case_id if plan.resource_inputs else None
                 delay = t.delay.sample(delay_rngs[tid])

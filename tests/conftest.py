@@ -24,9 +24,9 @@ def fifo_key(net: Net, t_id: str, binding: dict, clock: float) -> tuple:
     goes first, then the downstream transition, then the smaller case id,
     then the transition id."""
     newest = max((tok.available_at for tok in binding.values()), default=clock)
-    case_inputs = net.case_inputs(t_id)
-    case_id = binding[case_inputs[0]].case_id if case_inputs else ""
-    return (newest, -net.flow_depth(t_id), case_id, t_id)
+    plan = net.plan(t_id)
+    case_id = binding[plan.case_inputs[0]].case_id if plan.case_inputs else ""
+    return (newest, -plan.depth, case_id, t_id)
 
 
 @pytest.fixture(scope="session")

@@ -152,6 +152,19 @@ def test_report_renders_markdown(sim_log, tmp_path, capsys):
     assert "nrtokens(q1) < 5" in out and "nrtokens(q1) <= 4.5" in out
 
 
+def test_report_out_writes_the_missed_row(tmp_path, capsys):
+    log, report, md = tmp_path / "log.csv", tmp_path / "r.json", tmp_path / "r.md"
+    assert main(["simulate", "--model", model_path("blocking"), "--seed", "1",
+                 "--max-cases", "60", "--out", str(log)]) == 0
+    # no candidate has that many samples, so nothing is discovered
+    assert main(["discover", "--model", model_path("blocking"), "--log", str(log),
+                 "--tau-s", "100000", "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--report", str(report), "--out", str(md)]) == 0
+    assert capsys.readouterr().out == ""
+    assert "| (missed) | pre-processing | nrtokens(q1) < 5 | (none) |" in md.read_text()
+
+
 def test_config_file_supplies_defaults(sim_log, tmp_path, capsys):
     cfg = tmp_path / "dsync.conf"
     cfg.write_text("tau_s = 10\ntau_g = 0.1\nmax_depth = 5\n")
@@ -204,6 +217,36 @@ def test_config_not_utf8_exits_3(tmp_path, capsys):
                  "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert f"config {str(cfg)!r} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_config_line_without_equals_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "dsync.conf"
+    cfg.write_text("seed 1\n")
+    code = main(["--config", str(cfg), "simulate", "--model", model_path("blocking"),
+                 "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "config line 'seed 1' is not key = value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("discover", "--tau-s", "0", "tau_s must be >= 1"),
+        ("discover", "--tau-g", "0.7", "tau_g must be within [0, 0.5]"),
+        ("discover", "--max-depth", "0", "max_depth must be >= 1"),
+        ("discover", "--min-samples-leaf", "0", "min_samples_leaf must be >= 1"),
+        ("simulate", "--max-cases", "-1", "max_cases must not be negative"),
+    ],
+    ids=["tau-s", "tau-g", "max-depth", "min-samples-leaf", "max-cases"],
+)
+def test_setting_out_of_range_exits_3(sim_log, tmp_path, capsys, command, flag, value, message):
+    if command == "simulate":
+        args = ["--out", str(tmp_path / "x.csv")]
+    else:
+        args = ["--log", str(sim_log)]
+    code = main([command, "--model", model_path("blocking"), *args, flag, value])
+    assert code == 3
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["tau-s", "bogus"])
@@ -324,6 +367,48 @@ def test_bad_delay_exits_3(tmp_path, capsys, delay, message):
                  "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, path, value, message",
+    [
+        # errors while the model is read
+        ("blocking", ("transitions", 1, "guard"), "ratio(nrtokens(q1), nrtokens(arrival)) < 5",
+         "guard of 'pre-processing': ratio composes exactly two attrval features"),
+        ("blocking", ("format",), "dsync-net/2", "unsupported model format 'dsync-net/2'"),
+        ("priority", ("places", 0, "id"), 7, "place id should be str, found 7"),
+        ("priority", ("transitions", 1, "delay"), {"kind": "gamma"},
+         "pre-processing delay: unknown delay kind 'gamma'"),
+        # violations ``validate_net`` finds
+        ("blocking", ("transitions", 1, "guard"), "nrtokens(q9) < 5",
+         "guard of 'pre-processing' references unknown place 'q9'"),
+        ("priority", ("transitions", 2, "guard"), "attrval(q1, size, max) < 5",
+         "guard of 'handling' references undeclared attribute 'size' of place 'q1'"),
+        ("priority", ("places", 0, "kind"), "queue", "place 'arrival' has unknown kind 'queue'"),
+        ("priority", ("places", 0, "attributes"), [["value", "float"]],
+         "place 'arrival' attribute 'value' has unknown type 'float'"),
+        ("priority", ("initial_marking", "ghost"), [{"case_id": "g1"}],
+         "initial marking references unknown place 'ghost'"),
+        ("priority", ("initial_marking", "r0", 0, "attrs"), {"load": 1},
+         "initial token in 'r0': token in resource place carries attributes"),
+        ("priority", ("transitions", 1, "delay"), -1,
+         "transition 'pre-processing': constant delay is negative"),
+        ("priority", _SOURCE[:2] + ("guard",), "nrtokens(q1) < 5",
+         "non-task source 'job_arrival' cannot carry a guard"),
+    ],
+    ids=["guard-syntax", "format", "place-id", "delay-kind", "guard-place", "guard-attribute",
+         "place-kind", "attribute-type", "marking-place", "resource-token-attribute",
+         "negative-delay", "non-task-source-guard"],
+)
+def test_bad_model_exits_3_naming_the_file(tmp_path, capsys, model, path, value, message):
+    doc = _doc_with(path, value, model)
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    code = main(["simulate", "--model", str(tmp_path / "model.json"),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"error: model {str(tmp_path / 'model.json')!r}" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -542,6 +627,15 @@ def test_log_with_a_duplicate_column_exits_3(tmp_path, capsys, command):
     code = main([command, "--model", model_path("priority"), "--log", str(log)])
     assert code == 3
     assert "column 'value' appears more than once in the header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["discover", "check"])
+def test_empty_log_exits_3(tmp_path, capsys, command):
+    log = tmp_path / "log.csv"
+    log.write_text("")
+    code = main([command, "--model", model_path("blocking"), "--log", str(log)])
+    assert code == 3
+    assert "log has no header row" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("column", ["case", "activity", "start", "complete", "resource"])

@@ -31,8 +31,6 @@ from dsync.net import (
     enabled_bindings,
     fire,
     has_enabled_binding,
-    postset,
-    preset,
     validate_net,
 )
 from dsync.replay import _best_move, replay
@@ -74,17 +72,12 @@ def fig1_marking() -> Marking:
 
 def test_preset_of_handling():
     net = fig1_net()
-    assert preset(net, "handling") == ("q1", "r1")
+    assert net.preset["handling"] == ("q1", "r1")
 
 
 def test_preset_empty_for_node_without_inflows():
     net = fig1_net()
-    assert preset(net, "arrival") == ()
-
-
-def test_preset_unknown_node():
-    with pytest.raises(ModelError):
-        preset(fig1_net(), "nope")
+    assert net.preset["arrival"] == ()
 
 
 def test_enabled_bindings_pairs_worker_with_each_job():
@@ -349,7 +342,7 @@ def test_delay_sampling_is_deterministic_per_stream():
 
 def test_flow_depth_orders_downstream_deeper():
     net = fig1_net()
-    assert net.flow_depth("handling") > net.flow_depth("pre-processing")
+    assert net.plan("handling").depth > net.plan("pre-processing").depth
 
 
 def case_cycle_net() -> Net:
@@ -363,8 +356,8 @@ def case_cycle_net() -> Net:
 
 def test_flow_depth_on_case_cycle_ignores_query_order():
     forward, backward = case_cycle_net(), case_cycle_net()
-    asked_t1_first = {t: forward.flow_depth(t) for t in ("t1", "t2")}
-    asked_t2_first = {t: backward.flow_depth(t) for t in ("t2", "t1")}
+    asked_t1_first = {t: forward.plan(t).depth for t in ("t1", "t2")}
+    asked_t2_first = {t: backward.plan(t).depth for t in ("t2", "t1")}
     assert asked_t1_first == asked_t2_first == {"t1": 2, "t2": 2}
 
 
@@ -372,7 +365,7 @@ def test_flow_depth_of_an_unknown_transition_raises():
     net = fig1_net()
     for node in ("ghost", "q1"):  # no node, a place
         with pytest.raises(ModelError, match=f"unknown transition '{node}'"):
-            net.flow_depth(node)
+            net.plan(node)
 
 
 # the inputs of the reference-cycle check: every bundled model, and supply
@@ -484,7 +477,7 @@ def test_no_collection_starts_inside_a_replay(blocking_net):
 def test_preset_of_bundled_multi_pattern_model(supplychain_net):
     flows = supplychain_net.flows
     expected = tuple(sorted(src for src, tgt in flows if tgt == "production_game"))
-    assert preset(supplychain_net, "production_game") == expected
+    assert supplychain_net.preset["production_game"] == expected
     assert expected == ("chips", "stock_gc")
 
 
@@ -639,7 +632,7 @@ def _random_marking(net: Net, rng) -> Marking:
 
 def _full_product(net: Net, m: Marking, t_id: str, now: float, check_guards: bool):
     """Every enabled binding, guards checked binding by binding."""
-    places = preset(net, t_id)
+    places = net.preset[t_id]
     pools = [
         sorted(
             (tok for tok in m.tokens(p) if tok.available_at <= now),
@@ -668,7 +661,7 @@ def _fifo_candidate(net: Net, bindings, t_id: str, now: float):
 def _one_case(net: Net, t_id: str, bindings, case_id=None):
     """The bindings whose case inputs all hold a token of one case (of
     ``case_id`` when given)."""
-    case_inputs = net.case_inputs(t_id)
+    case_inputs = net.plan(t_id).case_inputs
     kept = []
     for y in bindings:
         cases = {y[p].case_id for p in case_inputs}
@@ -700,8 +693,8 @@ def _whole_binding_score(net: Net, t_id: str, y, e: Event) -> tuple:
     resource and one case input this is the replay's former binding score
     less its mandatory case match, which ``_one_case`` applies."""
     score = [int(bool(e.resource) and y[p].case_id == e.resource)
-             for p in net.resource_inputs(t_id)]
-    for p in net.case_inputs(t_id):
+             for p in net.plan(t_id).resource_inputs]
+    for p in net.plan(t_id).case_inputs:
         tok = y[p]
         closeness = -abs(tok.available_at - e.start)
         score += [tok.available_at <= e.start, closeness, -_attr_dist(tok, e)]
@@ -1011,12 +1004,13 @@ def _fire_by_token(net: Net, m: Marking, t_id: str, binding, now, delay, produce
     for p, tok in sorted(binding.items()):
         m = m.with_removed(p, tok)
     case_id, attrs = produced_case or (binding["a"].case_id, binding["a"].attrs)
-    for p in postset(net, t_id):
+    for p in net.postset[t_id]:
         place = net.places[p]
         if p in net.unread:
             continue
         if place.kind == "case":
-            tok = Token(case_id, place.project(attrs), now + delay)
+            tok = Token(case_id, {k: v for k, v in attrs.items() if k in place.attr_names()},
+                        now + delay)
         elif place.kind == "resource":
             tok = Token(binding[p].case_id, binding[p].attrs, now + delay)
         else:
@@ -1032,11 +1026,11 @@ def test_fire_matches_removing_and_adding_token_by_token():
     fired = 0
     for _ in range(300):
         m = _random_marking(net, rng)
-        if any(not m.tokens(p) for p in preset(net, "t")):
+        if any(not m.tokens(p) for p in net.preset["t"]):
             continue
         m.extremum("a", "value", "max")  # the input carries a memo
         before = {p: m.tokens(p) for p in net.places}
-        binding = {p: rng.choice(m.tokens(p)) for p in preset(net, "t")}
+        binding = {p: rng.choice(m.tokens(p)) for p in net.preset["t"]}
         now, delay = float(rng.choice((0, 1, 2))), float(rng.choice((0, 0.5, 1)))
         produced = rng.choice((None, ("c7", {"value": 5.0, "n": 1.0, "extra": True})))
         out = fire(net, m, "t", binding, now, delay, produced)

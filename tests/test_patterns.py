@@ -73,6 +73,29 @@ def test_no_candidates_without_places():
     assert detect_constructs(net) == []
 
 
+def test_priority_skips_the_guarded_transition_the_queue_and_text_attributes():
+    # tg loops on q and also takes side; prod consumes from q and refills it;
+    # up and q share a text attribute
+    net = Net(
+        places=[
+            Place("up", "case", (("tag", "text"), ("value", "number"))),
+            Place("q", "case", (("tag", "text"), ("value", "number"))),
+            Place("side", "case", (("value", "number"),)),
+            Place("done", "case"),
+        ],
+        transitions=[Transition("prod"), Transition("tg")],
+        flows=[("up", "prod"), ("q", "prod"), ("prod", "q"),
+               ("q", "tg"), ("side", "tg"), ("tg", "q"), ("tg", "done")],
+    )
+    priority = by_kind(detect_constructs(net), PatternKind.PRIORITY)
+    assert priority == [
+        PatternCandidate(PatternKind.PRIORITY, "prod", (("queue", "q"), ("upstream", "side")),
+                         "value"),
+        PatternCandidate(PatternKind.PRIORITY, "tg", (("queue", "q"), ("upstream", "up")),
+                         "value"),
+    ]
+
+
 def test_detection_monotone_under_extension(priority_net):
     base = set(detect_constructs(priority_net))
     extended = Net(
