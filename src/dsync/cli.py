@@ -42,11 +42,12 @@ SETTINGS = {
 
 
 def read_config(path: Optional[str]) -> dict[str, str]:
-    """Key=value config file over the ``SETTINGS`` keys; '#' starts a comment."""
+    """Key=value config file over the ``SETTINGS`` keys; '#' starts a comment.
+    The file is UTF-8 and may start with a byte-order mark."""
     if not path:
         return {}
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
@@ -135,7 +136,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
+    with open(args.report, "r", encoding="utf-8-sig") as fh:
         try:
             text = render_markdown(json.load(fh))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too

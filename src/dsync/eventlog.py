@@ -1,11 +1,16 @@
 """Event-log data model and CSV ingestion/serialization.
 
-Logs are plain CSV (comma separated, UTF-8, ``.`` decimal separator) with
-mandatory columns ``case, activity, start, complete``, an optional
-``resource`` column, and any further columns treated as typed event
-attributes; no column name appears twice. Timestamps are numeric time units;
+Logs are plain CSV (comma separated, UTF-8, ``.`` decimal separator; a
+leading byte-order mark is dropped) with mandatory columns ``case, activity,
+start, complete``, an optional ``resource`` column, and any further columns
+treated as typed event attributes; no column name appears twice. Timestamps are numeric time units;
 ISO-8601 timestamps are also accepted on input and converted to fractional
 minutes from the epoch.
+
+An event is an immutable value, its attribute map included: the library
+shares equal maps between events and tokens (``parse_log``, ``net.fire``,
+``simulate``), every event it builds without attributes holds
+``EMPTY_ATTRS``, and no code may mutate an attribute map.
 """
 from __future__ import annotations
 
@@ -27,14 +32,27 @@ MANDATORY = ("case", "activity", "start", "complete")
 # the columns that are no event attribute
 COLUMNS = (*MANDATORY, "resource")
 
+# the attribute map of every event and token without attributes; read-only,
+# so that it can be shared
+EMPTY_ATTRS: Mapping[str, AttrValue] = MappingProxyType({})
+
 
 class Event(NamedTuple):
+    """One log event, an immutable named tuple.
+
+    ``attrs`` is part of the value: it may be shared with other events and
+    with tokens, so no code mutates it.
+    """
+
     case_id: str
     label: str
     start: float
     complete: float
     resource: Optional[str] = None
-    attrs: Mapping[str, AttrValue] = MappingProxyType({})  # immutable, so it can be shared
+    attrs: Mapping[str, AttrValue] = EMPTY_ATTRS
+
+    def __reduce__(self):  # a read-only map does not pickle; its copy does
+        return Event, (*self[:5], dict(self.attrs))
 
 
 @dataclass
@@ -75,9 +93,17 @@ def parse_log(text: str) -> Log:
     Extra columns become attributes typed per column over the whole file:
     numeric if every non-empty value parses as a number, boolean if every
     value is true/false, text otherwise. A row may end in empty cells beyond
-    the header, but a non-empty one raises ``LogError``. Runs with the cyclic
-    garbage collector paused (``acyclic``).
+    the header, but a non-empty one raises ``LogError``. One leading
+    byte-order mark (U+FEFF) is dropped. Runs with the cyclic garbage
+    collector paused (``acyclic``).
+
+    Equal values are stored once: all events share one ``str`` per distinct
+    case id, label and resource, rows whose attribute cells are identical
+    share one attribute dict, and rows with no attribute value hold
+    ``EMPTY_ATTRS``.
     """
+    if text.startswith("\ufeff"):
+        text = text[1:]
     reader = csv.reader(io.StringIO(text))
     # each record with a non-empty cell, after the number of the line it ends on
     rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
@@ -106,6 +132,10 @@ def parse_log(text: str) -> Log:
     i_case, i_label, i_start, i_complete = (idx[col] for col in MANDATORY)
     i_resource = idx.get("resource")
     typed = [(col, idx[col], col_types[col]) for col in attr_cols]
+    # one object per distinct string, and per distinct tuple of stripped
+    # attribute cells (raw text, so that ``-0`` and ``0`` stay apart)
+    strs: dict[str, str] = {}
+    maps: dict[tuple[str, ...], Mapping[str, AttrValue]] = {(("",) * len(typed)): EMPTY_ATTRS}
     events: list[Event] = []
     for (row_num, _), row in zip(rows[1:], body):
         if len(row) > width and any(map(str.strip, row[width:])):
@@ -113,20 +143,26 @@ def parse_log(text: str) -> Log:
         label = row[i_label].strip()
         if not label:
             raise LogError(f"row {row_num}: empty activity label")
+        label = strs.setdefault(label, label)
         start = _parse_time(row[i_start].strip(), row_num, "start")
         complete = _parse_time(row[i_complete].strip(), row_num, "complete")
         if start > complete:
             raise LogError(f"row {row_num}: start {start:g} is after complete {complete:g}")
-        resource = row[i_resource].strip() or None if has_resource else None
-        attrs: dict[str, AttrValue] = {}
-        for col, i, typ in typed:
-            raw = row[i].strip()
-            if raw == "":
-                continue
-            attrs[col] = value = _coerce(raw, typ)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise LogError(f"row {row_num}: {col} value {raw!r} is not finite")
-        events.append(Event(row[i_case].strip(), label, start, complete, resource, attrs))
+        resource = row[i_resource].strip() if has_resource else ""
+        resource = strs.setdefault(resource, resource) if resource else None
+        cells = tuple(row[i].strip() for _, i, _ in typed)
+        attrs = maps.get(cells)
+        if attrs is None:
+            attrs = maps[cells] = {}
+            for (col, _, typ), raw in zip(typed, cells):
+                if raw == "":
+                    continue
+                attrs[col] = value = _coerce(raw, typ)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise LogError(f"row {row_num}: {col} value {raw!r} is not finite")
+        case_id = row[i_case].strip()
+        events.append(Event(strs.setdefault(case_id, case_id), label, start, complete,
+                            resource, attrs))
 
     schema = tuple((col, col_types[col]) for col in attr_cols)
     return Log(sort_events(events), schema, has_resource)
@@ -190,6 +226,7 @@ def write_log(log: Log) -> str:
 
 
 def load_log(path: str) -> Log:
+    """``parse_log`` of a UTF-8 file, which may start with a byte-order mark."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse_log(fh.read())

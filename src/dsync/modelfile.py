@@ -14,6 +14,7 @@ from typing import Any
 
 from .constraints import parse_constraint
 from .errors import ConstraintSyntaxError, DsyncError, ModelError
+from .eventlog import EMPTY_ATTRS
 from .net import (
     DIST_PARAMS,
     DIST_ROLES,
@@ -83,7 +84,7 @@ def _dist_to_json(dist: Dist) -> dict:
 def _token_from_json(tok: dict, what: str) -> Token:
     return Token(
         tok.get("case_id"),
-        {k: _finite(v, f"{what} {k}") for k, v in tok.get("attrs", {}).items()},
+        {k: _finite(v, f"{what} {k}") for k, v in tok.get("attrs", {}).items()} or EMPTY_ATTRS,
         _number(tok.get("available_at", 0.0), f"{what} available_at"),
     )
 
@@ -186,9 +187,10 @@ def load_model(path: str) -> Net:
     """Load and validate a model file; raises ModelError on any violation,
     naming the file.
 
-    Invalid JSON and missing or ill-typed keys are violations too.
+    Invalid JSON and missing or ill-typed keys are violations too. The file
+    is UTF-8 and may start with a byte-order mark.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             net = net_from_json(json.load(fh))
         except KeyError as exc:

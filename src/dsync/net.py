@@ -6,8 +6,11 @@ transition once its availability time has been reached, which is what makes
 counts of "enabled" tokens and times-until-availability observable state.
 
 Nets, markings and tokens are immutable values; ``fire`` returns a new
-marking and never touches its input, from one copy of the place dict. The
-token game reads the stores directly, along per-transition plans
+marking and never touches its input, from one copy of the place dict. A
+token's attribute map is part of its value: tokens share equal maps with
+each other and with events (``fire``), every token the library builds
+without attributes holds ``eventlog.EMPTY_ATTRS``, and no code may mutate
+one. The token game reads the stores directly, along per-transition plans
 (``Net.plan``) that ``Net`` compiles once, and the rest of the package reads
 a net's structure only through ``Net.preset``, ``Net.postset`` and
 ``Net.plan``. Every case input of a binding takes a token of one case;
@@ -37,7 +40,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .constraints import IDENT, ConstraintExpr
 from .errors import ModelError
-from .eventlog import COLUMNS
+from .eventlog import COLUMNS, EMPTY_ATTRS
 
 AttrValue = object  # number | bool | str
 
@@ -49,12 +52,16 @@ class Token(NamedTuple):
     """One timestamped, attribute-carrying token, an immutable named tuple.
 
     ``case_id`` is the case identifier in a case place, the resource
-    identifier in a resource place, and ``None`` in plain places.
+    identifier in a resource place, and ``None`` in plain places. ``attrs``
+    may be shared with other tokens and with events, so no code mutates it.
     """
 
     case_id: Optional[str]
     attrs: Mapping[str, AttrValue]
     available_at: float
+
+    def __reduce__(self):  # a read-only map does not pickle; its copy does
+        return Token, (self.case_id, dict(self.attrs), self.available_at)
 
 
 # each distribution kind's parameters, as Dist fields and as model-file keys
@@ -408,6 +415,15 @@ class Net:
         return self.with_guards({t: None for t in self.transitions})
 
 
+def projected(attrs: Mapping[str, AttrValue], names: frozenset) -> Mapping[str, AttrValue]:
+    """The part of a case's ``attrs`` that a place declaring ``names`` holds:
+    ``attrs`` itself when the place declares all of them, ``EMPTY_ATTRS``
+    when it declares none, else a filtered copy."""
+    if attrs and not attrs.keys() <= names:
+        attrs = {k: v for k, v in attrs.items() if k in names}
+    return attrs or EMPTY_ATTRS
+
+
 def _enabled_tokens(m: Marking, place_id: str, now: float) -> tuple[Token, ...]:
     toks = m._by_place.get(place_id, ())
     return toks[: bisect_right(toks, now, key=_avail)]
@@ -520,6 +536,11 @@ def fire(
     the event data is authoritative). Resource output places receive back the
     token bound from the same place, and the places in ``net.unread`` receive
     nothing.
+
+    A case token shares the case's attribute map when its place declares
+    every name in it (``projected``), a resource token shares the bound
+    token's map, and plain tokens, like every token without attributes, hold
+    ``EMPTY_ATTRS``.
     """
     plan = net.plan(t_id)
     stores = dict(m._by_place)
@@ -530,7 +551,7 @@ def fire(
         raise ModelError(f"transition {t_id!r} produced a negative delay {delay}")
     out_time = now + delay
 
-    case_id, case_attrs = produced_case or (None, {})
+    case_id, case_attrs = produced_case or (None, EMPTY_ATTRS)
     if produced_case is None:  # the first case input's token
         for p in plan.case_inputs:
             if p in binding:
@@ -544,7 +565,7 @@ def fire(
                     f"transition {t_id!r} outputs to case place {p!r} but no case token "
                     "was consumed or supplied"
                 )
-            tok = Token(case_id, {k: v for k, v in case_attrs.items() if k in names}, out_time)
+            tok = Token(case_id, projected(case_attrs, names), out_time)
         elif kind == "resource":
             if p not in binding:
                 raise ModelError(
@@ -553,7 +574,7 @@ def fire(
                 )
             tok = Token(binding[p].case_id, binding[p].attrs, out_time)
         elif kind == "plain":
-            tok = Token(None, {}, out_time)
+            tok = Token(None, EMPTY_ATTRS, out_time)
         else:
             raise ModelError(f"unknown place {p!r}")
         stores[p] = _inserted(stores.get(p, ()), tok)

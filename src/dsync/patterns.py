@@ -230,7 +230,9 @@ def build_pt_log(
     whether the transition fired.
 
     A ratio whose two parts come before it among the candidate's features is
-    computed from their values, by ``eval_feature``'s own expression.
+    computed from their values, by ``eval_feature``'s own expression. Rows
+    with equal feature values share one ``values`` tuple; equality merges
+    only ``-0.0`` with ``0.0``, which every output prints as ``0``.
     """
     feats = tuple(features_for(c))
     for f in feats:
@@ -246,6 +248,7 @@ def build_pt_log(
         for i, f in enumerate(feats)
     ]
     rows: list[PTRow] = []
+    shared: dict[tuple, tuple] = {}  # one tuple per distinct row of values
     for now, marking, fired in observations:
         values = []
         for f, parts in plan:
@@ -253,5 +256,6 @@ def build_pt_log(
                 values.append(eval_feature(f, marking, now))
             else:
                 values.append(values[parts[0]] / max(values[parts[1]], RATIO_EPSILON))
-        rows.append(PTRow(now, tuple(values), fired))
+        key = tuple(values)
+        rows.append(PTRow(now, shared.setdefault(key, key), fired))
     return PatternTransitionLog(c, feats, rows)

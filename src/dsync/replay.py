@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .acyclic import acyclic
 from .errors import ReplayError
 from .eventlog import Event, Log
-from .net import Binding, Marking, Net, Token, binding_pools, fire
+from .net import Binding, Marking, Net, Token, binding_pools, fire, projected
 from .net import enabled_bindings  # noqa: F401  unused; bench/tracer.py wraps this name
 
 # guard-checked timestamp groups larger than this are not searched beyond the
@@ -65,7 +65,8 @@ class StateSample(NamedTuple):
     ``before``/``after`` bracket the timestamp's log moves. ``moves`` holds
     every move applied in between, in the order the walk applied them
     (downstream-first, like the simulator's FIFO policy resolves them, or the
-    order its search found).
+    order its search found). ``fired`` is the set of labels that start here;
+    the samples of one replay share one ``frozenset`` per distinct set.
     """
 
     time: float
@@ -150,7 +151,7 @@ def _best_move(
 
 def _walk(
     net: Net, marking: Marking, events: list[Event], tau: float, check_guards: bool
-) -> tuple[Marking, list[Move], list[Event]]:
+) -> tuple[Marking, Sequence[Move], list[Event]]:
     """Apply same-instant moves by one depth-first walk over their orders.
 
     Each step tries the events left cyclically, from the one after the last
@@ -160,16 +161,17 @@ def _walk(
     at most ``MAX_SEARCH_GROUP`` events is left unmatched: then the walk
     backtracks for at most ``MAX_SEARCH_MOVES`` more ``_best_move`` calls in
     search of an order that matches every event. Returns the final marking,
-    the applied moves in order, and the unmatched events in the given order.
-    The stack is explicit, as a group can hold thousands of moves.
+    the applied moves in order (a tuple for a lone event, which ``replay``
+    keeps as it is), and the unmatched events in the given order. The stack
+    is explicit, as a group can hold thousands of moves.
     """
     if len(events) == 1:  # one order, nothing to search
         (e,) = events
         y = _best_move(net, marking, e, tau, check_guards)
         if y is None:
-            return marking, [], [e]
+            return marking, (), [e]
         m = fire(net, marking, e.label, y, tau, e.complete - e.start, (e.case_id, e.attrs))
-        return m, [(e, y, marking)], []
+        return m, ((e, y, marking),), []
     # the walk is at marking m with the events ``rest`` left, in the order to
     # try them, and tries rest[i] next; ``stack`` holds the same for each
     # applied move's parent, to backtrack to
@@ -243,6 +245,7 @@ def replay(
         groups.setdefault(e.start, []).append(e)
 
     samples: list[StateSample] = []
+    fired_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct set
     report = MatchReport()
     gap_sum, gap_n = 0.0, 0
 
@@ -282,10 +285,11 @@ def replay(
                     marking = marking.with_removed(p, own[0])
             for p, kind, names in plan.outputs:
                 if kind == "case":
-                    attrs = {k: v for k, v in e.attrs.items() if k in names}
-                    marking = marking.with_added(p, Token(e.case_id, attrs, e.complete))
+                    token = Token(e.case_id, projected(e.attrs, names), e.complete)
+                    marking = marking.with_added(p, token)
 
         fired = frozenset([e.label for e in group])
+        fired = fired_sets.setdefault(fired, fired)
         samples.append(StateSample(tau, before, marking, fired, tuple(moves), bool(pending)))
 
     report.stats = {

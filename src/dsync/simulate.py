@@ -55,12 +55,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional
+from typing import Mapping, Optional
 
 from .acyclic import acyclic
 from .constraints import OPS, Atom
 from .errors import SimulationError
-from .eventlog import Event, Log, sort_events
+from .eventlog import EMPTY_ATTRS, Event, Log, sort_events
 from .net import Binding, Marking, Net, Transition, binding_pools, enabled_bindings, fire
 from .net import _avail, attr_type, validate_net
 
@@ -107,10 +107,11 @@ class _Source:
     def exhausted(self) -> bool:
         return self.cap > 0 and self.count >= self.cap
 
-    def new_case(self) -> tuple[str, dict]:
+    def new_case(self) -> tuple[str, Mapping[str, object]]:
         self.count += 1
         case_id = f"{self.spec.case_prefix}{self.count}"
-        return case_id, {name: gen.sample(self.rng_attrs) for name, gen in self.gens}
+        attrs = {name: gen.sample(self.rng_attrs) for name, gen in self.gens}
+        return case_id, attrs or EMPTY_ATTRS
 
 
 Candidate = tuple[tuple, str, Binding]  # (FIFO key, transition id, binding)
@@ -282,7 +283,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                 fire_at(tid, y, clock, delay)
                 if t.is_task:
                     case_id = case_tok.case_id if case_tok else ""
-                    attrs = dict(case_tok.attrs) if case_tok else {}
+                    attrs = case_tok.attrs if case_tok else EMPTY_ATTRS
                     events.append(Event(case_id, tid, clock, clock + delay, resource, attrs))
                 continue
             if t.is_task:

@@ -575,6 +575,33 @@ def test_check_log_not_utf8_exits_3(tmp_path, capsys):
     assert "is not UTF-8 text" in capsys.readouterr().err
 
 
+BOM = "\ufeff"  # the UTF-8 byte-order mark that Excel and many Windows tools write
+
+
+def test_check_log_with_a_byte_order_mark(sim_log, tmp_path, capsys):
+    bom_log = tmp_path / "bom.csv"
+    bom_log.write_text(BOM + sim_log.read_text(encoding="utf-8"), encoding="utf-8")
+    outs = []
+    for log in (sim_log, bom_log):
+        assert main(["check", "--model", model_path("blocking"), "--log", str(log)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_model_config_and_report_with_a_byte_order_mark(sim_log, tmp_path, capsys):
+    model, cfg, report = tmp_path / "bom.json", tmp_path / "bom.conf", tmp_path / "bom-report.json"
+    model.write_text(BOM + (MODELS / "blocking.json").read_text(encoding="utf-8"),
+                     encoding="utf-8")
+    cfg.write_text(BOM + "tau_s = 10\n", encoding="utf-8")
+    assert main(["check", "--model", str(model), "--log", str(sim_log)]) == 0
+    assert main(["--config", str(cfg), "discover", "--model", str(model),
+                 "--log", str(sim_log), "--out", str(report)]) == 0
+    report.write_text(BOM + report.read_text(encoding="utf-8"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--report", str(report)]) == 0
+    assert "nrtokens(q1) <= 4.5" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "text", ["not json", '{"constraints": []}', "[1, 2]"],
     ids=["not-json", "incomplete", "not-an-object"],

@@ -3,16 +3,17 @@ from __future__ import annotations
 import pytest
 
 from dsync.constraints import FeatureRef
+from dsync.errors import DsyncError, ModelError
 from dsync.extract import (
     ExtractionParams,
     SplitAtom,
+    _dedup,
     annotate_net,
     assemble_constraint,
     discover_run,
     select_false_leaves,
     trace_and_filter,
 )
-from dsync.errors import ModelError
 from dsync.patterns import PatternCandidate, PatternKind
 from dsync.replay import replay
 from dsync.tree import TreeNode
@@ -225,6 +226,49 @@ def test_discover_reports_skip_reasons(blocking_net, blocking_log):
         res.constraint is not None or res.skip_reason
         for res in run.results
     )
+
+
+@pytest.mark.parametrize("tau_g", [0.0, 0.5])
+def test_tau_g_range_is_inclusive(tau_g):
+    ExtractionParams(tau_g=tau_g).check()
+
+
+@pytest.mark.parametrize("tau_g", [-0.01, 0.51])
+def test_tau_g_outside_its_range_is_rejected(tau_g):
+    with pytest.raises(DsyncError, match=r"tau_g must be within \[0, 0.5\]"):
+        ExtractionParams(tau_g=tau_g).check()
+
+
+def test_tau_s_is_an_inclusive_minimum_of_rows(blocking_net, blocking_log):
+    def result(tau_s):
+        run = discover_run(blocking_log, blocking_net,
+                           extraction_params=ExtractionParams(tau_s=tau_s))
+        (res,) = [r for r in run.results if r.candidate.kind == PatternKind.BLOCKING
+                  and r.candidate.t_g == "pre-processing"]
+        return res
+
+    n = len(result(10).ptlog.rows)
+    mined = result(n)  # exactly tau_s rows: a tree is fitted
+    assert mined.tree is not None and not (mined.skip_reason or "").startswith("only")
+    skipped = result(n + 1)
+    assert skipped.tree is None and skipped.skip_reason == f"only {n} rows (tau_s={n + 1})"
+
+
+def test_dedup_breaks_a_support_tie_by_the_smaller_kind():
+    # equal support on one transition: "blocking" sorts before "holdbatch"
+    blocking = assemble_constraint(
+        [SplitAtom(FeatureRef.nrtokens("q1"), ">", 4.5, -0.4)],
+        PatternCandidate(PatternKind.BLOCKING, "pre-processing", (("downstream", "q1"),)),
+        support=7,
+    )
+    holdbatch = assemble_constraint(
+        [SplitAtom(FeatureRef.nrtokensenabled("arrival"), "<=", 2.5, -0.3),
+         SplitAtom(FeatureRef.timeuntilnext("arrival"), "<=", 1.5, -0.2)],
+        PatternCandidate(PatternKind.HOLD_BATCH, "pre-processing", (("input", "arrival"),)),
+        support=7,
+    )
+    assert _dedup([blocking, holdbatch]) == [blocking]
+    assert _dedup([holdbatch, blocking]) == [blocking]
 
 
 def test_annotate_replaces_guard(blocking_net, blocking_log):

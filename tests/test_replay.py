@@ -305,6 +305,16 @@ def test_downstream_first_alone_misses_the_simulated_order(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("limit, matched", [(2, 6), (1, 5)])
+def test_a_group_of_exactly_max_search_group_moves_is_searched(monkeypatch, limit, matched):
+    # the group at t=10 holds two moves; only a limit of at least two lets
+    # the search find the order in which tg matches
+    net, log = _tp_tg_log()
+    monkeypatch.setattr(importlib.import_module("dsync.replay"), "MAX_SEARCH_GROUP", limit)
+    _, report = replay(log, net, check_guards=True)
+    assert (report.matched, report.total) == (matched, 6)
+
+
 def test_order_search_stops_at_its_budget(monkeypatch):
     # eight same-instant t moves but room for only seven: no order matches
     # them all, and an exhaustive search would try over 100,000 moves

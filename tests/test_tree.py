@@ -59,6 +59,15 @@ def test_predict_four_row_tree():
     assert predict(tree, [4.0]) is True
 
 
+def test_max_depth_one_grows_a_stump_and_zero_is_rejected():
+    # max_depth is a number of split levels, at least one
+    xs, ys = four_row_data()
+    stump = fit(xs, ys, TreeParams(max_depth=1, min_samples_leaf=1))
+    assert stump.split == (0, 2.5) and stump.left.is_leaf and stump.right.is_leaf
+    with pytest.raises(DsyncError, match="max_depth must be >= 1"):
+        fit(xs, ys, TreeParams(max_depth=0, min_samples_leaf=1))
+
+
 def test_single_class_gives_single_leaf():
     tree = fit([[1.0], [2.0]], [True, True])
     assert tree.is_leaf and tree.gini == 0.0 and tree.prediction is True
