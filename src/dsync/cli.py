@@ -19,7 +19,7 @@ from typing import Optional
 from urllib.parse import quote
 
 from .errors import DsyncError
-from .eventlog import load_log, save_log
+from .eventlog import fmt_num, load_log, save_log
 from .extract import ExtractionParams, discover_run
 from .modelfile import load_model
 from .report import build_report, render_markdown, report_to_json, text_summary
@@ -129,7 +129,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     for event, reason in report.unmatched[:10]:
         print(f"  unmatched: case={event.case_id} activity={event.label} "
-              f"start={event.start:g}: {reason}")
+              f"start={fmt_num(event.start)}: {reason}")
     if len(report.unmatched) > 10:
         print(f"  ... and {len(report.unmatched) - 10} more")
     return EXIT_OK if not report.unmatched else EXIT_CHECK_FAILED

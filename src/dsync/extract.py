@@ -110,7 +110,8 @@ def trace_and_filter(
     path: Path, kind: PatternKind, features: tuple[FeatureRef, ...]
 ) -> list[SplitAtom]:
     """Branch conditions on a leaf's root ``path`` that match the violation
-    template of ``kind`` and decrease Gini along the path."""
+    template of ``kind`` and strictly decrease Gini along the path: a child as
+    impure as its parent gives no atom."""
     template = _VIOLATION_TEMPLATE[kind]
     atoms: list[SplitAtom] = []
     for node, taken in path:

@@ -12,18 +12,17 @@ with the marking it applied to, because a transition that fired is observed
 in the state it fired from, while a transition that was passed over is
 observed in the state that remained after everything else happened.
 
-The moves of one start time are applied by one depth-first walk over their
-orders (``_walk``), in both modes. It tries downstream moves first (larger
-``Net.plan`` depth, ties in log order) and, after each applied move, the
-remaining ones cyclically from the one after it, until none applies; so a
-move whose input a same-instant producer supplies still matches. Guard
-checks are off by default: the discovery input is the unguarded process
-model. With ``check_guards`` on (the replayability check) each move must
-also satisfy its transition's guard at the moment it applies.
-Downstream-first can close a guard that the simulator's order left open, so
-when the walk leaves a guard-checked group of at most ``MAX_SEARCH_GROUP``
-moves unmatched, it backtracks in search of an order under which every move
-matches, for at most ``MAX_SEARCH_MOVES`` more candidate moves.
+The moves of one start time are applied by a cyclic pass (``_walk``), in
+both modes. It tries downstream moves first (larger ``Net.plan`` depth, ties
+in log order) and, after each applied move, the remaining ones cyclically
+from the one after it, until none applies; so a move whose input a
+same-instant producer supplies still matches. Guard checks are off by
+default: the discovery input is the unguarded process model. With
+``check_guards`` on (the replayability check) each move must also satisfy
+its transition's guard at the moment it applies. Downstream-first can close
+a guard that the simulator's order left open, so a guard-checked group that
+the pass leaves unmatched gets one more pass from the same marking, with the
+unmatched moves first; it stands only if it matches every move.
 
 An unmatched move repairs the marking as if it had happened for its case:
 the case's token leaves the case inputs, and each case output gets a token
@@ -36,7 +35,6 @@ report without replaying.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -45,15 +43,6 @@ from .errors import ReplayError
 from .eventlog import Event, Log
 from .net import Binding, Marking, Net, Token, binding_pools, fire, projected
 from .net import enabled_bindings  # noqa: F401  unused; bench/tracer.py wraps this name
-
-# guard-checked timestamp groups larger than this are not searched beyond the
-# walk's first dead end
-MAX_SEARCH_GROUP = 8
-# calls of ``_best_move`` after which the search from that dead end gives up:
-# enough to try every order of a group of up to 6 moves, while a group of 8
-# with no order would otherwise take over 100,000
-MAX_SEARCH_MOVES = 2_000
-
 
 # an applied log move: the event, its binding and the marking it applied to
 Move = tuple[Event, Binding, Marking]
@@ -64,9 +53,10 @@ class StateSample(NamedTuple):
 
     ``before``/``after`` bracket the timestamp's log moves. ``moves`` holds
     every move applied in between, in the order the walk applied them
-    (downstream-first, like the simulator's FIFO policy resolves them, or the
-    order its search found). ``fired`` is the set of labels that start here;
-    the samples of one replay share one ``frozenset`` per distinct set.
+    (downstream-first, like the simulator's FIFO policy resolves them, or,
+    after a guard-checked retry, the unmatched moves first). ``fired`` is the
+    set of labels that start here; the samples of one replay share one
+    ``frozenset`` per distinct set.
     """
 
     time: float
@@ -149,61 +139,60 @@ def _best_move(
     return binding
 
 
+def _descend(
+    net: Net, marking: Marking, events: list[Event], tau: float, check_guards: bool
+) -> tuple[Marking, list[Move], list[Event]]:
+    """One cyclic pass over same-instant moves: each step tries the events
+    left cyclically, from the one after the last applied move (from the first
+    at the start), and applies the first that has a binding, until a full
+    cycle applies none. Returns the final marking, the applied moves in order
+    and the unmatched events in the given order."""
+    m, rest, i = marking, events, 0
+    moves: list[Move] = []
+    while i < len(rest):
+        e = rest[i]
+        binding = _best_move(net, m, e, tau, check_guards)
+        if binding is None:
+            i += 1
+            continue
+        moves.append((e, binding, m))
+        m = fire(net, m, e.label, binding, tau, e.complete - e.start, (e.case_id, e.attrs))
+        rest, i = rest[i + 1 :] + rest[:i], 0
+    left = set(map(id, rest))
+    return m, moves, [e for e in events if id(e) in left]
+
+
 def _walk(
     net: Net, marking: Marking, events: list[Event], tau: float, check_guards: bool
 ) -> tuple[Marking, Sequence[Move], list[Event]]:
-    """Apply same-instant moves by one depth-first walk over their orders.
+    """Apply the moves of one start time, ``events`` in log order.
 
-    Each step tries the events left cyclically, from the one after the last
-    applied move (from the first at the start), and applies the first that
-    has a binding; so the first descent goes on until a full cycle applies
-    none. That first dead end is the result, unless a guard-checked group of
-    at most ``MAX_SEARCH_GROUP`` events is left unmatched: then the walk
-    backtracks for at most ``MAX_SEARCH_MOVES`` more ``_best_move`` calls in
-    search of an order that matches every event. Returns the final marking,
-    the applied moves in order (a tuple for a lone event, which ``replay``
-    keeps as it is), and the unmatched events in the given order. The stack
-    is explicit, as a group can hold thousands of moves.
+    One pass (``_descend``) tries downstream moves first (larger
+    ``Net.plan`` depth, ties in log order), the order the simulator's FIFO
+    policy fires them. When it leaves a guard-checked group unmatched, a
+    second pass from the same marking tries the unmatched events first and
+    the rest downstream-first; it is kept only when it matches every event.
+    Returns the final marking, the applied moves in order (a tuple for a lone
+    event, which ``replay`` keeps as it is), and the unmatched events in
+    downstream-first order.
     """
-    if len(events) == 1:  # one order, nothing to search
+    if len(events) == 1:  # one order, nothing to retry
         (e,) = events
         y = _best_move(net, marking, e, tau, check_guards)
         if y is None:
             return marking, (), [e]
         m = fire(net, marking, e.label, y, tau, e.complete - e.start, (e.case_id, e.attrs))
         return m, ((e, y, marking),), []
-    # the walk is at marking m with the events ``rest`` left, in the order to
-    # try them, and tries rest[i] next; ``stack`` holds the same for each
-    # applied move's parent, to backtrack to
-    m, rest, i = marking, events, 0
-    stack: list[tuple[Marking, list[Event], int]] = []
-    moves: list[Move] = []
-    first = None  # the result at the first dead end
-    budget = math.inf  # calls of ``_best_move`` left, counted from there
-    while True:
-        while i < len(rest) and budget > 0:
-            budget -= 1
-            e = rest[i]
-            binding = _best_move(net, m, e, tau, check_guards)
-            if binding is None:
-                i += 1
-                continue
-            moves.append((e, binding, m))
-            stack.append((m, rest, i + 1))
-            m = fire(net, m, e.label, binding, tau, e.complete - e.start, (e.case_id, e.attrs))
-            rest, i = rest[i + 1 :] + rest[:i], 0
-        if not rest:
-            return m, moves, []
-        if first is None:
-            left = set(map(id, rest))
-            first = m, list(moves), [e for e in events if id(e) in left]
-            if not check_guards or len(events) > MAX_SEARCH_GROUP:
-                return first
-            budget = MAX_SEARCH_MOVES
-        if budget == 0 or not stack:
-            return first
-        m, rest, i = stack.pop()
-        moves.pop()
+    ordered = sorted(events, key=lambda e: -net.plan(e.label).depth)  # stable
+    first = _descend(net, marking, ordered, tau, check_guards)
+    pending = first[2]
+    if check_guards and pending:
+        left = set(map(id, pending))
+        retry = pending + [e for e in ordered if id(e) not in left]
+        second = _descend(net, marking, retry, tau, check_guards)
+        if not second[2]:
+            return second
+    return first
 
 
 @acyclic
@@ -257,12 +246,7 @@ def replay(
 
         before = marking
         group = groups[tau]
-        # downstream moves first (the order the FIFO policy fires them); the
-        # sort is stable, so ties keep log order
-        ordered = group
-        if len(group) > 1:
-            ordered = sorted(group, key=lambda e: -net.plan(e.label).depth)
-        marking, moves, pending = _walk(net, before, ordered, tau, check_guards)
+        marking, moves, pending = _walk(net, before, group, tau, check_guards)
 
         for e, binding, _ in moves:
             report.matched += 1
@@ -309,7 +293,7 @@ def read_off_check(
 
     ``annotated`` is ``net`` with other guards. Guards only shrink the binding
     pools, and the pools keep their order, so the guard-checked walk takes
-    exactly the unguarded walk's steps, and never searches, when every move
+    exactly the unguarded walk's steps, and never retries, when every move
     matched, every place the annotated guards read is stored in ``net``'s
     markings (none is in ``net.unread``), and each move on a guarded
     transition gets the binding it applied from the guard-checked

@@ -94,7 +94,10 @@ Path = tuple[tuple[TreeNode, bool], ...]
 def _best_split(
     xs: list[list[float]], ys: list[bool], params: TreeParams
 ) -> Optional[tuple[int, float, float]]:
-    """(feature, threshold, decrease) of the best admissible split, if any."""
+    """(feature, threshold, decrease) of the best admissible split, if any:
+    a split is admissible only if it decreases the weighted Gini by strictly
+    more than ``min_impurity_decrease``, so with the default 0 a split that
+    leaves it unchanged is not made."""
     n = len(ys)
     n_true = sum(ys)
     parent = gini(n - n_true, n_true)

@@ -120,6 +120,15 @@ def test_check_wrong_guard_exits_1(sim_log, tmp_path, capsys):
     assert "unmatched" in capsys.readouterr().out
 
 
+def test_check_prints_an_unmatched_start_as_its_log_cell(tmp_path, capsys):
+    # handling has no token in q1 to take, so its move is unmatched; the start
+    # prints as the log writes it, so the event can be found in the file
+    log = tmp_path / "log.csv"
+    log.write_text("case,activity,start,complete,resource\n1,handling,1234.56789,1235,w1\n")
+    assert main(["check", "--model", model_path("blocking"), "--log", str(log)]) == 1
+    assert "case=1 activity=handling start=1234.56789: no binding" in capsys.readouterr().out
+
+
 def test_check_log_with_empty_case_ids_exits_3(tmp_path, capsys):
     out = tmp_path / "blocking.csv"
     args = ["--model", model_path("blocking"), "--log", str(out)]

@@ -106,10 +106,12 @@ def test_trace_requires_impurity_decrease():
         gini=0.2, samples=41, class_counts=(30, 11),
         split=(0, 2.0), left=stray_false, right=pure_true,
     )
-    # the left child is *less* pure than the root, so its split is dropped
-    root.left = TreeNode(gini=0.35, samples=31, class_counts=(30, 1))
-    atoms = trace_and_filter(_path_to(root, root.left), PatternKind.PRIORITY, FEATURES)
-    assert atoms == []
+    # the left child is *less* pure than the root, or exactly as pure: only a
+    # strict decrease yields an atom, so its split is dropped either way
+    for child_gini in (0.35, 0.2):
+        root.left = TreeNode(gini=child_gini, samples=31, class_counts=(30, 1))
+        atoms = trace_and_filter(_path_to(root, root.left), PatternKind.PRIORITY, FEATURES)
+        assert atoms == []
 
 
 def test_assemble_resolves_duplicates_by_gini_drop():

@@ -294,10 +294,17 @@ def test_guard_checked_replay_of_simulated_log_is_complete():
 
 
 def test_downstream_first_alone_misses_the_simulated_order(monkeypatch):
-    # without the search fallback, tp applies first at 10 and closes tg's guard
+    # one downstream-first pass, with no retry: tp applies first at 10 and
+    # closes tg's guard
     net, log = _tp_tg_log()
     # the package's ``replay`` attribute is the function, so fetch the module
-    monkeypatch.setattr(importlib.import_module("dsync.replay"), "MAX_SEARCH_GROUP", 0)
+    module = importlib.import_module("dsync.replay")
+
+    def first_pass(net, marking, events, tau, check_guards):
+        ordered = sorted(events, key=lambda e: -net.plan(e.label).depth)
+        return module._descend(net, marking, ordered, tau, check_guards)
+
+    monkeypatch.setattr(module, "_walk", first_pass)
     _, report = replay(log, net, check_guards=True)
     assert (report.matched, report.total) == (5, 6)
     assert [(e.label, reason) for e, reason in report.unmatched] == [
@@ -307,15 +314,62 @@ def test_downstream_first_alone_misses_the_simulated_order(monkeypatch):
 
 @pytest.mark.parametrize("limit, matched", [(2, 6), (1, 5)])
 def test_a_group_of_exactly_max_search_group_moves_is_searched(monkeypatch, limit, matched):
-    # the group at t=10 holds two moves; only a limit of at least two lets
-    # the search find the order in which tg matches
+    # the group at t=10 holds two moves; with no size limit on the group,
+    # only a limit of at least two passes over it (the retry) finds the order
+    # in which tg matches
     net, log = _tp_tg_log()
-    monkeypatch.setattr(importlib.import_module("dsync.replay"), "MAX_SEARCH_GROUP", limit)
+    module = importlib.import_module("dsync.replay")
+    walk, descend = module._walk, module._descend
+    passes = 0
+
+    def counted_walk(*args):
+        nonlocal passes
+        passes = 0
+        return walk(*args)
+
+    def limited_descend(net, marking, events, tau, check_guards):
+        nonlocal passes
+        passes += 1
+        if passes > limit:  # a pass beyond the limit matches nothing
+            return marking, [], list(events)
+        return descend(net, marking, events, tau, check_guards)
+
+    monkeypatch.setattr(module, "_walk", counted_walk)
+    monkeypatch.setattr(module, "_descend", limited_descend)
     _, report = replay(log, net, check_guards=True)
     assert (report.matched, report.total) == (matched, 6)
+    if limit == 1:
+        assert [(e.label, reason) for e, reason in report.unmatched] == [
+            ("tg", "guard not satisfied")
+        ]
 
 
-def test_order_search_stops_at_its_budget(monkeypatch):
+def test_retry_puts_the_unmatched_moves_of_a_ten_move_group_first():
+    # tp (downstream of u) refills o, which closes tg's guard: downstream-first
+    # matches only the five tp moves, the retry puts the five tg moves first
+    net = Net(
+        places=[Place(p, "case") for p in ("a0", "p1", "o", "b0", "g")],
+        transitions=[
+            Transition("u"),
+            Transition("tp"),
+            Transition("tg", guard=parse_constraint("nrtokens(o) < 1")),
+        ],
+        flows=[("a0", "u"), ("u", "p1"), ("p1", "tp"), ("tp", "o"), ("b0", "tg"), ("tg", "g")],
+        initial_marking=Marking({
+            "p1": tuple(Token(f"a{i}", {}, 0.0) for i in range(1, 6)),
+            "b0": tuple(Token(f"b{i}", {}, 0.0) for i in range(1, 6)),
+        }),
+    )
+    log = Log(
+        [Event(f"a{i}", "tp", 0.0, 1.0) for i in range(1, 6)]
+        + [Event(f"b{i}", "tg", 0.0, 0.0) for i in range(1, 6)]
+    )
+    samples, report = replay(log, net, check_guards=True)
+    assert (report.matched, report.total) == (10, 10)
+    assert [e.label for e, _, _ in samples[0].moves] == ["tg"] * 5 + ["tp"] * 5
+
+
+def test_a_group_no_order_matches_costs_two_passes(monkeypatch):
     # eight same-instant t moves but room for only seven: no order matches
     # them all, and an exhaustive search would try over 100,000 moves
     net = Net(
@@ -339,9 +393,11 @@ def test_order_search_stops_at_its_budget(monkeypatch):
     monkeypatch.setattr(module, "_best_move", counted)
     _, report = replay(log, net, check_guards=True)
     assert (report.matched, len(report.unmatched)) == (7, 1)
-    # beyond the search: greedy rounds of 8 and 1 moves, and the unmatched
+    # the retry (c8 first) leaves c7 unmatched, so the first pass stands
+    assert [e.case_id for e, _ in report.unmatched] == ["c8"]
+    # two passes of 7 matched moves and 1 dead end each, and the unmatched
     # move's reason
-    assert calls <= module.MAX_SEARCH_MOVES + 8 + 1 + 1
+    assert calls <= 8 + 8 + 1
 
 
 @pytest.mark.parametrize("check_guards", [False, True])

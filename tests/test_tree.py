@@ -68,6 +68,14 @@ def test_max_depth_one_grows_a_stump_and_zero_is_rejected():
         fit(xs, ys, TreeParams(max_depth=0, min_samples_leaf=1))
 
 
+def test_a_split_that_does_not_decrease_gini_is_not_made():
+    # each child of the only split is as impure as the root (0.5 each): a
+    # split must decrease Gini by more than min_impurity_decrease, here 0
+    tree = fit([[0.0], [0.0], [1.0], [1.0]], [True, False, True, False],
+               TreeParams(min_samples_leaf=1))
+    assert tree.is_leaf and tree.gini == 0.5
+
+
 def test_single_class_gives_single_leaf():
     tree = fit([[1.0], [2.0]], [True, True])
     assert tree.is_leaf and tree.gini == 0.0 and tree.prediction is True
