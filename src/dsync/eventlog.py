@@ -127,7 +127,7 @@ def parse_log(text: str) -> Log:
     col_types: dict[str, str] = {}
     for col in attr_cols:
         i = idx[col]
-        col_types[col] = _infer_type([v for row in body if (v := row[i].strip())])
+        col_types[col] = infer_type([v for row in body if (v := row[i].strip())])
 
     i_case, i_label, i_start, i_complete = (idx[col] for col in MANDATORY)
     i_resource = idx.get("resource")
@@ -168,7 +168,8 @@ def parse_log(text: str) -> Log:
     return Log(sort_events(events), schema, has_resource)
 
 
-def _infer_type(values: list[str]) -> str:
+def infer_type(values: list[str]) -> str:
+    """The ``ATTR_TYPES`` entry a log column of these stripped cells reads as."""
     if not values:
         return "text"
     if all(v.lower() in ("true", "false") for v in values):

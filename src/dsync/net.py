@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -40,7 +41,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .constraints import IDENT, ConstraintExpr
 from .errors import ModelError
-from .eventlog import COLUMNS, EMPTY_ATTRS
+from .eventlog import COLUMNS, EMPTY_ATTRS, infer_type
 
 AttrValue = object  # number | bool | str
 
@@ -524,18 +525,17 @@ def fire(
     binding: Binding,
     now: float,
     delay: float,
-    produced_case: Optional[tuple[str, Mapping[str, AttrValue]]] = None,
+    case: Optional[tuple[str, Mapping[str, AttrValue]]] = None,
 ) -> Marking:
     """Fire ``t_id`` under ``binding`` at time ``now`` and return the new marking.
 
     Consumed tokens are removed; each outgoing place receives one token that
     becomes available at ``now + delay`` (the caller samples or reads the
-    delay). Case output places carry forward the bound case token's identity
-    and data unless ``produced_case`` supplies them explicitly (used for
-    source transitions, in simulation and in replay, and for log moves, where
-    the event data is authoritative). Resource output places receive back the
-    token bound from the same place, and the places in ``net.unread`` receive
-    nothing.
+    delay). Case output places receive ``case``, the firing's case id and
+    data, which the caller supplies (the simulator the bound case token's or
+    a source's new case, replay the log move's). Resource output places
+    receive back the token bound from the same place, and the places in
+    ``net.unread`` receive nothing.
 
     A case token shares the case's attribute map when its place declares
     every name in it (``projected``), a resource token shares the bound
@@ -551,19 +551,13 @@ def fire(
         raise ModelError(f"transition {t_id!r} produced a negative delay {delay}")
     out_time = now + delay
 
-    case_id, case_attrs = produced_case or (None, EMPTY_ATTRS)
-    if produced_case is None:  # the first case input's token
-        for p in plan.case_inputs:
-            if p in binding:
-                case_id, case_attrs = binding[p].case_id, binding[p].attrs
-                break
-
+    case_id, case_attrs = case or (None, EMPTY_ATTRS)
     for p, kind, names in plan.outputs:
         if kind == "case":
             if case_id is None:
                 raise ModelError(
-                    f"transition {t_id!r} outputs to case place {p!r} but no case token "
-                    "was consumed or supplied"
+                    f"transition {t_id!r} outputs to case place {p!r} but no case "
+                    "was supplied"
                 )
             tok = Token(case_id, projected(case_attrs, names), out_time)
         elif kind == "resource":
@@ -624,7 +618,7 @@ def validate_net(net: Net) -> list[str]:
                     f"but place {p!r} declares {typ}"
                     for p in net.postset[t.id] if p in net.places
                     for attr, typ in net.places[p].attributes if attr == name and yields != {typ}
-                ]
+                ] + [prob for value in gen.outcomes() for prob in _misread(value)]
                 out += [f"transition {t.id!r} attribute {name!r}: {prob}" for prob in probs]
             cap = t.arrival_spec.max_count
             if cap is not None and cap < 1:
@@ -644,12 +638,22 @@ def validate_net(net: Net) -> list[str]:
                         f"{attr!r} of place {place_id!r}"
                     )
 
+    # a source's n-th case id is its prefix followed by n (``simulate``), so
+    # sources with prefixes p <= q share an id exactly when p gives q + "1"
+    prefixes = sorted((str(t.arrival_spec.case_prefix), t.id)
+                      for t in net.transitions.values() if t.arrival_spec is not None)
+    gives = {p: re.compile(re.escape(p) + "[1-9][0-9]*").fullmatch for p, _ in prefixes}
+    out += [f"sources {a!r} and {b!r} can give two cases the same id (prefixes {p!r}, {q!r})"
+            for (p, a), (q, b) in itertools.combinations(prefixes, 2) if gives[p](q + "1")]
+
     for pid in net.initial_marking.places():
         if pid not in net.places:
             out.append(f"initial marking references unknown place {pid!r}")
             continue
         out += [f"initial token in {pid!r}: {prob}" for tok in net.initial_marking.tokens(pid)
-                for prob in token_problems(net.places[pid], tok)]
+                for prob in token_problems(net.places[pid], tok) + [
+                    f"case id {tok.case_id!r} is one source {a!r} gives" for p, a in prefixes
+                    if net.places[pid].kind == "case" and gives[p](str(tok.case_id))]]
     return out
 
 
@@ -666,4 +670,12 @@ def token_problems(place: Place, token: Token) -> list[str]:
             out.append(f"attribute {name!r} is not declared by the place")
         elif not isinstance(value, (int, float, str)) or attr_type(value) != declared[name]:
             out.append(f"attribute {name!r} should be {declared[name]}, found {value!r}")
+        elif place.kind == "case":  # the log holds a case's attributes
+            out += [f"attribute {name!r}: {prob}" for prob in _misread(value)]
     return out
+
+
+def _misread(value: AttrValue) -> list[str]:
+    """Why a log would not give back a text ``value`` as text (``infer_type``)."""
+    typ = infer_type([value]) if isinstance(value, str) else "text"
+    return [] if typ == "text" else [f"text value {value!r} reads back from a log as {typ}"]

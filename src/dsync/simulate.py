@@ -42,9 +42,10 @@ survives exactly when the guard holds. Source transitions (empty preset,
   ``fire`` of the source at the token's availability time, with the new
   case supplied as the produced case. Its candidate sorts before every
   firing at its instant, so arrivals are injected first, in source-id order,
-  and while one is due nothing else is evaluated. As the next injection
-  comes due when the last case becomes available and dirties the readers of
-  its places, only a source's last case puts its places on the heap.
+  and while one is due nothing else is evaluated. Like every firing, an
+  injection stops the clock when its token becomes available; the next
+  injection comes due at that stop and dirties the same readers again, so
+  at a stop where one is due only the sources are evaluated until it fires.
 """
 from __future__ import annotations
 
@@ -119,9 +120,10 @@ Candidate = tuple[tuple, str, Binding]  # (FIFO key, transition id, binding)
 
 def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Candidate]:
     """The guard-satisfying binding of ``t_id`` that fires first, as the
-    candidate ``(key, t_id, binding)``. The key, read off the chosen tokens,
-    is (newest token's availability or ``clock``, ``-plan.depth``, case id,
-    ``t_id``): among simultaneous candidates the smallest fires first.
+    candidate ``(key, t_id, binding)``. The key, read off the chosen tokens
+    once the case is chosen, is (newest token's availability or ``clock``,
+    ``-plan.depth``, case id or ``""`` without a case input, ``t_id``):
+    among simultaneous candidates the smallest fires first.
 
     The binding is picked from ``binding_pools`` without enumerating their
     product, and every case input takes a token of one case. Every other pool
@@ -141,10 +143,15 @@ def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Candid
         return None
     in_places, plan = net.preset[t_id], net.plan(t_id)
     chosen = [pool[0] for pool in pools]
-    if not plan.case_inputs:
-        newest = max(map(_avail, chosen), default=clock)
-        return (newest, -plan.depth, "", t_id), t_id, dict(zip(in_places, chosen))
-    if len(plan.case_inputs) > 1:
+    case_id = ""
+    if len(plan.case_inputs) == 1:
+        c = in_places.index(plan.case_inputs[0])
+        rest = max(map(_avail, chosen[:c] + chosen[c + 1 :]), default=-math.inf)
+        waiting = pools[c][: bisect_right(pools[c], rest, key=_avail)]
+        if waiting:
+            chosen[c] = min(waiting, key=attrgetter("case_id"))
+        case_id = chosen[c].case_id
+    elif plan.case_inputs:
         joins = [in_places.index(p) for p in plan.case_inputs]
         rest = max((tok.available_at for i, tok in enumerate(chosen) if i not in joins),
                    default=-math.inf)
@@ -155,18 +162,11 @@ def fifo_first(net: Net, m: Marking, t_id: str, clock: float) -> Optional[Candid
         joined = set(firsts[0]).intersection(*firsts[1:])
         if not joined:
             return None
-        newest, case_id = min((max(rest, *(f[k].available_at for f in firsts)), k) for k in joined)
+        _, case_id = min((max(rest, *(f[k].available_at for f in firsts)), k) for k in joined)
         for first, i in zip(firsts, joins):
             chosen[i] = first[case_id]
-        return (newest, -plan.depth, case_id, t_id), t_id, dict(zip(in_places, chosen))
-    c = in_places.index(plan.case_inputs[0])
-    rest = max(map(_avail, chosen[:c] + chosen[c + 1 :]), default=-math.inf)
-    waiting = pools[c][: bisect_right(pools[c], rest, key=_avail)]
-    if waiting:
-        chosen[c] = min(waiting, key=attrgetter("case_id"))
-    tok = chosen[c]
-    key = (max(rest, tok.available_at), -plan.depth, tok.case_id, t_id)
-    return key, t_id, dict(zip(in_places, chosen))
+    newest = max(map(_avail, chosen), default=clock)
+    return (newest, -plan.depth, case_id, t_id), t_id, dict(zip(in_places, chosen))
 
 
 @acyclic
@@ -219,21 +219,6 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     future = [(tok.available_at, (p,)) for p in marking.places() for tok in marking.tokens(p)]
     heapq.heapify(future)
 
-    def fire_at(tid: str, y: Binding, now: float, delay: float, case=None, stop=True) -> None:
-        """Fire, dirty the readers of every node it touched and, with
-        ``stop``, stop the clock when its outputs become available."""
-        nonlocal marking
-        _finite_time(now + delay, tid, "completion")
-        marking = fire(net, marking, tid, y, now, delay, case)
-        outs = net.postset[tid]
-        for node in (tid, *y):
-            dirty.update(readers.get(node, ()))
-        watch = guard_readers if stop and now + delay > now else readers
-        for node in outs:
-            dirty.update(watch.get(node, ()))
-        if outs and stop:
-            heapq.heappush(future, (now + delay, outs))
-
     def candidate(tid: str) -> Optional[Candidate]:
         src = sources.get(tid)
         if src is None:
@@ -247,8 +232,9 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
         return None
 
     while True:
-        # fire everything possible at the current clock, one binding at a time
-        arriving = False  # the last firing was an arrival whose source is still due
+        # fire everything possible at the current clock, one binding at a time;
+        # a non-task source is dirty here only when it is due
+        arriving = any(not sources[tid].t.is_task for tid in dirty & sources.keys())
         for fired in range(MAX_FIRINGS_PER_INSTANT + 1):
             # no firing precedes a due arrival, so while one is known to be
             # due only the sources are evaluated
@@ -272,41 +258,42 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                     f"at time {clock:g}; a zero-delay cycle or interarrival keeps the clock "
                     "from advancing"
                 )
-            t = net.transitions[tid]
-            src = sources.get(tid)
-            arriving = False
-            if src is None:
-                plan = net.plan(tid)
-                case_tok = y[plan.case_inputs[0]] if plan.case_inputs else None
-                resource = y[plan.resource_inputs[0]].case_id if plan.resource_inputs else None
-                delay = t.delay.sample(delay_rngs[tid])
-                fire_at(tid, y, clock, delay)
-                if t.is_task:
-                    case_id = case_tok.case_id if case_tok else ""
-                    attrs = case_tok.attrs if case_tok else EMPTY_ATTRS
-                    events.append(Event(case_id, tid, clock, clock + delay, resource, attrs))
-                continue
-            if t.is_task:
-                delay = t.delay.sample(delay_rngs[tid])
-                case_id, attrs = src.new_case()
-                src.next_time = clock + src.spec.interarrival.sample(src.rng_gaps)
-                _finite_time(src.next_time, tid, "next firing")
-                fire_at(tid, {}, clock, delay, (case_id, attrs))
-                events.append(Event(case_id, tid, clock, clock + delay, None, attrs))
-            else:
+            t, src, plan = net.transitions[tid], sources.get(tid), net.plan(tid)
+            now, delay, arriving = clock, 0.0, False
+            if src is not None and not t.is_task:
                 # case k+1 is injected when case k becomes available (the
-                # first at once), and first at that instant, so it dirties
-                # the readers of case k's places; only the last case needs
-                # the clock to stop for its own
-                avail = src.next_time
+                # first at once), and first at that instant
                 if src.count:
-                    avail += src.spec.interarrival.sample(src.rng_gaps)
-                    _finite_time(avail, tid, "next firing")
-                case = src.new_case()
-                fire_at(tid, {}, avail, 0.0, case, stop=src.exhausted())
-                src.next_time = avail
-                arriving = avail <= clock and not src.exhausted()
-            if not src.exhausted():
+                    src.next_time += src.spec.interarrival.sample(src.rng_gaps)
+                    _finite_time(src.next_time, tid, "next firing")
+                now, case = src.next_time, src.new_case()
+                arriving = now <= clock and not src.exhausted()
+            else:
+                delay = t.delay.sample(delay_rngs[tid])
+                # the case: a task source's new one, or the first case input's
+                if src is not None:
+                    case = src.new_case()
+                    src.next_time = clock + src.spec.interarrival.sample(src.rng_gaps)
+                    _finite_time(src.next_time, tid, "next firing")
+                else:
+                    tok = y[plan.case_inputs[0]] if plan.case_inputs else None
+                    case = (tok.case_id, tok.attrs) if tok else None
+            # fire, dirty the readers of what it touched, stop the clock at its outputs
+            _finite_time(now + delay, tid, "completion")
+            marking = fire(net, marking, tid, y, now, delay, case)
+            outs = net.postset[tid]
+            for node in (tid, *y):
+                dirty.update(readers.get(node, ()))
+            watch = guard_readers if now + delay > now else readers
+            for node in outs:
+                dirty.update(watch.get(node, ()))
+            if outs:
+                heapq.heappush(future, (now + delay, outs))
+            if t.is_task:
+                case_id, attrs = case or ("", EMPTY_ATTRS)
+                resource = y[plan.resource_inputs[0]].case_id if plan.resource_inputs else None
+                events.append(Event(case_id, tid, now, now + delay, resource, attrs))
+            if src is not None and not src.exhausted():
                 heapq.heappush(future, (src.next_time, (tid,)))
 
         # nothing fires now; advance the clock to the next possible change
@@ -334,9 +321,9 @@ def _opening(atom: Atom, m: Marking, clock: float) -> Optional[float]:
     compared by ``<``, ``<=`` or ``==`` that fails at ``clock`` holds, while
     its place's next pending token stays pending; None when there is none.
 
-    The value is the token's ``available_at - now``, which falls as ``now``
-    grows, so the time is found near ``available_at - const`` by stepping
-    ``math.nextafter`` to where the float comparison flips.
+    The value is the token's ``available_at - now``, which in float
+    arithmetic too never grows as ``now`` grows, so the first float after
+    ``clock`` where it is below ``const`` is found by bisection.
     """
     toks = m.tokens(atom.feature.place)
     i = m.n_enabled(atom.feature.place, clock)
@@ -344,17 +331,13 @@ def _opening(atom: Atom, m: Marking, clock: float) -> Optional[float]:
     if i == len(toks) or compare(toks[i].available_at - clock, const):
         return None
     due = toks[i].available_at
-    # the first time after ``clock`` with ``due - now <= const`` (``<`` for ``<``)
+    # the first time after ``clock`` with ``due - now <= const`` (``<`` for
+    # ``<``), or ``due``: it lies in (lo, hi] until the two are adjacent floats
     below = OPS["<"] if atom.op == "<" else OPS["<="]
-    now = max(due - const, math.nextafter(clock, math.inf))
-    while now < due and not below(due - now, const):
-        now = math.nextafter(now, math.inf)
-    while True:
-        before = math.nextafter(now, -math.inf)
-        if before <= clock or not below(due - before, const):
-            break
-        now = before
-    return now if now < due and compare(due - now, const) else None
+    lo, hi = clock, due
+    while lo < (mid := lo + (hi - lo) / 2) < hi:
+        lo, hi = (lo, mid) if below(due - mid, const) else (mid, hi)
+    return hi if hi < due and compare(due - hi, const) else None
 
 
 def _finite_time(time: float, tid: str, what: str) -> None:

@@ -716,3 +716,17 @@ def test_flow_endpoint_that_is_no_string_exits_3(tmp_path, capsys, endpoint, end
     assert code == 3
     role = ("source", "target")[end]
     assert f"flow ({flow[0]!r}, {flow[1]!r}) {role} should be str" in capsys.readouterr().err
+
+
+def test_two_sources_with_one_case_prefix_exit_3(tmp_path, capsys):
+    # both sources would give cases a1, a2, ...: every id twice in the log
+    text = (MODELS / "choice.json").read_text()
+    assert text.count('"case_prefix": "b"') == 1
+    model = tmp_path / "model.json"
+    model.write_text(text.replace('"case_prefix": "b"', '"case_prefix": "a"'))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "sources 'arrival_a' and 'arrival_b' can give two cases the same id" in (
+        capsys.readouterr().err
+    )

@@ -15,7 +15,7 @@ import dsync.extract as extract_mod
 import dsync.net as net_mod
 from dsync.acyclic import acyclic
 from dsync.constraints import parse_constraint
-from dsync.errors import ModelError, ReplayError
+from dsync.errors import ModelError, ReplayError, SimulationError
 from dsync.eventlog import Event, Log, parse_log, write_log
 from dsync.extract import annotate_net, discover_run
 from dsync.modelfile import load_model
@@ -108,7 +108,7 @@ def test_fire_moves_job_and_returns_worker():
     net, m = fig1_net(), fig1_marking()
     y = enabled_bindings(net, m, "handling", now=15.0)[0]
     assert y["q1"].case_id == "1"
-    out = fire(net, m, "handling", y, now=15.0, delay=7.0)
+    out = fire(net, m, "handling", y, now=15.0, delay=7.0, case=(y["q1"].case_id, y["q1"].attrs))
     assert [t.case_id for t in out.tokens("q1")] == ["2"]
     worker = out.tokens("r1")[0]
     assert worker.case_id == "w1" and worker.available_at == 22.0
@@ -125,14 +125,14 @@ def test_fire_zero_delay_token_available_now():
         flows=[("a", "t"), ("t", "b")],
     )
     m = Marking().with_added("a", Token("c1", {}, 1.0))
-    out = fire(net, m, "t", {"a": m.tokens("a")[0]}, now=4.0, delay=0.0)
+    out = fire(net, m, "t", {"a": m.tokens("a")[0]}, now=4.0, delay=0.0, case=("c1", {}))
     assert out.tokens("b")[0].available_at == 4.0
 
 
 def test_fire_preserves_token_count_on_matched_roles():
     net, m = fig1_net(), fig1_marking()
     y = enabled_bindings(net, m, "handling", now=15.0)[0]
-    out = fire(net, m, "handling", y, now=15.0, delay=7.0)
+    out = fire(net, m, "handling", y, now=15.0, delay=7.0, case=(y["q1"].case_id, y["q1"].attrs))
     assert out.total_tokens() == m.total_tokens()
 
 
@@ -214,6 +214,76 @@ def test_validate_initial_token_attributes_of_another_type():
     ]
     typed = Marking({"a": [Token("c1", {"v": 2.0, "w": "x", "b": False}, 0.0)]})
     assert validate_net(Net([place], [Transition("t")], [("a", "t")], typed)) == []
+
+
+def two_sources_net(p: str, q: str, initial: Marking | None = None) -> Net:
+    """Two non-task sources with case prefixes ``p`` and ``q`` feeding one place."""
+    def source(tid, prefix):
+        return Transition(tid, is_task=False,
+                          arrival_spec=ArrivalSpec(Dist.constant(1), case_prefix=prefix))
+
+    return Net(
+        places=[Place("a", "case"), Place("b", "case"), Place("r", "resource")],
+        transitions=[source("src_p", p), source("src_q", q), Transition("t")],
+        flows=[("src_p", "a"), ("src_q", "a"), ("a", "t"), ("r", "t"), ("t", "r"), ("t", "b")],
+        initial_marking=initial,
+    )
+
+
+@pytest.mark.parametrize("p, q", [("c", "c"), ("a", "a1"), ("", "7")])
+def test_validate_two_sources_that_can_give_one_case_id(p, q):
+    # a source's n-th case is its prefix followed by n: both c's give c1, a's
+    # 11th case and a1's first are both a11, and "" gives 71 as 7 gives 71
+    net = two_sources_net(p, q)
+    problem = f"sources 'src_p' and 'src_q' can give two cases the same id (prefixes {p!r}, {q!r})"
+    assert validate_net(net) == [problem]
+    with pytest.raises(SimulationError, match="'src_p' and 'src_q'"):
+        simulate(net, SimConfig(seed=1, max_cases=20))
+
+
+@pytest.mark.parametrize("p, q", [("a", "b"), ("a", "a0"), ("a", "ab")])
+def test_validate_two_sources_whose_case_ids_differ(p, q):
+    # a count has no leading zero and only digits, so a0 and ab give no id a gives
+    net = two_sources_net(p, q, Marking({"r": [Token("w1", {}, 0.0)]}))
+    assert validate_net(net) == []
+    log = simulate(net, SimConfig(seed=1, max_cases=20))
+    assert len({e.case_id for e in log.events}) == len(log.events) == 40
+
+
+def test_validate_an_initial_case_token_with_an_id_a_source_gives():
+    # c0 and c01 have a leading zero, and a resource token holds no case
+    initial = Marking({"a": [Token("c12", {}, 0.0), Token("c0", {}, 0.0), Token("c01", {}, 0.0)],
+                       "r": [Token("c3", {}, 0.0)]})
+    assert validate_net(two_sources_net("c", "x", initial)) == [
+        "initial token in 'a': case id 'c12' is one source 'src_p' gives",
+    ]
+
+
+@pytest.mark.parametrize("value, typ", [("1", "number"), ("TRUE", "boolean"),
+                                        ("nan", "number"), (" 3", "number")])
+def test_validate_a_text_value_a_log_reads_back_as_another_type(value, typ):
+    # written to a log, such a value makes its column another type, and the
+    # model's own log then fails its replay
+    spec = ArrivalSpec(Dist.constant(1), {"w": Dist("choice", values=(value, "x"))})
+    net = Net(
+        places=[Place("a", "case", (("w", "text"),)), Place("b", "case", (("w", "text"),))],
+        transitions=[Transition("arrive", arrival_spec=spec), Transition("t")],
+        flows=[("arrive", "a"), ("a", "t"), ("t", "b")],
+        initial_marking=Marking({"a": [Token("c0", {"w": value}, 0.0)]}),
+    )
+    problem = f"text value {value!r} reads back from a log as {typ}"
+    assert validate_net(net) == [
+        f"transition 'arrive' attribute 'w': {problem}",
+        f"initial token in 'a': attribute 'w': {problem}",
+    ]
+    texts = Dist("choice", values=("1a", "true1", "x"))
+    net = Net(list(net.places.values()),
+              [Transition("arrive", arrival_spec=ArrivalSpec(Dist.constant(1), {"w": texts})),
+               Transition("t")], list(net.flows))
+    assert validate_net(net) == []
+    log = parse_log(write_log(simulate(net, SimConfig(seed=1, max_cases=30))))
+    assert log.schema == (("w", "text"),)
+    assert replay(log, net, check_guards=True)[1].matched == 60
 
 
 def test_duplicate_node_ids_are_rejected():
@@ -578,8 +648,8 @@ def test_adds_removes_and_firings_keep_the_store_key_order():
         action = rng.random()
         if action < 0.15 and all(before[p] for p in ("q", "r", "s")):
             binding = {p: rng.choice(before[p]) for p in ("q", "r", "s")}
-            now = float(rng.choice((0, 1, 2)))
-            m = fire(net, m, "t", binding, now, float(rng.choice((0, 0, 1))))
+            now, case = float(rng.choice((0, 1, 2))), (binding["q"].case_id, binding["q"].attrs)
+            m = fire(net, m, "t", binding, now, float(rng.choice((0, 0, 1))), case)
             fired += 1
             for p in net.places:
                 want = before[p]
@@ -1033,7 +1103,8 @@ def test_fire_matches_removing_and_adding_token_by_token():
         binding = {p: rng.choice(m.tokens(p)) for p in net.preset["t"]}
         now, delay = float(rng.choice((0, 1, 2))), float(rng.choice((0, 0.5, 1)))
         produced = rng.choice((None, ("c7", {"value": 5.0, "n": 1.0, "extra": True})))
-        out = fire(net, m, "t", binding, now, delay, produced)
+        case = produced or (binding["a"].case_id, binding["a"].attrs)
+        out = fire(net, m, "t", binding, now, delay, case)
         expected = _fire_by_token(net, m, "t", binding, now, delay, produced)
         assert {p: out.tokens(p) for p in net.places} == {
             p: expected.tokens(p) for p in net.places

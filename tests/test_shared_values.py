@@ -77,7 +77,7 @@ def test_fire_shares_a_case_map_its_place_declares_and_filters_the_rest():
     net = Net(places, [Transition("t")], [("in", "t"), ("t", "some"), ("t", "none")])
     attrs = {"a": 1.0, "b": 2.0}
     tok = Token("c1", attrs, 0.0)
-    m = fire(net, Marking({"in": (tok,)}), "t", {"in": tok}, 0.0, 1.0)
+    m = fire(net, Marking({"in": (tok,)}), "t", {"in": tok}, 0.0, 1.0, (tok.case_id, tok.attrs))
     (some,), (none,) = m.tokens("some"), m.tokens("none")
     assert some.attrs == {"a": 1.0} and some.attrs is not attrs
     assert none.attrs is EMPTY_ATTRS

@@ -331,6 +331,22 @@ def test_a_guard_opening_stop_is_the_first_time_its_atom_holds(op, const, due):
     assert not atom.holds(m, math.nextafter(opens, -math.inf))
 
 
+def test_a_guard_that_opens_just_after_clock_zero_fires_there():
+    # with p's token due at 22, ``22 - now < 22`` first holds near 1.8e-15;
+    # a search stepping one float at a time up from the smallest positive
+    # float would take about 2**62 steps to get there
+    net = Net(
+        places=[Place("a", "case"), Place("b", "case"), Place("p", "plain")],
+        transitions=[Transition("t", delay=Dist.constant(1),
+                                guard=parse_constraint("timeuntilnext(p) < 22"))],
+        flows=[("a", "t"), ("t", "b")],
+        initial_marking=Marking({"a": (Token("c1", {}, 0.0),), "p": (Token(None, {}, 22.0),)}),
+    )
+    (e,) = simulate(net, SimConfig(seed=1, horizon=100)).events
+    assert 0.0 < e.start < 1e-14
+    assert 22.0 - e.start < 22 and not 22.0 - math.nextafter(e.start, -math.inf) < 22
+
+
 def test_no_guard_opening_stop_without_a_pending_token_or_for_a_holding_atom():
     sim = importlib.import_module("dsync.simulate")
     atom = parse_constraint("timeuntilnext(q) <= 1").atoms[0]
@@ -598,6 +614,33 @@ def test_an_and_join_joins_the_branches_of_its_own_case():
                for e in joins)
     _, report = replay(log, net, check_guards=True)
     assert report.unmatched == [] and report.matched == len(log.events) == 1000
+
+
+def plain_queue_net() -> Net:
+    """A task source puts a plain token in ``p`` per case, and ``work``, which
+    has no case input, takes one with either of two workers."""
+    spec = ArrivalSpec(Dist.exponential(1.0))
+    return Net(
+        places=[Place("p", "plain"), Place("r", "resource"), Place("done", "plain")],
+        transitions=[
+            Transition("arrive", delay=Dist.uniform(0, 0.5), arrival_spec=spec),
+            Transition("work", delay=Dist.uniform(0.5, 3)),
+        ],
+        flows=[("arrive", "p"), ("p", "work"), ("r", "work"), ("work", "r"), ("work", "done")],
+        initial_marking=Marking({"r": (Token("w1", {}, 0.0), Token("w2", {}, 0.0))}),
+    )
+
+
+@pytest.mark.parametrize("make, firings", [(and_join_net, 960), (plain_queue_net, 240)])
+def test_cached_candidates_key_a_join_and_a_transition_without_case_input(
+    monkeypatch, make, firings
+):
+    # the bundled models reach neither branch of ``fifo_first``'s key: two
+    # case inputs (``join``) and none (``work``, keyed by case id "")
+    net = make()
+    checked = sum(_checked_firings(monkeypatch, net, SimConfig(seed=seed, max_cases=80))
+                  for seed in (1, 2, 3))
+    assert checked == firings
 
 
 def test_fifo_first_reruns_only_for_dirty_transitions(monkeypatch, supplychain_net):
