@@ -121,7 +121,6 @@ def cmd_discover(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     net = load_model(args.model)
     log_data = load_log(args.log)
-    # samples are freed at once, before the collection the replay put off
     report = replay(log_data, net, check_guards=True)[1]
     print(
         f"matched {report.matched}/{report.total} log moves "

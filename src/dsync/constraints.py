@@ -153,8 +153,8 @@ class ConstraintExpr:
         """Whether ``pin`` lets ``binding`` take each of its tokens.
 
         ``net.binding_pools`` applies ``pin`` to whole pools instead of
-        calling this per binding;
-        ``replay.read_off_check`` calls it on bindings already applied.
+        calling this per binding; ``patterns.Observations`` calls it on
+        bindings already applied, with one single-atom guard at a time.
         """
         return all(self.pin(m, p, [tok]) for p, tok in binding.items())
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .acyclic import acyclic
 from .errors import LogError
@@ -88,7 +88,7 @@ def _parse_time(raw: str, row_num: int, column: str) -> float:
 
 @acyclic
 def parse_log(text: str) -> Log:
-    """Parse CSV text into a Log.
+    """Parse CSV text into a Log, in one pass over its records.
 
     Extra columns become attributes typed per column over the whole file:
     numeric if every non-empty value parses as a number, boolean if every
@@ -96,6 +96,11 @@ def parse_log(text: str) -> Log:
     the header, but a non-empty one raises ``LogError``. One leading
     byte-order mark (U+FEFF) is dropped. Runs with the cyclic garbage
     collector paused (``acyclic``).
+
+    The pass types the columns as it reads, so the attribute maps are filled
+    after it: a numeric cell that is not finite is an error only once its
+    column turns out numeric, and it is reported when its row comes before
+    the first other bad row, as a row is checked before the next one is read.
 
     Equal values are stored once: all events share one ``str`` per distinct
     case id, label and resource, rows whose attribute cells are identical
@@ -105,11 +110,12 @@ def parse_log(text: str) -> Log:
     if text.startswith("\ufeff"):
         text = text[1:]
     reader = csv.reader(io.StringIO(text))
-    # each record with a non-empty cell, after the number of the line it ends on
-    rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]
-    if not rows:
+    # the records with a non-empty cell; ``reader.line_num`` is the line a
+    # record ends on
+    records = (row for row in reader if any(map(str.strip, row)))
+    header = [h.strip() for h in next(records, ())]
+    if not header:
         raise LogError("log has no header row")
-    header = [h.strip() for h in rows[0][1]]
     for i, col in enumerate(header):
         if col in header[:i]:
             raise LogError(f"column {col!r} appears more than once in the header")
@@ -119,67 +125,97 @@ def parse_log(text: str) -> Log:
     idx = {name: i for i, name in enumerate(header)}
     has_resource = "resource" in idx
     attr_cols = [h for h in header if h not in COLUMNS]
-    # a row shorter than the header is padded once: its missing cells are empty
     width = len(header)
-    body = [row + [""] * (width - len(row)) if len(row) < width else row for _, row in rows[1:]]
-
-    # First pass: column typing over the whole file.
-    col_types: dict[str, str] = {}
-    for col in attr_cols:
-        i = idx[col]
-        col_types[col] = infer_type([v for row in body if (v := row[i].strip())])
-
     i_case, i_label, i_start, i_complete = (idx[col] for col in MANDATORY)
     i_resource = idx.get("resource")
-    typed = [(col, idx[col], col_types[col]) for col in attr_cols]
+    i_attrs = [idx[col] for col in attr_cols]
+    # per attribute column: its type over the rows read so far (None before
+    # its first value), and the first row holding a number that is not finite
+    types: list[Optional[str]] = [None] * len(attr_cols)
+    not_finite: list[Optional[tuple[int, str]]] = [None] * len(attr_cols)
     # one object per distinct string, and per distinct tuple of stripped
     # attribute cells (raw text, so that ``-0`` and ``0`` stay apart)
     strs: dict[str, str] = {}
-    maps: dict[tuple[str, ...], Mapping[str, AttrValue]] = {(("",) * len(typed)): EMPTY_ATTRS}
+    maps: dict[tuple[str, ...], Mapping[str, AttrValue]] = {(("",) * len(attr_cols)): EMPTY_ATTRS}
     events: list[Event] = []
-    for (row_num, _), row in zip(rows[1:], body):
-        if len(row) > width and any(map(str.strip, row[width:])):
-            raise LogError(f"row {row_num}: a cell beyond the {width} header columns is not empty")
-        label = row[i_label].strip()
-        if not label:
-            raise LogError(f"row {row_num}: empty activity label")
-        label = strs.setdefault(label, label)
-        start = _parse_time(row[i_start].strip(), row_num, "start")
-        complete = _parse_time(row[i_complete].strip(), row_num, "complete")
-        if start > complete:
-            raise LogError(f"row {row_num}: start {start:g} is after complete {complete:g}")
+    error: Optional[tuple[int, str]] = None  # the first bad row and its message
+    for row in records:
+        row_num = reader.line_num
+        if len(row) < width:  # its missing cells are empty
+            row = row + [""] * (width - len(row))
+        cells = tuple(row[i].strip() for i in i_attrs)
+        for j, raw in enumerate(cells):
+            if raw and types[j] != "text":
+                typ = types[j] = _narrow(types[j], raw)
+                if typ == "number" and not_finite[j] is None and not math.isfinite(float(raw)):
+                    not_finite[j] = (row_num, raw)
+        if error is not None:  # past a bad row only the columns are typed
+            continue
+        try:
+            if len(row) > width and any(map(str.strip, row[width:])):
+                raise LogError(f"row {row_num}: a cell beyond the {width} header columns is not empty")
+            label = row[i_label].strip()
+            if not label:
+                raise LogError(f"row {row_num}: empty activity label")
+            start = _parse_time(row[i_start].strip(), row_num, "start")
+            complete = _parse_time(row[i_complete].strip(), row_num, "complete")
+            if start > complete:
+                raise LogError(f"row {row_num}: start {start:g} is after complete {complete:g}")
+        except LogError as exc:
+            error = (row_num, str(exc))
+            continue
         resource = row[i_resource].strip() if has_resource else ""
         resource = strs.setdefault(resource, resource) if resource else None
-        cells = tuple(row[i].strip() for _, i, _ in typed)
         attrs = maps.get(cells)
         if attrs is None:
-            attrs = maps[cells] = {}
-            for (col, _, typ), raw in zip(typed, cells):
-                if raw == "":
-                    continue
-                attrs[col] = value = _coerce(raw, typ)
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise LogError(f"row {row_num}: {col} value {raw!r} is not finite")
+            attrs = maps[cells] = {}  # filled once the columns are typed
         case_id = row[i_case].strip()
-        events.append(Event(strs.setdefault(case_id, case_id), label, start, complete,
-                            resource, attrs))
+        events.append(Event(strs.setdefault(case_id, case_id), strs.setdefault(label, label),
+                            start, complete, resource, attrs))
 
-    schema = tuple((col, col_types[col]) for col in attr_cols)
-    return Log(sort_events(events), schema, has_resource)
+    col_types = [typ or "text" for typ in types]
+    # a number that is not finite is reported if its row is the first bad one
+    bad = [(found[0], j, found[1]) for j, found in enumerate(not_finite)
+           if found is not None and col_types[j] == "number"]
+    if bad:
+        row_num, j, raw = min(bad)
+        if error is None or row_num < error[0]:
+            error = (row_num, f"row {row_num}: {attr_cols[j]} value {raw!r} is not finite")
+    if error is not None:
+        raise LogError(error[1])
+    for cells, attrs in maps.items():
+        if attrs is not EMPTY_ATTRS:
+            for col, typ, raw in zip(attr_cols, col_types, cells):
+                if raw:
+                    attrs[col] = _coerce(raw, typ)
+    return Log(sort_events(events), tuple(zip(attr_cols, col_types)), has_resource)
 
 
-def infer_type(values: list[str]) -> str:
-    """The ``ATTR_TYPES`` entry a log column of these stripped cells reads as."""
-    if not values:
-        return "text"
-    if all(v.lower() in ("true", "false") for v in values):
-        return "boolean"
-    try:
-        for v in values:
-            float(v)
-        return "number"
-    except ValueError:
-        return "text"
+def _narrow(typ: Optional[str], raw: str) -> str:
+    """The type of a log column whose non-empty cells so far read as ``typ``
+    (None before the first), once it also holds the stripped cell ``raw``:
+    it stays a number while its cells parse as numbers, boolean while they
+    are true/false, and is text otherwise."""
+    if typ == "text":
+        return typ
+    if typ != "boolean":
+        try:
+            float(raw)
+        except ValueError:
+            pass
+        else:
+            return "number"
+    return "boolean" if typ != "number" and raw.lower() in ("true", "false") else "text"
+
+
+def infer_type(values: Iterable[str]) -> str:
+    """The ``ATTR_TYPES`` entry a log column of these stripped cells reads
+    as, by the rule ``parse_log`` types its columns with."""
+    typ = None
+    for raw in values:
+        if raw:
+            typ = _narrow(typ, raw)
+    return typ or "text"
 
 
 def _coerce(raw: str, typ: str) -> AttrValue:

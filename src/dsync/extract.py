@@ -13,9 +13,12 @@ Violation directions per pattern: a high upstream/queue ratio or a pending
 extremum token (priority), a full downstream place (blocking), too few
 enabled tokens or a too-soon next token (hold-batch and choice).
 
-``discover_run`` also reads the replayability check of the net annotated with
-its constraints off its own replay (``replay.read_off_check``) and keeps it as
-``DiscoveryRun.check``, which is None when the check needs a replay of its own.
+``discover_run`` replays the log once, with ``patterns.Observations`` as the
+replay's observer, so the pattern-transition rows are read while it replays
+and no sample is kept. It also reads the replayability check of the net
+annotated with its constraints off the moves that observer recorded
+(``patterns.read_off_check``) and keeps it as ``DiscoveryRun.check``, which is
+None when the check needs a replay of its own.
 """
 from __future__ import annotations
 
@@ -29,14 +32,15 @@ from .errors import DsyncError, ModelError
 from .eventlog import Log
 from .net import Net, validate_net
 from .patterns import (
+    Observations,
     PatternCandidate,
     PatternKind,
     PatternTransitionLog,
     build_pt_log,
     detect_constructs,
-    observe,
+    read_off_check,
 )
-from .replay import MatchReport, read_off_check, replay
+from .replay import MatchReport, replay
 from .tree import Path, TreeNode, TreeParams, fit
 
 log = logging.getLogger(__name__)
@@ -213,21 +217,21 @@ def discover_run(
     tree_params: TreeParams = TreeParams(),
     extraction_params: ExtractionParams = ExtractionParams(),
 ) -> DiscoveryRun:
-    """Full pipeline: replay, detect constructs, observe their guarded
-    transitions in one pass over the replay, mine each candidate, and read
-    the replayability check of the discoveries off the replay when it can.
+    """Full pipeline: detect constructs, replay while observing their
+    guarded transitions, mine each candidate, and read the replayability
+    check of the discoveries off the observed moves when it can.
 
     Runs with the cyclic garbage collector paused (``acyclic``), and so does
     its replay, which leaves the collector to this call.
     """
     extraction_params.check()
     tree_params.check()
-    samples, report = replay(log_data, net)
     candidates = detect_constructs(net)
-    observations = observe(net, samples, {c.t_g for c in candidates})
+    observations = Observations(net, log_data, candidates)
+    report = replay(log_data, net, observer=observations.observe)[1]
     results: list[CandidateResult] = []
     for c in candidates:
-        res = CandidateResult(c, build_pt_log(net, c, observations[c.t_g]))
+        res = CandidateResult(c, build_pt_log(observations, c))
         res.skip_reason = _mine(res, tree_params, extraction_params)
         if res.skip_reason:
             log.info("skip %s: %s", c.describe(), res.skip_reason)
@@ -235,10 +239,11 @@ def discover_run(
 
     constraints = _dedup([r.constraint for r in results if r.constraint is not None])
     check = read_off_check(
-        net, samples, report, annotate_net(net.without_guards(), constraints)
+        net, observations, report, annotate_net(net.without_guards(), constraints)
     )
     return DiscoveryRun(
-        constraints, results, len(samples), report, tree_params, extraction_params, check
+        constraints, results, observations.samples, report, tree_params, extraction_params,
+        check,
     )
 
 

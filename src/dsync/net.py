@@ -445,7 +445,7 @@ def binding_pools(
 
     * with ``check_guards`` set, the transition's guard must hold on the
       marking (this is the one place where the token game evaluates guards;
-      ``replay.read_off_check`` tests moves already applied), and its
+      ``patterns.read_off_check`` tests moves already applied), and its
       pinning atoms keep only the tokens ``ConstraintExpr.pin`` allows;
     * with ``case_id`` set, every case input's pool keeps only the tokens of
       that case;

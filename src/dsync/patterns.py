@@ -7,23 +7,27 @@ over-generated on purpose; the tree and extraction stages filter the ones
 whose behaviour shows no synchronization.
 
 Several candidates share a guarded transition, and so share the moments it
-is observed at. ``observe`` finds those moments for every guarded transition
-in one pass over the replay's samples, testing enabledness at most once per
-transition and sample; ``build_pt_log`` then only reads each candidate's
-features off its transition's observations.
+is observed at. ``Observations.observe`` is the replay's observer: it reads
+every candidate's row off each sample while the replay runs, testing
+enabledness at most once per transition and sample, and records the feature
+values at every move on a candidate's transition, so that no marking
+outlives its timestamp. ``build_pt_log`` then only assembles a candidate's
+rows, and ``read_off_check`` tests discovered guards against the recorded
+moves instead of replaying the log again.
 """
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .constraints import RATIO_EPSILON, FeatureRef, eval_feature
+from .constraints import OPS, RATIO_EPSILON, Atom, ConstraintExpr, FeatureRef, eval_feature
 from .errors import ModelError
-from .eventlog import fmt_cell, fmt_num
+from .eventlog import Log, fmt_cell, fmt_num
 from .net import Marking, Net, has_enabled_binding
-from .replay import StateSample
+from .replay import MatchReport, StateSample
 
 
 class PatternKind(str, Enum):
@@ -182,80 +186,188 @@ class PatternTransitionLog:
         return buf.getvalue()
 
 
-# one moment a guarded transition is observed: the time, the marking its
-# features are read from, and whether it fired
-Observation = tuple[float, Marking, bool]
+class _Reading:
+    """One candidate in ``Observations``: how its features are evaluated,
+    its rows, and its features' values at each move of its transition."""
 
+    __slots__ = ("features", "plan", "rows", "moves", "shared")
 
-def observe(
-    net: Net, samples: list[StateSample], transitions: Iterable[str]
-) -> dict[str, list[Observation]]:
-    """The observations of each of ``transitions``, from one pass over a
-    replay's samples.
+    def __init__(self, net: Net, c: PatternCandidate):
+        feats = tuple(features_for(c))
+        for f in feats:
+            for place_id, _ in f.references():
+                if place_id not in net.places:
+                    raise ModelError(f"feature place {place_id!r} missing from net")
+        # each feature with the positions of its ratio parts, or None to evaluate it
+        index = {f: i for i, f in enumerate(feats)}
+        self.features = feats
+        self.plan = [
+            (f, (index[f.num], index[f.den]))
+            if f.kind == "ratio" and index.get(f.num, i) < i and index.get(f.den, i) < i
+            else (f, None)
+            for i, f in enumerate(feats)
+        ]
+        self.rows: list[PTRow] = []
+        self.moves: list[tuple] = []
+        self.shared: dict[tuple, tuple] = {}  # one tuple per distinct row of values
 
-    A transition is observed up to its last start; after that, not firing is
-    indistinguishable from having nothing left to do. Repaired samples are
-    skipped. In the others it is observed in the state it fired from when it
-    fired, which had a binding by construction, and in the post-move marking
-    when it was passed over, if it has an enabled binding (guards off) there.
-    """
-    out: dict[str, list[Observation]] = {t: [] for t in sorted(set(transitions))}
-    last: dict[str, float] = {}
-    for s in samples:
-        for t in s.fired.intersection(out):
-            last[t] = max(s.time, last.get(t, s.time))
-    watched = [(t, last[t], out[t].append) for t in out if t in last]
-    for s in samples:
-        if s.repaired:
-            continue
-        now, fired, after = s.time, s.fired, s.after
-        at_fire = None
-        for t, last_start, add in watched:
-            if now > last_start:
-                continue
-            if t in fired:
-                if at_fire is None:
-                    at_fire = s.at_fire
-                add((now, at_fire[t], True))
-            elif has_enabled_binding(net, after, t, now):
-                add((now, after, False))
-    return out
-
-
-def build_pt_log(
-    net: Net, c: PatternCandidate, observations: list[Observation]
-) -> PatternTransitionLog:
-    """Observation-outcome rows for one candidate: its features read off each
-    of its guarded transition's ``observations`` (``observe``), labelled by
-    whether the transition fired.
-
-    A ratio whose two parts come before it among the candidate's features is
-    computed from their values, by ``eval_feature``'s own expression. Rows
-    with equal feature values share one ``values`` tuple; equality merges
-    only ``-0.0`` with ``0.0``, which every output prints as ``0``.
-    """
-    feats = tuple(features_for(c))
-    for f in feats:
-        for place_id, attr in f.references():
-            if place_id not in net.places:
-                raise ModelError(f"feature place {place_id!r} missing from net")
-    # each feature with the positions of its ratio parts, or None to evaluate it
-    index = {f: i for i, f in enumerate(feats)}
-    plan = [
-        (f, (index[f.num], index[f.den]))
-        if f.kind == "ratio" and index.get(f.num, i) < i and index.get(f.den, i) < i
-        else (f, None)
-        for i, f in enumerate(feats)
-    ]
-    rows: list[PTRow] = []
-    shared: dict[tuple, tuple] = {}  # one tuple per distinct row of values
-    for now, marking, fired in observations:
+    def values(self, marking: Marking, now: float) -> tuple:
+        """The features on ``marking`` at ``now``; a ratio whose two parts
+        come before it is computed from their values, by ``eval_feature``'s
+        own expression."""
         values = []
-        for f, parts in plan:
+        for f, parts in self.plan:
             if parts is None:
                 values.append(eval_feature(f, marking, now))
             else:
                 values.append(values[parts[0]] / max(values[parts[1]], RATIO_EPSILON))
         key = tuple(values)
-        rows.append(PTRow(now, shared.setdefault(key, key), fired))
-    return PatternTransitionLog(c, feats, rows)
+        return self.shared.setdefault(key, key)
+
+
+class _Watch:
+    """One guarded transition in ``Observations``: its candidates' readings,
+    where each of their features is read (``columns``), and, per move,
+    whether ``binding_ok`` of each ``pinned`` guard passes the binding."""
+
+    __slots__ = ("t", "last_start", "readings", "columns", "pinned", "pins")
+
+    def __init__(self, t: str, readings: list[_Reading], last_start: float):
+        self.t, self.last_start, self.readings = t, last_start, readings
+        self.columns: dict[FeatureRef, tuple[_Reading, int]] = {}
+        for r in readings:
+            for i, f in enumerate(r.features):
+                self.columns.setdefault(f, (r, i))
+        # one single-atom guard per attrenabled feature, which may pin a token
+        self.pinned = tuple(
+            ConstraintExpr((Atom(f, "==", True),))
+            for f in self.columns
+            if f.kind == "attrenabled"
+        )
+        self.pins: list[tuple[bool, ...]] = []
+
+
+class Observations:
+    """The pattern-transition rows of candidates, read off a replay's
+    samples as ``replay`` hands them to ``observe``; no marking is kept.
+
+    Several candidates share a guarded transition, and so share the moments
+    it is observed at: each sample tests enabledness at most once per
+    transition. A transition is observed up to its last start in ``log``;
+    after that, not firing is indistinguishable from having nothing left to
+    do. ``samples`` counts the samples observed.
+    """
+
+    def __init__(self, net: Net, log: Log, candidates: Iterable[PatternCandidate]):
+        self.net = net
+        self.samples = 0
+        self._readings = {c: _Reading(net, c) for c in candidates}
+        by_t: dict[str, list[_Reading]] = {}
+        for c, r in self._readings.items():
+            by_t.setdefault(c.t_g, []).append(r)
+        last: dict[str, float] = {}
+        for e in log.events:
+            if e.label in by_t and e.start > last.get(e.label, -math.inf):
+                last[e.label] = e.start
+        self._watches = {
+            t: _Watch(t, by_t[t], last.get(t, -math.inf)) for t in sorted(by_t)
+        }
+        self._started = [w for w in self._watches.values() if w.t in last]
+
+    def observe(self, s: StateSample) -> None:
+        """Read one sample: each candidate's row, and the values at each move.
+
+        Repaired samples give nothing. In the others a transition that fired
+        is read in the state it fired from, the marking before its first
+        move, which had a binding by construction; one that was passed over
+        is read in the post-move marking, if it has an enabled binding
+        (guards off) there. Each move on a candidate's transition records the
+        candidate's values in the marking it applied to, the first move
+        sharing its row's, and whether each pinned guard's ``binding_ok``
+        passes the move's binding.
+        """
+        self.samples += 1
+        if s.repaired:
+            return
+        now, fired, after = s.time, s.fired, s.after
+        for w in self._started:
+            if now > w.last_start:
+                continue
+            t = w.t
+            if t in fired:
+                first = True
+                for e, binding, m in s.moves:
+                    if e.label != t:
+                        continue
+                    for r in w.readings:
+                        values = r.values(m, now)
+                        if first:
+                            r.rows.append(PTRow(now, values, True))
+                        r.moves.append(values)
+                    first = False
+                    if w.pinned:
+                        w.pins.append(tuple(g.binding_ok(m, now, binding) for g in w.pinned))
+            elif has_enabled_binding(self.net, after, t, now):
+                for r in w.readings:
+                    r.rows.append(PTRow(now, r.values(after, now), False))
+
+
+def build_pt_log(observations: Observations, c: PatternCandidate) -> PatternTransitionLog:
+    """Observation-outcome rows for one candidate of ``observations``: its
+    features read at each moment its guarded transition was observed,
+    labelled by whether the transition fired.
+
+    Rows with equal feature values share one ``values`` tuple; equality
+    merges only ``-0.0`` with ``0.0``, which every output prints as ``0``.
+    """
+    r = observations._readings[c]
+    return PatternTransitionLog(c, r.features, r.rows)
+
+
+def read_off_check(
+    net: Net, observations: Observations, report: MatchReport, annotated: Net
+) -> Optional[MatchReport]:
+    """The report of ``replay(log, annotated, check_guards=True)``, read off
+    the unguarded ``replay(log, net)`` that ``observations`` observed and
+    that gave ``report``; None when its moves do not settle it.
+
+    ``annotated`` is ``net`` with other guards. Guards only shrink the binding
+    pools, and the pools keep their order, so the guard-checked walk takes
+    exactly the unguarded walk's steps, and never retries, when every move
+    matched, every place the annotated guards read is stored in ``net``'s
+    markings (none is in ``net.unread``), and each move on a guarded
+    transition gets the binding it applied from the guard-checked
+    ``_best_move`` too. That last holds exactly when the guard holds on the
+    move's marking and ``binding_ok`` passes the applied binding, pool by
+    pool: ``pin`` filters each token on its own, so a pinned pool is a
+    subsequence of the unpinned one, and the token ``_best_move`` took as the
+    first maximum of the unpinned pool stays the first maximum if ``pin``
+    keeps it. Both are tested on what was recorded at each move: the guard's
+    atoms on the feature values, and ``binding_ok`` as the conjunction of
+    each atom's alone, which was recorded when that atom is a pinned guard
+    (any other atom pins no token). A guard that reads a feature no
+    candidate of its transition has is not settled.
+    """
+    if report.unmatched:
+        return None
+    guards = {t: tr.guard for t, tr in annotated.transitions.items() if tr.guard is not None}
+    if any(p in net.unread for g in guards.values() for p, _ in g.references()):
+        return None
+    for t, guard in guards.items():
+        w = observations._watches.get(t)
+        tests = []
+        for atom in guard.atoms:
+            column = w.columns.get(atom.feature) if w is not None else None
+            compare = OPS.get(atom.op)
+            if column is None or compare is None:
+                return None
+            alone = ConstraintExpr((atom,))
+            pin = w.pinned.index(alone) if alone in w.pinned else None
+            tests.append((column[0].moves, column[1], compare, atom.const, pin))
+        if not tests:
+            continue
+        for k in range(len(tests[0][0])):
+            for moves, i, compare, const, pin in tests:
+                if not compare(moves[k][i], const) or (pin is not None and not w.pins[k][pin]):
+                    return None
+    return MatchReport(report.matched, [], dict(report.stats))

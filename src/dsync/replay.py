@@ -6,7 +6,7 @@ case (``_best_move``), and the produced tokens become available at the
 event's completion time. Cases enter as the simulator lets them in: each
 arrival is a zero-delay ``fire`` of its non-task source with the case's
 first-event data, one interarrival ahead (``_arrival_plan``). One state
-sample is emitted per distinct start time; it captures the marking both
+sample is made per distinct start time; it captures the marking both
 before and after that timestamp's moves, and every move applied in between
 with the marking it applied to, because a transition that fired is observed
 in the state it fired from, while a transition that was passed over is
@@ -28,15 +28,16 @@ An unmatched move repairs the marking as if it had happened for its case:
 the case's token leaves the case inputs, and each case output gets a token
 with the event's data at its completion; other places stay as they are.
 
-The kept moves settle a guard-checked replay of the same log over the net
-with other guards whenever every move satisfies them: ``read_off_check``
-tests each kept move's binding against its guard and then returns the
-report without replaying.
+Each sample is handed to an observer as soon as its timestamp is done and
+kept only by an unguarded replay without one, so a marking outlives its
+timestamp only where the caller keeps it: discovery reads what it needs off
+each sample while it replays (``patterns.Observations``), and a
+guard-checked replay needs only its match report.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .acyclic import acyclic
 from .errors import ReplayError
@@ -54,8 +55,9 @@ class StateSample(NamedTuple):
     ``before``/``after`` bracket the timestamp's log moves. ``moves`` holds
     every move applied in between, in the order the walk applied them
     (downstream-first, like the simulator's FIFO policy resolves them, or,
-    after a guard-checked retry, the unmatched moves first). ``fired`` is the
-    set of labels that start here; the samples of one replay share one
+    after a guard-checked retry, the unmatched moves first); a label's first
+    move holds the marking its transition fired from. ``fired`` is the set
+    of labels that start here; the samples of one replay share one
     ``frozenset`` per distinct set.
     """
 
@@ -65,15 +67,6 @@ class StateSample(NamedTuple):
     fired: frozenset[str]
     moves: tuple[Move, ...] = ()
     repaired: bool = False
-
-    @property
-    def at_fire(self) -> dict[str, Marking]:
-        """Each transition that started here -> the marking just before its own
-        (first) move: the state it actually fired from."""
-        out: dict[str, Marking] = {}
-        for e, _, m in self.moves:
-            out.setdefault(e.label, m)
-        return out
 
 
 @dataclass
@@ -197,9 +190,17 @@ def _walk(
 
 @acyclic
 def replay(
-    log: Log, net: Net, check_guards: bool = False
+    log: Log,
+    net: Net,
+    check_guards: bool = False,
+    observer: Optional[Callable[[StateSample], None]] = None,
 ) -> tuple[list[StateSample], MatchReport]:
-    """Execute all log moves; returns the sample sequence and a match report.
+    """Execute all log moves; returns the samples it kept and a match report.
+
+    Each timestamp's sample goes to ``observer`` once its moves are applied,
+    and the replay keeps none. Without an observer, an unguarded replay keeps
+    every sample and returns them in time order, and a guard-checked replay
+    (``check_guards``) returns none.
 
     Before the first move, a log label that is no task of the net, an empty
     case id on a transition with a case input, or a log column holding values
@@ -234,6 +235,8 @@ def replay(
         groups.setdefault(e.start, []).append(e)
 
     samples: list[StateSample] = []
+    if observer is None and not check_guards:
+        observer = samples.append
     fired_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct set
     report = MatchReport()
     gap_sum, gap_n = 0.0, 0
@@ -272,9 +275,10 @@ def replay(
                     token = Token(e.case_id, projected(e.attrs, names), e.complete)
                     marking = marking.with_added(p, token)
 
-        fired = frozenset([e.label for e in group])
-        fired = fired_sets.setdefault(fired, fired)
-        samples.append(StateSample(tau, before, marking, fired, tuple(moves), bool(pending)))
+        if observer is not None:
+            fired = frozenset([e.label for e in group])
+            fired = fired_sets.setdefault(fired, fired)
+            observer(StateSample(tau, before, marking, fired, tuple(moves), bool(pending)))
 
     report.stats = {
         "events": float(report.total),
@@ -282,41 +286,6 @@ def replay(
         "mean_start_gap": (gap_sum / gap_n) if gap_n else 0.0,
     }
     return samples, report
-
-
-def read_off_check(
-    net: Net, samples: list[StateSample], report: MatchReport, annotated: Net
-) -> Optional[MatchReport]:
-    """The report of ``replay(log, annotated, check_guards=True)``, read off
-    the unguarded ``replay(log, net)`` that gave ``samples`` and ``report``;
-    None when its moves do not settle it.
-
-    ``annotated`` is ``net`` with other guards. Guards only shrink the binding
-    pools, and the pools keep their order, so the guard-checked walk takes
-    exactly the unguarded walk's steps, and never retries, when every move
-    matched, every place the annotated guards read is stored in ``net``'s
-    markings (none is in ``net.unread``), and each move on a guarded
-    transition gets the binding it applied from the guard-checked
-    ``_best_move`` too. That last holds exactly when the guard holds on the
-    move's marking and ``binding_ok`` passes the applied binding, pool by
-    pool: ``pin`` filters each token on its own, so a pinned pool is a
-    subsequence of the unpinned one, and the token ``_best_move`` took as the
-    first maximum of the unpinned pool stays the first maximum if ``pin``
-    keeps it.
-    """
-    if report.unmatched:
-        return None
-    guards = {t: tr.guard for t, tr in annotated.transitions.items() if tr.guard is not None}
-    if any(p in net.unread for g in guards.values() for p, _ in g.references()):
-        return None
-    for s in samples:
-        for e, binding, m in s.moves:
-            guard = guards.get(e.label)
-            if guard is not None and not (
-                guard.holds(m, s.time) and guard.binding_ok(m, s.time, binding)
-            ):
-                return None
-    return MatchReport(report.matched, [], dict(report.stats))
 
 
 def _arrival_plan(log: Log, net: Net) -> list[tuple[float, str, str, Mapping, float]]:

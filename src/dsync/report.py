@@ -90,7 +90,6 @@ def build_report(run: DiscoveryRun, net: Net, log_data: Log) -> dict:
     check = run.check
     if check is None:
         annotated = annotate_net(net.without_guards(), run.constraints)
-        # samples are freed at once, before the collection the replay put off
         check = replay(log_data, annotated, check_guards=True)[1]
     report["replayability"] = {
         "matched": check.matched,

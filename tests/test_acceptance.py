@@ -15,7 +15,7 @@ import pytest
 from dsync.eventlog import write_log
 from dsync.extract import annotate_net, discover_run
 from dsync.modelfile import load_model
-from dsync.patterns import PatternKind, build_pt_log, detect_constructs, observe
+from dsync.patterns import Observations, PatternKind, build_pt_log, detect_constructs
 from dsync.replay import replay
 from dsync.report import build_report, report_to_json
 from dsync.simulate import SimConfig, simulate
@@ -242,13 +242,13 @@ def test_criterion_5b_fit_attains_depth2_oracle():
 
 
 def test_criterion_5c_observation_table_reproduction(priority_net, table1_log):
-    samples, report = replay(table1_log, priority_net)
-    assert report.matched == 9 and not report.unmatched
     candidate = [
         c for c in detect_constructs(priority_net) if c.kind == PatternKind.PRIORITY
     ][0]
-    observations = observe(priority_net, samples, [candidate.t_g])[candidate.t_g]
-    pt = build_pt_log(priority_net, candidate, observations)
+    observations = Observations(priority_net, table1_log, [candidate])
+    _, report = replay(table1_log, priority_net, observer=observations.observe)
+    assert report.matched == 9 and not report.unmatched
+    pt = build_pt_log(observations, candidate)
     rows = {r.time: r for r in pt.rows}
     assert rows[5].label is False
     assert rows[15].label is True

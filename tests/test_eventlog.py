@@ -107,6 +107,30 @@ def test_bad_cell_names_its_row(row, message):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("rows, message", [
+    # a number that is not finite comes before a bad start
+    (["1,b,1,2,inf", "1,c,2,3,6", "1,d,zero,4,7"], "row {0}: cost value 'inf' is not finite"),
+    # the bad start comes first
+    (["1,b,zero,2,6", "1,c,2,3,6", "1,d,3,4,inf"], "row {0}: start value 'zero' is not numeric"),
+    # both in one row: the row's times are checked before its attributes
+    (["1,b,zero,2,inf", "1,c,2,3,6"], "row {0}: start value 'zero' is not numeric"),
+    # two not finite numbers in one row: the first column is named
+    (["1,b,1,2,nan,inf"], "row {0}: cost value 'nan' is not finite"),
+    # a later text cell makes the column text, so ``inf`` is no error there
+    (["1,b,1,2,inf", "1,c,2,3,cheap", "1,d,zero,4,7"], "row {2}: start value 'zero' is not numeric"),
+])
+def test_the_first_bad_row_is_named(rows, message):
+    # the columns are typed over the whole file, so a number that is not
+    # finite is an error only in a numeric column; the row it names is the
+    # first bad one, also when a quoted cell before it spans two lines
+    header = "case,activity,start,complete,cost,share\n"
+    for before, first in (("1,a,0,1,5,1\n", 3), ('1,a,0,1,5,"two\nlines"\n', 4)):
+        text = header + before + "".join(row + "\n" for row in rows)
+        with pytest.raises(LogError) as info:
+            parse_log(text)
+        assert str(info.value) == message.format(first, first + 1, first + 2)
+
+
 def test_empty_cells_beyond_the_header_are_ignored():
     log = parse_log("case,activity,start,complete\nc1,a,1,2,,\nc2,a,2,3, \n")
     assert [(e.case_id, e.attrs) for e in log.events] == [("c1", {}), ("c2", {})]

@@ -978,7 +978,8 @@ def test_scored_replay_moves_are_the_first_best_scored_bindings(
         expected = [{"a": ("c1", 0.5, 1.0), "b": ("c1", 0.0, 2.0), "s": (None, 0.0, None)},
                     {"a": ("c2", 0.0, 1.0), "b": ("c2", 2.0, 1.0), "s": (None, 0.0, None)}]
     counts = _check_best_moves(monkeypatch)
-    samples, report = replay(log, net, check_guards=check_guards)
+    samples = []  # a guard-checked replay keeps none, so collect them
+    _, report = replay(log, net, check_guards=check_guards, observer=samples.append)
     assert report.matched == 2 and report.total == len(log.events)
     assert counts["moves"] >= len(log.events)
     moves = [

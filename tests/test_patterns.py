@@ -6,29 +6,33 @@ import pytest
 
 import dsync.patterns as patterns_mod
 from dsync.constraints import RATIO_EPSILON, eval_feature
+from dsync.eventlog import Event, Log
 from dsync.extract import discover_run
 from dsync.modelfile import load_model
 from dsync.net import Dist, Marking, Net, Place, Token, Transition, has_enabled_binding
 from dsync.patterns import (
+    Observations,
     PatternCandidate,
     PatternKind,
     PTRow,
     build_pt_log,
     detect_constructs,
     features_for,
-    observe,
 )
-from dsync.replay import replay
+from dsync.replay import StateSample, replay
 from dsync.simulate import SimConfig, simulate
-from tests.conftest import model_path
+from tests.conftest import fired_from, model_path
 
 
 def by_kind(candidates, kind):
     return [c for c in candidates if c.kind == kind]
 
 
-def pt_log(net, c, samples):
-    return build_pt_log(net, c, observe(net, samples, [c.t_g])[c.t_g])
+def pt_log(net, c, log):
+    """``c``'s pattern-transition log, observed while the log replays."""
+    observations = Observations(net, log, [c])
+    replay(log, net, observer=observations.observe)
+    return build_pt_log(observations, c)
 
 
 def test_priority_construct_on_running_example(priority_net):
@@ -134,9 +138,8 @@ def test_feature_sets_per_kind():
 
 
 def test_observation_rows_of_running_example(priority_net, table1_log):
-    samples, _ = replay(table1_log, priority_net)
     candidate = by_kind(detect_constructs(priority_net), PatternKind.PRIORITY)[0]
-    pt = pt_log(priority_net, candidate, samples)
+    pt = pt_log(priority_net, candidate, table1_log)
     rows = {r.time: r for r in pt.rows}
 
     assert rows[5].label is False and rows[15].label is True and rows[22].label is True
@@ -149,37 +152,37 @@ def test_observation_rows_of_running_example(priority_net, table1_log):
 
 
 def test_rows_only_while_transition_can_fire(priority_net, table1_log):
-    samples, _ = replay(table1_log, priority_net)
     candidate = by_kind(detect_constructs(priority_net), PatternKind.PRIORITY)[0]
-    pt = pt_log(priority_net, candidate, samples)
+    pt = pt_log(priority_net, candidate, table1_log)
     # at t=0 the queue is empty and at t=20/25 the worker is busy
     assert {r.time for r in pt.rows}.isdisjoint({0, 20, 25})
 
 
 def test_never_fired_candidate_has_no_rows(priority_net, table1_log):
-    samples, _ = replay(table1_log, priority_net)
     ghost = PatternCandidate(PatternKind.BLOCKING, "job_arrival", (("downstream", "arrival"),))
-    assert pt_log(priority_net, ghost, samples).rows == []
+    assert pt_log(priority_net, ghost, table1_log).rows == []
 
 
 def test_repaired_samples_are_not_observed(priority_net, table1_log):
     samples, _ = replay(table1_log, priority_net)
     candidate = by_kind(detect_constructs(priority_net), PatternKind.PRIORITY)[0]
-    times = [now for now, _, _ in observe(priority_net, samples, ["handling"])["handling"]]
+    assert candidate.t_g == "handling"
+    times = [r.time for r in pt_log(priority_net, candidate, table1_log).rows]
     assert 5 in times and 15 in times
     # a repaired sample's marking is a guess, whether the transition fired or not
-    repaired = [s._replace(repaired=s.time in (5, 15)) for s in samples]
-    rows = pt_log(priority_net, candidate, repaired).rows
+    observations = Observations(priority_net, table1_log, [candidate])
+    for s in samples:
+        observations.observe(s._replace(repaired=s.time in (5, 15)))
+    rows = build_pt_log(observations, candidate).rows
     assert [r.time for r in rows] == [t for t in times if t not in (5, 15)]
 
 
 def test_blocked_rows_respect_capacity(blocking_net, blocking_log):
-    samples, _ = replay(blocking_log, blocking_net)
     candidate = [
         c for c in detect_constructs(blocking_net)
         if c.kind == PatternKind.BLOCKING and c.t_g == "pre-processing"
     ][0]
-    pt = pt_log(blocking_net, candidate, samples)
+    pt = pt_log(blocking_net, candidate, blocking_log)
     fired = [r for r in pt.rows if r.label]
     held = [r for r in pt.rows if not r.label]
     assert fired and held
@@ -188,9 +191,8 @@ def test_blocked_rows_respect_capacity(blocking_net, blocking_log):
 
 
 def test_pt_log_csv_dump(priority_net, table1_log):
-    samples, _ = replay(table1_log, priority_net)
     candidate = by_kind(detect_constructs(priority_net), PatternKind.PRIORITY)[0]
-    pt = pt_log(priority_net, candidate, samples)
+    pt = pt_log(priority_net, candidate, table1_log)
     text = pt.to_csv()
     header, first = text.splitlines()[:2]
     assert '"time"' in header and '"label"' in header
@@ -199,8 +201,9 @@ def test_pt_log_csv_dump(priority_net, table1_log):
 
 
 def per_candidate_rows(net, c, samples):
-    """The rows of ``c`` as they were built before ``observe``: a pass over
-    every sample per candidate, testing for an enabled binding in each."""
+    """The rows of ``c`` as they were built before one pass served every
+    candidate: a pass over every sample per candidate, testing for an
+    enabled binding in each."""
     feats = features_for(c)
     last_start = max((s.time for s in samples if c.t_g in s.fired), default=None)
     if last_start is None:
@@ -210,7 +213,7 @@ def per_candidate_rows(net, c, samples):
         if s.repaired or s.time > last_start:
             continue
         fired = c.t_g in s.fired
-        marking = s.at_fire[c.t_g] if fired else s.after
+        marking = fired_from(s, c.t_g) if fired else s.after
         if not has_enabled_binding(net, marking, c.t_g, s.time):
             continue
         rows.append(PTRow(s.time, tuple(eval_feature(f, marking, s.time) for f in feats), fired))
@@ -222,11 +225,13 @@ def test_observed_rows_match_the_per_candidate_pass(model):
     net = load_model(model_path(model))
     candidates = detect_constructs(net)
     for seed in (1, 2, 3):
-        samples, _ = replay(simulate(net, SimConfig(seed=seed, max_cases=150)), net)
-        observations = observe(net, samples, {c.t_g for c in candidates})
-        assert sorted(observations) == sorted({c.t_g for c in candidates})
+        log = simulate(net, SimConfig(seed=seed, max_cases=150))
+        samples, _ = replay(log, net)
+        observations = Observations(net, log, candidates)
+        replay(log, net, observer=observations.observe)
+        assert sorted(observations._watches) == sorted({c.t_g for c in candidates})
         for c in candidates:
-            rows = build_pt_log(net, c, observations[c.t_g]).rows
+            rows = build_pt_log(observations, c).rows
             # repr pins every value's bits and type, not only its equality
             assert repr(rows) == repr(per_candidate_rows(net, c, samples)), (model, seed, c)
 
@@ -248,7 +253,7 @@ def test_enabledness_tested_at_most_once_per_transition_and_sample(supplychain_n
     assert fired.isdisjoint(calls)
 
 
-def test_ratio_from_its_parts_is_eval_feature_bit_for_bit(priority_net):
+def test_ratio_from_its_parts_is_eval_feature_bit_for_bit(priority_net, monkeypatch):
     c = by_kind(detect_constructs(priority_net), PatternKind.PRIORITY)[0]
     q, u = c.role("queue"), c.role("upstream")
 
@@ -263,7 +268,19 @@ def test_ratio_from_its_parts_is_eval_feature_bit_for_bit(priority_net):
         Marking({u: tokens(1 / 3, 2 / 7), q: tokens(0.1, 0.7)}),
     ]
     observations = [(float(i), m, bool(i % 2)) for i, m in enumerate(markings)]
-    pt = build_pt_log(priority_net, c, observations)
+    # each moment is one sample; a fired one holds a lone move of the
+    # candidate's transition, and a passed-over one is observed whether or
+    # not the transition has a binding there
+    monkeypatch.setattr(patterns_mod, "has_enabled_binding", lambda *args: True)
+    last = Event("c0", c.t_g, observations[-1][0], observations[-1][0])
+    observed = Observations(priority_net, Log([last]), [c])
+    inputs = [p for p, _ in priority_net.plan(c.t_g).inputs]
+    for now, m, fired in observations:
+        binding = {p: Token("c0", {}, now) for p in inputs}
+        moves = ((Event("c0", c.t_g, now, now), binding, m),) if fired else ()
+        labels = frozenset([c.t_g] if fired else [])
+        observed.observe(StateSample(now, m, m, labels, moves))
+    pt = build_pt_log(observed, c)
     ratios = [(i, f) for i, f in enumerate(pt.features) if f.kind == "ratio"]
     assert len(ratios) == 4
     assert min(eval_feature(f.den, markings[2], 2.0) for _, f in ratios) < RATIO_EPSILON

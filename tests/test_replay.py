@@ -11,10 +11,11 @@ from dsync.eventlog import Event, Log, parse_log
 from dsync.extract import annotate_net, discover_run
 from dsync.modelfile import load_model
 from dsync.net import ArrivalSpec, Dist, Marking, Net, Place, Token, Transition
-from dsync.replay import _best_move, read_off_check, replay, sim_score
+from dsync.patterns import Observations, detect_constructs, read_off_check
+from dsync.replay import _best_move, replay, sim_score
 from dsync.report import build_report
 from dsync.simulate import SimConfig, simulate
-from tests.conftest import model_path
+from tests.conftest import fired_from, model_path
 
 
 def arrivals(prefix: str, gap: float) -> ArrivalSpec:
@@ -38,7 +39,7 @@ def test_fired_sets_follow_the_log(priority_net, table1_log):
 def test_handling_fired_state_sees_pre_move_marking(priority_net, table1_log):
     samples, _ = replay(table1_log, priority_net)
     s15 = [s for s in samples if s.time == 15][0]
-    m = s15.at_fire["handling"]
+    m = fired_from(s15, "handling")
     assert max(t.attrs["value"] for t in m.tokens("arrival")) == 801
     assert max(t.attrs["value"] for t in m.tokens("q1")) == 855
 
@@ -148,7 +149,7 @@ def test_capacity_never_exceeded_at_preprocessing_starts(blocking_net, blocking_
     samples, _ = replay(blocking_log, blocking_net)
     for s in samples:
         if "pre-processing" in s.fired:
-            assert len(s.at_fire["pre-processing"].tokens("q1")) <= 5
+            assert len(fired_from(s, "pre-processing").tokens("q1")) <= 5
 
 
 def test_replay_is_deterministic(priority_net, priority_log):
@@ -252,9 +253,10 @@ def test_arrival_feeds_every_output_of_its_source(check_guards):
     net = arrival_with_three_outputs_net()
     log = simulate(net, SimConfig(seed=1, max_cases=5))
     assert sorted(e.label for e in log.events) == ["a"] * 5 + ["b"] * 5
-    samples, report = replay(log, net, check_guards=check_guards)
+    samples = []  # a guard-checked replay keeps none, so collect them
+    _, report = replay(log, net, check_guards=check_guards, observer=samples.append)
     assert (report.matched, report.total) == (10, 10)
-    assert not any(s.repaired for s in samples)
+    assert samples and not any(s.repaired for s in samples)
 
 
 def guard_closed_by_downstream_net() -> Net:
@@ -364,7 +366,8 @@ def test_retry_puts_the_unmatched_moves_of_a_ten_move_group_first():
         [Event(f"a{i}", "tp", 0.0, 1.0) for i in range(1, 6)]
         + [Event(f"b{i}", "tg", 0.0, 0.0) for i in range(1, 6)]
     )
-    samples, report = replay(log, net, check_guards=True)
+    samples = []
+    _, report = replay(log, net, check_guards=True, observer=samples.append)
     assert (report.matched, report.total) == (10, 10)
     assert [e.label for e, _, _ in samples[0].moves] == ["tg"] * 5 + ["tp"] * 5
 
@@ -429,7 +432,7 @@ def test_samples_keep_every_applied_move(priority_net, table1_log):
     # pre-processing to the state handling left
     assert [e.label for e, _, _ in s15.moves] == ["handling", "pre-processing"]
     assert s15.moves[0][2] is s15.before
-    assert s15.at_fire == {e.label: m for e, _, m in s15.moves}
+    assert {t: fired_from(s15, t) for t in s15.fired} == {e.label: m for e, _, m in s15.moves}
     assert sum(len(s.moves) for s in samples) == 9
 
 
@@ -468,14 +471,20 @@ def _guarded(net: Net, t_id: str, guard: str) -> Net:
     return net.without_guards().with_guards({t_id: parse_constraint(guard)})
 
 
+def _observed(net: Net, log: Log) -> tuple[Observations, object]:
+    """An unguarded replay observed as ``discover_run`` observes it, and its report."""
+    observations = Observations(net, log, detect_constructs(net))
+    return observations, replay(log, net, observer=observations.observe)[1]
+
+
 def test_read_off_check_declines_a_tightened_guard():
     net, log = _simulated("blocking", 300, 1)
-    samples, report = replay(log, net)
+    observations, report = _observed(net, log)
     # the discovered guard, then the same with a smaller constant
     found = _guarded(net, "pre-processing", "nrtokens(q1) <= 4.5")
     tight = _guarded(net, "pre-processing", "nrtokens(q1) <= 2.5")
-    assert read_off_check(net, samples, report, found) is not None
-    assert read_off_check(net, samples, report, tight) is None
+    assert read_off_check(net, observations, report, found) is not None
+    assert read_off_check(net, observations, report, tight) is None
     assert replay(log, tight, check_guards=True)[1].unmatched
 
 
@@ -484,10 +493,10 @@ def test_read_off_check_declines_a_guard_on_an_unstored_place():
     # tokens there and the guard below holds on every one of them; over the
     # annotated net, which stores them, it closes after five handlings
     net, log = _simulated("blocking", 300, 1)
-    samples, report = replay(log, net)
+    observations, report = _observed(net, log)
     assert "done" in net.unread
     annotated = _guarded(net, "handling", "nrtokens(done) < 5")
-    assert read_off_check(net, samples, report, annotated) is None
+    assert read_off_check(net, observations, report, annotated) is None
     assert replay(log, annotated, check_guards=True)[1].unmatched
 
 
@@ -498,8 +507,10 @@ def test_read_off_check_declines_a_replay_with_unmatched_moves(blocking_net):
         "1,pre-processing,1,2,\n"
         "7,pre-processing,3,4,\n"
     )
-    samples, report = replay(parse_log(text), blocking_net)
-    assert read_off_check(blocking_net, samples, report, blocking_net.without_guards()) is None
+    observations, report = _observed(blocking_net, parse_log(text))
+    assert read_off_check(
+        blocking_net, observations, report, blocking_net.without_guards()
+    ) is None
 
 
 @pytest.mark.parametrize("model, cases, seed, calls", [

@@ -13,7 +13,7 @@ from dsync.modelfile import load_model
 from dsync.net import ArrivalSpec, Dist, Marking, Net, Place, Token, Transition
 from dsync.replay import replay
 from dsync.simulate import SimConfig, ground_truth, simulate
-from tests.conftest import fifo_key, model_path
+from tests.conftest import fifo_key, fired_from, model_path
 
 
 def source_net(interarrival: float = 1.0) -> Net:
@@ -134,7 +134,7 @@ def test_guard_soundness_on_held_states(blocking_net, blocking_log):
     checked = 0
     for s in samples:
         if "pre-processing" in s.fired:
-            marking = s.at_fire["pre-processing"]
+            marking = fired_from(s, "pre-processing")
             assert guard.holds(marking, s.time)
             checked += 1
     assert checked == 500
