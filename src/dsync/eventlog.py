@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .acyclic import acyclic
 from .errors import LogError
@@ -206,16 +206,6 @@ def _narrow(typ: Optional[str], raw: str) -> str:
         else:
             return "number"
     return "boolean" if typ != "number" and raw.lower() in ("true", "false") else "text"
-
-
-def infer_type(values: Iterable[str]) -> str:
-    """The ``ATTR_TYPES`` entry a log column of these stripped cells reads
-    as, by the rule ``parse_log`` types its columns with."""
-    typ = None
-    for raw in values:
-        if raw:
-            typ = _narrow(typ, raw)
-    return typ or "text"
 
 
 def _coerce(raw: str, typ: str) -> AttrValue:

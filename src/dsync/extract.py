@@ -16,9 +16,10 @@ enabled tokens or a too-soon next token (hold-batch and choice).
 ``discover_run`` replays the log once, with ``patterns.Observations`` as the
 replay's observer, so the pattern-transition rows are read while it replays
 and no sample is kept. It also reads the replayability check of the net
-annotated with its constraints off the moves that observer recorded
-(``patterns.read_off_check``) and keeps it as ``DiscoveryRun.check``, which is
-None when the check needs a replay of its own.
+annotated with its constraints off that replay: each constraint is tested
+on the moves its own candidate recorded (``patterns.read_off_check``). The
+result is kept as ``DiscoveryRun.check``, which is None when the check needs
+a replay of its own.
 """
 from __future__ import annotations
 
@@ -238,12 +239,9 @@ def discover_run(
         results.append(res)
 
     constraints = _dedup([r.constraint for r in results if r.constraint is not None])
-    check = read_off_check(
-        net, observations, report, annotate_net(net.without_guards(), constraints)
-    )
     return DiscoveryRun(
         constraints, results, observations.samples, report, tree_params, extraction_params,
-        check,
+        read_off_check(observations, report, constraints),
     )
 
 

@@ -41,7 +41,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .constraints import IDENT, ConstraintExpr
 from .errors import ModelError
-from .eventlog import COLUMNS, EMPTY_ATTRS, infer_type
+from .eventlog import COLUMNS, EMPTY_ATTRS, _narrow
 
 AttrValue = object  # number | bool | str
 
@@ -637,6 +637,14 @@ def validate_net(net: Net) -> list[str]:
                         f"guard of {t.id!r} references undeclared attribute "
                         f"{attr!r} of place {place_id!r}"
                     )
+            # attrval reads a number; a ratio's two parts are attrval features
+            parts = [f for a in t.guard.atoms
+                     for f in ((a.feature.num, a.feature.den) if a.feature.kind == "ratio"
+                               else (a.feature,))]
+            out += [f"guard of {t.id!r} takes attrval of text attribute {f.attr!r} "
+                    f"of place {f.place!r}"
+                    for f in parts if f.kind == "attrval" and f.place in net.places
+                    and dict(net.places[f.place].attributes).get(f.attr) == "text"]
 
     # a source's n-th case id is its prefix followed by n (``simulate``), so
     # sources with prefixes p <= q share an id exactly when p gives q + "1"
@@ -676,6 +684,13 @@ def token_problems(place: Place, token: Token) -> list[str]:
 
 
 def _misread(value: AttrValue) -> list[str]:
-    """Why a log would not give back a text ``value`` as text (``infer_type``)."""
-    typ = infer_type([value]) if isinstance(value, str) else "text"
-    return [] if typ == "text" else [f"text value {value!r} reads back from a log as {typ}"]
+    """Why a log would not give back a text ``value``: ``parse_log`` strips
+    each cell, reads an empty one as no value, and types the rest
+    (``eventlog._narrow``)."""
+    if not isinstance(value, str):
+        return []
+    raw = value.strip()
+    typ = _narrow(None, raw) if raw else "no value"
+    if typ != "text":
+        return [f"text value {value!r} reads back from a log as {typ}"]
+    return [] if raw == value else [f"text value {value!r} reads back from a log as {raw!r}"]

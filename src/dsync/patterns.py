@@ -9,11 +9,12 @@ whose behaviour shows no synchronization.
 Several candidates share a guarded transition, and so share the moments it
 is observed at. ``Observations.observe`` is the replay's observer: it reads
 every candidate's row off each sample while the replay runs, testing
-enabledness at most once per transition and sample, and records the feature
-values at every move on a candidate's transition, so that no marking
-outlives its timestamp. ``build_pt_log`` then only assembles a candidate's
-rows, and ``read_off_check`` tests discovered guards against the recorded
-moves instead of replaying the log again.
+enabledness at most once per transition and sample, and records each
+candidate's feature values at every move on its transition, so that no
+marking outlives its timestamp. ``build_pt_log`` then only assembles a
+candidate's rows, and ``read_off_check`` tests each discovered constraint
+against the moves its own candidate recorded instead of replaying the log
+again.
 """
 from __future__ import annotations
 
@@ -21,13 +22,16 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .constraints import OPS, RATIO_EPSILON, Atom, ConstraintExpr, FeatureRef, eval_feature
 from .errors import ModelError
 from .eventlog import Log, fmt_cell, fmt_num
 from .net import Marking, Net, has_enabled_binding
 from .replay import MatchReport, StateSample
+
+if TYPE_CHECKING:
+    from .extract import PatternConstraint
 
 
 class PatternKind(str, Enum):
@@ -188,9 +192,10 @@ class PatternTransitionLog:
 
 class _Reading:
     """One candidate in ``Observations``: how its features are evaluated,
-    its rows, and its features' values at each move of its transition."""
+    its rows, its features' values at each move of its transition, and, per
+    move, whether ``binding_ok`` of each ``pinned`` guard passes the binding."""
 
-    __slots__ = ("features", "plan", "rows", "moves", "shared")
+    __slots__ = ("features", "plan", "rows", "moves", "shared", "pinned", "pins")
 
     def __init__(self, net: Net, c: PatternCandidate):
         feats = tuple(features_for(c))
@@ -210,6 +215,11 @@ class _Reading:
         self.rows: list[PTRow] = []
         self.moves: list[tuple] = []
         self.shared: dict[tuple, tuple] = {}  # one tuple per distinct row of values
+        # one single-atom guard per attrenabled feature, which may pin a token
+        self.pinned = tuple(
+            ConstraintExpr((Atom(f, "==", True),)) for f in feats if f.kind == "attrenabled"
+        )
+        self.pins: list[tuple[bool, ...]] = []
 
     def values(self, marking: Marking, now: float) -> tuple:
         """The features on ``marking`` at ``now``; a ratio whose two parts
@@ -223,28 +233,6 @@ class _Reading:
                 values.append(values[parts[0]] / max(values[parts[1]], RATIO_EPSILON))
         key = tuple(values)
         return self.shared.setdefault(key, key)
-
-
-class _Watch:
-    """One guarded transition in ``Observations``: its candidates' readings,
-    where each of their features is read (``columns``), and, per move,
-    whether ``binding_ok`` of each ``pinned`` guard passes the binding."""
-
-    __slots__ = ("t", "last_start", "readings", "columns", "pinned", "pins")
-
-    def __init__(self, t: str, readings: list[_Reading], last_start: float):
-        self.t, self.last_start, self.readings = t, last_start, readings
-        self.columns: dict[FeatureRef, tuple[_Reading, int]] = {}
-        for r in readings:
-            for i, f in enumerate(r.features):
-                self.columns.setdefault(f, (r, i))
-        # one single-atom guard per attrenabled feature, which may pin a token
-        self.pinned = tuple(
-            ConstraintExpr((Atom(f, "==", True),))
-            for f in self.columns
-            if f.kind == "attrenabled"
-        )
-        self.pins: list[tuple[bool, ...]] = []
 
 
 class Observations:
@@ -269,10 +257,8 @@ class Observations:
         for e in log.events:
             if e.label in by_t and e.start > last.get(e.label, -math.inf):
                 last[e.label] = e.start
-        self._watches = {
-            t: _Watch(t, by_t[t], last.get(t, -math.inf)) for t in sorted(by_t)
-        }
-        self._started = [w for w in self._watches.values() if w.t in last]
+        # (transition, its last start, its candidates' readings) per started transition
+        self._started = [(t, last[t], by_t[t]) for t in sorted(last)]
 
     def observe(self, s: StateSample) -> None:
         """Read one sample: each candidate's row, and the values at each move.
@@ -283,32 +269,31 @@ class Observations:
         is read in the post-move marking, if it has an enabled binding
         (guards off) there. Each move on a candidate's transition records the
         candidate's values in the marking it applied to, the first move
-        sharing its row's, and whether each pinned guard's ``binding_ok``
-        passes the move's binding.
+        sharing its row's, and whether each of the candidate's pinned guards
+        passes the move's binding (``binding_ok``).
         """
         self.samples += 1
         if s.repaired:
             return
         now, fired, after = s.time, s.fired, s.after
-        for w in self._started:
-            if now > w.last_start:
+        for t, last_start, readings in self._started:
+            if now > last_start:
                 continue
-            t = w.t
             if t in fired:
                 first = True
                 for e, binding, m in s.moves:
                     if e.label != t:
                         continue
-                    for r in w.readings:
+                    for r in readings:
                         values = r.values(m, now)
                         if first:
                             r.rows.append(PTRow(now, values, True))
                         r.moves.append(values)
+                        if r.pinned:
+                            r.pins.append(tuple(g.binding_ok(m, now, binding) for g in r.pinned))
                     first = False
-                    if w.pinned:
-                        w.pins.append(tuple(g.binding_ok(m, now, binding) for g in w.pinned))
             elif has_enabled_binding(self.net, after, t, now):
-                for r in w.readings:
+                for r in readings:
                     r.rows.append(PTRow(now, r.values(after, now), False))
 
 
@@ -325,49 +310,40 @@ def build_pt_log(observations: Observations, c: PatternCandidate) -> PatternTran
 
 
 def read_off_check(
-    net: Net, observations: Observations, report: MatchReport, annotated: Net
+    observations: Observations, report: MatchReport, constraints: Iterable[PatternConstraint]
 ) -> Optional[MatchReport]:
-    """The report of ``replay(log, annotated, check_guards=True)``, read off
-    the unguarded ``replay(log, net)`` that ``observations`` observed and
-    that gave ``report``; None when its moves do not settle it.
+    """The report of ``replay(log, annotated, check_guards=True)``, where
+    ``annotated`` is the observed net without its guards and with
+    ``constraints`` installed, read off the unguarded replay that
+    ``observations`` observed and that gave ``report``; None when its moves
+    do not settle it.
 
-    ``annotated`` is ``net`` with other guards. Guards only shrink the binding
-    pools, and the pools keep their order, so the guard-checked walk takes
-    exactly the unguarded walk's steps, and never retries, when every move
-    matched, every place the annotated guards read is stored in ``net``'s
-    markings (none is in ``net.unread``), and each move on a guarded
+    Guards only shrink the binding pools, and the pools keep their order, so
+    the guard-checked walk takes exactly the unguarded walk's steps, and
+    never retries, when every move matched and each move on a guarded
     transition gets the binding it applied from the guard-checked
     ``_best_move`` too. That last holds exactly when the guard holds on the
     move's marking and ``binding_ok`` passes the applied binding, pool by
     pool: ``pin`` filters each token on its own, so a pinned pool is a
     subsequence of the unpinned one, and the token ``_best_move`` took as the
     first maximum of the unpinned pool stays the first maximum if ``pin``
-    keeps it. Both are tested on what was recorded at each move: the guard's
-    atoms on the feature values, and ``binding_ok`` as the conjunction of
-    each atom's alone, which was recorded when that atom is a pinned guard
-    (any other atom pins no token). A guard that reads a feature no
-    candidate of its transition has is not settled.
+    keeps it. Both are tested on what the constraint's own candidate
+    recorded at each move of its transition: each atom on its feature's
+    values, and ``binding_ok`` as the conjunction of each atom's alone,
+    which was recorded when that atom is a pinned guard (any other atom pins
+    no token). A constraint's atoms read only its candidate's features, and
+    those read only case places and places with a consumer, which every
+    marking stores.
     """
     if report.unmatched:
         return None
-    guards = {t: tr.guard for t, tr in annotated.transitions.items() if tr.guard is not None}
-    if any(p in net.unread for g in guards.values() for p, _ in g.references()):
-        return None
-    for t, guard in guards.items():
-        w = observations._watches.get(t)
-        tests = []
-        for atom in guard.atoms:
-            column = w.columns.get(atom.feature) if w is not None else None
-            compare = OPS.get(atom.op)
-            if column is None or compare is None:
-                return None
+    for pc in constraints:
+        r = observations._readings[pc.candidate]
+        for atom in pc.expr.atoms:
+            i, compare = r.features.index(atom.feature), OPS[atom.op]
             alone = ConstraintExpr((atom,))
-            pin = w.pinned.index(alone) if alone in w.pinned else None
-            tests.append((column[0].moves, column[1], compare, atom.const, pin))
-        if not tests:
-            continue
-        for k in range(len(tests[0][0])):
-            for moves, i, compare, const, pin in tests:
-                if not compare(moves[k][i], const) or (pin is not None and not w.pins[k][pin]):
+            pin = r.pinned.index(alone) if alone in r.pinned else None
+            for k, values in enumerate(r.moves):
+                if not compare(values[i], atom.const) or (pin is not None and not r.pins[k][pin]):
                     return None
     return MatchReport(report.matched, [], dict(report.stats))

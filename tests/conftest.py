@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import importlib
 import pathlib
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import pytest
 
@@ -106,6 +107,39 @@ def read_off_samples(
             ):
                 return None
     return MatchReport(report.matched, [], dict(report.stats))
+
+
+# -- replay fidelity: the simulator's states against replay's ------------------
+
+
+def task_firings(module_name: str, call: Callable[[], object]) -> tuple[dict, object]:
+    """Run ``call()`` with the ``fire`` that ``module_name`` (``dsync.simulate``
+    or ``dsync.replay``) calls wrapped, and return its result and each task
+    firing keyed by (case id, label, start): the marking the firing applied
+    to, each place as sorted (case id, availability) pairs, and its binding,
+    each bound token as (case id, availability)."""
+    # the package binds ``simulate`` and ``replay`` to functions, so fetch the modules
+    module = importlib.import_module(module_name)
+    fire, firings = module.fire, {}
+
+    def recorded(net, m, t_id, binding, now, delay, case=None):
+        if net.transitions[t_id].is_task:
+            key = (case[0] if case else "", t_id, now)
+            # a replay that retried a group would apply some moves twice
+            assert key not in firings, f"{key} fired twice"
+            firings[key] = (
+                {p: sorted((tok.case_id or "", tok.available_at) for tok in m.tokens(p))
+                 for p in net.places},
+                {p: (tok.case_id, tok.available_at) for p, tok in binding.items()},
+            )
+        return fire(net, m, t_id, binding, now, delay, case)
+
+    module.fire = recorded
+    try:
+        result = call()
+    finally:
+        module.fire = fire
+    return firings, result
 
 
 @pytest.fixture(scope="session")

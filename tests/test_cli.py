@@ -479,6 +479,76 @@ def test_malformed_attribute_generator_exits_3(tmp_path, capsys, gen, message):
     assert message in capsys.readouterr().err
 
 
+def _priority_with_tag(values, guard=None) -> dict:
+    """The priority model whose cases also carry a text attribute ``tag``
+    drawn from ``values``; ``guard``, if given, replaces the guard of
+    ``handling``."""
+    doc = json.loads((MODELS / "priority.json").read_text())
+    for place in doc["places"]:
+        if place["id"] in ("arrival", "q1"):
+            place["attributes"].append(["tag", "text"])
+    doc["transitions"][0]["arrival_spec"]["attributes"]["tag"] = {
+        "kind": "choice", "values": list(values),
+    }
+    for t in doc["transitions"]:
+        if guard is not None and t["id"] == "handling":
+            t["guard"] = guard
+    return doc
+
+
+def test_text_values_a_log_gives_back_simulate_and_check(tmp_path):
+    model, log = tmp_path / "model.json", tmp_path / "log.csv"
+    model.write_text(json.dumps(_priority_with_tag(["a", "b c"])))
+    assert main(["simulate", "--model", str(model), "--seed", "1",
+                 "--max-cases", "30", "--out", str(log)]) == 0
+    assert main(["check", "--model", str(model), "--log", str(log)]) == 0
+
+
+@pytest.mark.parametrize(
+    "values, problem",
+    [
+        ([" true ", " false "], "text value ' true ' reads back from a log as boolean"),
+        (["", "x"], "text value '' reads back from a log as no value"),
+        ([" x", "y"], "text value ' x' reads back from a log as 'x'"),
+    ],
+    ids=["padded-boolean", "empty", "padded"],
+)
+def test_text_value_a_log_does_not_give_back_exits_3(tmp_path, capsys, values, problem):
+    # parse_log strips each cell and reads an empty one as no value: the
+    # model's own log would not check, or would check other values
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_priority_with_tag(values)))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert f"transition 'job_arrival' attribute 'tag': {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize(
+    "guard",
+    ["attrval(q1, tag, max) <= 1", "ratio(attrval(arrival, value, max), attrval(q1, tag, max)) <= 1"],
+    ids=["attrval", "ratio"],
+)
+def test_attrval_of_a_text_attribute_exits_3(tmp_path, capsys, command, guard):
+    # attrval reads a number; over text it was a ValueError traceback, exit 1
+    plain, model, log = tmp_path / "plain.json", tmp_path / "model.json", tmp_path / "log.csv"
+    plain.write_text(json.dumps(_priority_with_tag(["a", "b"])))
+    assert main(["simulate", "--model", str(plain), "--seed", "1",
+                 "--max-cases", "30", "--out", str(log)]) == 0
+    model.write_text(json.dumps(_priority_with_tag(["a", "b"], guard)))
+    capsys.readouterr()
+    if command == "simulate":
+        code = main(["simulate", "--model", str(model), "--seed", "1",
+                     "--max-cases", "30", "--out", str(tmp_path / "x.csv")])
+    else:
+        code = main(["check", "--model", str(model), "--log", str(log)])
+    assert code == 3
+    assert "guard of 'handling' takes attrval of text attribute 'tag' of place 'q1'" in (
+        capsys.readouterr().err
+    )
+
+
 def test_initial_token_attribute_of_another_type_exits_3(tmp_path, capsys):
     doc = _doc_with(("initial_marking", "q1"), [{"case_id": "j0", "attrs": {"value": True}}])
     (tmp_path / "model.json").write_text(json.dumps(doc))

@@ -260,10 +260,14 @@ def test_validate_an_initial_case_token_with_an_id_a_source_gives():
 
 
 @pytest.mark.parametrize("value, typ", [("1", "number"), ("TRUE", "boolean"),
-                                        ("nan", "number"), (" 3", "number")])
+                                        ("nan", "number"), (" 3", "number"),
+                                        (" true ", "boolean"), ("", "no value"),
+                                        ("\t", "no value"), (" x", "'x'"), ("x ", "'x'")])
 def test_validate_a_text_value_a_log_reads_back_as_another_type(value, typ):
     # written to a log, such a value makes its column another type, and the
-    # model's own log then fails its replay
+    # model's own log then fails its replay; parse_log strips each cell and
+    # reads an empty one as no value, so a padded or empty value would come
+    # back as another text or as no attribute at all
     spec = ArrivalSpec(Dist.constant(1), {"w": Dist("choice", values=(value, "x"))})
     net = Net(
         places=[Place("a", "case", (("w", "text"),)), Place("b", "case", (("w", "text"),))],
@@ -284,6 +288,27 @@ def test_validate_a_text_value_a_log_reads_back_as_another_type(value, typ):
     log = parse_log(write_log(simulate(net, SimConfig(seed=1, max_cases=30))))
     assert log.schema == (("w", "text"),)
     assert replay(log, net, check_guards=True)[1].matched == 60
+
+
+@pytest.mark.parametrize("guard, problems", [
+    ("attrval(a, w, max) <= 1", ["attrval of text attribute 'w' of place 'a'"]),
+    ("nrtokens(a) < 3 and attrval(a, w, min) > 0",
+     ["attrval of text attribute 'w' of place 'a'"]),
+    ("ratio(attrval(a, v, max), attrval(a, w, min)) <= 1",
+     ["attrval of text attribute 'w' of place 'a'"]),
+    ("ratio(attrval(a, w, max), attrval(a, w, min)) <= 1",
+     ["attrval of text attribute 'w' of place 'a'"] * 2),
+    # a number, and the extremum of a text attribute, which compares as text
+    ("attrval(a, v, max) <= 1 and attrenabled(a, w, max) == true", []),
+])
+def test_validate_attrval_of_a_text_attribute(guard, problems):
+    # attrval reads its extremum as a number, which a text value is not
+    net = Net(
+        places=[Place("a", "case", (("v", "number"), ("w", "text"))), Place("b", "case")],
+        transitions=[Transition("t", guard=parse_constraint(guard))],
+        flows=[("a", "t"), ("t", "b")],
+    )
+    assert validate_net(net) == [f"guard of 't' takes {p}" for p in problems]
 
 
 def test_duplicate_node_ids_are_rejected():

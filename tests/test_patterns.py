@@ -77,10 +77,10 @@ def test_no_candidates_without_places():
     assert detect_constructs(net) == []
 
 
-def test_priority_skips_the_guarded_transition_the_queue_and_text_attributes():
-    # tg loops on q and also takes side; prod consumes from q and refills it;
-    # up and q share a text attribute
-    net = Net(
+def looping_net() -> Net:
+    """tg loops on q and also takes side; prod consumes from q and refills it;
+    up and q share a text attribute."""
+    return Net(
         places=[
             Place("up", "case", (("tag", "text"), ("value", "number"))),
             Place("q", "case", (("tag", "text"), ("value", "number"))),
@@ -91,7 +91,10 @@ def test_priority_skips_the_guarded_transition_the_queue_and_text_attributes():
         flows=[("up", "prod"), ("q", "prod"), ("prod", "q"),
                ("q", "tg"), ("side", "tg"), ("tg", "q"), ("tg", "done")],
     )
-    priority = by_kind(detect_constructs(net), PatternKind.PRIORITY)
+
+
+def test_priority_skips_the_guarded_transition_the_queue_and_text_attributes():
+    priority = by_kind(detect_constructs(looping_net()), PatternKind.PRIORITY)
     assert priority == [
         PatternCandidate(PatternKind.PRIORITY, "prod", (("queue", "q"), ("upstream", "side")),
                          "value"),
@@ -100,16 +103,41 @@ def test_priority_skips_the_guarded_transition_the_queue_and_text_attributes():
     ]
 
 
+def extended_net(net: Net) -> Net:
+    """``net`` with an island place that only a new transition consumes."""
+    return Net(
+        places=list(net.places.values()) + [Place("island", "case")],
+        transitions=list(net.transitions.values())
+        + [Transition("lonely", delay=Dist.constant(1))],
+        flows=list(net.flows) + [("island", "lonely")],
+        initial_marking=net.initial_marking,
+    )
+
+
 def test_detection_monotone_under_extension(priority_net):
     base = set(detect_constructs(priority_net))
-    extended = Net(
-        places=list(priority_net.places.values()) + [Place("island", "case")],
-        transitions=list(priority_net.transitions.values())
-        + [Transition("lonely", delay=Dist.constant(1))],
-        flows=list(priority_net.flows) + [("island", "lonely")],
-        initial_marking=priority_net.initial_marking,
-    )
-    assert base <= set(detect_constructs(extended))
+    assert base <= set(detect_constructs(extended_net(priority_net)))
+
+
+@pytest.mark.parametrize("name", [
+    "blocking", "choice", "holdbatch", "priority", "supplychain", "looping", "extended",
+])
+def test_no_feature_place_is_unread(name):
+    # a role place is a case place or a place with a consumer, never a plain
+    # sink that replay leaves empty, so every marking stores what a
+    # discovered constraint reads
+    if name == "looping":
+        net = looping_net()
+    elif name == "extended":
+        net = extended_net(load_model(model_path("priority")))
+    else:
+        net = load_model(model_path(name))
+    candidates = detect_constructs(net)
+    assert candidates
+    assert net.unread or name == "looping"  # every other net has a plain sink
+    for c in candidates:
+        for f in features_for(c):
+            assert not {p for p, _ in f.references()} & net.unread, (name, c.describe())
 
 
 def test_feature_sets_per_kind():
@@ -229,7 +257,8 @@ def test_observed_rows_match_the_per_candidate_pass(model):
         samples, _ = replay(log, net)
         observations = Observations(net, log, candidates)
         replay(log, net, observer=observations.observe)
-        assert sorted(observations._watches) == sorted({c.t_g for c in candidates})
+        started = {t for t, _, _ in observations._started}
+        assert started == {c.t_g for c in candidates} & {e.label for e in log.events}
         for c in candidates:
             rows = build_pt_log(observations, c).rows
             # repr pins every value's bits and type, not only its equality

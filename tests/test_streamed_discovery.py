@@ -14,12 +14,18 @@ from functools import lru_cache
 
 import pytest
 
-from dsync.constraints import parse_constraint
+from dsync.constraints import OPS, parse_constraint
 from dsync.eventlog import Log
-from dsync.extract import annotate_net, discover_run
+from dsync.extract import DiscoveryRun, PatternConstraint, annotate_net, discover_run
 from dsync.modelfile import load_model
 from dsync.net import Marking, Net
-from dsync.patterns import Observations, detect_constructs, read_off_check
+from dsync.patterns import (
+    Observations,
+    PatternKind,
+    detect_constructs,
+    features_for,
+    read_off_check,
+)
 from dsync.replay import replay
 from dsync.simulate import SimConfig, simulate
 from tests.conftest import model_path, observe_samples, pt_log_of, read_off_samples
@@ -33,11 +39,17 @@ def _simulated(model: str, cases: int, seed: int) -> tuple[Net, Log]:
     return net, simulate(net, SimConfig(seed=seed, max_cases=cases))
 
 
+@lru_cache(maxsize=None)
+def _discovered(model: str, seed: int) -> DiscoveryRun:
+    net, log = _simulated(model, 150, seed)
+    return discover_run(log, net)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("model", MODELS)
 def test_streamed_discovery_equals_the_kept_samples(model, seed):
     net, log = _simulated(model, 150, seed)
-    run = discover_run(log, net)
+    run = _discovered(model, seed)
     samples, report = replay(log, net)
     moments = observe_samples(net, samples, {res.candidate.t_g for res in run.results})
     assert run.samples == len(samples)
@@ -56,16 +68,28 @@ def test_streamed_discovery_equals_the_kept_samples(model, seed):
         )
 
 
-def _read_off_both(net: Net, log: Log, t_id: str, guard: str):
-    """The read-off check of ``guard`` on ``t_id``, from the streamed
-    observations and from the kept samples."""
-    annotated = net.without_guards().with_guards({t_id: parse_constraint(guard)})
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("model", MODELS)
+def test_discovered_atoms_read_their_own_candidates_features(model, seed):
+    # so ``read_off_check`` finds every atom's values among the moves its
+    # constraint's candidate recorded, and can compare them
+    run = _discovered(model, seed)
+    for pc in run.constraints:
+        features = features_for(pc.candidate)
+        for atom in pc.expr.atoms:
+            assert atom.feature in features, pc.describe()
+            assert atom.op in OPS, pc.describe()
+
+
+def _read_off_both(net: Net, log: Log, pc: PatternConstraint):
+    """The read-off check of ``pc``, from the streamed observations and from
+    the kept samples."""
     observations = Observations(net, log, detect_constructs(net))
     report = replay(log, net, observer=observations.observe)[1]
     samples, kept_report = replay(log, net)
     return (
-        read_off_check(net, observations, report, annotated),
-        read_off_samples(net, samples, kept_report, annotated),
+        read_off_check(observations, report, [pc]),
+        read_off_samples(net, samples, kept_report, annotate_net(net.without_guards(), [pc])),
     )
 
 
@@ -75,7 +99,12 @@ def _read_off_both(net: Net, log: Log, t_id: str, guard: str):
 ])
 def test_read_off_check_of_a_guard_equals_the_oracle(guard, settled):
     net, log = _simulated("blocking", 300, 1)
-    streamed, oracle = _read_off_both(net, log, "pre-processing", guard)
+    (candidate,) = [
+        c for c in detect_constructs(net)
+        if c.kind == PatternKind.BLOCKING and c.t_g == "pre-processing"
+    ]
+    pc = PatternConstraint(candidate, parse_constraint(guard), support=0)
+    streamed, oracle = _read_off_both(net, log, pc)
     assert (streamed is not None, oracle is not None) == (settled, settled)
     if settled:
         assert (streamed.matched, streamed.unmatched, streamed.stats) == (
@@ -83,14 +112,21 @@ def test_read_off_check_of_a_guard_equals_the_oracle(guard, settled):
         )
 
 
-def test_read_off_check_declines_a_feature_no_candidate_of_its_transition_has():
-    # nrtokens(arrival) is a feature of the candidate on ``arriving`` only; on
-    # ``pre-processing`` no value of it was recorded, so the check is not
-    # settled, although the kept markings show the guard holding at every move
-    net, log = _simulated("blocking", 300, 1)
-    streamed, oracle = _read_off_both(net, log, "pre-processing", "nrtokens(arrival) >= 0")
-    assert streamed is None
-    assert oracle is not None
+@pytest.mark.parametrize("agg, settled", [("max", True), ("min", False)])
+def test_read_off_check_tests_the_token_a_pin_allows(agg, settled):
+    # both guards hold at every handling move, but the min one pins the
+    # smallest token of q1, which handling took at only 6 of its 300 moves
+    net, log = _simulated("priority", 300, 1)
+    (candidate,) = [
+        c for c in detect_constructs(net)
+        if c.kind == PatternKind.PRIORITY and c.t_g == "handling"
+    ]
+    guard = parse_constraint(f"attrenabled(q1, value, {agg}) == true")
+    pc = PatternConstraint(candidate, guard, support=0)
+    streamed, oracle = _read_off_both(net, log, pc)
+    assert (streamed is not None, oracle is not None) == (settled, settled)
+    check = replay(log, annotate_net(net.without_guards(), [pc]), check_guards=True)[1]
+    assert len(check.unmatched) == (0 if settled else 294)
 
 
 def _live_markings() -> int:
