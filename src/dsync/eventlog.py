@@ -92,10 +92,10 @@ def parse_log(text: str) -> Log:
 
     Extra columns become attributes typed per column over the whole file:
     numeric if every non-empty value parses as a number, boolean if every
-    value is true/false, text otherwise. A row may end in empty cells beyond
-    the header, but a non-empty one raises ``LogError``. One leading
-    byte-order mark (U+FEFF) is dropped. Runs with the cyclic garbage
-    collector paused (``acyclic``).
+    value is true/false, text otherwise. Trailing empty header cells are
+    dropped, and a row may end in empty cells beyond the header, but a
+    non-empty one raises ``LogError``. One leading byte-order mark (U+FEFF)
+    is dropped. Runs with the cyclic garbage collector paused (``acyclic``).
 
     The pass types the columns as it reads, so the attribute maps are filled
     after it: a numeric cell that is not finite is an error only once its
@@ -114,6 +114,8 @@ def parse_log(text: str) -> Log:
     # record ends on
     records = (row for row in reader if any(map(str.strip, row)))
     header = [h.strip() for h in next(records, ())]
+    while header and not header[-1]:  # trailing empty cells name no column
+        header.pop()
     if not header:
         raise LogError("log has no header row")
     for i, col in enumerate(header):

@@ -127,7 +127,7 @@ def trace_and_filter(
         if delta >= 0:
             continue
         if feature.is_boolean:
-            # encoded 0/1, split at 0.5: the taken branch (x <= 0.5) is == false
+            # False orders before True, split at 0.5: the taken branch (x <= 0.5) is == false
             op, value = "==", (not taken)
         else:
             op, value = ("<=", threshold) if taken else (">", threshold)
@@ -197,7 +197,7 @@ def _mine(res: CandidateResult, tree_params: TreeParams, p: ExtractionParams) ->
         return f"only {len(ptlog.rows)} rows (tau_s={p.tau_s})"
     if n_false == 0 or n_true == 0:
         return f"single-class log ({n_false} false / {n_true} true)"
-    res.tree = fit(ptlog.matrix(), ptlog.labels(), tree_params)
+    res.tree = fit([row.values for row in ptlog.rows], ptlog.labels(), tree_params)
     leaves = select_false_leaves(res.tree, p)
     if not leaves:
         return "no qualifying false leaf"

@@ -483,25 +483,20 @@ def binding_pools(
 
 
 def enabled_bindings(
-    net: Net,
-    m: Marking,
-    t_id: str,
-    now: float,
-    check_guards: bool = False,
-    case_id: Optional[str] = None,
+    net: Net, m: Marking, t_id: str, now: float, check_guards: bool = False
 ) -> list[Binding]:
     """The bindings of time-enabled tokens for transition ``t_id`` at ``now``:
     the cartesian product of ``binding_pools``, in product order.
 
     Neither engine enumerates it: the simulator (``simulate.fifo_first``) and
-    a log move (``replay._best_move``) read one token off each pool. The
-    pools' filters keep their tokens in order and drop only tokens the guard
-    rejects, tokens of another case than the log move's, and plain tokens
+    a log move (``replay._best_move``, which also keeps only its case's
+    tokens) read one token off each pool. The pools' filters keep their
+    tokens in order and drop only tokens the guard rejects and plain tokens
     after the earliest, which no pick prefers. The simulator calls this only
     for a task source, whose empty preset has exactly one (empty) binding,
     kept when the guard holds.
     """
-    pools = binding_pools(net, m, t_id, now, check_guards, case_id)
+    pools = binding_pools(net, m, t_id, now, check_guards)
     if pools is None:
         return []
     in_places = net.preset[t_id]

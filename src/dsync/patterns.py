@@ -170,9 +170,6 @@ class PatternTransitionLog:
     features: tuple[FeatureRef, ...]
     rows: list[PTRow]
 
-    def matrix(self) -> list[list[float]]:
-        return [[float(v) for v in row.values] for row in self.rows]
-
     def labels(self) -> list[bool]:
         return [row.label for row in self.rows]
 
@@ -192,17 +189,14 @@ class PatternTransitionLog:
 
 class _Reading:
     """One candidate in ``Observations``: how its features are evaluated,
-    its rows, its features' values at each move of its transition, and, per
-    move, whether ``binding_ok`` of each ``pinned`` guard passes the binding."""
+    its rows, its features' values at each move of its transition, and the
+    ``pinned`` guards ``held`` by every move so far: those whose
+    ``binding_ok`` passed each move's binding."""
 
-    __slots__ = ("features", "plan", "rows", "moves", "shared", "pinned", "pins")
+    __slots__ = ("features", "plan", "rows", "moves", "shared", "pinned", "held")
 
-    def __init__(self, net: Net, c: PatternCandidate):
+    def __init__(self, c: PatternCandidate):
         feats = tuple(features_for(c))
-        for f in feats:
-            for place_id, _ in f.references():
-                if place_id not in net.places:
-                    raise ModelError(f"feature place {place_id!r} missing from net")
         # each feature with the positions of its ratio parts, or None to evaluate it
         index = {f: i for i, f in enumerate(feats)}
         self.features = feats
@@ -219,7 +213,7 @@ class _Reading:
         self.pinned = tuple(
             ConstraintExpr((Atom(f, "==", True),)) for f in feats if f.kind == "attrenabled"
         )
-        self.pins: list[tuple[bool, ...]] = []
+        self.held = self.pinned  # a guard leaves at its first failing move
 
     def values(self, marking: Marking, now: float) -> tuple:
         """The features on ``marking`` at ``now``; a ratio whose two parts
@@ -249,7 +243,7 @@ class Observations:
     def __init__(self, net: Net, log: Log, candidates: Iterable[PatternCandidate]):
         self.net = net
         self.samples = 0
-        self._readings = {c: _Reading(net, c) for c in candidates}
+        self._readings = {c: _Reading(c) for c in candidates}
         by_t: dict[str, list[_Reading]] = {}
         for c, r in self._readings.items():
             by_t.setdefault(c.t_g, []).append(r)
@@ -269,8 +263,8 @@ class Observations:
         is read in the post-move marking, if it has an enabled binding
         (guards off) there. Each move on a candidate's transition records the
         candidate's values in the marking it applied to, the first move
-        sharing its row's, and whether each of the candidate's pinned guards
-        passes the move's binding (``binding_ok``).
+        sharing its row's, and drops from the candidate's ``held`` guards
+        each one whose ``binding_ok`` fails the move's binding.
         """
         self.samples += 1
         if s.repaired:
@@ -289,8 +283,8 @@ class Observations:
                         if first:
                             r.rows.append(PTRow(now, values, True))
                         r.moves.append(values)
-                        if r.pinned:
-                            r.pins.append(tuple(g.binding_ok(m, now, binding) for g in r.pinned))
+                        if r.held:
+                            r.held = tuple(g for g in r.held if g.binding_ok(m, now, binding))
                     first = False
             elif has_enabled_binding(self.net, after, t, now):
                 for r in readings:
@@ -329,21 +323,21 @@ def read_off_check(
     first maximum of the unpinned pool stays the first maximum if ``pin``
     keeps it. Both are tested on what the constraint's own candidate
     recorded at each move of its transition: each atom on its feature's
-    values, and ``binding_ok`` as the conjunction of each atom's alone,
-    which was recorded when that atom is a pinned guard (any other atom pins
-    no token). A constraint's atoms read only its candidate's features, and
-    those read only case places and places with a consumer, which every
-    marking stores.
+    values, and ``binding_ok`` as the conjunction of each atom's alone, which
+    passed every move when that atom is a pinned guard still ``held`` (any
+    other atom pins no token). A constraint's atoms read only its
+    candidate's features, and those read only case places and places with a
+    consumer, which every marking stores.
     """
     if report.unmatched:
         return None
     for pc in constraints:
         r = observations._readings[pc.candidate]
         for atom in pc.expr.atoms:
-            i, compare = r.features.index(atom.feature), OPS[atom.op]
             alone = ConstraintExpr((atom,))
-            pin = r.pinned.index(alone) if alone in r.pinned else None
-            for k, values in enumerate(r.moves):
-                if not compare(values[i], atom.const) or (pin is not None and not r.pins[k][pin]):
-                    return None
+            if alone in r.pinned and alone not in r.held:
+                return None
+            i, compare = r.features.index(atom.feature), OPS[atom.op]
+            if not all(compare(values[i], atom.const) for values in r.moves):
+                return None
     return MatchReport(report.matched, [], dict(report.stats))

@@ -1,16 +1,17 @@
 """Binary classification tree with Gini impurity, grown by greedy splitting.
 
-Feature matrices are plain lists of floats (boolean features are encoded as
-0.0/1.0 by the caller). Candidate thresholds are midpoints between
-consecutive distinct sorted values, which is what yields the half-step
-thresholds characteristic of count features (e.g. 4.5 between 4 and 5).
+Rows are read as given: a split needs only the order of a feature's values,
+and a boolean feature orders ``False`` before ``True``, so its one threshold
+is 0.5. Candidate thresholds are midpoints between consecutive distinct
+sorted values, which is what yields the half-step thresholds characteristic
+of count features (e.g. 4.5 between 4 and 5).
 Everything is deterministic: ties prefer the lowest feature index, then the
 lowest threshold.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import DsyncError
 
@@ -92,17 +93,15 @@ Path = tuple[tuple[TreeNode, bool], ...]
 
 
 def _best_split(
-    xs: list[list[float]], ys: list[bool], params: TreeParams
+    xs: list[Sequence[float]], ys: list[bool], params: TreeParams
 ) -> Optional[tuple[int, float, float]]:
-    """(feature, threshold, decrease) of the best admissible split, if any:
-    a split is admissible only if it decreases the weighted Gini by strictly
-    more than ``min_impurity_decrease``, so with the default 0 a split that
-    leaves it unchanged is not made."""
+    """(feature, threshold, decrease) of the best admissible split of an
+    impure node, if any: a split is admissible only if it decreases the
+    weighted Gini by strictly more than ``min_impurity_decrease``, so with
+    the default 0 a split that leaves it unchanged is not made."""
     n = len(ys)
     n_true = sum(ys)
     parent = gini(n - n_true, n_true)
-    if parent == 0.0:
-        return None
     n_features = len(xs[0])
     best: Optional[tuple[int, float, float]] = None
     for f in range(n_features):
@@ -130,8 +129,9 @@ def _best_split(
     return best
 
 
-def fit(xs: list[list[float]], ys: list[bool], params: TreeParams = TreeParams()) -> TreeNode:
-    """Grow a tree on (rows, labels). Note: splits condition on x <= threshold."""
+def fit(xs: list[Sequence[float]], ys: list[bool], params: TreeParams = TreeParams()) -> TreeNode:
+    """Grow a tree on (rows, labels), reading each row as given. Note: splits
+    condition on x <= threshold."""
     params.check()
     if not xs:
         raise DsyncError("cannot fit a tree on an empty dataset")
@@ -140,7 +140,7 @@ def fit(xs: list[list[float]], ys: list[bool], params: TreeParams = TreeParams()
     return _grow(xs, ys, params, depth=0)
 
 
-def _grow(xs: list[list[float]], ys: list[bool], params: TreeParams, depth: int) -> TreeNode:
+def _grow(xs: list[Sequence[float]], ys: list[bool], params: TreeParams, depth: int) -> TreeNode:
     n_true = sum(ys)
     node = TreeNode(
         gini=gini(len(ys) - n_true, n_true),
@@ -167,7 +167,7 @@ def _grow(xs: list[list[float]], ys: list[bool], params: TreeParams, depth: int)
     return node
 
 
-def predict(tree: TreeNode, row: list[float]) -> bool:
+def predict(tree: TreeNode, row: Sequence[float]) -> bool:
     node = tree
     while not node.is_leaf:
         f, threshold = node.split
@@ -179,6 +179,6 @@ def predict(tree: TreeNode, row: list[float]) -> bool:
     return node.prediction
 
 
-def training_accuracy(tree: TreeNode, xs: list[list[float]], ys: list[bool]) -> float:
+def training_accuracy(tree: TreeNode, xs: list[Sequence[float]], ys: list[bool]) -> float:
     hits = sum(1 for row, label in zip(xs, ys) if predict(tree, row) == label)
     return hits / len(ys)

@@ -5,7 +5,7 @@ import urllib.parse
 
 import pytest
 
-from dsync.cli import main
+from dsync.cli import main, read_config
 from tests.conftest import MODELS, model_path
 
 
@@ -226,6 +226,12 @@ def test_config_not_utf8_exits_3(tmp_path, capsys):
                  "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert f"config {str(cfg)!r} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_config_skips_blank_and_comment_lines(tmp_path):
+    cfg = tmp_path / "dsync.conf"
+    cfg.write_text("\n# discovery settings\n   \n  # indented comment\ntau_s = 12  # rows\n\n")
+    assert read_config(str(cfg)) == {"tau_s": "12"}
 
 
 def test_config_line_without_equals_exits_3(tmp_path, capsys):
@@ -667,6 +673,17 @@ def test_check_log_with_a_byte_order_mark(sim_log, tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_check_log_whose_lines_end_in_empty_cells(sim_log, tmp_path, capsys):
+    # as a spreadsheet exports it: the header and every row end in two empty cells
+    padded = tmp_path / "padded.csv"
+    padded.write_text("".join(line + ",,\n" for line in sim_log.read_text().splitlines()))
+    outs = []
+    for log in (sim_log, padded):
+        assert main(["check", "--model", model_path("blocking"), "--log", str(log)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_model_config_and_report_with_a_byte_order_mark(sim_log, tmp_path, capsys):
     model, cfg, report = tmp_path / "bom.json", tmp_path / "bom.conf", tmp_path / "bom-report.json"
     model.write_text(BOM + (MODELS / "blocking.json").read_text(encoding="utf-8"),
@@ -724,6 +741,27 @@ def test_dump_ptlogs_writes_one_file_per_candidate_inside_the_directory(tmp_path
     # the names decode to the candidates' own, the renamed transition's too
     decoded = {urllib.parse.unquote(f.name).split("__")[1] for f in files}
     assert decoded == {c["transition"] for c in candidates} and t_id in decoded
+
+
+def test_dump_ptlogs_names_a_priority_candidate_by_its_attr(tmp_path):
+    log, report, pt = tmp_path / "log.csv", tmp_path / "report.json", tmp_path / "pt"
+    assert main(["simulate", "--model", model_path("priority"), "--seed", "1",
+                 "--max-cases", "150", "--out", str(log)]) == 0
+    assert main(["discover", "--model", model_path("priority"), "--log", str(log),
+                 "--out", str(report), "--dump-ptlogs", str(pt)]) == 0
+    rows = {}  # each candidate's row count by its file name, which ends in its attr
+    for c in json.loads(report.read_text())["candidates"]:
+        parts = [c["kind"], c["transition"], *(place for _, place in sorted(c["roles"].items()))]
+        rows["__".join(parts + ([c["attr"]] if "attr" in c else []))] = c["rows"]
+    # job_arrival is no task, so the log never starts it: its candidate has no rows
+    assert rows["blocking__job_arrival__arrival"] == 0
+    assert rows["priority__handling__q1__arrival__value"] > 0
+    assert sorted(f.name for f in pt.iterdir()) == sorted(
+        name + ".csv" for name, n in rows.items() if n
+    )
+    for name, n in rows.items():
+        if n:
+            assert len((pt / (name + ".csv")).read_text().splitlines()) == n + 1
 
 
 @pytest.mark.parametrize("command", ["discover", "check"])

@@ -154,6 +154,18 @@ def test_binding_selectivity_pins_the_extremum_token():
     assert expr.binding_ok(tie, 5.0, {"q1": a}) and expr.binding_ok(tie, 5.0, {"q1": b})
 
 
+def test_pin_keeps_the_pool_under_an_enabled_false_atom():
+    # only ``== true`` pins a token: a pool under ``== false`` comes back as is
+    expr = parse_constraint("attrenabled(q1, value, max) == false")
+    m = marking(q1=[("lo", 100, 0.0), ("hi", 900, 0.0)])
+    pool = list(m.tokens("q1"))
+    assert expr.pin(m, "q1", pool) == pool
+
+
+def test_parse_accepts_trailing_whitespace():
+    assert parse_constraint("nrtokens(q1) < 5  ").canonical() == "nrtokens(q1) < 5"
+
+
 # -- memoised attribute extrema against brute force ---------------------------
 
 

@@ -138,6 +138,18 @@ def test_empty_cells_beyond_the_header_are_ignored():
         parse_log("case,activity,start,complete\nc1,a,1,2,EXTRA\n")
 
 
+@pytest.mark.parametrize("tail", [",", ",,", ", ,"])
+def test_trailing_empty_header_cells_are_ignored(tail):
+    # spreadsheet exports end a header in empty cells; they name no column
+    header, rows = TABLE1.split("\n", 1)
+    assert parse_log(header + tail + "\n" + rows) == parse_log(TABLE1)
+    padded = "".join(row + tail + "\n" for row in rows.splitlines())
+    assert parse_log(header + tail + "\n" + padded) == parse_log(TABLE1)
+    with pytest.raises(LogError) as info:
+        parse_log("case,activity,start,complete" + tail + "\nc1,a,1,2,x\n")
+    assert str(info.value) == "row 2: a cell beyond the 4 header columns is not empty"
+
+
 def test_round_trip_identity():
     log = parse_log(TABLE1)
     assert parse_log(write_log(log)) == log

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import pytest
 
-from dsync.constraints import OPS, parse_constraint
+from dsync.constraints import OPS, ConstraintExpr, parse_constraint
 from dsync.eventlog import Log
 from dsync.extract import DiscoveryRun, PatternConstraint, annotate_net, discover_run
 from dsync.modelfile import load_model
@@ -28,6 +28,7 @@ from dsync.patterns import (
 )
 from dsync.replay import replay
 from dsync.simulate import SimConfig, simulate
+from dsync.tree import fit
 from tests.conftest import model_path, observe_samples, pt_log_of, read_off_samples
 
 MODELS = ("blocking", "choice", "holdbatch", "priority", "supplychain")
@@ -127,6 +128,43 @@ def test_read_off_check_tests_the_token_a_pin_allows(agg, settled):
     assert (streamed is not None, oracle is not None) == (settled, settled)
     check = replay(log, annotate_net(net.without_guards(), [pc]), check_guards=True)[1]
     assert len(check.unmatched) == (0 if settled else 294)
+
+
+def test_a_pinned_guard_is_not_tested_past_its_first_failing_move(monkeypatch):
+    # each pinned guard of the priority candidate is tested at every handling
+    # move until one fails its binding: max holds at all 300, min fails early
+    net, log = _simulated("priority", 300, 1)
+    binding_ok, verdicts = ConstraintExpr.binding_ok, {}
+
+    def counted(self, m, now, binding):
+        ok = binding_ok(self, m, now, binding)
+        verdicts.setdefault(self.canonical(), []).append(ok)
+        return ok
+
+    monkeypatch.setattr(ConstraintExpr, "binding_ok", counted)
+    observations = Observations(net, log, detect_constructs(net))
+    replay(log, net, observer=observations.observe)
+    held = verdicts["attrenabled(q1, value, max) == true"]
+    dropped = verdicts["attrenabled(q1, value, min) == true"]
+    assert held == [True] * 300
+    assert dropped[-1] is False and all(dropped[:-1]) and len(dropped) < 300
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("model", MODELS)
+def test_trees_fit_on_observed_rows_equal_trees_fit_on_floats(model, seed):
+    # a split reads only the order of a feature's values, and a boolean
+    # feature's one threshold, (False + True) / 2.0, is the float copy's 0.5
+    run = _discovered(model, seed)
+    for res in run.results:
+        rows, labels = res.ptlog.rows, res.ptlog.labels()
+        if not rows:
+            continue
+        floats = fit([[float(v) for v in r.values] for r in rows], labels, run.tree_params)
+        observed = fit([r.values for r in rows], labels, run.tree_params)
+        assert observed.to_dict() == floats.to_dict(), res.candidate.describe()
+        if res.tree is not None:
+            assert res.tree.to_dict() == floats.to_dict(), res.candidate.describe()
 
 
 def _live_markings() -> int:

@@ -86,6 +86,11 @@ def test_fit_rejects_empty_dataset():
         fit([], [])
 
 
+def test_fit_rejects_feature_and_label_counts_that_differ():
+    with pytest.raises(DsyncError, match="feature and label counts differ"):
+        fit([[1.0], [2.0]], [True])
+
+
 def test_predict_schema_mismatch():
     xs, ys = four_row_data()
     tree = fit(xs, ys, TreeParams(max_depth=2, min_samples_leaf=1))
