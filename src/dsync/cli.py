@@ -19,7 +19,7 @@ from typing import Optional
 from urllib.parse import quote
 
 from .errors import DsyncError
-from .eventlog import fmt_num, load_log, save_log
+from .eventlog import Log, fmt_num, load_log, save_log
 from .extract import ExtractionParams, discover_run
 from .modelfile import load_model
 from .report import build_report, render_markdown, report_to_json, text_summary
@@ -89,9 +89,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_log(path: str) -> Log:
+    """``load_log``, saying on stderr when every event has zero duration."""
+    log_data = load_log(path)
+    if log_data.events and all(e.start == e.complete for e in log_data.events):
+        print(f"warning: every event in {path} has start == complete; discovery and the "
+              "check read start times, which this log may not record", file=sys.stderr)
+    return log_data
+
+
 def cmd_discover(args: argparse.Namespace) -> int:
     net = load_model(args.model)
-    log_data = load_log(args.log)
+    log_data = _load_log(args.log)
     tree_params = TreeParams(**_given(args, "max_depth", "min_samples_leaf"))
     extraction_params = ExtractionParams(**_given(args, "tau_s", "tau_g"))
     run = discover_run(log_data, net, tree_params, extraction_params)
@@ -120,7 +129,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     net = load_model(args.model)
-    log_data = load_log(args.log)
+    log_data = _load_log(args.log)
     report = replay(log_data, net, check_guards=True)[1]
     print(
         f"matched {report.matched}/{report.total} log moves "

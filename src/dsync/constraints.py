@@ -150,13 +150,15 @@ class ConstraintExpr:
         return tokens
 
     def binding_ok(self, m: "Marking", now: float, binding: "Binding") -> bool:
-        """Whether ``pin`` lets ``binding`` take each of its tokens.
+        """Whether ``pin`` lets ``binding`` take each of its tokens; only the
+        places an ``attrenabled`` atom names are tested, as ``pin`` keeps the rest.
 
         ``net.binding_pools`` applies ``pin`` to whole pools instead of
         calling this per binding; ``patterns.Observations`` calls it on
         bindings already applied, with one single-atom guard at a time.
         """
-        return all(self.pin(m, p, [tok]) for p, tok in binding.items())
+        return all(self.pin(m, a.feature.place, [binding[a.feature.place]]) for a in self.atoms
+                   if a.feature.kind == "attrenabled" and a.feature.place in binding)
 
     def references(self) -> Iterator[tuple[str, Optional[str]]]:
         for atom in self.atoms:

@@ -5,7 +5,8 @@ leading byte-order mark is dropped) with mandatory columns ``case, activity,
 start, complete``, an optional ``resource`` column, and any further columns
 treated as typed event attributes; no column name appears twice. Timestamps are numeric time units;
 ISO-8601 timestamps are also accepted on input and converted to fractional
-minutes from the epoch.
+minutes from the epoch. Discovery reads guards off the waits before starts, so
+``dsync discover`` and ``check`` warn on a log whose events all take no time.
 
 An event is an immutable value, its attribute map included: the library
 shares equal maps between events and tokens (``parse_log``, ``net.fire``,

@@ -229,7 +229,7 @@ def discover_run(
     tree_params.check()
     candidates = detect_constructs(net)
     observations = Observations(net, log_data, candidates)
-    report = replay(log_data, net, observer=observations.observe)[1]
+    report = replay(log_data, net, observer=observations)[1]
     results: list[CandidateResult] = []
     for c in candidates:
         res = CandidateResult(c, build_pt_log(observations, c))

@@ -5,23 +5,23 @@ tokens may carry. Tokens are timestamped: a token can only be bound by a
 transition once its availability time has been reached, which is what makes
 counts of "enabled" tokens and times-until-availability observable state.
 
-Nets, markings and tokens are immutable values; ``fire`` returns a new
-marking and never touches its input, from one copy of the place dict. A
-token's attribute map is part of its value: tokens share equal maps with
-each other and with events (``fire``), every token the library builds
-without attributes holds ``eventlog.EMPTY_ATTRS``, and no code may mutate
-one. The token game reads the stores directly, along per-transition plans
-(``Net.plan``) that ``Net`` compiles once, and the rest of the package reads
-a net's structure only through ``Net.preset``, ``Net.postset`` and
-``Net.plan``. Every case input of a binding takes a token of one case;
-material shared across cases flows through plain places.
+Nets and tokens are immutable values; a marking is one mutable store, which
+``fire`` changes in place. ``simulate`` and ``replay`` fire on a copy of the
+net's initial marking, so no call changes a net. A token's attribute map is
+part of its value: tokens share equal maps with each other and with events
+(``fire``), every token the library builds without attributes holds
+``eventlog.EMPTY_ATTRS``, and no code may mutate one. The token game reads
+the stores directly, along per-transition plans (``Net.plan``) that ``Net``
+compiles once, and the rest of the package reads a net's structure only
+through ``Net.preset``, ``Net.postset`` and ``Net.plan``. Every case input of
+a binding takes a token of one case; plain places carry shared material.
 
-A marking stores each place's tokens sorted by availability, then case id,
-ties in insertion order; adding and removing a token bisect on availability
-(a C attribute getter), then on case id among same-time tokens, and enabled
-tokens are the store's prefix up to now. Callers read a binding, one token
-per pool, off ``binding_pools`` instead of enumerating the product.
-``Marking.extremum`` memoises attribute extrema, a pure function of the stores.
+A marking keeps each place's tokens in a list sorted by availability, then
+case id, ties in insertion order; adding and removing a token bisect on
+availability (a C attribute getter), then on case id among same-time tokens,
+and enabled tokens are the list's prefix up to now. Callers read a binding,
+one token per pool, off ``binding_pools`` instead of enumerating the product.
+``Marking.extremum`` memoises attribute extrema per place until it changes.
 Tokens that nothing can read are not stored: a plain place with an empty
 postset that no guard references (``Net.unread``) receives no tokens.
 
@@ -37,7 +37,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .constraints import IDENT, ConstraintExpr
 from .errors import ModelError
@@ -202,29 +202,7 @@ def _case_key(tok: Token) -> str:
 _avail = attrgetter("available_at")
 
 
-def _inserted(toks: tuple[Token, ...], token: Token) -> tuple[Token, ...]:
-    """``toks`` with ``token`` after every token whose ``_store_key`` is not
-    larger: bisected on availability through the C ``_avail``, and on case id
-    among same-time tokens only."""
-    at = token.available_at
-    i = bisect_right(toks, at, key=_avail)
-    if i and toks[i - 1].available_at == at:
-        lo = bisect_left(toks, at, 0, i, key=_avail)
-        i = bisect_right(toks, _case_key(token), lo, i, key=_case_key)
-    return toks[:i] + (token,) + toks[i:]
-
-
-def _removed(toks: tuple[Token, ...], token: Token, place_id: str) -> tuple[Token, ...]:
-    """``toks`` less its first token that is or equals ``token``, found from
-    the first same-time token on: equal tokens share a ``_store_key``."""
-    try:
-        i = toks.index(token, bisect_left(toks, token.available_at, key=_avail))
-    except ValueError:
-        raise ModelError(f"token {token} not present in place {place_id!r}") from None
-    return toks[:i] + toks[i + 1 :]
-
-
-def _extremum(toks: tuple[Token, ...], attr: str, agg: str) -> Optional[tuple[AttrValue, float]]:
+def _extremum(toks: list[Token], attr: str, agg: str) -> Optional[tuple[AttrValue, float]]:
     """One pass over a store for ``Marking.extremum``."""
     try:
         values = [tok.attrs[attr] for tok in toks]
@@ -238,22 +216,22 @@ def _extremum(toks: tuple[Token, ...], attr: str, agg: str) -> Optional[tuple[At
 
 
 class Marking:
-    """Immutable per-place token multisets, each sorted by ``_store_key``.
+    """Per-place token multisets, each a list sorted by ``_store_key``, ties in
+    insertion order, changed in place by ``add`` and ``remove``, which drop
+    the place's ``extremum`` memo and, while ``journal`` is a list, append
+    ``(place, index, token, added)`` to it for ``undo``."""
 
-    ``_memo`` caches ``extremum``, a pure function of the stores, from the first
-    query on; a derived marking starts without one, so markings stay values.
-    """
+    __slots__ = ("_by_place", "_memo", "journal")
 
-    __slots__ = ("_by_place", "_memo")
-
-    def __init__(self, by_place: Optional[Mapping[str, tuple[Token, ...]]] = None):
-        self._by_place: dict[str, tuple[Token, ...]] = {
-            p: tuple(sorted(toks, key=_store_key)) for p, toks in (by_place or {}).items()
+    def __init__(self, by_place: Optional[Mapping[str, Iterable[Token]]] = None):
+        self._by_place: dict[str, list[Token]] = {
+            p: sorted(toks, key=_store_key) for p, toks in (by_place or {}).items()
         }
-        self._memo: Optional[dict] = None
+        self._memo: dict[str, dict] = {}
+        self.journal: Optional[list] = None
 
-    def tokens(self, place_id: str) -> tuple[Token, ...]:
-        """By availability, then case id, ties in insertion order (none in ``Net.unread``)."""
+    def tokens(self, place_id: str) -> Sequence[Token]:
+        """The live store, which changes with the marking (none in ``Net.unread``)."""
         return self._by_place.get(place_id, ())
 
     def places(self) -> tuple[str, ...]:
@@ -265,28 +243,55 @@ class Marking:
 
     def extremum(self, place_id: str, attr: str, agg: str) -> Optional[tuple[AttrValue, float]]:
         """(max or min of ``attr`` over the place, earliest availability attaining it), or None."""
-        memo = self._memo
-        if memo is None:
-            memo = self._memo = {}
-        key = (place_id, attr, agg)
-        if key not in memo:
-            memo[key] = _extremum(self.tokens(place_id), attr, agg)
-        return memo[key]
+        try:
+            return self._memo[place_id][attr, agg]
+        except KeyError:
+            found = _extremum(self.tokens(place_id), attr, agg)
+            self._memo.setdefault(place_id, {})[attr, agg] = found
+            return found
 
-    @staticmethod
-    def _of(by_place: dict[str, tuple[Token, ...]]) -> "Marking":  # sorted stores, no memo
-        new = Marking.__new__(Marking)
-        new._by_place = by_place
-        new._memo = None
+    def copy(self) -> "Marking":
+        """An independent marking with the same stores, no memo and no journal."""
+        new = Marking()
+        new._by_place = {p: toks.copy() for p, toks in self._by_place.items()}
         return new
 
-    def with_added(self, place_id: str, token: Token) -> "Marking":
-        toks = _inserted(self.tokens(place_id), token)
-        return Marking._of({**self._by_place, place_id: toks})
+    def add(self, place_id: str, token: Token) -> None:
+        """Insert ``token`` after every token whose ``_store_key`` is not larger,
+        bisecting on availability (the C ``_avail``), then on same-time case ids."""
+        toks = self._by_place.get(place_id)
+        if toks is None:
+            toks = self._by_place[place_id] = []
+        at = token.available_at
+        i = bisect_right(toks, at, key=_avail)
+        if i and toks[i - 1].available_at == at:
+            lo = bisect_left(toks, at, 0, i, key=_avail)
+            i = bisect_right(toks, _case_key(token), lo, i, key=_case_key)
+        toks.insert(i, token)
+        self._memo.pop(place_id, None)
+        if self.journal is not None:
+            self.journal.append((place_id, i, token, True))
 
-    def with_removed(self, place_id: str, token: Token) -> "Marking":
-        toks = _removed(self.tokens(place_id), token, place_id)
-        return Marking._of({**self._by_place, place_id: toks})
+    def remove(self, place_id: str, token: Token) -> None:
+        """Delete the place's first token that is or equals ``token``, from its time on."""
+        toks = self._by_place.get(place_id, [])
+        try:
+            i = toks.index(token, bisect_left(toks, token.available_at, key=_avail))
+        except ValueError:
+            raise ModelError(f"token {token} not present in place {place_id!r}") from None
+        token = toks.pop(i)  # the stored one, which ``undo`` puts back
+        self._memo.pop(place_id, None)
+        if self.journal is not None:
+            self.journal.append((place_id, i, token, False))
+
+    def undo(self, changes: list, redo: bool = False) -> None:
+        """Revert journal ``changes``, newest first; with ``redo``, reapply them."""
+        for p, i, token, added in changes if redo else reversed(changes):
+            if added == redo:
+                self._by_place[p].insert(i, token)
+            else:
+                del self._by_place[p][i]
+            self._memo.pop(p, None)
 
     def total_tokens(self) -> int:
         return sum(len(toks) for toks in self._by_place.values())
@@ -425,11 +430,6 @@ def projected(attrs: Mapping[str, AttrValue], names: frozenset) -> Mapping[str, 
     return attrs or EMPTY_ATTRS
 
 
-def _enabled_tokens(m: Marking, place_id: str, now: float) -> tuple[Token, ...]:
-    toks = m._by_place.get(place_id, ())
-    return toks[: bisect_right(toks, now, key=_avail)]
-
-
 def binding_pools(
     net: Net,
     m: Marking,
@@ -437,7 +437,7 @@ def binding_pools(
     now: float,
     check_guards: bool = False,
     case_id: Optional[str] = None,
-) -> Optional[list[tuple[Token, ...]]]:
+) -> Optional[list[list[Token]]]:
     """Per preset place (sorted by id), the tokens a binding of ``t_id`` may take.
 
     Each pool holds the place's time-enabled tokens in store order, shrunk by
@@ -475,7 +475,7 @@ def binding_pools(
         if guard is not None:
             toks = guard.pin(m, p, toks)
             if plain and not toks:
-                toks = guard.pin(m, p, _enabled_tokens(m, p, now))[:1]
+                toks = guard.pin(m, p, m.tokens(p)[: m.n_enabled(p, now)])[:1]
         if not toks:
             return None
         pools[i] = toks
@@ -521,8 +521,8 @@ def fire(
     now: float,
     delay: float,
     case: Optional[tuple[str, Mapping[str, AttrValue]]] = None,
-) -> Marking:
-    """Fire ``t_id`` under ``binding`` at time ``now`` and return the new marking.
+) -> None:
+    """Fire ``t_id`` under ``binding`` at time ``now``, changing ``m`` in place.
 
     Consumed tokens are removed; each outgoing place receives one token that
     becomes available at ``now + delay`` (the caller samples or reads the
@@ -530,24 +530,20 @@ def fire(
     data, which the caller supplies (the simulator the bound case token's or
     a source's new case, replay the log move's). Resource output places
     receive back the token bound from the same place, and the places in
-    ``net.unread`` receive nothing.
+    ``net.unread`` receive nothing. A ``ModelError`` may leave ``m`` part-fired.
 
     A case token shares the case's attribute map when its place declares
     every name in it (``projected``), a resource token shares the bound
     token's map, and plain tokens, like every token without attributes, hold
     ``EMPTY_ATTRS``.
     """
-    plan = net.plan(t_id)
-    stores = dict(m._by_place)
     for p, tok in binding.items():
-        stores[p] = _removed(stores.get(p, ()), tok, p)
-
+        m.remove(p, tok)
     if delay < 0:
         raise ModelError(f"transition {t_id!r} produced a negative delay {delay}")
     out_time = now + delay
-
     case_id, case_attrs = case or (None, EMPTY_ATTRS)
-    for p, kind, names in plan.outputs:
+    for p, kind, names in net.plan(t_id).outputs:
         if kind == "case":
             if case_id is None:
                 raise ModelError(
@@ -566,8 +562,7 @@ def fire(
             tok = Token(None, EMPTY_ATTRS, out_time)
         else:
             raise ModelError(f"unknown place {p!r}")
-        stores[p] = _inserted(stores.get(p, ()), tok)
-    return Marking._of(stores)
+        m.add(p, tok)
 
 
 def validate_net(net: Net) -> list[str]:

@@ -7,14 +7,13 @@ over-generated on purpose; the tree and extraction stages filter the ones
 whose behaviour shows no synchronization.
 
 Several candidates share a guarded transition, and so share the moments it
-is observed at. ``Observations.observe`` is the replay's observer: it reads
-every candidate's row off each sample while the replay runs, testing
-enabledness at most once per transition and sample, and records each
-candidate's feature values at every move on its transition, so that no
-marking outlives its timestamp. ``build_pt_log`` then only assembles a
-candidate's rows, and ``read_off_check`` tests each discovered constraint
-against the moves its own candidate recorded instead of replaying the log
-again.
+is observed at. ``Observations`` is the replay's observer: it reads each
+candidate's feature values off the marking each move on its transition
+applies to, before the move changes it, and at the end of each timestamp
+tests enabledness at most once per transition, so that no marking outlives
+its timestamp. ``build_pt_log`` then only assembles a candidate's rows, and
+``read_off_check`` tests each discovered constraint against the moves its
+own candidate recorded instead of replaying the log again.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from .constraints import OPS, RATIO_EPSILON, Atom, ConstraintExpr, FeatureRef, e
 from .errors import ModelError
 from .eventlog import Log, fmt_cell, fmt_num
 from .net import Marking, Net, has_enabled_binding
-from .replay import MatchReport, StateSample
+from .replay import MatchReport
 
 if TYPE_CHECKING:
     from .extract import PatternConstraint
@@ -191,7 +190,8 @@ class _Reading:
     """One candidate in ``Observations``: how its features are evaluated,
     its rows, its features' values at each move of its transition, and the
     ``pinned`` guards ``held`` by every move so far: those whose
-    ``binding_ok`` passed each move's binding."""
+    ``binding_ok`` passed each move's binding. Moves at repaired timestamps
+    count too; ``read_off_check`` reads neither after a repair."""
 
     __slots__ = ("features", "plan", "rows", "moves", "shared", "pinned", "held")
 
@@ -230,14 +230,14 @@ class _Reading:
 
 
 class Observations:
-    """The pattern-transition rows of candidates, read off a replay's
-    samples as ``replay`` hands them to ``observe``; no marking is kept.
+    """The pattern-transition rows of candidates, read off a replay as it
+    shows each move and timestamp (its ``observer``); no marking is kept.
 
     Several candidates share a guarded transition, and so share the moments
-    it is observed at: each sample tests enabledness at most once per
+    it is observed at: each timestamp tests enabledness at most once per
     transition. A transition is observed up to its last start in ``log``;
     after that, not firing is indistinguishable from having nothing left to
-    do. ``samples`` counts the samples observed.
+    do. ``samples`` counts the timestamps observed.
     """
 
     def __init__(self, net: Net, log: Log, candidates: Iterable[PatternCandidate]):
@@ -251,42 +251,38 @@ class Observations:
         for e in log.events:
             if e.label in by_t and e.start > last.get(e.label, -math.inf):
                 last[e.label] = e.start
-        # (transition, its last start, its candidates' readings) per started transition
-        self._started = [(t, last[t], by_t[t]) for t in sorted(last)]
+        # each started transition's last start and its candidates' readings, by id
+        self._started = {t: (last[t], by_t[t]) for t in sorted(last)}
+        self._fired: dict[_Reading, tuple] = {}  # this timestamp's first values, by reading
 
-    def observe(self, s: StateSample) -> None:
-        """Read one sample: each candidate's row, and the values at each move.
-
-        Repaired samples give nothing. In the others a transition that fired
-        is read in the state it fired from, the marking before its first
-        move, which had a binding by construction; one that was passed over
-        is read in the post-move marking, if it has an enabled binding
-        (guards off) there. Each move on a candidate's transition records the
-        candidate's values in the marking it applied to, the first move
-        sharing its row's, and drops from the candidate's ``held`` guards
-        each one whose ``binding_ok`` fails the move's binding.
-        """
-        self.samples += 1
-        if s.repaired:
+    def move(self, e, binding, marking: Marking, now: float) -> None:
+        """Record each candidate's values in the marking the move applies to,
+        the first move's for the timestamp's row, and drop from its ``held``
+        guards each one whose ``binding_ok`` fails the move's binding."""
+        watched = self._started.get(e.label)
+        if watched is None or now > watched[0]:
             return
-        now, fired, after = s.time, s.fired, s.after
-        for t, last_start, readings in self._started:
-            if now > last_start:
+        for r in watched[1]:
+            values = r.values(marking, now)
+            r.moves.append(values)
+            self._fired.setdefault(r, values)
+            if r.held:
+                r.held = tuple(g for g in r.held if g.binding_ok(marking, now, binding))
+
+    def step(self, now: float, after: Marking, fired: frozenset[str], repaired: bool) -> None:
+        """End a timestamp; a repaired one gives no row. A transition that fired
+        is read in the state its first move applied to, one passed over in
+        ``after``, if it has an enabled binding (guards off) there."""
+        self.samples += 1
+        firsts, self._fired = self._fired, {}
+        if repaired:
+            return
+        for r, values in firsts.items():
+            r.rows.append(PTRow(now, values, True))
+        for t, (last_start, readings) in self._started.items():
+            if now > last_start or t in fired:
                 continue
-            if t in fired:
-                first = True
-                for e, binding, m in s.moves:
-                    if e.label != t:
-                        continue
-                    for r in readings:
-                        values = r.values(m, now)
-                        if first:
-                            r.rows.append(PTRow(now, values, True))
-                        r.moves.append(values)
-                        if r.held:
-                            r.held = tuple(g for g in r.held if g.binding_ok(m, now, binding))
-                    first = False
-            elif has_enabled_binding(self.net, after, t, now):
+            if has_enabled_binding(self.net, after, t, now):
                 for r in readings:
                     r.rows.append(PTRow(now, r.values(after, now), False))
 

@@ -5,12 +5,12 @@ token off each binding pool, every case input giving a token of the event's
 case (``_best_move``), and the produced tokens become available at the
 event's completion time. Cases enter as the simulator lets them in: each
 arrival is a zero-delay ``fire`` of its non-task source with the case's
-first-event data, one interarrival ahead (``_arrival_plan``). One state
-sample is made per distinct start time; it captures the marking both
-before and after that timestamp's moves, and every move applied in between
-with the marking it applied to, because a transition that fired is observed
-in the state it fired from, while a transition that was passed over is
-observed in the state that remained after everything else happened.
+first-event data, one interarrival ahead (``_arrival_plan``). Every move
+changes one marking, a copy of the net's initial one, in place. An observer
+sees each move before it applies, because a transition that fired is
+observed in the state it fired from, and the marking at the end of each
+distinct start time, because a transition that was passed over is observed
+in the state that remained after everything else happened.
 
 The moves of one start time are applied by a cyclic pass (``_walk``), in
 both modes. It tries downstream moves first (larger ``Net.plan`` depth, ties
@@ -21,23 +21,21 @@ default: the discovery input is the unguarded process model. With
 ``check_guards`` on (the replayability check) each move must also satisfy
 its transition's guard at the moment it applies. Downstream-first can close
 a guard that the simulator's order left open, so a guard-checked group that
-the pass leaves unmatched gets one more pass from the same marking, with the
-unmatched moves first; it stands only if it matches every move.
+the pass leaves unmatched gets one more pass from the same marking (undone
+through its journal), with the unmatched moves first; it stands only if it
+matches every move.
 
 An unmatched move repairs the marking as if it had happened for its case:
 the case's token leaves the case inputs, and each case output gets a token
 with the event's data at its completion; other places stay as they are.
 
-Each sample is handed to an observer as soon as its timestamp is done and
-kept only by an unguarded replay without one, so a marking outlives its
-timestamp only where the caller keeps it: discovery reads what it needs off
-each sample while it replays (``patterns.Observations``), and a
-guard-checked replay needs only its match report.
+Discovery reads what it needs while it replays (``patterns.Observations``);
+only an unguarded replay without an observer keeps samples, of copies.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .acyclic import acyclic
 from .errors import ReplayError
@@ -54,11 +52,10 @@ class StateSample(NamedTuple):
 
     ``before``/``after`` bracket the timestamp's log moves. ``moves`` holds
     every move applied in between, in the order the walk applied them
-    (downstream-first, like the simulator's FIFO policy resolves them, or,
-    after a guard-checked retry, the unmatched moves first); a label's first
-    move holds the marking its transition fired from. ``fired`` is the set
-    of labels that start here; the samples of one replay share one
-    ``frozenset`` per distinct set.
+    (downstream-first, like the simulator's FIFO policy resolves them); a
+    label's first move holds the marking its transition fired from (a copy).
+    ``fired`` is the set of labels that start here; the samples of one replay
+    share one ``frozenset`` per distinct set.
     """
 
     time: float
@@ -133,59 +130,84 @@ def _best_move(
 
 
 def _descend(
-    net: Net, marking: Marking, events: list[Event], tau: float, check_guards: bool
-) -> tuple[Marking, list[Move], list[Event]]:
-    """One cyclic pass over same-instant moves: each step tries the events
-    left cyclically, from the one after the last applied move (from the first
-    at the start), and applies the first that has a binding, until a full
-    cycle applies none. Returns the final marking, the applied moves in order
-    and the unmatched events in the given order."""
-    m, rest, i = marking, events, 0
-    moves: list[Move] = []
+    net: Net, marking: Marking, events: list[Event], tau: float, check_guards: bool, see=None
+) -> tuple[list[tuple[Event, Binding]], list[Event]]:
+    """One cyclic pass over same-instant moves, applied to ``marking``: each
+    step tries the events left cyclically, from the one after the last
+    applied move (from the first at the start), and applies the first that
+    has a binding (shown to ``see`` first), until a full cycle applies none.
+    Returns the applied moves in order and the unmatched events in order."""
+    rest, i = events, 0
+    moves = []
     while i < len(rest):
         e = rest[i]
-        binding = _best_move(net, m, e, tau, check_guards)
+        binding = _best_move(net, marking, e, tau, check_guards)
         if binding is None:
             i += 1
             continue
-        moves.append((e, binding, m))
-        m = fire(net, m, e.label, binding, tau, e.complete - e.start, (e.case_id, e.attrs))
+        moves.append((e, binding))
+        if see is not None:
+            see(e, binding, marking, tau)
+        fire(net, marking, e.label, binding, tau, e.complete - e.start, (e.case_id, e.attrs))
         rest, i = rest[i + 1 :] + rest[:i], 0
     left = set(map(id, rest))
-    return m, moves, [e for e in events if id(e) in left]
+    return moves, [e for e in events if id(e) in left]
 
 
 def _walk(
-    net: Net, marking: Marking, events: list[Event], tau: float, check_guards: bool
-) -> tuple[Marking, Sequence[Move], list[Event]]:
-    """Apply the moves of one start time, ``events`` in log order.
+    net: Net, marking: Marking, events: list[Event], tau: float, check_guards: bool, see=None
+) -> tuple[Sequence[tuple[Event, Binding]], list[Event]]:
+    """Apply the moves of one start time, ``events`` in log order, to ``marking``.
 
     One pass (``_descend``) tries downstream moves first (larger
     ``Net.plan`` depth, ties in log order), the order the simulator's FIFO
-    policy fires them. When it leaves a guard-checked group unmatched, a
-    second pass from the same marking tries the unmatched events first and
-    the rest downstream-first; it is kept only when it matches every event.
-    Returns the final marking, the applied moves in order (a tuple for a lone
-    event, which ``replay`` keeps as it is), and the unmatched events in
-    downstream-first order.
+    policy fires them. When it leaves a guard-checked group unmatched, it is
+    undone through the marking's journal, and a second pass tries the
+    unmatched events first and the rest downstream-first; it is kept only
+    when it matches every event, else the first pass is redone. Returns the
+    applied moves in order, and the unmatched events in downstream-first order.
     """
     if len(events) == 1:  # one order, nothing to retry
         (e,) = events
         y = _best_move(net, marking, e, tau, check_guards)
         if y is None:
-            return marking, (), [e]
-        m = fire(net, marking, e.label, y, tau, e.complete - e.start, (e.case_id, e.attrs))
-        return m, ((e, y, marking),), []
+            return (), [e]
+        if see is not None:
+            see(e, y, marking, tau)
+        fire(net, marking, e.label, y, tau, e.complete - e.start, (e.case_id, e.attrs))
+        return ((e, y),), []
     ordered = sorted(events, key=lambda e: -net.plan(e.label).depth)  # stable
-    first = _descend(net, marking, ordered, tau, check_guards)
-    pending = first[2]
+    marking.journal = first = [] if check_guards else None
+    moves, pending = _descend(net, marking, ordered, tau, check_guards, see)
     if check_guards and pending:
+        marking.undo(first)
+        marking.journal = second = []
         left = set(map(id, pending))
-        retry = pending + [e for e in ordered if id(e) not in left]
-        second = _descend(net, marking, retry, tau, check_guards)
-        if not second[2]:
-            return second
-    return first
+        retry = _descend(net, marking, pending + [e for e in ordered if id(e) not in left], tau, True)
+        if retry[1]:
+            marking.undo(second)
+            marking.undo(first, redo=True)
+        else:
+            moves, pending = retry
+    marking.journal = None
+    return moves, pending
+
+
+class _Kept:
+    """The observer behind an unguarded replay's samples, of marking copies;
+    a timestamp's first move applies to the marking it began with."""
+
+    def __init__(self) -> None:
+        self.samples: list[StateSample] = []
+        self.before: Optional[Marking] = None
+        self.moves: list[Move] = []
+
+    def move(self, e: Event, binding: Binding, marking: Marking, now: float) -> None:
+        self.moves.append((e, binding, marking.copy() if self.moves else self.before))
+
+    def step(self, now: float, marking: Marking, fired: frozenset[str], repaired: bool) -> None:
+        moves, self.moves = tuple(self.moves), []
+        self.samples.append(StateSample(now, self.before, marking.copy(), fired, moves, repaired))
 
 
 @acyclic
@@ -193,14 +215,15 @@ def replay(
     log: Log,
     net: Net,
     check_guards: bool = False,
-    observer: Optional[Callable[[StateSample], None]] = None,
+    observer=None,
 ) -> tuple[list[StateSample], MatchReport]:
     """Execute all log moves; returns the samples it kept and a match report.
 
-    Each timestamp's sample goes to ``observer`` once its moves are applied,
-    and the replay keeps none. Without an observer, an unguarded replay keeps
-    every sample and returns them in time order, and a guard-checked replay
-    (``check_guards``) returns none.
+    ``observer.move(e, binding, marking, now)`` precedes each move of an
+    unguarded replay (a guard-checked one's retry can undo a move), and
+    ``observer.step(now, marking, fired, repaired)`` ends each timestamp; the
+    replay's ``marking`` changes with the next move, and no sample is kept.
+    Else an unguarded replay returns a ``StateSample`` per timestamp.
 
     Before the first move, a log label that is no task of the net, an empty
     case id on a transition with a case input, or a log column holding values
@@ -208,8 +231,8 @@ def replay(
     with no enabled (or, when checking, guard-satisfying) binding are recorded
     as unmatched and skipped; the marking is repaired as if the move had
     happened for its case, so later moves of the same case still line up.
-    Samples at repaired timestamps are flagged and excluded from pattern
-    mining. Runs with the cyclic garbage collector paused (``acyclic``).
+    Timestamps with a repair are flagged and excluded from pattern mining.
+    Runs with the cyclic garbage collector paused (``acyclic``).
     """
     for label in sorted({e.label for e in log.events}):
         if label not in net.transitions or not net.transitions[label].is_task:
@@ -226,7 +249,7 @@ def replay(
                     f"declares {col!r} as {declared}"
                 )
 
-    marking = net.initial_marking
+    marking = net.initial_marking.copy()
     injections = _arrival_plan(log, net)
     inject_idx = 0
 
@@ -234,9 +257,9 @@ def replay(
     for e in log.events:  # already in global order
         groups.setdefault(e.start, []).append(e)
 
-    samples: list[StateSample] = []
-    if observer is None and not check_guards:
-        observer = samples.append
+    kept = _Kept() if observer is None and not check_guards else None
+    observer = observer or kept
+    see = observer.move if observer is not None and not check_guards else None
     fired_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct set
     report = MatchReport()
     gap_sum, gap_n = 0.0, 0
@@ -244,14 +267,15 @@ def replay(
     for tau in sorted(groups):
         while inject_idx < len(injections) and injections[inject_idx][0] <= tau:
             _, source, case_id, attrs, avail = injections[inject_idx]
-            marking = fire(net, marking, source, {}, avail, 0.0, (case_id, attrs))
+            fire(net, marking, source, {}, avail, 0.0, (case_id, attrs))
             inject_idx += 1
 
-        before = marking
+        if kept is not None:
+            kept.before = marking.copy()
         group = groups[tau]
-        marking, moves, pending = _walk(net, before, group, tau, check_guards)
+        moves, pending = _walk(net, marking, group, tau, check_guards, see)
 
-        for e, binding, _ in moves:
+        for e, binding in moves:
             report.matched += 1
             case_inputs = net.plan(e.label).case_inputs
             if case_inputs:
@@ -269,23 +293,21 @@ def replay(
             for p in plan.case_inputs:
                 own = [tok for tok in marking.tokens(p) if tok.case_id == e.case_id]
                 if own:
-                    marking = marking.with_removed(p, own[0])
+                    marking.remove(p, own[0])
             for p, kind, names in plan.outputs:
                 if kind == "case":
-                    token = Token(e.case_id, projected(e.attrs, names), e.complete)
-                    marking = marking.with_added(p, token)
+                    marking.add(p, Token(e.case_id, projected(e.attrs, names), e.complete))
 
         if observer is not None:
             fired = frozenset([e.label for e in group])
-            fired = fired_sets.setdefault(fired, fired)
-            observer(StateSample(tau, before, marking, fired, tuple(moves), bool(pending)))
+            observer.step(tau, marking, fired_sets.setdefault(fired, fired), bool(pending))
 
     report.stats = {
         "events": float(report.total),
         "match_rate": report.match_rate,
         "mean_start_gap": (gap_sum / gap_n) if gap_n else 0.0,
     }
-    return samples, report
+    return (kept.samples if kept is not None else []), report
 
 
 def _arrival_plan(log: Log, net: Net) -> list[tuple[float, str, str, Mapping, float]]:

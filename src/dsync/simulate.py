@@ -184,7 +184,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     if problems:
         raise SimulationError("net is invalid: " + "; ".join(problems))
 
-    marking = net.initial_marking
+    marking = net.initial_marking.copy()
     clock = 0.0
     events: list[Event] = []
     delay_rngs = {tid: _stream(cfg.seed, "delay", tid) for tid in net.transitions}
@@ -280,7 +280,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
                     case = (tok.case_id, tok.attrs) if tok else None
             # fire, dirty the readers of what it touched, stop the clock at its outputs
             _finite_time(now + delay, tid, "completion")
-            marking = fire(net, marking, tid, y, now, delay, case)
+            fire(net, marking, tid, y, now, delay, case)
             outs = net.postset[tid]
             for node in (tid, *y):
                 dirty.update(readers.get(node, ()))

@@ -43,6 +43,31 @@ def fifo_key(net: Net, t_id: str, binding: dict, clock: float) -> tuple:
 # replay runs and keeps no marking; these are the oracle it must equal.
 
 
+class Ends:
+    """A replay observer that keeps each timestamp's end: whether it was
+    repaired, and its marking as (case id, availability) pairs per place."""
+
+    def __init__(self) -> None:
+        self.repaired: list[bool] = []
+        self.markings: list[dict] = []
+
+    def move(self, e, binding, marking, now) -> None:
+        pass
+
+    def step(self, now, marking, fired, repaired) -> None:
+        self.repaired.append(repaired)
+        self.markings.append({p: [(tok.case_id, tok.available_at) for tok in marking.tokens(p)]
+                              for p in marking.places()})
+
+
+def shown(observer, s: StateSample) -> None:
+    """Show a kept sample to ``observer`` as ``replay`` shows a timestamp:
+    each move with the marking it applied to, then the timestamp's end."""
+    for e, binding, m in s.moves:
+        observer.move(e, binding, m, s.time)
+    observer.step(s.time, s.after, s.fired, s.repaired)
+
+
 def fired_from(s: StateSample, t: str):
     """The marking before ``t``'s first move in ``s``: the state it fired from."""
     return next(m for e, _, m in s.moves if e.label == t)

@@ -246,7 +246,7 @@ def test_criterion_5c_observation_table_reproduction(priority_net, table1_log):
         c for c in detect_constructs(priority_net) if c.kind == PatternKind.PRIORITY
     ][0]
     observations = Observations(priority_net, table1_log, [candidate])
-    _, report = replay(table1_log, priority_net, observer=observations.observe)
+    _, report = replay(table1_log, priority_net, observer=observations)
     assert report.matched == 9 and not report.unmatched
     pt = build_pt_log(observations, candidate)
     rows = {r.time: r for r in pt.rows}

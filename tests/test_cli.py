@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import csv
 import json
 import urllib.parse
 
 import pytest
 
 from dsync.cli import main, read_config
+from dsync.eventlog import load_log
+from dsync.extract import discover_run
+from dsync.modelfile import load_model
+from dsync.replay import replay
+from dsync.report import build_report, report_to_json
 from tests.conftest import MODELS, model_path
 
 
@@ -139,6 +145,45 @@ def test_check_log_with_empty_case_ids_exits_3(tmp_path, capsys):
                            for line in lines))
     assert main(["check", *args]) == 3
     assert "has an empty case id" in capsys.readouterr().err
+
+
+def _zero_durations(src, dst) -> None:
+    """``src`` with every event's start set to its complete."""
+    with src.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    start, complete = rows[0].index("start"), rows[0].index("complete")
+    for row in rows[1:]:
+        row[start] = row[complete]
+    with dst.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+ZERO_DURATIONS = (
+    "warning: every event in {} has start == complete; discovery and the check read "
+    "start times, which this log may not record\n"
+)
+
+
+def test_a_log_without_durations_is_named_on_stderr(sim_log, tmp_path, capsys):
+    flat = tmp_path / "flat.csv"
+    _zero_durations(sim_log, flat)
+    net, log = load_model(model_path("blocking")), load_log(str(flat))
+    assert all(e.start == e.complete for e in log.events)
+    report = tmp_path / "report.json"
+    args = ["--model", model_path("blocking"), "--log", str(flat)]
+    assert main(["discover", *args, "--out", str(report)]) == 0
+    assert capsys.readouterr().err == ZERO_DURATIONS.format(flat)
+    # the warning changes neither the report nor the exit codes
+    assert report.read_text() == report_to_json(build_report(discover_run(log, net), net, log))
+    unmatched = replay(log, net, check_guards=True)[1].unmatched
+    assert main(["check", *args]) == (1 if unmatched else 0)
+    assert capsys.readouterr().err == ZERO_DURATIONS.format(flat)
+    # a log with durations, or with no events, gets no warning
+    empty = tmp_path / "empty.csv"
+    empty.write_text("case,activity,start,complete\n")
+    for path in (sim_log, empty):
+        main(["check", "--model", model_path("blocking"), "--log", str(path)])
+        assert capsys.readouterr().err == ""
 
 
 def test_check_unguarded_model_exits_0(sim_log, tmp_path):

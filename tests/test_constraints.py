@@ -8,12 +8,19 @@ from dsync.constraints import (
     AGGS,
     NO_PENDING_SENTINEL,
     RATIO_EPSILON,
+    Atom,
+    ConstraintExpr,
     FeatureRef,
     eval_feature,
     parse_constraint,
 )
 from dsync.errors import ConstraintSyntaxError
+from dsync.modelfile import load_model
 from dsync.net import Marking, Token
+from dsync.patterns import detect_constructs, features_for
+from dsync.replay import replay
+from dsync.simulate import SimConfig, simulate
+from tests.conftest import model_path
 
 PRIORITY_GUARD = (
     "ratio(attrval(arrival, value, max), attrval(q1, value, max)) <= 1.5 "
@@ -24,9 +31,9 @@ PRIORITY_GUARD = (
 def marking(arrival=(), q1=()):
     m = Marking()
     for cid, value, at in arrival:
-        m = m.with_added("arrival", Token(cid, {"value": value}, at))
+        m.add("arrival", Token(cid, {"value": value}, at))
     for cid, value, at in q1:
-        m = m.with_added("q1", Token(cid, {"value": value}, at))
+        m.add("q1", Token(cid, {"value": value}, at))
     return m
 
 
@@ -109,7 +116,7 @@ def test_counts_enabled_never_exceed_totals():
     for _ in range(50):
         m = Marking()
         for i in range(rng.randint(0, 10)):
-            m = m.with_added("q1", Token(str(i), {"value": rng.randint(1, 9)}, rng.uniform(0, 10)))
+            m.add("q1", Token(str(i), {"value": rng.randint(1, 9)}, rng.uniform(0, 10)))
         now = rng.uniform(0, 10)
         n_enabled = eval_feature(FeatureRef.nrtokensenabled("q1"), m, now)
         n_total = eval_feature(FeatureRef.nrtokens("q1"), m, now)
@@ -160,6 +167,49 @@ def test_pin_keeps_the_pool_under_an_enabled_false_atom():
     m = marking(q1=[("lo", 100, 0.0), ("hi", 900, 0.0)])
     pool = list(m.tokens("q1"))
     assert expr.pin(m, "q1", pool) == pool
+
+
+def _pins_every_bound_place(expr, m, binding) -> bool:
+    """``binding_ok`` as it was: ``pin`` called on every bound place."""
+    return all(expr.pin(m, p, [tok]) for p, tok in binding.items())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("model", ["priority", "supplychain"])
+def test_binding_ok_equals_pinning_every_bound_place(model, seed):
+    # on every move a replay records, for every candidate's pinned guard (the
+    # ones discovery tests), its ``== false`` twin and the model's own guards
+    net = load_model(model_path(model))
+    log = simulate(net, SimConfig(seed=seed, max_cases=150))
+    feats = {f for c in detect_constructs(net) for f in features_for(c) if f.is_boolean}
+    guards = [ConstraintExpr((Atom(f, "==", const),))
+              for f in sorted(feats, key=FeatureRef.canonical) for const in (True, False)]
+    guards += [t.guard for t in net.transitions.values() if t.guard is not None]
+    verdicts = []
+    for s in replay(log, net)[0]:
+        for _, binding, m in s.moves:
+            for g in guards:
+                verdicts.append(g.binding_ok(m, s.time, binding))
+                assert verdicts[-1] == _pins_every_bound_place(g, m, binding), g.canonical()
+    assert len(verdicts) > 1000 and True in verdicts and False in verdicts
+
+
+def test_binding_ok_computes_no_extremum_for_an_unpinned_place(monkeypatch):
+    # the guard reads arrival through a ratio, and pins only q1's token
+    expr = parse_constraint(PRIORITY_GUARD)
+    m = marking(arrival=[("3", 855, 10.0)], q1=[("lo", 100, 0.0), ("hi", 900, 0.0)])
+    m.add("r1", Token("w1", {}, 0.0))
+    extremum, places = Marking.extremum, []
+
+    def counted(self, place_id, attr, agg):
+        places.append(place_id)
+        return extremum(self, place_id, attr, agg)
+
+    monkeypatch.setattr(Marking, "extremum", counted)
+    q1, arrival, r1 = by_case(m, "q1"), m.tokens("arrival")[0], m.tokens("r1")[0]
+    assert expr.binding_ok(m, 5.0, {"arrival": arrival, "q1": q1["hi"], "r1": r1})
+    assert not expr.binding_ok(m, 5.0, {"arrival": arrival, "q1": q1["lo"], "r1": r1})
+    assert places == ["q1", "q1"]
 
 
 def test_parse_accepts_trailing_whitespace():
@@ -234,7 +284,7 @@ def test_memoised_extrema_match_brute_force():
             p: tuple(_memo_token(rng) for _ in range(rng.randint(0, 40)))
             for p in MEMO_PLACES[:2]
         })
-        history = [m]
+        history = [m.copy()]
         for _ in range(12):
             times = (-1.0, 0.0, 1.0, 2.0, 3.0, 9.0)
             queries = [("feature", f, rng.choice(times)) for f in feats]
@@ -257,10 +307,10 @@ def test_memoised_extrema_match_brute_force():
                     checked += 1
             p = rng.choice(MEMO_PLACES[:2])
             if m.tokens(p) and rng.random() < 0.5:
-                m = m.with_removed(p, rng.choice(m.tokens(p)))
+                m.remove(p, rng.choice(m.tokens(p)))
             else:
-                m = m.with_added(p, _memo_token(rng))
-            history.append(m)
+                m.add(p, _memo_token(rng))
+            history.append(m.copy())
     assert checked > 40_000
 
 

@@ -21,7 +21,7 @@ from dsync.patterns import (
 )
 from dsync.replay import StateSample, replay
 from dsync.simulate import SimConfig, simulate
-from tests.conftest import fired_from, model_path
+from tests.conftest import fired_from, model_path, shown
 
 
 def by_kind(candidates, kind):
@@ -31,7 +31,7 @@ def by_kind(candidates, kind):
 def pt_log(net, c, log):
     """``c``'s pattern-transition log, observed while the log replays."""
     observations = Observations(net, log, [c])
-    replay(log, net, observer=observations.observe)
+    replay(log, net, observer=observations)
     return build_pt_log(observations, c)
 
 
@@ -200,7 +200,7 @@ def test_repaired_samples_are_not_observed(priority_net, table1_log):
     # a repaired sample's marking is a guess, whether the transition fired or not
     observations = Observations(priority_net, table1_log, [candidate])
     for s in samples:
-        observations.observe(s._replace(repaired=s.time in (5, 15)))
+        shown(observations, s._replace(repaired=s.time in (5, 15)))
     rows = build_pt_log(observations, candidate).rows
     assert [r.time for r in rows] == [t for t in times if t not in (5, 15)]
 
@@ -256,8 +256,8 @@ def test_observed_rows_match_the_per_candidate_pass(model):
         log = simulate(net, SimConfig(seed=seed, max_cases=150))
         samples, _ = replay(log, net)
         observations = Observations(net, log, candidates)
-        replay(log, net, observer=observations.observe)
-        started = {t for t, _, _ in observations._started}
+        replay(log, net, observer=observations)
+        started = set(observations._started)
         assert started == {c.t_g for c in candidates} & {e.label for e in log.events}
         for c in candidates:
             rows = build_pt_log(observations, c).rows
@@ -308,7 +308,7 @@ def test_ratio_from_its_parts_is_eval_feature_bit_for_bit(priority_net, monkeypa
         binding = {p: Token("c0", {}, now) for p in inputs}
         moves = ((Event("c0", c.t_g, now, now), binding, m),) if fired else ()
         labels = frozenset([c.t_g] if fired else [])
-        observed.observe(StateSample(now, m, m, labels, moves))
+        shown(observed, StateSample(now, m, m, labels, moves))
     pt = build_pt_log(observed, c)
     ratios = [(i, f) for i, f in enumerate(pt.features) if f.kind == "ratio"]
     assert len(ratios) == 4

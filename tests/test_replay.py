@@ -16,7 +16,7 @@ from dsync.patterns import Observations, detect_constructs, read_off_check
 from dsync.replay import _best_move, replay, sim_score
 from dsync.report import build_report
 from dsync.simulate import SimConfig, simulate
-from tests.conftest import fired_from, model_path, task_firings
+from tests.conftest import Ends, fired_from, model_path, task_firings
 
 
 def arrivals(prefix: str, gap: float) -> ArrivalSpec:
@@ -254,10 +254,10 @@ def test_arrival_feeds_every_output_of_its_source(check_guards):
     net = arrival_with_three_outputs_net()
     log = simulate(net, SimConfig(seed=1, max_cases=5))
     assert sorted(e.label for e in log.events) == ["a"] * 5 + ["b"] * 5
-    samples = []  # a guard-checked replay keeps none, so collect them
-    _, report = replay(log, net, check_guards=check_guards, observer=samples.append)
+    ends = Ends()  # a guard-checked replay keeps no samples
+    _, report = replay(log, net, check_guards=check_guards, observer=ends)
     assert (report.matched, report.total) == (10, 10)
-    assert samples and not any(s.repaired for s in samples)
+    assert ends.repaired and not any(ends.repaired)
 
 
 def guard_closed_by_downstream_net() -> Net:
@@ -303,9 +303,9 @@ def test_downstream_first_alone_misses_the_simulated_order(monkeypatch):
     # the package's ``replay`` attribute is the function, so fetch the module
     module = importlib.import_module("dsync.replay")
 
-    def first_pass(net, marking, events, tau, check_guards):
+    def first_pass(net, marking, events, tau, check_guards, see=None):
         ordered = sorted(events, key=lambda e: -net.plan(e.label).depth)
-        return module._descend(net, marking, ordered, tau, check_guards)
+        return module._descend(net, marking, ordered, tau, check_guards, see)
 
     monkeypatch.setattr(module, "_walk", first_pass)
     _, report = replay(log, net, check_guards=True)
@@ -330,12 +330,12 @@ def test_a_group_of_exactly_max_search_group_moves_is_searched(monkeypatch, limi
         passes = 0
         return walk(*args)
 
-    def limited_descend(net, marking, events, tau, check_guards):
+    def limited_descend(net, marking, events, tau, check_guards, see=None):
         nonlocal passes
         passes += 1
         if passes > limit:  # a pass beyond the limit matches nothing
-            return marking, [], list(events)
-        return descend(net, marking, events, tau, check_guards)
+            return [], list(events)
+        return descend(net, marking, events, tau, check_guards, see)
 
     monkeypatch.setattr(module, "_walk", counted_walk)
     monkeypatch.setattr(module, "_descend", limited_descend)
@@ -347,7 +347,7 @@ def test_a_group_of_exactly_max_search_group_moves_is_searched(monkeypatch, limi
         ]
 
 
-def test_retry_puts_the_unmatched_moves_of_a_ten_move_group_first():
+def test_retry_puts_the_unmatched_moves_of_a_ten_move_group_first(monkeypatch):
     # tp (downstream of u) refills o, which closes tg's guard: downstream-first
     # matches only the five tp moves, the retry puts the five tg moves first
     net = Net(
@@ -367,10 +367,19 @@ def test_retry_puts_the_unmatched_moves_of_a_ten_move_group_first():
         [Event(f"a{i}", "tp", 0.0, 1.0) for i in range(1, 6)]
         + [Event(f"b{i}", "tg", 0.0, 0.0) for i in range(1, 6)]
     )
-    samples = []
-    _, report = replay(log, net, check_guards=True, observer=samples.append)
+    # a guard-checked replay shows no moves, so take the walk's
+    module = importlib.import_module("dsync.replay")
+    walk, walked = module._walk, []
+
+    def recorded(*args):
+        moves, pending = walk(*args)
+        walked.append(moves)
+        return moves, pending
+
+    monkeypatch.setattr(module, "_walk", recorded)
+    _, report = replay(log, net, check_guards=True)
     assert (report.matched, report.total) == (10, 10)
-    assert [e.label for e, _, _ in samples[0].moves] == ["tg"] * 5 + ["tp"] * 5
+    assert [e.label for e, _ in walked[0]] == ["tg"] * 5 + ["tp"] * 5
 
 
 def test_a_group_no_order_matches_costs_two_passes(monkeypatch):
@@ -402,6 +411,36 @@ def test_a_group_no_order_matches_costs_two_passes(monkeypatch):
     # two passes of 7 matched moves and 1 dead end each, and the unmatched
     # move's reason
     assert calls <= 8 + 8 + 1
+
+
+def test_a_failed_retry_leaves_the_first_pass_standing():
+    # seven cap tokens for eight same-instant moves: the first pass leaves c8
+    # unmatched, the retry (c8 first) leaves c7; each matched move puts a done
+    # token at its completion, c_i at i, so the two passes' markings differ.
+    # The report and marking were taken from the replay that returned a new
+    # marking per move.
+    net = Net(
+        places=[Place("in", "case"), Place("cap", "plain"), Place("out", "case"),
+                Place("done", "plain")],
+        transitions=[Transition("t", guard=parse_constraint("nrtokens(done) < 100"))],
+        flows=[("in", "t"), ("cap", "t"), ("t", "out"), ("t", "done")],
+        initial_marking=Marking({
+            "in": tuple(Token(f"c{i}", {}, 0.0) for i in range(1, 9)),
+            "cap": (Token(None, {}, 0.0),) * 7,
+        }),
+    )
+    log = Log([Event(f"c{i}", "t", 0.0, float(i)) for i in range(1, 9)])
+    ends = Ends()
+    _, report = replay(log, net, check_guards=True, observer=ends)
+    assert report.matched == 7
+    assert [(e.case_id, reason) for e, reason in report.unmatched] == [("c8", "no binding")]
+    assert report.stats == {"events": 8.0, "match_rate": 0.875, "mean_start_gap": 0.0}
+    assert ends.markings == [{
+        "cap": [],
+        "done": [(None, float(i)) for i in range(1, 8)],
+        "in": [],
+        "out": [(f"c{i}", float(i)) for i in range(1, 9)],  # c8's by its repair
+    }]
 
 
 @pytest.mark.parametrize("check_guards", [False, True])
@@ -471,7 +510,7 @@ def test_read_off_check_equals_the_guard_checked_replay(model, cases, seed):
 def _observed(net: Net, log: Log) -> tuple[Observations, object]:
     """An unguarded replay observed as ``discover_run`` observes it, and its report."""
     observations = Observations(net, log, detect_constructs(net))
-    return observations, replay(log, net, observer=observations.observe)[1]
+    return observations, replay(log, net, observer=observations)[1]
 
 
 def test_read_off_check_declines_a_tightened_guard():

@@ -77,12 +77,14 @@ def test_fire_shares_a_case_map_its_place_declares_and_filters_the_rest():
     net = Net(places, [Transition("t")], [("in", "t"), ("t", "some"), ("t", "none")])
     attrs = {"a": 1.0, "b": 2.0}
     tok = Token("c1", attrs, 0.0)
-    m = fire(net, Marking({"in": (tok,)}), "t", {"in": tok}, 0.0, 1.0, (tok.case_id, tok.attrs))
+    m = Marking({"in": (tok,)})
+    fire(net, m, "t", {"in": tok}, 0.0, 1.0, (tok.case_id, tok.attrs))
     (some,), (none,) = m.tokens("some"), m.tokens("none")
     assert some.attrs == {"a": 1.0} and some.attrs is not attrs
     assert none.attrs is EMPTY_ATTRS
     produced = {"a": 3.0}  # every name declared by "some": taken as it is
-    m = fire(net, Marking({"in": (tok,)}), "t", {"in": tok}, 0.0, 1.0, ("c2", produced))
+    m = Marking({"in": (tok,)})
+    fire(net, m, "t", {"in": tok}, 0.0, 1.0, ("c2", produced))
     (some,), (none,) = m.tokens("some"), m.tokens("none")
     assert some.attrs is produced and none.attrs is EMPTY_ATTRS
 

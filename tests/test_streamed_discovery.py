@@ -86,7 +86,7 @@ def _read_off_both(net: Net, log: Log, pc: PatternConstraint):
     """The read-off check of ``pc``, from the streamed observations and from
     the kept samples."""
     observations = Observations(net, log, detect_constructs(net))
-    report = replay(log, net, observer=observations.observe)[1]
+    report = replay(log, net, observer=observations)[1]
     samples, kept_report = replay(log, net)
     return (
         read_off_check(observations, report, [pc]),
@@ -143,7 +143,7 @@ def test_a_pinned_guard_is_not_tested_past_its_first_failing_move(monkeypatch):
 
     monkeypatch.setattr(ConstraintExpr, "binding_ok", counted)
     observations = Observations(net, log, detect_constructs(net))
-    replay(log, net, observer=observations.observe)
+    replay(log, net, observer=observations)
     held = verdicts["attrenabled(q1, value, max) == true"]
     dropped = verdicts["attrenabled(q1, value, min) == true"]
     assert held == [True] * 300
@@ -197,7 +197,8 @@ def _most_live_markings(call) -> int:
 @pytest.mark.parametrize("check_guards", [False, True], ids=["discover_run", "check"])
 def test_markings_do_not_outlive_their_timestamp(check_guards):
     # kept markings grow with the log: when both replays kept their samples,
-    # 449 markings were alive at 150 cases and 1,799 at 600; now 4 at both
+    # 449 markings were alive at 150 cases and 1,799 at 600; now 1 at both,
+    # the one the replay fires on
     most = {}
     for cases in (150, 600):
         net, log = _simulated("blocking", cases, 1)
