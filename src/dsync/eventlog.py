@@ -8,6 +8,13 @@ ISO-8601 timestamps are also accepted on input and converted to fractional
 minutes from the epoch. Discovery reads guards off the waits before starts, so
 ``dsync discover`` and ``check`` warn on a log whose events all take no time.
 
+``parse_log`` reads a text in one pass, feeding ``csv.reader`` blocks of
+about 16,000 characters that each end after a line break, so the text is
+never copied whole. It accepts a row whose times pass one chained
+comparison, explains any other row by checking it cell by cell, and types
+the attribute columns once per distinct tuple of cells. Every bad input,
+a line the ``csv`` module cannot read included, raises ``LogError``.
+
 An event is an immutable value, its attribute map included: the library
 shares equal maps between events and tokens (``parse_log``, ``net.fire``,
 ``simulate``), every event it builds without attributes holds
@@ -20,9 +27,10 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from .acyclic import acyclic
 from .errors import LogError
@@ -87,6 +95,38 @@ def _parse_time(raw: str, row_num: int, column: str) -> float:
     return stamp.timestamp() / 60.0
 
 
+def _check_row(row: list[str], row_num: int, width: int, i_label: int, i_start: int,
+               i_complete: int) -> tuple[float, float]:
+    """The start and complete of a padded record with a non-empty cell, or
+    ``LogError`` naming what is wrong with it: cells beyond the header, then
+    its label, its start, its complete and their order."""
+    if len(row) > width and any(map(str.strip, row[width:])):
+        raise LogError(f"row {row_num}: a cell beyond the {width} header columns is not empty")
+    if not row[i_label].strip():
+        raise LogError(f"row {row_num}: empty activity label")
+    start = _parse_time(row[i_start].strip(), row_num, "start")
+    complete = _parse_time(row[i_complete].strip(), row_num, "complete")
+    if start > complete:
+        raise LogError(f"row {row_num}: start {start:g} is after complete {complete:g}")
+    return start, complete
+
+
+# the text is read in blocks of about this many characters, so that no copy
+# of it is made whole
+_BLOCK = 16_000
+
+
+def _blocks(text: str, start: int) -> Iterator[str]:
+    """``text[start:]`` in blocks that each end just after a line break (the
+    last one at the end of the text): the lines of the blocks are the lines
+    of ``io.StringIO(text[start:])``."""
+    end = len(text)
+    while start < end:
+        cut = text.find("\n", start + _BLOCK) + 1 or end
+        yield text[start:cut]
+        start = cut
+
+
 @acyclic
 def parse_log(text: str) -> Log:
     """Parse CSV text into a Log, in one pass over its records.
@@ -96,25 +136,49 @@ def parse_log(text: str) -> Log:
     value is true/false, text otherwise. Trailing empty header cells are
     dropped, and a row may end in empty cells beyond the header, but a
     non-empty one raises ``LogError``. One leading byte-order mark (U+FEFF)
-    is dropped. Runs with the cyclic garbage collector paused (``acyclic``).
+    is skipped. A line that the ``csv`` module cannot read, such as a cell
+    over its field size limit, raises ``LogError`` naming that row. Runs with
+    the cyclic garbage collector paused (``acyclic``).
 
-    The pass types the columns as it reads, so the attribute maps are filled
-    after it: a numeric cell that is not finite is an error only once its
-    column turns out numeric, and it is reported when its row comes before
-    the first other bad row, as a row is checked before the next one is read.
+    The text is fed to ``csv.reader`` in blocks of about 16,000 characters,
+    each ending after a line break, so it is never copied whole; a quoted
+    cell may span blocks. A row is accepted when its label is not empty, it
+    has no non-empty cell beyond the header, and ``float`` of its raw time
+    cells (which strips the same whitespace as ``str.strip``) passes one
+    chained comparison, ``-inf < start <= complete < inf``. Any other row is
+    checked cell by cell, which names what is wrong with it, reads ISO-8601
+    times, and skips a record whose cells are all empty.
+
+    The columns are typed as the pass reads, once per distinct tuple of
+    stripped attribute cells, at the first row that holds it: a column's
+    type and its first number that is not finite depend only on its distinct
+    cells in first-seen order. So the attribute maps are filled after the
+    pass: a numeric cell that is not finite is an error only once its column
+    turns out numeric, and it is reported when its row comes before the
+    first other bad row, as a row is checked before the next one is read.
 
     Equal values are stored once: all events share one ``str`` per distinct
     case id, label and resource, rows whose attribute cells are identical
     share one attribute dict, and rows with no attribute value hold
     ``EMPTY_ATTRS``.
     """
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    reader = csv.reader(io.StringIO(text))
-    # the records with a non-empty cell; ``reader.line_num`` is the line a
-    # record ends on
-    records = (row for row in reader if any(map(str.strip, row)))
-    header = [h.strip() for h in next(records, ())]
+    # a byte-order mark is skipped, not sliced off, which would copy the text
+    blocks = _blocks(text, 1 if text.startswith("\ufeff") else 0)
+    reader = csv.reader(chain.from_iterable(map(io.StringIO, blocks)))
+    try:
+        return _read_records(reader)
+    except csv.Error as exc:  # e.g. a cell over the field size limit, or a lone \r
+        raise LogError(f"row {reader.line_num}: {exc}") from None
+
+
+def _read_records(reader) -> Log:
+    """``parse_log`` of the records of a ``csv.reader``; ``reader.line_num``
+    is the line a record ends on."""
+    header: list[str] = []
+    for row in reader:
+        if any(map(str.strip, row)):  # the first record with a non-empty cell
+            header = [h.strip() for h in row]
+            break
     while header and not header[-1]:  # trailing empty cells name no column
         header.pop()
     if not header:
@@ -140,41 +204,45 @@ def parse_log(text: str) -> Log:
     # attribute cells (raw text, so that ``-0`` and ``0`` stay apart)
     strs: dict[str, str] = {}
     maps: dict[tuple[str, ...], Mapping[str, AttrValue]] = {(("",) * len(attr_cols)): EMPTY_ATTRS}
+    attrs = EMPTY_ATTRS
     events: list[Event] = []
     error: Optional[tuple[int, str]] = None  # the first bad row and its message
-    for row in records:
-        row_num = reader.line_num
+    inf = math.inf
+    for row in reader:
         if len(row) < width:  # its missing cells are empty
-            row = row + [""] * (width - len(row))
-        cells = tuple(row[i].strip() for i in i_attrs)
-        for j, raw in enumerate(cells):
-            if raw and types[j] != "text":
-                typ = types[j] = _narrow(types[j], raw)
-                if typ == "number" and not_finite[j] is None and not math.isfinite(float(raw)):
-                    not_finite[j] = (row_num, raw)
-        if error is not None:  # past a bad row only the columns are typed
-            continue
+            row += [""] * (width - len(row))
+        if i_attrs:
+            cells = tuple(map(str.strip, map(row.__getitem__, i_attrs)))
+            attrs = maps.get(cells)
+            if attrs is None:  # the first row with these cells types them
+                attrs = maps[cells] = {}  # filled once the columns are typed
+                for j, raw in enumerate(cells):
+                    if raw and types[j] != "text":
+                        typ = types[j] = _narrow(types[j], raw)
+                        if typ == "number" and not_finite[j] is None and not math.isfinite(float(raw)):
+                            not_finite[j] = (reader.line_num, raw)
+        label = row[i_label].strip()
         try:
-            if len(row) > width and any(map(str.strip, row[width:])):
-                raise LogError(f"row {row_num}: a cell beyond the {width} header columns is not empty")
-            label = row[i_label].strip()
-            if not label:
-                raise LogError(f"row {row_num}: empty activity label")
-            start = _parse_time(row[i_start].strip(), row_num, "start")
-            complete = _parse_time(row[i_complete].strip(), row_num, "complete")
-            if start > complete:
-                raise LogError(f"row {row_num}: start {start:g} is after complete {complete:g}")
-        except LogError as exc:
-            error = (row_num, str(exc))
-            continue
-        resource = row[i_resource].strip() if has_resource else ""
-        resource = strs.setdefault(resource, resource) if resource else None
-        attrs = maps.get(cells)
-        if attrs is None:
-            attrs = maps[cells] = {}  # filled once the columns are typed
+            start, complete = float(row[i_start]), float(row[i_complete])
+        except ValueError:
+            start = complete = math.nan
+        if not (label and -inf < start <= complete < inf) or (
+                len(row) > width and any(map(str.strip, row[width:]))):
+            if not any(map(str.strip, row)):  # a record of empty cells
+                continue
+            try:
+                start, complete = _check_row(row, reader.line_num, width, i_label, i_start, i_complete)
+            except LogError as exc:
+                if error is None:
+                    error = (reader.line_num, str(exc))
+                continue
+        # past a bad row the events are built but never returned
         case_id = row[i_case].strip()
-        events.append(Event(strs.setdefault(case_id, case_id), strs.setdefault(label, label),
-                            start, complete, resource, attrs))
+        resource = row[i_resource].strip() if has_resource else ""
+        # ``tuple.__new__`` skips the named tuple's ``__new__``, a Python function
+        events.append(tuple.__new__(Event, (
+            strs.setdefault(case_id, case_id), strs.setdefault(label, label), start, complete,
+            strs.setdefault(resource, resource) if resource else None, attrs)))
 
     col_types = [typ or "text" for typ in types]
     # a number that is not finite is reported if its row is the first bad one

@@ -4,7 +4,8 @@ Rows are read as given: a split needs only the order of a feature's values,
 and a boolean feature orders ``False`` before ``True``, so its one threshold
 is 0.5. Candidate thresholds are midpoints between consecutive distinct
 sorted values, which is what yields the half-step thresholds characteristic
-of count features (e.g. 4.5 between 4 and 5).
+of count features (e.g. 4.5 between 4 and 5); where the midpoint of two
+adjacent floats rounds up to the upper one, the lower one is the threshold.
 Everything is deterministic: ties prefer the lowest feature index, then the
 lowest threshold.
 
@@ -193,7 +194,10 @@ def _best_split(
                 right = 2.0 * (n_right - true_rest) * true_rest / (n_right * n_right)
                 decrease = parent - (n_left * left + n_right * right) / n
                 if decrease > bar:
-                    best, bar = (f, (value + nxt) / 2.0), decrease + 1e-12
+                    # between adjacent floats the midpoint can round up to
+                    # ``nxt``, which would put its rows on the x <= side
+                    mid = (value + nxt) / 2.0
+                    best, bar = (f, mid if mid < nxt else value), decrease + 1e-12
             n_left += counts[i]
             true_prefix += trues[i]
             value = nxt

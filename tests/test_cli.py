@@ -705,6 +705,15 @@ def test_check_log_not_utf8_exits_3(tmp_path, capsys):
     assert "is not UTF-8 text" in capsys.readouterr().err
 
 
+def test_check_log_with_a_cell_over_the_csv_field_limit_exits_3(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("case,activity,start,complete,note\n1,pre-processing,0,1," + "x" * 140_000 + "\n")
+    code = main(["check", "--model", model_path("blocking"), "--log", str(log)])
+    assert code == 3
+    # one error line, and no traceback
+    assert capsys.readouterr().err == "error: row 2: field larger than field limit (131072)\n"
+
+
 BOM = "\ufeff"  # the UTF-8 byte-order mark that Excel and many Windows tools write
 
 

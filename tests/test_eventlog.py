@@ -150,6 +150,20 @@ def test_trailing_empty_header_cells_are_ignored(tail):
     assert str(info.value) == "row 2: a cell beyond the 4 header columns is not empty"
 
 
+@pytest.mark.parametrize("text, message", [
+    # a cell over the csv module's field size limit (131,072 characters)
+    ("case,activity,start,complete,note\n1,a,0,1," + "x" * 140_000 + "\n",
+     "row 2: field larger than field limit (131072)"),
+    # a lone carriage return ends no line but is no cell content either
+    ("case,activity,start,complete\n1,a,0,1\n2,a\r1,2\n",
+     "row 3: new-line character seen in unquoted field"),
+], ids=["field-limit", "lone-cr"])
+def test_a_line_the_csv_reader_rejects_names_its_row(text, message):
+    with pytest.raises(LogError) as info:
+        parse_log(text)
+    assert str(info.value).startswith(message)
+
+
 def test_round_trip_identity():
     log = parse_log(TABLE1)
     assert parse_log(write_log(log)) == log

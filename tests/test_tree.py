@@ -234,6 +234,8 @@ def _oracle_best_split(
             right = gini(n_right - (n_true - true_prefix), n_true - true_prefix)
             decrease = parent - (n_left * left + n_right * right) / n
             threshold = (value + nxt) / 2.0
+            if threshold == nxt:  # the midpoint of adjacent floats rounded up
+                threshold = value
             if decrease <= params.min_impurity_decrease:
                 continue
             if best is None or decrease > best[2] + 1e-12:
@@ -299,18 +301,33 @@ def test_discovered_trees_equal_the_per_row_fit(model):
     assert fitted >= 6
 
 
+# two adjacent floats whose midpoint rounds up to the upper one
+LOW = math.nextafter(1.0, 2.0)
+HIGH = math.nextafter(LOW, 2.0)
+
+
 def test_a_midpoint_that_rounds_to_the_upper_value_partitions_as_the_per_row_fit():
-    # between two adjacent floats the midpoint can round up to the upper one;
-    # a node then sends the rows of that value to the x <= threshold side
-    low = math.nextafter(1.0, 2.0)
-    high = math.nextafter(low, 2.0)
-    assert (low + high) / 2.0 == high
-    xs = [[low]] * 3 + [[high]] * 3 + [[5.0]] * 3
+    # the threshold is then the lower value, so the upper value's rows stay
+    # on the x > threshold side
+    assert (LOW + HIGH) / 2.0 == HIGH
+    xs = [[LOW]] * 3 + [[HIGH]] * 3 + [[5.0]] * 3
     ys = [False] * 3 + [True] * 6
     stump = TreeParams(max_depth=1, min_samples_leaf=1)
     tree = fit(xs, ys, stump)
-    assert tree.split == (0, high) and tree.right.class_counts == (3, 3)
+    assert tree.split == (0, LOW) and tree.right.class_counts == (3, 0)
     assert_same_tree(tree, oracle_fit(xs, ys, stump))
+
+
+def test_a_split_between_adjacent_floats_leaves_no_empty_node():
+    # with the upper value as threshold the left child got no row, and its
+    # gini raised "gini of an empty node is undefined"
+    xs = [[LOW]] * 3 + [[HIGH]] * 3 + [[5.0]] * 3
+    ys = [False] * 3 + [True] * 6
+    params = TreeParams(min_samples_leaf=1)
+    tree = fit(xs, ys, params)
+    assert tree.split == (0, LOW)
+    assert [leaf.samples for leaf, _ in tree.leaves()] == [6, 3]
+    assert_same_tree(tree, oracle_fit(xs, ys, params))
 
 
 def test_fit_equals_the_per_row_fit_on_random_data_with_ties():
