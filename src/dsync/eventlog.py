@@ -77,22 +77,29 @@ def sort_events(events: list[Event]) -> list[Event]:
     return sorted(events, key=attrgetter("complete", "start", "case_id"))
 
 
+def _iso_minutes(raw: str) -> float:
+    """Minutes from the epoch of the ISO-8601 time ``raw`` (UTC unless it
+    names a zone), or NaN if ``raw`` is not one."""
+    try:
+        stamp = datetime.fromisoformat(raw)
+    except ValueError:
+        return math.nan
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return stamp.timestamp() / 60.0
+
+
 def _parse_time(raw: str, row_num: int, column: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        pass
-    else:
-        if not math.isfinite(value):
-            raise LogError(f"row {row_num}: {column} value {raw!r} is not finite")
+        value = _iso_minutes(raw)
+        if math.isnan(value):
+            raise LogError(f"row {row_num}: {column} value {raw!r} is not numeric") from None
         return value
-    try:
-        stamp = datetime.fromisoformat(raw)
-    except ValueError:
-        raise LogError(f"row {row_num}: {column} value {raw!r} is not numeric") from None
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.timestamp() / 60.0
+    if not math.isfinite(value):
+        raise LogError(f"row {row_num}: {column} value {raw!r} is not finite")
+    return value
 
 
 def _check_row(row: list[str], row_num: int, width: int, i_label: int, i_start: int,
@@ -137,17 +144,19 @@ def parse_log(text: str) -> Log:
     dropped, and a row may end in empty cells beyond the header, but a
     non-empty one raises ``LogError``. One leading byte-order mark (U+FEFF)
     is skipped. A line that the ``csv`` module cannot read, such as a cell
-    over its field size limit, raises ``LogError`` naming that row. Runs with
-    the cyclic garbage collector paused (``acyclic``).
+    over its field size limit, ends the pass: it raises ``LogError`` naming
+    that row, or the first bad row before it if there is one. Runs with the
+    cyclic garbage collector paused (``acyclic``).
 
     The text is fed to ``csv.reader`` in blocks of about 16,000 characters,
     each ending after a line break, so it is never copied whole; a quoted
     cell may span blocks. A row is accepted when its label is not empty, it
-    has no non-empty cell beyond the header, and ``float`` of its raw time
-    cells (which strips the same whitespace as ``str.strip``) passes one
-    chained comparison, ``-inf < start <= complete < inf``. Any other row is
-    checked cell by cell, which names what is wrong with it, reads ISO-8601
-    times, and skips a record whose cells are all empty.
+    has no non-empty cell beyond the header, and its times pass one chained
+    comparison, ``-inf < start <= complete < inf``: ``float`` of the raw
+    cell (which strips the same whitespace as ``str.strip``), or where that
+    fails the stripped cell read as an ISO-8601 time, else NaN. Any other
+    row is checked cell by cell, which names what is wrong with it, and a
+    record whose cells are all empty is skipped.
 
     The columns are typed as the pass reads, once per distinct tuple of
     stripped attribute cells, at the first row that holds it: a column's
@@ -208,41 +217,52 @@ def _read_records(reader) -> Log:
     events: list[Event] = []
     error: Optional[tuple[int, str]] = None  # the first bad row and its message
     inf = math.inf
-    for row in reader:
-        if len(row) < width:  # its missing cells are empty
-            row += [""] * (width - len(row))
-        if i_attrs:
-            cells = tuple(map(str.strip, map(row.__getitem__, i_attrs)))
-            attrs = maps.get(cells)
-            if attrs is None:  # the first row with these cells types them
-                attrs = maps[cells] = {}  # filled once the columns are typed
-                for j, raw in enumerate(cells):
-                    if raw and types[j] != "text":
-                        typ = types[j] = _narrow(types[j], raw)
-                        if typ == "number" and not_finite[j] is None and not math.isfinite(float(raw)):
-                            not_finite[j] = (reader.line_num, raw)
-        label = row[i_label].strip()
-        try:
-            start, complete = float(row[i_start]), float(row[i_complete])
-        except ValueError:
-            start = complete = math.nan
-        if not (label and -inf < start <= complete < inf) or (
-                len(row) > width and any(map(str.strip, row[width:]))):
-            if not any(map(str.strip, row)):  # a record of empty cells
-                continue
+    try:
+        for row in reader:
+            if len(row) < width:  # its missing cells are empty
+                row += [""] * (width - len(row))
+            if i_attrs:
+                cells = tuple(map(str.strip, map(row.__getitem__, i_attrs)))
+                attrs = maps.get(cells)
+                if attrs is None:  # the first row with these cells types them
+                    attrs = maps[cells] = {}  # filled once the columns are typed
+                    for j, raw in enumerate(cells):
+                        if raw and types[j] != "text":
+                            typ = types[j] = _narrow(types[j], raw)
+                            if (typ == "number" and not_finite[j] is None
+                                    and not math.isfinite(float(raw))):
+                                not_finite[j] = (reader.line_num, raw)
+            label = row[i_label].strip()
             try:
-                start, complete = _check_row(row, reader.line_num, width, i_label, i_start, i_complete)
-            except LogError as exc:
-                if error is None:
-                    error = (reader.line_num, str(exc))
-                continue
-        # past a bad row the events are built but never returned
-        case_id = row[i_case].strip()
-        resource = row[i_resource].strip() if has_resource else ""
-        # ``tuple.__new__`` skips the named tuple's ``__new__``, a Python function
-        events.append(tuple.__new__(Event, (
-            strs.setdefault(case_id, case_id), strs.setdefault(label, label), start, complete,
-            strs.setdefault(resource, resource) if resource else None, attrs)))
+                start = float(row[i_start])
+            except ValueError:  # NaN unless an ISO-8601 time
+                start = _iso_minutes(row[i_start].strip())
+            try:
+                complete = float(row[i_complete])
+            except ValueError:
+                complete = _iso_minutes(row[i_complete].strip())
+            if not (label and -inf < start <= complete < inf) or (
+                    len(row) > width and any(map(str.strip, row[width:]))):
+                if not any(map(str.strip, row)):  # a record of empty cells
+                    continue
+                try:
+                    start, complete = _check_row(row, reader.line_num, width,
+                                                 i_label, i_start, i_complete)
+                except LogError as exc:
+                    if error is None:
+                        error = (reader.line_num, str(exc))
+                    continue
+            # past a bad row the events are built but never returned
+            case_id = row[i_case].strip()
+            resource = row[i_resource].strip() if has_resource else ""
+            # ``tuple.__new__`` skips the named tuple's ``__new__``, a Python function
+            events.append(tuple.__new__(Event, (
+                strs.setdefault(case_id, case_id), strs.setdefault(label, label), start, complete,
+                strs.setdefault(resource, resource) if resource else None, attrs)))
+    except csv.Error:  # parse_log names its row, unless an earlier row is bad
+        if error is not None:
+            raise LogError(error[1]) from None
+        raise
 
     col_types = [typ or "text" for typ in types]
     # a number that is not finite is reported if its row is the first bad one

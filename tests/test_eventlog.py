@@ -157,7 +157,10 @@ def test_trailing_empty_header_cells_are_ignored(tail):
     # a lone carriage return ends no line but is no cell content either
     ("case,activity,start,complete\n1,a,0,1\n2,a\r1,2\n",
      "row 3: new-line character seen in unquoted field"),
-], ids=["field-limit", "lone-cr"])
+    # the first bad row is named, also when a later line ends the pass
+    ("case,activity,start,complete\n1,,0,1\n2,a\r1,2\n",
+     "row 2: empty activity label"),
+], ids=["field-limit", "lone-cr", "earlier-bad-row"])
 def test_a_line_the_csv_reader_rejects_names_its_row(text, message):
     with pytest.raises(LogError) as info:
         parse_log(text)

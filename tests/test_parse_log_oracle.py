@@ -14,7 +14,7 @@ import math
 import random
 import re
 import tracemalloc
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Mapping, Optional
 
 import pytest
@@ -159,8 +159,24 @@ def test_simulated_logs_read_as_the_oracle(model):
         text = write_log(simulate(net, SimConfig(seed=seed, max_cases=300)))
         assert len(text) > eventlog._BLOCK  # read in more than one block
         for variant in (text, "\ufeff" + text, text.replace("\n", "\r\n"),
-                        text.replace("\n", ", ,\n")):
+                        text.replace("\n", ", ,\n"), _with_iso_times(text)):
             assert_reads_as_the_oracle(variant)
+
+
+def _with_iso_times(text: str) -> str:
+    """``text`` with its times as ISO-8601 stamps of the same instants (UTC),
+    by turns without a zone, with one and padded."""
+    rows = list(csv.reader(io.StringIO(text)))
+    cols = [rows[0].index("start"), rows[0].index("complete")]
+    base = datetime(2024, 3, 1)
+    for n, row in enumerate(rows[1:]):
+        for i in cols:
+            stamp = base + timedelta(minutes=float(row[i]))
+            zoned = (stamp + timedelta(hours=2)).isoformat() + "+02:00"  # the same instant
+            row[i] = (stamp.isoformat(), zoned, f" {stamp.isoformat()} ")[n % 3]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 # -- generated texts ----------------------------------------------------------
