@@ -101,8 +101,8 @@ def _load_log(path: str) -> Log:
 def cmd_discover(args: argparse.Namespace) -> int:
     net = load_model(args.model)
     log_data = _load_log(args.log)
-    tree_params = TreeParams(**_given(args, "max_depth", "min_samples_leaf"))
     extraction_params = ExtractionParams(**_given(args, "tau_s", "tau_g"))
+    tree_params = TreeParams(**_given(args, "max_depth", "min_samples_leaf"))
     run = discover_run(log_data, net, tree_params, extraction_params)
     if args.dump_ptlogs:
         os.makedirs(args.dump_ptlogs, exist_ok=True)

@@ -222,18 +222,14 @@ class _Parser:
         return ConstraintSyntaxError(message, self.pos)
 
     def peek(self) -> Optional[tuple[str, str, int]]:
-        if self.pos >= len(self.text):
-            return None
+        """The next token as (kind, text, end offset), or None at the end."""
         match = _TOKEN_RE.match(self.text, self.pos)
-        if match is None or not match.group().strip():
+        if match is None:
             rest = self.text[self.pos :].strip()
             if not rest:
                 return None
             raise self.error(f"unexpected character {rest[0]!r}")
-        for group in ("num", "ident", "op", "punct"):
-            if match.group(group) is not None:
-                return (group, match.group(group), match.end())
-        return None
+        return match.lastgroup, match.group(match.lastgroup), match.end()
 
     def next(self, expect_kind: Optional[str] = None, expect_value: Optional[str] = None):
         tok = self.peek()

@@ -18,7 +18,7 @@ class ConstraintSyntaxError(DsyncError):
 
 
 class ConstraintEvalError(DsyncError):
-    """Constraint referenced a place or attribute that cannot be resolved."""
+    """Constraint evaluation met an unknown operator or feature kind."""
 
 
 class LogError(DsyncError):

@@ -325,7 +325,11 @@ def fmt_cell(value: AttrValue) -> str:
 
 
 def write_log(log: Log) -> str:
-    """Serialize a log; ``parse_log(write_log(log)) == log`` on valid logs."""
+    """Serialize a log; ``parse_log(write_log(log)) == log`` on valid logs.
+
+    A text cell that holds a carriage return raises ``LogError``: ``parse_log``
+    rejects it unquoted, and ``load_log`` reads even a quoted one as ``\\n``.
+    """
     header = list(MANDATORY)
     if log.has_resource:
         header.append("resource")
@@ -337,8 +341,12 @@ def write_log(log: Log) -> str:
         row = [e.case_id, e.label, fmt_num(e.start), fmt_num(e.complete)]
         if log.has_resource:
             row.append(e.resource or "")
-        for col, _ in log.schema:
-            row.append(fmt_cell(e.attrs[col]) if col in e.attrs else "")
+        for col, typ in log.schema:
+            cell = fmt_cell(e.attrs[col]) if col in e.attrs else ""
+            if typ == "text" and "\r" in cell:
+                raise LogError(f"column {col!r}: text cell {cell!r} holds a carriage return, "
+                               "which a log cannot give back")
+            row.append(cell)
         writer.writerow(row)
     return buf.getvalue()
 

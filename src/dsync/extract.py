@@ -4,10 +4,10 @@ High-confidence False leaves (enough samples, low impurity) mark states in
 which the guarded transition was held back. Tracing each such leaf to the
 root collects the branch conditions that isolate those states; conditions
 matching the pattern's violation template and decreasing impurity along the
-path are kept, duplicates on the same feature resolved by the larger
-impurity drop. The surviving violation atoms are negated into the
-fire-permission constraint, which is only returned when the pattern's
-required atom set is complete.
+path are kept as ``Atom``s, each with its impurity drop, and duplicates on
+the same feature are resolved by the larger drop. The surviving violation
+atoms are negated into the fire-permission constraint, which is only
+returned when the pattern's required atom set is complete.
 
 Violation directions per pattern: a high upstream/queue ratio or a pending
 extremum token (priority), a full downstream place (blocking), too few
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .acyclic import acyclic
 from .constraints import Atom, ConstraintExpr, FeatureRef
@@ -52,7 +52,7 @@ class ExtractionParams:
     tau_s: int = 10  # minimum samples in a False leaf
     tau_g: float = 0.1  # maximum Gini impurity of a False leaf
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if self.tau_s < 1:
             raise DsyncError("tau_s must be >= 1")
         if not 0.0 <= self.tau_g <= 0.5:
@@ -60,24 +60,11 @@ class ExtractionParams:
 
 
 @dataclass(frozen=True)
-class SplitAtom:
-    """One branch-directed split condition from a root-to-leaf path."""
-
-    feature: FeatureRef
-    op: str  # "<=", ">", "=="
-    threshold: Union[float, bool]
-    delta_gini: float  # child-on-path Gini minus parent Gini (negative = purer)
-
-    def canonical(self) -> str:
-        return Atom(self.feature, self.op, self.threshold).canonical()
-
-
-@dataclass(frozen=True)
 class PatternConstraint:
     candidate: PatternCandidate
     expr: ConstraintExpr
     support: int  # False rows explained by the selected leaves
-    provenance: tuple[SplitAtom, ...] = ()
+    provenance: tuple[Atom, ...] = ()  # the chosen violation atoms
 
     @property
     def t_g(self) -> str:
@@ -113,12 +100,13 @@ _PERMISSION = {">": "<=", "<=": ">", "==": "=="}
 
 def trace_and_filter(
     path: Path, kind: PatternKind, features: tuple[FeatureRef, ...]
-) -> list[SplitAtom]:
+) -> list[tuple[Atom, float]]:
     """Branch conditions on a leaf's root ``path`` that match the violation
-    template of ``kind`` and strictly decrease Gini along the path: a child as
-    impure as its parent gives no atom."""
+    template of ``kind`` and strictly decrease Gini along the path, each with
+    its drop (child Gini minus parent Gini, so negative): a child as impure as
+    its parent gives no atom."""
     template = _VIOLATION_TEMPLATE[kind]
-    atoms: list[SplitAtom] = []
+    atoms: list[tuple[Atom, float]] = []
     for node, taken in path:
         f_idx, threshold = node.split
         feature = features[f_idx]
@@ -132,35 +120,35 @@ def trace_and_filter(
         else:
             op, value = ("<=", threshold) if taken else (">", threshold)
         if (feature.kind, op) in template:
-            atoms.append(SplitAtom(feature, op, value, delta))
+            atoms.append((Atom(feature, op, value), delta))
     return atoms
 
 
-def _best(atoms: list[SplitAtom], kind: str) -> Optional[SplitAtom]:
-    matching = [a for a in atoms if a.feature.kind == kind]
-    if not matching:
-        return None
-    return max(matching, key=lambda a: (abs(a.delta_gini), a.feature.canonical()))
-
-
 def assemble_constraint(
-    atoms: list[SplitAtom], c: PatternCandidate, support: int = 0
+    atoms: list[tuple[Atom, float]], c: PatternCandidate, support: int = 0
 ) -> Optional[PatternConstraint]:
-    """Negate retained violation atoms into the fire-permission constraint.
+    """Negate retained violation atoms, each paired with its Gini drop, into
+    the fire-permission constraint.
 
-    Takes the best atom (``_best``) for each entry of the pattern's violation
-    template and returns None unless every entry has one: priority needs the
-    ratio and the enabled part, hold-batch both the count and the time part.
-    Each permission atom negates the template entry's comparison, at the
-    atom's threshold; an enabled part always becomes ``== true``, because the
-    permission side requires the extremum token to be available.
+    For each entry of the pattern's violation template it takes the atom of
+    that feature kind with the largest drop, ties to the larger canonical
+    feature and then to the first, and returns None unless every entry has
+    one: priority needs the ratio and the enabled part, hold-batch both the
+    count and the time part. Each permission atom negates the template
+    entry's comparison, at the atom's constant; an enabled part always
+    becomes ``== true``, because the permission side requires the extremum
+    token to be available.
     """
     template = _VIOLATION_TEMPLATE[c.kind]
-    used = [_best(atoms, kind) for kind, _ in template]
-    if None in used:
-        return None
+    used = []
+    for kind, _ in template:
+        matching = [pair for pair in atoms if pair[0].feature.kind == kind]
+        if not matching:
+            return None
+        atom, _ = max(matching, key=lambda pair: (abs(pair[1]), pair[0].feature.canonical()))
+        used.append(atom)
     expr = ConstraintExpr(tuple(
-        Atom(a.feature, _PERMISSION[op], True if op == "==" else float(a.threshold))
+        Atom(a.feature, _PERMISSION[op], True if op == "==" else float(a.const))
         for a, (_, op) in zip(used, template)
     ))
     return PatternConstraint(c, expr, support, tuple(used))
@@ -225,8 +213,6 @@ def discover_run(
     Runs with the cyclic garbage collector paused (``acyclic``), and so does
     its replay, which leaves the collector to this call.
     """
-    extraction_params.check()
-    tree_params.check()
     candidates = detect_constructs(net)
     observations = Observations(net, log_data, candidates)
     report = replay(log_data, net, observer=observations)[1]

@@ -676,9 +676,11 @@ def token_problems(place: Place, token: Token) -> list[str]:
 def _misread(value: AttrValue) -> list[str]:
     """Why a log would not give back a text ``value``: ``parse_log`` strips
     each cell, reads an empty one as no value, and types the rest
-    (``eventlog._narrow``)."""
+    (``eventlog._narrow``); no reader gives back a carriage return."""
     if not isinstance(value, str):
         return []
+    if "\r" in value:
+        return [f"text value {value!r} holds a carriage return, which a log cannot give back"]
     raw = value.strip()
     typ = _narrow(None, raw) if raw else "no value"
     if typ != "text":

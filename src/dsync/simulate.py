@@ -76,7 +76,7 @@ class SimConfig:
     max_cases: int = 0  # per-source injection cap; 0 means horizon-bounded
     horizon: float = 0.0  # 0 means unbounded
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon >= 0):
             raise SimulationError(f"horizon must be finite and >= 0, got {self.horizon}")
         if self.max_cases < 0:
@@ -179,7 +179,6 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     the largest float raises ``SimulationError`` naming the transition. Runs
     with the cyclic garbage collector paused (``acyclic``).
     """
-    cfg.check()
     problems = validate_net(net)
     if problems:
         raise SimulationError("net is invalid: " + "; ".join(problems))

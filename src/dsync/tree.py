@@ -43,7 +43,7 @@ class TreeParams:
     min_samples_leaf: int = 5
     min_impurity_decrease: float = 0.0
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise DsyncError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
@@ -115,7 +115,6 @@ def fit(xs: list[Sequence[float]], ys: list[bool], params: TreeParams = TreePara
     ``class_counts`` count the rows given, repeats included. Rows of
     unequal width raise ``DsyncError``.
     """
-    params.check()
     if not xs:
         raise DsyncError("cannot fit a tree on an empty dataset")
     if len(xs) != len(ys):

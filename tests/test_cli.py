@@ -186,6 +186,33 @@ def test_a_log_without_durations_is_named_on_stderr(sim_log, tmp_path, capsys):
         assert capsys.readouterr().err == ""
 
 
+def test_blank_guard_exits_3(tmp_path, capsys):
+    doc = json.loads((MODELS / "blocking.json").read_text())
+    doc["transitions"][1]["guard"] = "   "
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    code = main(["simulate", "--model", str(tmp_path / "model.json"),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "guard of 'pre-processing': empty constraint (at offset 0)" in capsys.readouterr().err
+
+
+def test_a_plain_input_that_outputs_to_a_case_place_exits_3(tmp_path, capsys):
+    # a firing of 't' binds no case token, so there is no case for 'q'
+    doc = json.loads((MODELS / "blocking.json").read_text())
+    doc["places"].append({"id": "q", "kind": "case", "attributes": []})
+    doc["transitions"].append(
+        {"id": "t", "is_task": True, "delay": {"kind": "uniform", "lo": 0.1, "hi": 0.2}}
+    )
+    doc["flows"] += [["done", "t"], ["t", "q"]]
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    code = main(["simulate", "--model", str(tmp_path / "model.json"),
+                 "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert "transition 't' outputs to case place 'q' but no case was supplied" in (
+        capsys.readouterr().err
+    )
+
+
 def test_check_unguarded_model_exits_0(sim_log, tmp_path):
     doc = json.loads((MODELS / "blocking.json").read_text())
     for t in doc["transitions"]:
@@ -561,8 +588,10 @@ def test_text_values_a_log_gives_back_simulate_and_check(tmp_path):
         ([" true ", " false "], "text value ' true ' reads back from a log as boolean"),
         (["", "x"], "text value '' reads back from a log as no value"),
         ([" x", "y"], "text value ' x' reads back from a log as 'x'"),
+        (["x\ry", "y"], "text value 'x\\ry' holds a carriage return"),
+        (["a\r\nb", "y"], "text value 'a\\r\\nb' holds a carriage return"),
     ],
-    ids=["padded-boolean", "empty", "padded"],
+    ids=["padded-boolean", "empty", "padded", "carriage-return", "crlf"],
 )
 def test_text_value_a_log_does_not_give_back_exits_3(tmp_path, capsys, values, problem):
     # parse_log strips each cell and reads an empty one as no value: the
@@ -573,6 +602,22 @@ def test_text_value_a_log_does_not_give_back_exits_3(tmp_path, capsys, values, p
                  "--seed", "1", "--max-cases", "5", "--out", str(tmp_path / "x.csv")])
     assert code == 3
     assert f"transition 'job_arrival' attribute 'tag': {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "discover"])
+def test_a_text_value_with_a_carriage_return_exits_3_before_reading_the_log(
+    tmp_path, capsys, command
+):
+    # simulate used to write such a value unquoted, and its own log then
+    # failed with "empty activity label"
+    plain, model, log = tmp_path / "plain.json", tmp_path / "model.json", tmp_path / "log.csv"
+    plain.write_text(json.dumps(_priority_with_tag(["a", "b"])))
+    assert main(["simulate", "--model", str(plain), "--seed", "1",
+                 "--max-cases", "5", "--out", str(log)]) == 0
+    model.write_text(json.dumps(_priority_with_tag(["x\ry", "b"])))
+    capsys.readouterr()
+    assert main([command, "--model", str(model), "--log", str(log)]) == 3
+    assert "text value 'x\\ry' holds a carriage return" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "check"])

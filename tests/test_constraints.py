@@ -62,6 +62,13 @@ def test_parse_error_reports_position():
     assert err.value.position == len(text)
 
 
+@pytest.mark.parametrize("text", ["", "   "])
+def test_parse_rejects_an_empty_constraint_at_offset_0(text):
+    with pytest.raises(ConstraintSyntaxError, match="empty constraint") as err:
+        parse_constraint(text)
+    assert err.value.position == 0
+
+
 def test_parse_rejects_boolean_misuse():
     with pytest.raises(ConstraintSyntaxError):
         parse_constraint("attrenabled(q1, value, max) <= 1")

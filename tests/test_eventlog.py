@@ -177,6 +177,18 @@ def test_round_trip_preserves_byte_form():
     assert write_log(parse_log(text)) == text
 
 
+@pytest.mark.parametrize("value", ["x\ry", "a\r\nb"])
+def test_write_log_rejects_a_text_cell_with_a_carriage_return(value):
+    # parse_log rejects the cell unquoted, and load_log's universal newlines
+    # read even a quoted one as "\n": no reader gives it back
+    def log(tag):
+        return Log([Event("c1", "t", 0.0, 1.0, attrs={"tag": tag})], (("tag", "text"),))
+
+    with pytest.raises(LogError, match="column 'tag': text cell .* holds a carriage return"):
+        write_log(log(value))
+    assert parse_log(write_log(log("x y"))) == log("x y")
+
+
 def test_boolean_attribute_round_trip():
     text = "case,activity,start,complete,urgent\n1,a,0,1,true\n2,a,1,2,false\n"
     log = parse_log(text)

@@ -2,11 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from dsync.constraints import FeatureRef
+from dsync.constraints import Atom, FeatureRef
 from dsync.errors import DsyncError, ModelError
 from dsync.extract import (
     ExtractionParams,
-    SplitAtom,
     _dedup,
     annotate_net,
     assemble_constraint,
@@ -90,13 +89,13 @@ def test_trace_keeps_violation_directions_only():
     tree = priority_tree()
     ratio_leaf = tree.left
     atoms = trace_and_filter(_path_to(tree, ratio_leaf), PatternKind.PRIORITY, FEATURES)
-    assert [a.canonical() for a in atoms] == ["ratio(attrval(arrival, value, max), attrval(q1, value, max)) > 1.505"]
+    assert [a.canonical() for a, _ in atoms] == ["ratio(attrval(arrival, value, max), attrval(q1, value, max)) > 1.505"]
 
     enabled_leaf = tree.right.right
     atoms = trace_and_filter(_path_to(tree, enabled_leaf), PatternKind.PRIORITY, FEATURES)
     # the ratio <= branch does not match the violation direction; the
     # enabled == false branch does
-    assert [a.canonical() for a in atoms] == ["attrenabled(q1, value, max) == false"]
+    assert [a.canonical() for a, _ in atoms] == ["attrenabled(q1, value, max) == false"]
 
 
 def test_trace_requires_impurity_decrease():
@@ -115,12 +114,24 @@ def test_trace_requires_impurity_decrease():
 
 
 def test_assemble_resolves_duplicates_by_gini_drop():
-    ratio_atom = SplitAtom(RATIO, ">", 1.5, -0.3)
-    a = SplitAtom(ENABLED, "==", True, -0.422)
-    b = SplitAtom(ENABLED, "==", False, -0.322)
-    for atoms in ([ratio_atom, a, b], [ratio_atom, b, a]):
+    ratio_atom = Atom(RATIO, ">", 1.5)
+    a = Atom(ENABLED, "==", True)
+    b = Atom(ENABLED, "==", False)
+    for atoms in ([(ratio_atom, -0.3), (a, -0.422), (b, -0.322)],
+                  [(ratio_atom, -0.3), (b, -0.322), (a, -0.422)]):
         pc = assemble_constraint(atoms, PRIORITY_CAND)
         assert pc.provenance == (ratio_atom, a)
+
+
+def test_assemble_breaks_a_drop_tie_by_the_larger_feature_then_the_first():
+    blocking = PatternCandidate(PatternKind.BLOCKING, "pre-processing", (("downstream", "q1"),))
+    q1 = Atom(FeatureRef.nrtokens("q1"), ">", 4.5)
+    q2 = Atom(FeatureRef.nrtokens("q2"), ">", 4.5)
+    for atoms in ([(q1, -0.4), (q2, -0.4)], [(q2, -0.4), (q1, -0.4)]):
+        assert assemble_constraint(atoms, blocking).provenance == (q2,)
+    low = Atom(FeatureRef.nrtokens("q1"), ">", 3.5)
+    assert assemble_constraint([(q1, -0.4), (low, -0.4)], blocking).provenance == (q1,)
+    assert assemble_constraint([(low, -0.4), (q1, -0.4)], blocking).provenance == (low,)
 
 
 def test_shared_root_split_contributes_one_atom():
@@ -141,14 +152,14 @@ def test_shared_root_split_contributes_one_atom():
         trace_and_filter(_path_to(root, held_b), PatternKind.PRIORITY, FEATURES),
     ]
     atoms = per_leaf[0] + per_leaf[1]
-    assert sum(1 for a in atoms if a.feature.kind == "ratio") == 2
+    assert sum(1 for a, _ in atoms if a.feature.kind == "ratio") == 2
     pc = assemble_constraint(atoms, PRIORITY_CAND)
     assert sum(1 for a in pc.provenance if a.feature.kind == "ratio") == 1
 
 
 def test_assemble_priority_needs_both_parts():
-    ratio_atom = SplitAtom(RATIO, ">", 1.505, -0.3)
-    enabled_atom = SplitAtom(ENABLED, "==", True, -0.42)
+    ratio_atom = (Atom(RATIO, ">", 1.505), -0.3)
+    enabled_atom = (Atom(ENABLED, "==", True), -0.42)
     pc = assemble_constraint([ratio_atom, enabled_atom], PRIORITY_CAND, support=382)
     assert pc is not None
     assert pc.expr.canonical() == (
@@ -159,23 +170,23 @@ def test_assemble_priority_needs_both_parts():
 
 
 def test_assemble_normalizes_enabled_to_true():
-    ratio_atom = SplitAtom(RATIO, ">", 1.5, -0.3)
-    enabled_false = SplitAtom(ENABLED, "==", False, -0.32)
+    ratio_atom = (Atom(RATIO, ">", 1.5), -0.3)
+    enabled_false = (Atom(ENABLED, "==", False), -0.32)
     pc = assemble_constraint([ratio_atom, enabled_false], PRIORITY_CAND)
     assert "attrenabled(q1, value, max) == true" in pc.expr.canonical()
 
 
 def test_assemble_blocking_negates_threshold():
     cand = PatternCandidate(PatternKind.BLOCKING, "pre-processing", (("downstream", "q1"),))
-    atom = SplitAtom(FeatureRef.nrtokens("q1"), ">", 4.5, -0.4)
+    atom = (Atom(FeatureRef.nrtokens("q1"), ">", 4.5), -0.4)
     pc = assemble_constraint([atom], cand, support=100)
     assert pc.expr.canonical() == "nrtokens(q1) <= 4.5"
 
 
 def test_assemble_holdbatch_needs_both_atoms():
     cand = PatternCandidate(PatternKind.HOLD_BATCH, "transportation", (("input", "q1"),))
-    count_atom = SplitAtom(FeatureRef.nrtokensenabled("q1"), "<=", 3.5, -0.2)
-    time_atom = SplitAtom(FeatureRef.timeuntilnext("q1"), "<=", 2.0, -0.2)
+    count_atom = (Atom(FeatureRef.nrtokensenabled("q1"), "<=", 3.5), -0.2)
+    time_atom = (Atom(FeatureRef.timeuntilnext("q1"), "<=", 2.0), -0.2)
     pc = assemble_constraint([count_atom, time_atom], cand)
     assert pc.expr.canonical() == "nrtokensenabled(q1) > 3.5 and timeuntilnext(q1) > 2"
     assert assemble_constraint([count_atom], cand) is None
@@ -183,12 +194,12 @@ def test_assemble_holdbatch_needs_both_atoms():
 
 def test_assemble_negates_the_template_comparison_not_the_atoms():
     blocking = PatternCandidate(PatternKind.BLOCKING, "pre-processing", (("downstream", "q1"),))
-    count_leq = SplitAtom(FeatureRef.nrtokens("q1"), "<=", 4.5, -0.4)
+    count_leq = (Atom(FeatureRef.nrtokens("q1"), "<=", 4.5), -0.4)
     assert assemble_constraint([count_leq], blocking).expr.canonical() == "nrtokens(q1) <= 4.5"
     hold = PatternCandidate(PatternKind.HOLD_BATCH, "transportation", (("input", "q1"),))
-    count_gt = SplitAtom(FeatureRef.nrtokensenabled("q1"), ">", 3.5, -0.2)
-    time_gt = SplitAtom(FeatureRef.timeuntilnext("q1"), ">", 2.0, -0.2)
-    pc = assemble_constraint([count_gt, time_gt], hold)
+    count_gt = Atom(FeatureRef.nrtokensenabled("q1"), ">", 3.5)
+    time_gt = Atom(FeatureRef.timeuntilnext("q1"), ">", 2.0)
+    pc = assemble_constraint([(count_gt, -0.2), (time_gt, -0.2)], hold)
     assert pc.expr.canonical() == "nrtokensenabled(q1) > 3.5 and timeuntilnext(q1) > 2"
     assert pc.provenance == (count_gt, time_gt)
 
@@ -197,7 +208,7 @@ def test_assemble_choice_single_atom():
     cand = PatternCandidate(
         PatternKind.CHOICE, "production_a", (("other_input", "stock_b"), ("shared", "shared"))
     )
-    atom = SplitAtom(FeatureRef.timeuntilnext("stock_b"), "<=", 1.915, -0.3)
+    atom = (Atom(FeatureRef.timeuntilnext("stock_b"), "<=", 1.915), -0.3)
     pc = assemble_constraint([atom], cand)
     assert pc.expr.canonical() == "timeuntilnext(stock_b) > 1.915"
 
@@ -232,13 +243,13 @@ def test_discover_reports_skip_reasons(blocking_net, blocking_log):
 
 @pytest.mark.parametrize("tau_g", [0.0, 0.5])
 def test_tau_g_range_is_inclusive(tau_g):
-    ExtractionParams(tau_g=tau_g).check()
+    ExtractionParams(tau_g=tau_g)
 
 
 @pytest.mark.parametrize("tau_g", [-0.01, 0.51])
 def test_tau_g_outside_its_range_is_rejected(tau_g):
     with pytest.raises(DsyncError, match=r"tau_g must be within \[0, 0.5\]"):
-        ExtractionParams(tau_g=tau_g).check()
+        ExtractionParams(tau_g=tau_g)
 
 
 def test_tau_s_is_an_inclusive_minimum_of_rows(blocking_net, blocking_log):
@@ -259,13 +270,13 @@ def test_tau_s_is_an_inclusive_minimum_of_rows(blocking_net, blocking_log):
 def test_dedup_breaks_a_support_tie_by_the_smaller_kind():
     # equal support on one transition: "blocking" sorts before "holdbatch"
     blocking = assemble_constraint(
-        [SplitAtom(FeatureRef.nrtokens("q1"), ">", 4.5, -0.4)],
+        [(Atom(FeatureRef.nrtokens("q1"), ">", 4.5), -0.4)],
         PatternCandidate(PatternKind.BLOCKING, "pre-processing", (("downstream", "q1"),)),
         support=7,
     )
     holdbatch = assemble_constraint(
-        [SplitAtom(FeatureRef.nrtokensenabled("arrival"), "<=", 2.5, -0.3),
-         SplitAtom(FeatureRef.timeuntilnext("arrival"), "<=", 1.5, -0.2)],
+        [(Atom(FeatureRef.nrtokensenabled("arrival"), "<=", 2.5), -0.3),
+         (Atom(FeatureRef.timeuntilnext("arrival"), "<=", 1.5), -0.2)],
         PatternCandidate(PatternKind.HOLD_BATCH, "pre-processing", (("input", "arrival"),)),
         support=7,
     )
@@ -287,7 +298,7 @@ def test_annotate_empty_list_is_identity(blocking_net):
 
 def test_annotate_unknown_transition_rejected(blocking_net):
     cand = PatternCandidate(PatternKind.BLOCKING, "ghost", (("downstream", "q1"),))
-    atom = SplitAtom(FeatureRef.nrtokens("q1"), ">", 4.5, -0.4)
+    atom = (Atom(FeatureRef.nrtokens("q1"), ">", 4.5), -0.4)
     pc = assemble_constraint([atom], cand)
     with pytest.raises(ModelError):
         annotate_net(blocking_net, [pc])
@@ -296,7 +307,7 @@ def test_annotate_unknown_transition_rejected(blocking_net):
 def test_annotate_rejects_two_constraints_on_one_transition(blocking_net):
     cand = PatternCandidate(PatternKind.BLOCKING, "pre-processing", (("downstream", "q1"),))
     pcs = [
-        assemble_constraint([SplitAtom(FeatureRef.nrtokens("q1"), ">", const, -0.4)], cand)
+        assemble_constraint([(Atom(FeatureRef.nrtokens("q1"), ">", const), -0.4)], cand)
         for const in (4.5, 3.5)
     ]
     with pytest.raises(ModelError, match="pre-processing"):

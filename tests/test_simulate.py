@@ -45,17 +45,15 @@ def test_constant_source_timing():
 
 def test_config_validation():
     with pytest.raises(SimulationError):
-        SimConfig(seed=1, max_cases=0).check()
-    SimConfig(seed=1, max_cases=0, horizon=5.0).check()
+        SimConfig(seed=1, max_cases=0)
+    SimConfig(seed=1, max_cases=0, horizon=5.0)
 
 
 @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0])
 @pytest.mark.parametrize("max_cases", [0, 5])
 def test_non_finite_or_negative_horizon_rejected(horizon, max_cases):
     with pytest.raises(SimulationError, match="horizon"):
-        SimConfig(seed=1, max_cases=max_cases, horizon=horizon).check()
-    with pytest.raises(SimulationError, match="horizon"):
-        simulate(source_net(1.0), SimConfig(seed=1, max_cases=max_cases, horizon=horizon))
+        SimConfig(seed=1, max_cases=max_cases, horizon=horizon)
 
 
 def test_horizon_caps_run():

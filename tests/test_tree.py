@@ -71,7 +71,7 @@ def test_max_depth_one_grows_a_stump_and_zero_is_rejected():
     stump = fit(xs, ys, TreeParams(max_depth=1, min_samples_leaf=1))
     assert stump.split == (0, 2.5) and stump.left.is_leaf and stump.right.is_leaf
     with pytest.raises(DsyncError, match="max_depth must be >= 1"):
-        fit(xs, ys, TreeParams(max_depth=0, min_samples_leaf=1))
+        TreeParams(max_depth=0, min_samples_leaf=1)
 
 
 def test_a_split_that_does_not_decrease_gini_is_not_made():
