@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
@@ -89,30 +89,27 @@ def _iso_minutes(raw: str) -> float:
     return stamp.timestamp() / 60.0
 
 
-def _parse_time(raw: str, row_num: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = _iso_minutes(raw)
-        if math.isnan(value):
-            raise LogError(f"row {row_num}: {column} value {raw!r} is not numeric") from None
-        return value
-    if not math.isfinite(value):
-        raise LogError(f"row {row_num}: {column} value {raw!r} is not finite")
-    return value
-
-
 def _check_row(row: list[str], row_num: int, width: int, i_label: int, i_start: int,
                i_complete: int) -> tuple[float, float]:
     """The start and complete of a padded record with a non-empty cell, or
     ``LogError`` naming what is wrong with it: cells beyond the header, then
-    its label, its start, its complete and their order."""
+    its label, its start, its complete and their order. A time is the
+    stripped cell read as a number, else as an ISO-8601 time."""
     if len(row) > width and any(map(str.strip, row[width:])):
         raise LogError(f"row {row_num}: a cell beyond the {width} header columns is not empty")
     if not row[i_label].strip():
         raise LogError(f"row {row_num}: empty activity label")
-    start = _parse_time(row[i_start].strip(), row_num, "start")
-    complete = _parse_time(row[i_complete].strip(), row_num, "complete")
+    times = []
+    for column, i in (("start", i_start), ("complete", i_complete)):
+        raw = row[i].strip()
+        try:
+            value, problem = float(raw), "is not finite"
+        except ValueError:
+            value, problem = _iso_minutes(raw), "is not numeric"
+        if not math.isfinite(value):
+            raise LogError(f"row {row_num}: {column} value {raw!r} {problem}")
+        times.append(value)
+    start, complete = times
     if start > complete:
         raise LogError(f"row {row_num}: start {start:g} is after complete {complete:g}")
     return start, complete
@@ -153,18 +150,17 @@ def parse_log(text: str) -> Log:
     cell may span blocks. A row is accepted when its label is not empty, it
     has no non-empty cell beyond the header, and its times pass one chained
     comparison, ``-inf < start <= complete < inf``: ``float`` of the raw
-    cell (which strips the same whitespace as ``str.strip``), or where that
-    fails the stripped cell read as an ISO-8601 time, else NaN. Any other
-    row is checked cell by cell, which names what is wrong with it, and a
+    cell, or where that fails the stripped cell read as an ISO-8601 time,
+    else NaN. Any other row goes to ``_check_row``, which names what is
+    wrong with it or accepts it: ``float`` keeps U+001C-U+001F, which
+    ``str.strip`` drops, so a start cell ``"\\x1c9"`` reads there as 9. A
     record whose cells are all empty is skipped.
 
-    The columns are typed as the pass reads, once per distinct tuple of
-    stripped attribute cells, at the first row that holds it: a column's
-    type and its first number that is not finite depend only on its distinct
-    cells in first-seen order. So the attribute maps are filled after the
-    pass: a numeric cell that is not finite is an error only once its column
-    turns out numeric, and it is reported when its row comes before the
-    first other bad row, as a row is checked before the next one is read.
+    The pass keeps each distinct tuple of stripped attribute cells with its
+    first row; after it, one walk over them in first-seen order types the
+    columns and finds each column's first number that is not finite. Such
+    a number is an error only if its column is numeric, reported when its
+    row comes before the first other bad row.
 
     Equal values are stored once: all events share one ``str`` per distinct
     case id, label and resource, rows whose attribute cells are identical
@@ -173,65 +169,51 @@ def parse_log(text: str) -> Log:
     """
     # a byte-order mark is skipped, not sliced off, which would copy the text
     blocks = _blocks(text, 1 if text.startswith("\ufeff") else 0)
+    # ``reader.line_num`` is the line a record ends on
     reader = csv.reader(chain.from_iterable(map(io.StringIO, blocks)))
-    try:
-        return _read_records(reader)
-    except csv.Error as exc:  # e.g. a cell over the field size limit, or a lone \r
-        raise LogError(f"row {reader.line_num}: {exc}") from None
-
-
-def _read_records(reader) -> Log:
-    """``parse_log`` of the records of a ``csv.reader``; ``reader.line_num``
-    is the line a record ends on."""
-    header: list[str] = []
-    for row in reader:
-        if any(map(str.strip, row)):  # the first record with a non-empty cell
-            header = [h.strip() for h in row]
-            break
-    while header and not header[-1]:  # trailing empty cells name no column
-        header.pop()
-    if not header:
-        raise LogError("log has no header row")
-    for i, col in enumerate(header):
-        if col in header[:i]:
-            raise LogError(f"column {col!r} appears more than once in the header")
-    for col in MANDATORY:
-        if col not in header:
-            raise LogError(f"missing mandatory column {col!r}")
-    idx = {name: i for i, name in enumerate(header)}
-    has_resource = "resource" in idx
-    attr_cols = [h for h in header if h not in COLUMNS]
-    width = len(header)
-    i_case, i_label, i_start, i_complete = (idx[col] for col in MANDATORY)
-    i_resource = idx.get("resource")
-    i_attrs = [idx[col] for col in attr_cols]
-    # per attribute column: its type over the rows read so far (None before
-    # its first value), and the first row holding a number that is not finite
-    types: list[Optional[str]] = [None] * len(attr_cols)
-    not_finite: list[Optional[tuple[int, str]]] = [None] * len(attr_cols)
-    # one object per distinct string, and per distinct tuple of stripped
-    # attribute cells (raw text, so that ``-0`` and ``0`` stay apart)
-    strs: dict[str, str] = {}
-    maps: dict[tuple[str, ...], Mapping[str, AttrValue]] = {(("",) * len(attr_cols)): EMPTY_ATTRS}
-    attrs = EMPTY_ATTRS
-    events: list[Event] = []
     error: Optional[tuple[int, str]] = None  # the first bad row and its message
-    inf = math.inf
     try:
+        header: list[str] = []
+        for row in reader:
+            if any(map(str.strip, row)):  # the first record with a non-empty cell
+                header = [h.strip() for h in row]
+                break
+        while header and not header[-1]:  # trailing empty cells name no column
+            header.pop()
+        if not header:
+            raise LogError("log has no header row")
+        for i, col in enumerate(header):
+            if col in header[:i]:
+                raise LogError(f"column {col!r} appears more than once in the header")
+        for col in MANDATORY:
+            if col not in header:
+                raise LogError(f"missing mandatory column {col!r}")
+        idx = {name: i for i, name in enumerate(header)}
+        has_resource = "resource" in idx
+        attr_cols = [h for h in header if h not in COLUMNS]
+        width = len(header)
+        i_case, i_label, i_start, i_complete = (idx[col] for col in MANDATORY)
+        i_resource = idx.get("resource")
+        i_attrs = [idx[col] for col in attr_cols]
+        # one object per distinct string, and per distinct tuple of stripped
+        # attribute cells (raw text, so that ``-0`` and ``0`` stay apart),
+        # whose first rows are ``first_rows``, in the same order
+        strs: dict[str, str] = {}
+        maps: dict[tuple[str, ...], Mapping[str, AttrValue]] = {
+            ("",) * len(attr_cols): EMPTY_ATTRS}
+        first_rows = [0]
+        attrs = EMPTY_ATTRS
+        events: list[Event] = []
+        inf = math.inf
         for row in reader:
             if len(row) < width:  # its missing cells are empty
                 row += [""] * (width - len(row))
             if i_attrs:
                 cells = tuple(map(str.strip, map(row.__getitem__, i_attrs)))
                 attrs = maps.get(cells)
-                if attrs is None:  # the first row with these cells types them
-                    attrs = maps[cells] = {}  # filled once the columns are typed
-                    for j, raw in enumerate(cells):
-                        if raw and types[j] != "text":
-                            typ = types[j] = _narrow(types[j], raw)
-                            if (typ == "number" and not_finite[j] is None
-                                    and not math.isfinite(float(raw))):
-                                not_finite[j] = (reader.line_num, raw)
+                if attrs is None:  # filled once the columns are typed
+                    attrs = maps[cells] = {}
+                    first_rows.append(reader.line_num)
             label = row[i_label].strip()
             try:
                 start = float(row[i_start])
@@ -259,19 +241,23 @@ def _read_records(reader) -> Log:
             events.append(tuple.__new__(Event, (
                 strs.setdefault(case_id, case_id), strs.setdefault(label, label), start, complete,
                 strs.setdefault(resource, resource) if resource else None, attrs)))
-    except csv.Error:  # parse_log names its row, unless an earlier row is bad
-        if error is not None:
-            raise LogError(error[1]) from None
-        raise
+    except csv.Error as exc:  # e.g. a cell over the field size limit, or a lone \r
+        raise LogError(error[1] if error else f"row {reader.line_num}: {exc}") from None
 
+    # each column's type, and its first number that is not finite with its row
+    types: list[Optional[str]] = [None] * len(attr_cols)
+    not_finite: list[Optional[tuple[int, str]]] = [None] * len(attr_cols)
+    for row_num, cells in zip(first_rows, maps):
+        for j, raw in enumerate(cells):
+            if raw and types[j] != "text":
+                typ = types[j] = _narrow(types[j], raw)
+                if typ == "number" and not_finite[j] is None and not math.isfinite(float(raw)):
+                    not_finite[j] = (row_num, f"row {row_num}: {attr_cols[j]} value {raw!r} "
+                                              "is not finite")
     col_types = [typ or "text" for typ in types]
-    # a number that is not finite is reported if its row is the first bad one
-    bad = [(found[0], j, found[1]) for j, found in enumerate(not_finite)
-           if found is not None and col_types[j] == "number"]
-    if bad:
-        row_num, j, raw = min(bad)
-        if error is None or row_num < error[0]:
-            error = (row_num, f"row {row_num}: {attr_cols[j]} value {raw!r} is not finite")
+    # the first bad row; on a tie the row's own error, then the leftmost column
+    found = [error] + [bad for bad, typ in zip(not_finite, col_types) if typ == "number"]
+    error = min(filter(None, found), key=itemgetter(0), default=None)
     if error is not None:
         raise LogError(error[1])
     for cells, attrs in maps.items():
@@ -284,11 +270,9 @@ def _read_records(reader) -> Log:
 
 def _narrow(typ: Optional[str], raw: str) -> str:
     """The type of a log column whose non-empty cells so far read as ``typ``
-    (None before the first), once it also holds the stripped cell ``raw``:
-    it stays a number while its cells parse as numbers, boolean while they
-    are true/false, and is text otherwise."""
-    if typ == "text":
-        return typ
+    (None before the first; never text, which a column keeps), once it also
+    holds the stripped cell ``raw``: it stays a number while its cells parse
+    as numbers, boolean while they are true/false, and is text otherwise."""
     if typ != "boolean":
         try:
             float(raw)

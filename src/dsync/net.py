@@ -592,8 +592,12 @@ def validate_net(net: Net) -> list[str]:
             out.append(f"flow ({src!r}, {tgt!r}) is not place/transition bipartite")
 
     for t in net.transitions.values():
+        if t.is_task:  # its id is the log's activity label
+            out += (_unread(str(t.id), "task transition id") if t.id
+                    else ["task transition id '' is empty, which a log cannot give back"])
         out += [f"transition {t.id!r}: {prob}" for prob in t.delay.problems("delay")]
         if t.arrival_spec is not None:
+            out += _unread(str(t.arrival_spec.case_prefix), f"source {t.id!r} case_prefix")
             if net.preset[t.id]:
                 out.append(f"source transition {t.id!r} has a nonempty preset")
             if not t.is_task and t.guard is not None:
@@ -658,8 +662,9 @@ def validate_net(net: Net) -> list[str]:
 def token_problems(place: Place, token: Token) -> list[str]:
     """Type-constraint violations of one token against its holding place."""
     out = []
-    if place.kind in ("case", "resource") and not token.case_id:
-        out.append(f"token in {place.kind} place has no identifier")
+    if place.kind in ("case", "resource"):  # the log holds its id
+        out += _unread(str(token.case_id), "id") if token.case_id else [
+            f"token in {place.kind} place has no identifier"]
     if place.kind == "resource" and token.attrs:
         out.append("token in resource place carries attributes")
     declared = dict(place.attributes)
@@ -674,15 +679,24 @@ def token_problems(place: Place, token: Token) -> list[str]:
 
 
 def _misread(value: AttrValue) -> list[str]:
-    """Why a log would not give back a text ``value``: ``parse_log`` strips
-    each cell, reads an empty one as no value, and types the rest
-    (``eventlog._narrow``); no reader gives back a carriage return."""
+    """Why a log would not give back a text ``value``: ``parse_log`` reads
+    an empty cell as no value and types the rest (``eventlog._narrow``),
+    and ``_unread`` holds for the text."""
     if not isinstance(value, str):
         return []
-    if "\r" in value:
-        return [f"text value {value!r} holds a carriage return, which a log cannot give back"]
     raw = value.strip()
     typ = _narrow(None, raw) if raw else "no value"
-    if typ != "text":
+    if typ != "text" and "\r" not in value:
         return [f"text value {value!r} reads back from a log as {typ}"]
-    return [] if raw == value else [f"text value {value!r} reads back from a log as {raw!r}"]
+    return _unread(value, "text value")
+
+
+def _unread(text: str, what: str) -> list[str]:
+    """Why a log cell would not give back ``text``, named ``what`` in the
+    message: ``parse_log`` strips each cell, and no reader gives back a
+    carriage return. Ids stop here; only an attribute value is also typed
+    (``_misread``), as ``"12"`` is a fine case id."""
+    if "\r" in text:
+        return [f"{what} {text!r} holds a carriage return, which a log cannot give back"]
+    raw = text.strip()
+    return [] if raw == text else [f"{what} {text!r} reads back from a log as {raw!r}"]

@@ -937,3 +937,47 @@ def test_two_sources_with_one_case_prefix_exit_3(tmp_path, capsys):
     assert "sources 'arrival_a' and 'arrival_b' can give two cases the same id" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize(
+    "old, new, problem",
+    [
+        ("", "a\rb", "source 'arriving' case_prefix 'a\\rb' holds a carriage return"),
+        ("", " c", "source 'arriving' case_prefix ' c' reads back from a log as 'c'"),
+        ("handling", "handling ",
+         "task transition id 'handling ' reads back from a log as 'handling'"),
+        ("handling", "hand\rling", "task transition id 'hand\\rling' holds a carriage return"),
+        ("handling", "", "task transition id '' is empty"),
+        ("p1", " p1", "initial token in 'r0': id ' p1' reads back from a log as 'p1'"),
+    ],
+    ids=["prefix-carriage-return", "prefix-padded", "task-padded", "task-carriage-return",
+         "task-empty", "resource-token-padded"],
+)
+def test_an_id_a_log_does_not_give_back_exits_3(tmp_path, capsys, old, new, problem):
+    # simulate used to write such ids: its own log then failed to check, or
+    # checked with other ids than the model's
+    text = (MODELS / "blocking.json").read_text()
+    assert json.dumps(old) in text  # the case prefix is the only "" of the model
+    model = tmp_path / "model.json"
+    model.write_text(text.replace(json.dumps(old), json.dumps(new)))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "20", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert problem in err and "Traceback" not in err
+
+
+def test_a_task_that_outputs_to_a_resource_place_it_does_not_consume_from_exits_3(
+    tmp_path, capsys
+):
+    # the net validates, and the first firing of handling finds no r0 token to give back
+    doc = json.loads((MODELS / "blocking.json").read_text())
+    doc["flows"].append(["handling", "r0"])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code = main(["simulate", "--model", str(model),
+                 "--seed", "1", "--max-cases", "20", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "transition 'handling' outputs to resource place 'r0' without consuming from it" in err
+    assert "Traceback" not in err

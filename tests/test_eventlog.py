@@ -73,6 +73,16 @@ def test_non_finite_time_rejected(row):
         parse_log("case,activity,start,complete\n" + row + "\n")
 
 
+@pytest.mark.parametrize("cell", ["\x1c9", "9\x1f", "\x1d\x1e9"])
+def test_a_time_cell_with_a_separator_character_reads_as_its_number(cell):
+    # float keeps U+001C-U+001F, which str.strip drops: the one comparison
+    # refuses the row, and the cell by cell check reads the stripped cell
+    with pytest.raises(ValueError):
+        float(cell)
+    log = parse_log(f"case,activity,start,complete\n1,a,{cell},12\n")
+    assert log.events[0].start == 9.0
+
+
 def test_short_row_parses_missing_cells_as_absent():
     text = (
         "case,activity,start,complete,resource,value,code\n"

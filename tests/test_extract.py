@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from dsync.constraints import Atom, FeatureRef
+from dsync.constraints import Atom, FeatureRef, parse_constraint
 from dsync.errors import DsyncError, ModelError
 from dsync.extract import (
     ExtractionParams,
+    PatternConstraint,
     _dedup,
     annotate_net,
     assemble_constraint,
@@ -13,9 +16,11 @@ from dsync.extract import (
     select_false_leaves,
     trace_and_filter,
 )
+from dsync.modelfile import net_from_json
 from dsync.patterns import PatternCandidate, PatternKind
 from dsync.replay import replay
 from dsync.tree import TreeNode
+from tests.conftest import MODELS
 
 RATIO = FeatureRef.ratio(
     FeatureRef.attrval("arrival", "value", "max"),
@@ -312,6 +317,21 @@ def test_annotate_rejects_two_constraints_on_one_transition(blocking_net):
     ]
     with pytest.raises(ModelError, match="pre-processing"):
         annotate_net(blocking_net, pcs)
+
+
+def test_annotate_rejects_a_guard_the_net_cannot_evaluate():
+    # attrval reads a number, and the priority net's cases here carry a text tag
+    doc = json.loads((MODELS / "priority.json").read_text())
+    for place in doc["places"]:
+        if place["id"] in ("arrival", "q1"):
+            place["attributes"].append(["tag", "text"])
+    doc["transitions"][0]["arrival_spec"]["attributes"]["tag"] = {
+        "kind": "choice", "values": ["a", "b"],
+    }
+    pc = PatternConstraint(PRIORITY_CAND, parse_constraint("attrval(q1, tag, max) <= 1"), 1)
+    with pytest.raises(ModelError, match="annotated net is invalid: guard of 'handling' "
+                                         "takes attrval of text attribute 'tag'"):
+        annotate_net(net_from_json(doc), [pc])
 
 
 def test_annotated_net_replays_training_log(blocking_net, blocking_log):

@@ -190,6 +190,14 @@ def test_sim_score_attribute_distance_breaks_ties(priority_net):
     older = Token("3", {"value": 850}, 3.0)
     assert _move(priority_net, event, (older, far, near))[0] is near
     assert sim_score(near, event) > max(sim_score(far, event), sim_score(older, event))
+    # a text or boolean attribute is 1 away when it differs, whatever the values
+    for same, other in (("gold", "silver"), (True, False)):
+        event = Event("3", "handling", 5, 12, None, {"value": 850, "tag": same})
+        alike = Token("3", {"value": 855, "tag": same}, 4.0)
+        unlike = Token("3", {"tag": other}, 4.0)
+        assert sim_score(alike, event) == (4.0, -5.0)
+        assert sim_score(unlike, event) == (4.0, -1.0)
+        assert _move(priority_net, event, (alike, unlike))[0] is unlike
 
 
 def test_guard_checked_replay_flags_wrong_guard(blocking_net, blocking_log):
