@@ -313,6 +313,7 @@ def write_log(log: Log) -> str:
 
     A text cell that holds a carriage return raises ``LogError``: ``parse_log``
     rejects it unquoted, and ``load_log`` reads even a quoted one as ``\\n``.
+    So does a NaN or infinite number, which ``parse_log`` rejects.
     """
     header = list(MANDATORY)
     if log.has_resource:
@@ -321,17 +322,33 @@ def write_log(log: Log) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for e in sort_events(log.events):
-        row = [e.case_id, e.label, fmt_num(e.start), fmt_num(e.complete)]
-        if log.has_resource:
-            row.append(e.resource or "")
-        for col, typ in log.schema:
-            cell = fmt_cell(e.attrs[col]) if col in e.attrs else ""
-            if typ == "text" and "\r" in cell:
-                raise LogError(f"column {col!r}: text cell {cell!r} holds a carriage return, "
-                               "which a log cannot give back")
-            row.append(cell)
-        writer.writerow(row)
+    events = sort_events(log.events)
+    try:
+        for e in events:
+            row = [e.case_id, e.label, fmt_num(e.start), fmt_num(e.complete)]
+            if log.has_resource:
+                row.append(e.resource or "")
+            for col, typ in log.schema:
+                cell = fmt_cell(e.attrs[col]) if col in e.attrs else ""
+                if typ == "text" and "\r" in cell:
+                    raise LogError(f"column {col!r}: text cell {cell!r} holds a carriage "
+                                   "return, which a log cannot give back")
+                row.append(cell)
+            writer.writerow(row)
+    except (ValueError, OverflowError):
+        # ``fmt_num`` of a NaN, an infinity or an int past the largest float:
+        # the cell is found after the fact, so that the row loop checks nothing more
+        for row_num, e in enumerate(events, 2):
+            cells = [("start", e.start), ("complete", e.complete),
+                     *((col, e.attrs.get(col)) for col, _ in log.schema)]
+            for col, value in cells:
+                try:
+                    fmt_cell(value)
+                except (ValueError, OverflowError):
+                    raise LogError(f"row {row_num} (case {e.case_id!r}, activity "
+                                   f"{e.label!r}): {col} value {value!r} is no finite "
+                                   "number") from None
+        raise
     return buf.getvalue()
 
 

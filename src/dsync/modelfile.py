@@ -83,7 +83,7 @@ def _dist_to_json(dist: Dist) -> dict:
 
 def _token_from_json(tok: dict, what: str) -> Token:
     return Token(
-        tok.get("case_id"),
+        _typed(tok.get("case_id"), (str, type(None)), f"{what} case_id"),
         {k: _finite(v, f"{what} {k}") for k, v in tok.get("attrs", {}).items()} or EMPTY_ATTRS,
         _number(tok.get("available_at", 0.0), f"{what} available_at"),
     )

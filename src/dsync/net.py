@@ -543,6 +543,7 @@ def fire(
         raise ModelError(f"transition {t_id!r} produced a negative delay {delay}")
     out_time = now + delay
     case_id, case_attrs = case or (None, EMPTY_ATTRS)
+    # ``tuple.__new__`` skips the named tuple's ``__new__``, a Python function
     for p, kind, names in net.plan(t_id).outputs:
         if kind == "case":
             if case_id is None:
@@ -550,16 +551,16 @@ def fire(
                     f"transition {t_id!r} outputs to case place {p!r} but no case "
                     "was supplied"
                 )
-            tok = Token(case_id, projected(case_attrs, names), out_time)
+            tok = tuple.__new__(Token, (case_id, projected(case_attrs, names), out_time))
         elif kind == "resource":
             if p not in binding:
                 raise ModelError(
                     f"transition {t_id!r} outputs to resource place {p!r} without "
                     "consuming from it"
                 )
-            tok = Token(binding[p].case_id, binding[p].attrs, out_time)
+            tok = tuple.__new__(Token, (binding[p].case_id, binding[p].attrs, out_time))
         elif kind == "plain":
-            tok = Token(None, EMPTY_ATTRS, out_time)
+            tok = tuple.__new__(Token, (None, EMPTY_ATTRS, out_time))
         else:
             raise ModelError(f"unknown place {p!r}")
         m.add(p, tok)

@@ -17,6 +17,8 @@ delay > now``: not a delay the float clock absorbs) dirties only the guard
 readers of its outputs; the others take only enabled tokens through
 ``binding_pools``, and the clock stop at the outputs dirties them. An
 injection (zero delay) dirties every reader, announcing the previous case.
+What a firing of each transition dirties is computed once per run, from the
+net's structure, before the first firing.
 
 When nothing fires, the clock stops at the next time on a heap of ``(time,
 nodes)`` entries: places where produced tokens, stored or not
@@ -210,6 +212,17 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
             guard_readers.setdefault(p, set()).add(tid)
         for p in {*net.preset[tid], *guarded}:
             readers.setdefault(p, set()).add(tid)
+    # what a firing dirties, fixed per transition: the readers of itself and
+    # its preset (a binding's keys), and those of its postset, only their
+    # guard readers when its outputs become available later
+    def read_by(nodes, watch) -> frozenset[str]:
+        return frozenset().union(*(watch.get(node, ()) for node in nodes))
+
+    touched = {tid: read_by((tid, *net.preset[tid]), readers) for tid in net.transitions}
+    delayed = {tid: read_by(net.postset[tid], guard_readers) for tid in net.transitions}
+    instant = {tid: read_by(net.postset[tid], readers) for tid in net.transitions}
+    # the sources that, dirty, have an arrival due
+    injectors = frozenset(tid for tid, src in sources.items() if not src.t.is_task)
     # the live candidate of each transition, kept until it is dirty; every one
     # reads its nonempty preset or, for a source, itself, so every one starts dirty
     cands: dict[str, Candidate] = {}
@@ -233,7 +246,7 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
     while True:
         # fire everything possible at the current clock, one binding at a time;
         # a non-task source is dirty here only when it is due
-        arriving = any(not sources[tid].t.is_task for tid in dirty & sources.keys())
+        arriving = not injectors.isdisjoint(dirty)
         for fired in range(MAX_FIRINGS_PER_INSTANT + 1):
             # no firing precedes a due arrival, so while one is known to be
             # due only the sources are evaluated
@@ -280,18 +293,17 @@ def simulate(net: Net, cfg: SimConfig) -> Log:
             # fire, dirty the readers of what it touched, stop the clock at its outputs
             _finite_time(now + delay, tid, "completion")
             fire(net, marking, tid, y, now, delay, case)
+            dirty |= touched[tid]
+            dirty |= delayed[tid] if now + delay > now else instant[tid]
             outs = net.postset[tid]
-            for node in (tid, *y):
-                dirty.update(readers.get(node, ()))
-            watch = guard_readers if now + delay > now else readers
-            for node in outs:
-                dirty.update(watch.get(node, ()))
             if outs:
                 heapq.heappush(future, (now + delay, outs))
             if t.is_task:
                 case_id, attrs = case or ("", EMPTY_ATTRS)
                 resource = y[plan.resource_inputs[0]].case_id if plan.resource_inputs else None
-                events.append(Event(case_id, tid, now, now + delay, resource, attrs))
+                # ``tuple.__new__`` skips the named tuple's ``__new__``, a Python function
+                events.append(tuple.__new__(Event, (case_id, tid, now, now + delay, resource,
+                                                    attrs)))
             if src is not None and not src.exhausted():
                 heapq.heappush(future, (src.next_time, (tid,)))
 

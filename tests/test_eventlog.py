@@ -301,3 +301,16 @@ def test_generated_logs_round_trip():
         text = write_log(log)
         assert parse_log(text) == log
         assert write_log(parse_log(text)) == text
+
+
+@pytest.mark.parametrize("column", ["start", "complete", "size"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+def test_write_log_rejects_a_number_that_is_not_finite(column, value):
+    # parse_log rejects such a cell, so no log gives it back
+    good = Event("c1", "a", 0.0, 1.0, attrs={"size": 2.0})
+    cells = {"start": 0.0, "complete": 1.0, "size": 2.0, column: value}
+    bad = Event("c2", "b", cells["start"], cells["complete"], attrs={"size": cells["size"]})
+    log = Log([good, bad], (("size", "number"),))
+    with pytest.raises(LogError, match=rf"row \d \(case 'c2', activity 'b'\): {column} value "):
+        write_log(log)
+    assert parse_log(write_log(Log([good], log.schema))) == Log([good], log.schema)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from dsync.cli import main
 from dsync.errors import ModelError
 from dsync.eventlog import write_log
 from dsync.modelfile import load_model, net_to_json, save_model
@@ -34,3 +36,20 @@ def test_source_max_count_below_one_is_rejected(tmp_path, max_count):
     message = f"source 'arriving' max_count must be >= 1, got {max_count}"
     with pytest.raises(ModelError, match=message):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("case_id", [12, 1.5, True, ["p1"]])
+def test_initial_token_case_id_that_is_no_text_is_rejected(tmp_path, capsys, case_id):
+    # a numeric resource id would simulate, and the log's resource column,
+    # which reads back as text, would never match it
+    with open(model_path("blocking"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["initial_marking"]["r0"][0]["case_id"] = case_id
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    message = f"initial token in r0: case_id should be str or null, found {case_id!r}"
+    with pytest.raises(ModelError, match=re.escape(message)):
+        load_model(str(path))
+    code = main(["simulate", "--model", str(path), "--seed", "1", "--max-cases", "5",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 3 and message in capsys.readouterr().err

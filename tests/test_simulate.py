@@ -668,3 +668,35 @@ def test_fifo_first_reruns_only_for_dirty_transitions(monkeypatch, supplychain_n
     # undercounts the rounds and overstates the ratio
     rounds = picks[0] + len(clocks)
     assert calls[0] < 0.25 * len(_ordinary(supplychain_net)) * rounds
+
+
+# ``fifo_first`` and ``enabled_bindings`` calls of one run at seed 1 and 150
+# cases: which transitions a firing or a clock stop dirties decides them, so
+# the counts change exactly when the scheduling does
+SCHEDULING_WORK = {
+    "blocking": (1052, 150),
+    "choice": (3052, 900),
+    "holdbatch": (448, 150),
+    "priority": (1188, 0),
+    "supplychain": (5801, 1512),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SCHEDULING_WORK))
+def test_the_simulator_evaluates_the_same_candidates(monkeypatch, model):
+    sim = importlib.import_module("dsync.simulate")
+    calls = collections.Counter()
+    fifo_first, enabled_bindings = sim.fifo_first, sim.enabled_bindings
+
+    def counting_first(*args):
+        calls["fifo_first"] += 1
+        return fifo_first(*args)
+
+    def counting_enabled(*args, **kwargs):
+        calls["enabled_bindings"] += 1
+        return enabled_bindings(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "fifo_first", counting_first)
+    monkeypatch.setattr(sim, "enabled_bindings", counting_enabled)
+    simulate(load_model(model_path(model)), SimConfig(seed=1, max_cases=150))
+    assert (calls["fifo_first"], calls["enabled_bindings"]) == SCHEDULING_WORK[model]
